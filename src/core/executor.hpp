@@ -14,8 +14,13 @@ namespace exa {
 // written once and the backend decides how index space maps onto hardware.
 //
 //   Serial : plain triply-nested loop (the "CPU build" of the paper).
-//   OpenMP : coarse-grained threading; with tiling this reproduces the
-//            one-OpenMP-thread-per-tile model of Figure 1 (center).
+//   OpenMP : each launch is one `omp parallel for` over the k*j rows of
+//            its box, split statically across the team. A launch forks a
+//            team only when its modeled work (zones x ncomp x
+//            flops_per_zone) reaches kOmpForkFlops (core/parallel_for.hpp);
+//            smaller launches run the Serial loop on the calling thread.
+//            Sums keep Serial order, so results are bit-identical to
+//            Serial for any OMP_NUM_THREADS.
 //   SimGpu : per-zone threading semantics of Figure 1 (right). Results are
 //            bit-identical to Serial; in addition every launch is reported
 //            to the registered device-model hook, which charges modeled
@@ -79,7 +84,7 @@ public:
     // this before assembling LaunchRecords for e.g. burn imbalance).
     static bool accountsLaunches() { return s_backend == Backend::SimGpu; }
 
-    // Tile size for the OpenMP tiled backend (zones per dim; z unsplit).
+    // Tile size of a tiling MFIter (zones per dim; z unsplit).
     static IntVect tileSize() { return s_tile_size; }
     static void setTileSize(const IntVect& ts) { s_tile_size = ts; }
 

@@ -10,6 +10,10 @@
 #include <stdexcept>
 #include <thread>
 
+#if defined(EXA_USE_OPENMP)
+#include <omp.h>
+#endif
+
 namespace exa::ensemble {
 
 namespace {
@@ -141,8 +145,17 @@ EnsembleReport EnsembleRunner::run() {
         m_opt.device->setResidentBytes(0.0);
     }
 
+    // Under OpenMP every worker forks its own teams; split the thread
+    // budget between them so workers x team size stays within it.
+#if defined(EXA_USE_OPENMP)
+    const int team_threads = std::max(1, omp_get_max_threads() / nworkers);
+#endif
+
     WallTimer wall;
-    auto worker_fn = [this, &queue](int w) {
+    auto worker_fn = [&](int w) {
+#if defined(EXA_USE_OPENMP)
+        if (ExecConfig::backend() == Backend::OpenMP) omp_set_num_threads(team_threads);
+#endif
         int id = -1;
         while (m_remaining.load(std::memory_order_acquire) > 0) {
             if (queue.pop(w, id)) {

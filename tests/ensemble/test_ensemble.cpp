@@ -28,6 +28,10 @@
 #include <stdexcept>
 #include <thread>
 
+#if defined(EXA_USE_OPENMP)
+#include <omp.h>
+#endif
+
 using namespace exa;
 using namespace exa::ensemble;
 
@@ -357,6 +361,69 @@ TEST(EnsembleDeterminism, ThreadedWorkersAreBitIdentical) {
     const auto threaded2 = runMixed(2);
     EXPECT_EQ(solo, threaded);
     EXPECT_EQ(threaded, threaded2);
+}
+
+// Under OpenMP each worker forks its own thread teams; the runner splits
+// the thread budget between workers, and the results stay those of one
+// worker.
+TEST(EnsembleBitIdentity, OpenMpWorkersMatchOneWorker) {
+    ScopedBackend guard(Backend::OpenMP);
+    EXPECT_EQ(runMixed(2), runMixed(1));
+}
+
+namespace {
+
+// Records the OpenMP thread budget a worker sees inside step().
+class OmpProbeScenario final : public Scenario {
+public:
+    OmpProbeScenario() : Scenario("omp-probe", RunLimits{0.0, 2, 0.0}) {}
+    void init() override { m_init = true; }
+    bool initialized() const override { return m_init; }
+    Real time() const override { return m_steps; }
+    int stepCount() const override { return m_steps; }
+    Real estimateDt() const override { return 1.0; }
+    void advanceOnce(Real) override {
+#if defined(EXA_USE_OPENMP)
+        threads_seen = omp_get_max_threads();
+#endif
+        ++m_steps;
+    }
+    std::int64_t zones() const override { return 1; }
+    std::uint64_t stateBytes() const override { return 0; }
+    std::uint32_t stateCrc() const override { return 0; }
+    std::string summary() const override { return "omp-probe"; }
+
+    int threads_seen = 0;
+
+private:
+    bool m_init = false;
+    int m_steps = 0;
+};
+
+} // namespace
+
+TEST(EnsembleRunner, OpenMpWorkersSplitTheThreadBudget) {
+#if !defined(EXA_USE_OPENMP)
+    GTEST_SKIP() << "built without OpenMP";
+#else
+    ScopedBackend guard(Backend::OpenMP);
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(4);
+    for (int workers : {1, 2, 3}) {
+        SCOPED_TRACE(::testing::Message() << workers << " workers");
+        EnsembleOptions opt;
+        opt.workers = workers;
+        EnsembleRunner runner(opt);
+        for (int t = 0; t < workers; ++t) runner.add(std::make_unique<OmpProbeScenario>());
+        runner.run();
+        for (int t = 0; t < workers; ++t) {
+            const auto& probe = dynamic_cast<OmpProbeScenario&>(runner.scenario(t));
+            EXPECT_EQ(probe.threads_seen, std::max(1, 4 / workers));
+        }
+    }
+    EXPECT_EQ(omp_get_max_threads(), 4);
+    omp_set_num_threads(saved);
+#endif
 }
 
 TEST(EnsembleDeterminism, SimGpuAndDebugForceOneWorker) {
