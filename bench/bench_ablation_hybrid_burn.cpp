@@ -129,14 +129,11 @@ RunResult runBurn(const Workload& w, const ReactionNetwork& net, const Eos& eos,
     DeviceModel dev;
     dev.attach();
     RunResult r;
-    r.stats = reactState(state, net, eos, dt, ropt);
+    r.stats = reactState(state, net, eos, dt, ropt, nullptr, 0, &r.report);
     dev.detach();
     r.device_s = dev.elapsedSeconds();
-    if (ropt.batched) {
-        r.report = lastBatchBurnReport();
-        if (ropt.batch.hybrid_cpu_tail)
-            r.host_s = hostTailSeconds(r.report, net.nspec());
-    }
+    if (ropt.batched && ropt.batch.hybrid_cpu_tail)
+        r.host_s = hostTailSeconds(r.report, net.nspec());
     return r;
 }
 

@@ -42,8 +42,8 @@ public:
     MultiFab& state() { return m_state; }
     const MultiFab& state() const { return m_state; }
     // The resolved options this driver runs with (factories like
-    // makeWdCollision flip burn/rebalance defaults; tests read them back
-    // here).
+    // WdCollisionParams::build flip burn/rebalance defaults; tests read
+    // them back here).
     const CastroOptions& options() const { return m_opt; }
     const Geometry& geom() const { return m_geom; }
     const ReactionNetwork& network() const { return m_net; }

@@ -31,13 +31,13 @@ CastroAmr::CastroAmr(const Geometry& level0_geom, const AmrInfo& info,
     m_t_old.assign(info.max_level + 1, 0.0);
     m_t_new.assign(info.max_level + 1, 0.0);
     m_advances.assign(info.max_level + 1, 0);
-    if (opt.gravity == GravityType::PoissonAmr) {
+    if (opt.gravity == GravityType::Poisson) {
         m_gravity = std::make_unique<AmrGravity>(MgBC::Dirichlet);
     } else if (opt.gravity != GravityType::None) {
-        // Monopole/Poisson are single-level constructs; the AMR driver
-        // couples levels through the composite solve only.
+        // Monopole is a single-level construct; the AMR driver couples
+        // levels through the composite solve only.
         throw std::invalid_argument(
-            "CastroAmr: gravity must be None or PoissonAmr");
+            "CastroAmr: gravity must be None or Poisson");
     }
 }
 

@@ -96,9 +96,9 @@ public:
     // Retry accounting for the guarded steps of this run.
     const RetryStats& retryStats() const { return m_guard.stats(); }
 
-    // Composite-grid self-gravity (opt.gravity == PoissonAmr only; the
-    // per-level Monopole/Poisson solvers are single-level constructs and
-    // the ctor rejects them for the AMR driver).
+    // Composite-grid self-gravity (opt.gravity == Poisson only; Monopole
+    // is a single-level construct and the ctor rejects it for the AMR
+    // driver).
     bool hasGravity() const { return m_gravity != nullptr; }
     AmrGravity& gravityAmr() { return *m_gravity; }
     const AmrGravity& gravityAmr() const { return *m_gravity; }

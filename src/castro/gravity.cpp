@@ -12,8 +12,7 @@ namespace exa::castro {
 GravityType gravityTypeFromName(const std::string& name) {
     if (name == "none") return GravityType::None;
     if (name == "monopole") return GravityType::Monopole;
-    if (name == "poisson") return GravityType::Poisson;
-    if (name == "poisson-amr") return GravityType::PoissonAmr;
+    if (name == "poisson" || name == "poisson-amr") return GravityType::Poisson;
     throw std::invalid_argument("unknown gravity type: " + name);
 }
 
@@ -28,30 +27,16 @@ void Gravity::solve(const MultiFab& state) {
     if (m_type == GravityType::None) return;
     if (!m_defined) {
         m_g.define(state.boxArray(), state.distributionMap(), 3, 0);
-        if (m_type == GravityType::Poisson || m_type == GravityType::PoissonAmr) {
+        if (m_type == GravityType::Poisson) {
             m_phi.define(state.boxArray(), state.distributionMap(), 1, 1);
             m_phi.setVal(0.0);
-        }
-        if (m_type == GravityType::Poisson) {
-            Multigrid::Options opt;
-            opt.rtol = 1.0e-9;
-            m_mg = std::make_unique<Multigrid>(m_geom, MgBC::Dirichlet, opt);
         }
         m_defined = true;
     }
     if (m_type == GravityType::Monopole) {
         solveMonopole(state);
-    } else if (m_type == GravityType::Poisson) {
-        solvePoisson(state);
     } else {
-        solvePoissonAmr(state);
-    }
-}
-
-void Gravity::resetPoissonWarmStart() {
-    if (m_defined &&
-        (m_type == GravityType::Poisson || m_type == GravityType::PoissonAmr)) {
-        m_phi.setVal(0.0);
+        solvePoisson(state);
     }
 }
 
@@ -59,9 +44,7 @@ std::vector<MultiFab*> Gravity::rebalanceFabs() {
     std::vector<MultiFab*> fabs;
     if (!m_defined) return fabs;
     fabs.push_back(&m_g);
-    if (m_type == GravityType::Poisson || m_type == GravityType::PoissonAmr) {
-        fabs.push_back(&m_phi);
-    }
+    if (m_type == GravityType::Poisson) fabs.push_back(&m_phi);
     return fabs;
 }
 
@@ -202,18 +185,6 @@ MultiFab makeGravityRhs(const MultiFab& state) {
 } // namespace
 
 void Gravity::solvePoisson(const MultiFab& state) {
-    MultiFab rhs = makeGravityRhs(state);
-    auto res = m_mg->solve(m_phi, rhs);
-    m_last_vcycles = res.vcycles;
-
-    // g = -grad(phi), central differences; ghost zones of phi were filled
-    // by the solver's boundary logic only on its own layout, so refill.
-    m_phi.FillBoundary(0, m_phi.nComp(), m_geom.periodicity());
-    // Dirichlet ghost fill at physical boundaries: phi ~ 0 outside.
-    computeGravityAccel(m_phi, m_g, m_geom);
-}
-
-void Gravity::solvePoissonAmr(const MultiFab& state) {
     // The composite solver captures the layout at construction; a
     // rebalance migrates the state (and m_phi/m_g with it), so rebuild on
     // any layout-id change. Solves are cold, so a rebuild costs setup

@@ -5,7 +5,6 @@
 #include "mesh/multifab.hpp"
 #include "microphysics/network.hpp"
 #include "solvers/mg/composite_mg.hpp"
-#include "solvers/multigrid.hpp"
 
 #include <array>
 #include <memory>
@@ -13,22 +12,22 @@
 
 namespace exa::castro {
 
-// Self-gravity for Castro-mini. Three solvers, as in Castro:
+// Self-gravity for Castro-mini. Two solvers, as in Castro:
 //   * Monopole: spherically averaged mass profile about a center;
 //     g(r) = -G M(<r) / r^2. Cheap, exact for spherical stars; used for
 //     the early (free-fall) phase sanity checks.
-//   * Poisson: full multigrid solve of lap(phi) = 4 pi G rho with
-//     homogeneous Dirichlet boundaries (the domain is assumed to extend
-//     well beyond the mass). This is the "global linear solve similar to
-//     [the multigrid solve], though a little easier" of Section V.
-//   * PoissonAmr: the same Poisson problem solved by the composite-grid
-//     FMG solver (CompositeMg). On the single-level driver this is one
-//     AMR rung plus the geometric ladder below; CastroAmr couples every
-//     AMR level into one solve (AmrGravity).
-enum class GravityType { None, Monopole, Poisson, PoissonAmr };
+//   * Poisson: lap(phi) = 4 pi G rho with homogeneous Dirichlet boundaries
+//     (the domain is assumed to extend well beyond the mass), solved by
+//     the composite-grid FMG solver (CompositeMg) — the "global linear
+//     solve similar to [the multigrid solve], though a little easier" of
+//     Section V. On the single-level driver the hierarchy is one AMR rung
+//     plus the geometric ladder below; CastroAmr couples every AMR level
+//     into one solve (AmrGravity).
+enum class GravityType { None, Monopole, Poisson };
 
-// Parse a config-file gravity name: "none", "monopole", "poisson",
-// "poisson-amr". Throws std::invalid_argument otherwise.
+// Parse a config-file gravity name: "none", "monopole", "poisson". The
+// older spelling "poisson-amr" names the same solver. Throws
+// std::invalid_argument otherwise.
 GravityType gravityTypeFromName(const std::string& name);
 
 // g = -grad(phi) by central differences on phi's valid region. Ghost
@@ -56,39 +55,30 @@ public:
     // Center for the monopole solver (defaults to the domain center).
     void setCenter(const std::array<Real, 3>& c) { m_center = c; }
 
-    // Total modeled multigrid V-cycles (performance accounting).
+    // V-cycles of the last Poisson solve (performance accounting).
     int lastVcycles() const { return m_last_vcycles; }
 
-    // Lifetime MG counters for the composite solver (zeros for the other
+    // Lifetime MG counters of the Poisson solver (zeros for the other
     // gravity types); feeds the supervisor / ensemble summaries.
     MgEvent mgTotals() const;
 
     // The fabs living on the state's layout that must migrate with it
     // when the load balancer redistributes (empty until the first solve
-    // defines them; the multigrid hierarchy keeps its own internal
-    // partition and ParallelCopies in/out, so it needs no migration).
+    // defines them). Poisson solves are cold, so phi is a pure function
+    // of the density and none of these fabs carries trajectory state.
     std::vector<MultiFab*> rebalanceFabs();
 
     GravityType type() const { return m_type; }
 
-    // Drop the Poisson warm start back to a cold (zero) initial guess.
-    // The acceleration is fully recomputed by every solve, but phi seeds
-    // the next multigrid solve — after a rank-failure recovery poisons it,
-    // this makes the solver re-converge from scratch instead of iterating
-    // on garbage. No-op for Monopole/None or before the first solve.
-    void resetPoissonWarmStart();
-
 private:
     void solveMonopole(const MultiFab& state);
     void solvePoisson(const MultiFab& state);
-    void solvePoissonAmr(const MultiFab& state);
 
     GravityType m_type;
     Geometry m_geom;
     MultiFab m_g;   // acceleration, 3 components, on the state's BoxArray
-    MultiFab m_phi; // potential (Poisson/PoissonAmr only)
-    std::unique_ptr<Multigrid> m_mg;
-    std::unique_ptr<CompositeMg> m_cmg; // PoissonAmr; rebuilt on layout change
+    MultiFab m_phi; // potential (Poisson only)
+    std::unique_ptr<CompositeMg> m_cmg; // Poisson; rebuilt on layout change
     std::uint64_t m_cmg_ba_id = 0;
     std::uint64_t m_cmg_dm_id = 0;
     std::array<Real, 3> m_center;

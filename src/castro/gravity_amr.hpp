@@ -48,9 +48,9 @@ public:
     // rebuild the composite solver on the next solve.
     void noteRegrid() { m_dirty = true; }
 
-    // Recovery protocol hook (mirrors Gravity::resetPoissonWarmStart):
-    // solves are cold, so nothing seeds the next solve — this just drops
-    // any stale potential so a restored run cannot read it by accident.
+    // Recovery hook: solves are cold, so nothing seeds the next solve —
+    // this just drops any stale potential so a restored run cannot read
+    // it by accident.
     void resetPoissonWarmStart();
 
     // Lifetime MG counters, accumulated across solver rebuilds.

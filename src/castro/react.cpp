@@ -12,8 +12,6 @@ namespace exa::castro {
 
 namespace {
 
-BatchBurnReport s_last_batch_report;
-
 // The per-zone driver: one fab at a time, one zone at a time, one device
 // launch per fab priced with the fab's measured step distribution.
 BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
@@ -21,7 +19,6 @@ BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
                           CostMonitor* cost, int level) {
     const int nspec = net.nspec();
     BurnGridStats stats;
-    std::vector<std::int64_t> zone_steps;
     // Size the scratch to the network instead of a fixed stack buffer, so
     // large networks can't overrun it; hoist the ODE, integrator
     // workspace, and result out of the zone loops so the burn path makes
@@ -36,8 +33,7 @@ BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
         const std::int64_t steps_before = stats.total_steps;
         auto u = state.array(static_cast<int>(f));
         const Box& vb = state.box(static_cast<int>(f));
-        zone_steps.clear();
-        zone_steps.reserve(vb.numPts());
+        std::int64_t fab_max = 0; // largest per-zone step count, failures too
 
         for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k) {
             for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j) {
@@ -46,7 +42,7 @@ BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
                     const Real rho = u(i, j, k, StateLayout::URHO);
                     const Real T = u(i, j, k, StateLayout::UTEMP);
                     if (T < opt.T_min || rho < opt.rho_min) {
-                        zone_steps.push_back(1); // skip: trivially cheap
+                        fab_max = std::max<std::int64_t>(fab_max, 1); // skip: cheap
                         ++stats.total_steps;
                         stats.max_steps = std::max<std::int64_t>(stats.max_steps, 1);
                         continue;
@@ -62,7 +58,7 @@ BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
                             stats.first_failure = {true, i, j, k,
                                                    static_cast<int>(f), -1, rho, T};
                         }
-                        zone_steps.push_back(r.stats.steps + 1);
+                        fab_max = std::max(fab_max, r.stats.steps + 1);
                         stats.total_steps += r.stats.steps + 1;
                         continue;
                     }
@@ -72,44 +68,26 @@ BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
                     u(i, j, k, StateLayout::UEDEN) += rho * r.e_nuc;
                     u(i, j, k, StateLayout::UTEMP) = r.T;
                     const std::int64_t steps = std::max<std::int64_t>(r.stats.steps, 1);
-                    zone_steps.push_back(steps);
+                    fab_max = std::max(fab_max, steps);
                     stats.total_steps += steps;
                     stats.max_steps = std::max(stats.max_steps, steps);
                 }
             }
         }
 
-        // Report the burn launch to the simulated device. Under the
-        // hybrid option the outlier zones (the Section VI candidates for
-        // host-side integration) are removed from the device's
-        // imbalance before pricing the launch.
-        if (ExecConfig::accountsLaunches() && !zone_steps.empty()) {
-            std::vector<std::int64_t> sorted = zone_steps;
-            std::sort(sorted.begin(), sorted.end());
-            const std::int64_t median = sorted[sorted.size() / 2];
-            double mean = 0.0;
-            for (auto s : sorted) mean += static_cast<double>(s);
-            mean /= sorted.size();
-            std::int64_t device_max = sorted.back();
-            std::int64_t device_zones = static_cast<std::int64_t>(sorted.size());
-            if (opt.hybrid_cpu_outliers) {
-                const std::int64_t cutoff = static_cast<std::int64_t>(
-                    opt.outlier_factor * std::max<std::int64_t>(median, 1));
-                auto firstOut =
-                    std::upper_bound(sorted.begin(), sorted.end(), cutoff);
-                device_zones = firstOut - sorted.begin();
-                device_max = device_zones > 0 ? sorted[device_zones - 1] : 1;
-                double dev_mean = 0.0;
-                for (auto it = sorted.begin(); it != firstOut; ++it) {
-                    dev_mean += static_cast<double>(*it);
-                }
-                mean = device_zones > 0 ? dev_mean / device_zones : 1.0;
-            }
+        // Report the burn launch to the simulated device, priced with the
+        // fab's zone-to-zone step imbalance (max / mean). The step counts
+        // are integers, so their double sum is exact in any order.
+        const std::int64_t fab_zones = vb.numPts();
+        if (ExecConfig::accountsLaunches() && fab_zones > 0) {
+            const double mean =
+                static_cast<double>(stats.total_steps - steps_before) /
+                static_cast<double>(fab_zones);
             const double imbalance =
-                mean > 0 ? static_cast<double>(device_max) / mean : 1.0;
+                mean > 0 ? static_cast<double>(fab_max) / mean : 1.0;
             LaunchRecord rec;
             rec.info = burnKernelInfo(nspec, std::max(mean, 1.0), imbalance);
-            rec.zones = device_zones;
+            rec.zones = fab_zones;
             rec.ncomp = 1;
             rec.stream = ExecConfig::currentStream();
             ExecConfig::notifyLaunch(rec);
@@ -133,7 +111,8 @@ BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
 // structure the device model sees differs.
 BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
                            const Eos& eos, Real dt, const ReactOptions& opt,
-                           CostMonitor* cost, int level) {
+                           CostMonitor* cost, int level,
+                           BatchBurnReport* report) {
     const int nspec = net.nspec();
     const int nfabs = static_cast<int>(state.size());
     BurnGridStats stats;
@@ -208,7 +187,7 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
     // Burn the gather.
     BatchBurner burner(net, eos, opt.batch);
     burner.run(batch, dt, opt.ode);
-    s_last_batch_report = burner.report();
+    if (report != nullptr) *report = burner.report();
 
     // Pass 3: scatter — successful zones write their own (i,j,k) back.
     const KernelInfo scatter_ki =
@@ -292,13 +271,11 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
 
 } // namespace
 
-const BatchBurnReport& lastBatchBurnReport() { return s_last_batch_report; }
-
 BurnGridStats reactState(MultiFab& state, const ReactionNetwork& net, const Eos& eos,
                          Real dt, const ReactOptions& opt, CostMonitor* cost,
-                         int level) {
+                         int level, BatchBurnReport* report) {
     if (opt.batched) {
-        return reactBatched(state, net, eos, dt, opt, cost, level);
+        return reactBatched(state, net, eos, dt, opt, cost, level, report);
     }
     return reactSerial(state, net, eos, dt, opt, cost, level);
 }

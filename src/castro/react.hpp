@@ -13,26 +13,15 @@ struct ReactOptions {
     OdeOptions ode;
     Real T_min = 5.0e7;   // zones cooler than this are skipped (inert)
     Real rho_min = 1.0e2; // zones more dilute than this are skipped
-    // When true, the simulated device launch excludes the outlier zones
-    // (cost > outlier_factor x median), which are modeled as burned on
-    // the host concurrently — the paper's Section VI hybrid strategy.
-    // (Per-fab launch shaping for the per-zone path; the batched engine
-    // has its own hybrid split in `batch`.)
-    bool hybrid_cpu_outliers = false;
-    double outlier_factor = 10.0;
     // Batched GPU-resident engine: gather all reacting zones of the
     // MultiFab (across fabs) into one flat SoA buffer, sort by stiffness,
     // and burn in fused device batches (BatchBurner) instead of
     // zone-at-a-time per-fab launches. Bit-identical results; radically
-    // fewer, better-shaped launches.
+    // fewer, better-shaped launches. The Section VI hybrid split (stiff
+    // tail on the host) lives in `batch`.
     bool batched = false;
     BatchBurnOptions batch;
 };
-
-// What the batched engine did on the last reactState call that used it
-// (gather size, batch count, tail split). For benches and tests; not
-// meaningful when opt.batched is false.
-const BatchBurnReport& lastBatchBurnReport();
 
 // Burn every (eligible) zone of the state for dt at constant volume,
 // updating species, energy, and temperature. Reports per-grid cost
@@ -43,8 +32,14 @@ const BatchBurnReport& lastBatchBurnReport();
 // When `cost` is non-null, each fab's integrator-step total and wall time
 // are credited to (level, fab) — the burn channel of the load balancer's
 // CostMonitor.
+//
+// When `report` is non-null and opt.batched is set, it receives what the
+// batched engine did on this call (gather size, batch count, tail split);
+// it is left untouched on the per-zone path. The sink is caller-owned, so
+// concurrent burns (ensemble tenants on worker threads) never share it.
 BurnGridStats reactState(MultiFab& state, const ReactionNetwork& net, const Eos& eos,
                          Real dt, const ReactOptions& opt = ReactOptions{},
-                         CostMonitor* cost = nullptr, int level = 0);
+                         CostMonitor* cost = nullptr, int level = 0,
+                         BatchBurnReport* report = nullptr);
 
 } // namespace exa::castro

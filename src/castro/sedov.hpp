@@ -31,13 +31,6 @@ struct SedovParams {
     std::unique_ptr<Castro> build(const ReactionNetwork& net) const;
 };
 
-[[deprecated("use SedovParams::build(net), or the ensemble ScenarioRegistry "
-             "(\"sedov\") for config-driven construction")]]
-inline std::unique_ptr<Castro> makeSedov(const SedovParams& p,
-                                         const ReactionNetwork& net) {
-    return p.build(net);
-}
-
 // Self-similar shock radius R(t) = (E t^2 / (alpha rho0))^(1/5) with the
 // standard alpha(gamma = 1.4) = 0.851 similarity constant.
 Real sedovShockRadius(Real t, Real E, Real rho0, Real gamma = 1.4);

@@ -74,19 +74,4 @@ struct WdCollision {
     Real runToIgnition(Real t_max, int max_steps = 100000);
 };
 
-[[deprecated("use WdCollisionParams::build(net), or the ensemble "
-             "ScenarioRegistry (\"wd-collision\") for config-driven "
-             "construction")]]
-inline WdCollision makeWdCollision(const WdCollisionParams& p,
-                                   const ReactionNetwork& net) {
-    return p.build(net);
-}
-
-[[deprecated("use WdCollisionParams::build(), or the ensemble "
-             "ScenarioRegistry (\"wd-collision\") for config-driven "
-             "construction")]]
-inline WdCollision makeWdCollision(const WdCollisionParams& p) {
-    return p.build();
-}
-
 } // namespace exa::castro

@@ -88,9 +88,10 @@ public:
     std::int64_t recoveryReplaySteps() const { return m_replay_steps.load(); }
     std::int64_t recoveryBytes() const { return m_recovery_bytes.load(); }
 
-    // Multigrid solve accounting (MgEvent hook): FMG/V-cycle and smoother
-    // sweep counts from the Poisson solvers, plus the coarse-level rank
-    // aggregation's staged ParallelCopies and their off-rank payload.
+    // MG solve accounting (MgEvent hook): FMG/V-cycle and smoother sweep
+    // counts from the Poisson solver (gravity and projection), plus the
+    // coarse-level rank aggregation's staged ParallelCopies and their
+    // off-rank payload.
     // V-cycles are also bucketed per tenant (like bytes/messages), so an
     // ensemble can answer "whose solves were these?".
     std::int64_t mgFmgCycles() const;

@@ -25,7 +25,7 @@ struct AmrBlastParams {
     Real r_init = 0.125;     // blast deposit radius (unit domain)
     Real tag_temp = 1.0e-8;  // refine zones whose T exceeds this
     int regrid_interval = 4;
-    // Self-gravity: None or PoissonAmr (the composite-grid FMG solve
+    // Self-gravity: None or Poisson (the composite-grid FMG solve
     // coupling every AMR level).
     castro::GravityType gravity = castro::GravityType::None;
 

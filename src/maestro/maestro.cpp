@@ -40,7 +40,19 @@ Maestro::Maestro(const Geometry& geom, const BoxArray& ba,
       m_guard(opt.guard),
       m_rebalancer(opt.rebalance) {
     m_state.setVal(0.0);
-    m_mg = std::make_unique<Multigrid>(geom, MgBC::Neumann, opt.mg);
+    // Warm start: each projection iterates from the previous step's phi,
+    // so m_phi is part of the trajectory (checkpointed with the state).
+    CompositeMgOptions mg_opt;
+    mg_opt.warm_start = true;
+    BoxArray mg_ba(geom.domain());
+    mg_ba.maxSize(mg_opt.max_grid_size);
+    const DistributionMapping mg_dm(mg_ba, mg_opt.nranks);
+    m_mg = std::make_unique<CompositeMg>(std::vector<Geometry>{geom},
+                                         std::vector<BoxArray>{mg_ba},
+                                         std::vector<DistributionMapping>{mg_dm},
+                                         2, MgBC::Neumann, mg_opt);
+    m_mg_phi.define(mg_ba, mg_dm, 1, 1);
+    m_mg_rhs.define(mg_ba, mg_dm, 1, 0);
     m_phi.define(ba, dm, 1, 1);
     m_phi.setVal(0.0);
     m_divu.define(ba, dm, 1, 0);
@@ -319,7 +331,11 @@ void Maestro::project() {
                             0.5 * (q(i, j, k + 1, 2) - q(i, j, k - 1, 2)) * dxi[2];
                     });
     }
-    auto res = m_mg->solve(m_phi, m_divu);
+    const Periodicity period = m_geom.periodicity();
+    m_mg_phi.ParallelCopy(m_phi, 0, 0, 1, 0, period);
+    m_mg_rhs.ParallelCopy(m_divu, 0, 0, 1, 0, period);
+    const CompositeMgResult res = m_mg->solve({&m_mg_phi}, {&m_mg_rhs});
+    m_phi.ParallelCopy(m_mg_phi, 0, 0, 1, 0, period);
     m_last_vcycles = res.vcycles;
 
     // U -= grad phi (same central stencil: an approximate projection).

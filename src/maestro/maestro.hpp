@@ -5,7 +5,7 @@
 #include "mesh/phys_bc.hpp"
 #include "mesh/rebalance/rebalancer.hpp"
 #include "mesh/step_guard.hpp"
-#include "solvers/multigrid.hpp"
+#include "solvers/mg/composite_mg.hpp"
 
 #include <memory>
 
@@ -33,7 +33,6 @@ struct MaestroOptions {
     int proj_interval = 1; // project every step
     castro::ReactOptions react; // reuses the Castro burn driver options
     bool do_react = true;
-    Multigrid::Options mg;
     // Step retry (StepGuard) around each step; min_density/min_energy do
     // not apply to the low Mach state (density is EOS-derived) — the
     // validator checks finiteness, T > 0, species sums, and burn failures.
@@ -47,7 +46,9 @@ struct MaestroOptions {
 // against the hydrostatic base state, nuclear reactions, and an
 // approximate cell-centered projection (multigrid Poisson solve — the
 // globally coupled step whose communication dominates the Fig. 3 weak
-// scaling).
+// scaling). The projection runs on its own layout — the domain chopped at
+// the solver's max_grid_size on one rank — not on the state's: phi and
+// divu are copied in, phi is copied back out.
 class Maestro {
 public:
     Maestro(const Geometry& geom, const BoxArray& ba, const DistributionMapping& dm,
@@ -103,7 +104,7 @@ public:
     Real maxTemperature() const { return m_state.max(MaestroLayout::QT); }
     // z centroid of the positive temperature perturbation (bubble height).
     Real bubbleHeight() const;
-    // Multigrid V-cycles used by the last projection.
+    // V-cycles used by the last projection solve.
     int lastProjectionVcycles() const { return m_last_vcycles; }
 
     void project(); // public for tests
@@ -130,8 +131,11 @@ private:
     MaestroOptions m_opt;
     MaestroLayout m_layout;
     MultiFab m_state;
-    std::unique_ptr<Multigrid> m_mg;
     MultiFab m_phi, m_divu;
+    // Projection solver (warm-started one-rung CompositeMg, Neumann) and
+    // its phi/rhs on the projection layout.
+    std::unique_ptr<CompositeMg> m_mg;
+    MultiFab m_mg_phi, m_mg_rhs;
     StepGuard m_guard;
     Rebalancer m_rebalancer;
     Real m_time = 0.0;
@@ -164,12 +168,5 @@ struct BubbleParams {
     // Build a low-Mach Maestro instance initialized with the bubble.
     std::unique_ptr<Maestro> build(const ReactionNetwork& net) const;
 };
-
-[[deprecated("use BubbleParams::build(net), or the ensemble ScenarioRegistry "
-             "(\"bubble\") for config-driven construction")]]
-inline std::unique_ptr<Maestro> makeReactingBubble(const BubbleParams& p,
-                                                   const ReactionNetwork& net) {
-    return p.build(net);
-}
 
 } // namespace exa::maestro

@@ -68,8 +68,8 @@ struct ResilienceEvent {
 
 using ResilienceHook = std::function<void(const ResilienceEvent&)>;
 
-// Multigrid solve accounting deltas, fired once per solve by the Poisson
-// solvers (single-level Multigrid and the composite-grid FMG solver):
+// MG solve accounting deltas, fired once per solve by the composite-grid
+// FMG Poisson solver (Castro gravity and the MAESTRO projection):
 // cycle/sweep counts plus the coarse-level rank-aggregation traffic
 // (staged ParallelCopies between the distributed fine layout and the
 // few-rank aggregated coarse layout, and their off-rank payload bytes).
@@ -112,7 +112,7 @@ public:
     static void notifyResilience(const ResilienceEvent& e);
     static bool resilienceActive();
 
-    // Multigrid solve counters (one event per completed solve).
+    // MG solve counters (one event per completed solve).
     static void setMgHook(MgHook h);
     static void clearMgHook();
     static void notifyMg(const MgEvent& e);

@@ -43,14 +43,4 @@ void fillPatchTwoLevels(MultiFab& dst, const MultiFab& fine_src,
                         const Geometry& fine_geom, int ratio, int scomp, int dcomp,
                         int ncomp, int dst_ng = 0);
 
-[[deprecated("use fillPatchTwoLevels(dst, fine_src, crse_src, crse_geom, "
-             "fine_geom, ratio, scomp, dcomp, ncomp, dst_ng)")]]
-inline void fillPatchTwoLevels(MultiFab& dst, int ng, const MultiFab& fine_src,
-                               const MultiFab& crse_src, const Geometry& crse_geom,
-                               const Geometry& fine_geom, int ratio, int scomp,
-                               int ncomp) {
-    fillPatchTwoLevels(dst, fine_src, crse_src, crse_geom, fine_geom, ratio, scomp,
-                       scomp, ncomp, ng);
-}
-
 } // namespace exa

@@ -70,11 +70,6 @@ public:
     // Convenience: exchange every component, non-periodic.
     void FillBoundary() { FillBoundary(0, m_ncomp); }
 
-    [[deprecated("use FillBoundary(scomp, ncomp, period)")]]
-    void FillBoundary(const Periodicity& period) {
-        FillBoundary(0, m_ncomp, period);
-    }
-
     // Copy component data from src (any BoxArray) wherever src valid
     // regions intersect our valid+dst_ng regions, with periodic images.
     // The copy plan is memoized in the CopierCache like FillBoundary's.

@@ -18,7 +18,6 @@ SupervisedDriver makeSupervisedDriver(castro::Castro& c) {
         f.companions = c.gravity().rebalanceFabs();
         return std::vector<CheckpointField>{f};
     };
-    d.postRestore = [&c] { c.gravity().resetPoissonWarmStart(); };
     d.retryStats = [&c] { return &c.retryStats(); };
     d.mgStats = [&c] { return c.gravity().mgTotals(); };
     return d;

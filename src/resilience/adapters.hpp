@@ -13,12 +13,9 @@ namespace exa::resilience {
 
 // Single-level Castro: checkpoints the conserved state; the gravity fabs
 // (defined after the first solve) ride along as companions so a shrink
-// keeps them co-located, but are recomputed rather than persisted. The
-// acceleration is rebuilt from scratch by every solve, so recovery is
-// bit-identical for GravityType::None and Monopole. Poisson's phi is a
-// stateful multigrid warm start: after recovery it is reset cold
-// (Gravity::resetPoissonWarmStart), so the replayed solve re-converges to
-// the same rtol but the trajectory is not guaranteed bit-identical.
+// keeps them co-located, but are recomputed rather than persisted. Every
+// gravity type rebuilds the acceleration from the density alone (Poisson
+// solves are cold), so recovery is bit-identical for all of them.
 SupervisedDriver makeSupervisedDriver(castro::Castro& c);
 
 // Maestro: checkpoints state, phi (the projection's initial guess — part

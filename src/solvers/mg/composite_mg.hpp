@@ -2,8 +2,10 @@
 
 // Composite-grid full multigrid (FMG) for the cell-centered Poisson
 // problem across an AMR hierarchy — the role AMReX's MLMG plays in
-// Castro's self-gravity solve, the globally coupled algorithm the paper
-// (SC 2020, §V) identifies as the exascale scaling gate. The AMR levels
+// Castro's self-gravity solve and in the MAESTRO projection, the globally
+// coupled algorithm the paper (SC 2020, §V) identifies as the exascale
+// scaling gate. It is the only Poisson solver in the tree: single-level
+// callers pass a one-level hierarchy. The AMR levels
 // form the fine end of one MG ladder; below AMR level 0 the ladder
 // continues by geometric full coarsening. The scheme is FAS (full
 // approximation scheme): every rung carries a full solution approximation,
@@ -26,12 +28,13 @@
 // Solves are cold by default (initial guess 0, FMG bootstrap, then
 // V-cycles to rtol): the result is a pure function of the rhs, which is
 // what makes gravity bit-identical across regrids, rebalances, and
-// rank-failure recovery replay.
+// rank-failure recovery replay. Warm solves (the MAESTRO projection) start
+// from the caller's phi and skip the FMG bootstrap; that phi is then part
+// of the trajectory and must be checkpointed with the state.
 
 #include "mesh/interp.hpp"
 #include "mesh/multifab.hpp"
 #include "solvers/mg/mg_boundary.hpp"
-#include "solvers/multigrid.hpp"
 
 #include <cstdint>
 #include <memory>
@@ -46,7 +49,7 @@ struct CompositeMgOptions {
     int max_vcycles = 60;
     Real rtol = 1.0e-10;    // relative composite-residual target
     bool fmg = true;        // FMG bootstrap before the V-cycle loop
-    bool warm_start = false; // keep previous phi as initial guess (bench only)
+    bool warm_start = false; // start from the caller's phi, no FMG bootstrap
     int min_level_side = 2; // stop geometric coarsening at this side length
     int max_grid_size = 32;
     int nranks = 1;

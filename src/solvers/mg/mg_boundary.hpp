@@ -1,8 +1,8 @@
 #pragma once
 
 // MG-specific boundary plumbing for the composite-grid solver (the role
-// Athena's dedicated bvals_mg layer plays): the physical-boundary ghost
-// fill shared with the single-level Multigrid, plus MgCfBoundary — the
+// Athena's dedicated bvals_mg layer plays): the boundary-condition
+// vocabulary and the physical-boundary ghost fill, plus MgCfBoundary — the
 // coarse-fine interface machinery a partially refined AMR level needs
 // from its parent level. MgCfBoundary owns three jobs:
 //
@@ -25,17 +25,23 @@
 // solution has changed since the last smoothing pass on the fine rung.
 
 #include "mesh/multifab.hpp"
-#include "solvers/multigrid.hpp"
 
 #include <memory>
 #include <vector>
 
 namespace exa {
 
+// Physical boundary condition applied on every domain face.
+enum class MgBC {
+    Periodic,
+    Dirichlet, // phi = 0 on the domain boundary (faces of boundary zones)
+    Neumann,   // dphi/dn = 0 on the domain boundary
+};
+
 // Physical-boundary ghost fill (Dirichlet: phi_g = -phi_i, Neumann:
 // phi_g = +phi_i, Periodic: nothing — FillBoundary wrapped already).
-// Shared by Multigrid::applyDomainBC and CompositeMg so the two solvers
-// are bit-identical on uniform problems.
+// Every rung smoother, residual and the post-solve ghost fill
+// (CompositeMg::fillCompositeGhosts) goes through it.
 void mgApplyDomainBC(MultiFab& phi, const Geometry& geom, MgBC bc);
 
 class MgCfBoundary {

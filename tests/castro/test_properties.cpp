@@ -6,7 +6,7 @@
 #include "microphysics/bdf.hpp"
 #include "microphysics/burner.hpp"
 #include "core/parallel_for.hpp"
-#include "solvers/multigrid.hpp"
+#include "solvers/mg/composite_mg.hpp"
 
 #include <gtest/gtest.h>
 
@@ -185,7 +185,8 @@ TEST_P(BdfAccuracy, ErrorShrinksWithTolerance) {
 INSTANTIATE_TEST_SUITE_P(Tols, BdfAccuracy, ::testing::Values(1e-4, 1e-6, 1e-8));
 
 // ---------------------------------------------------------------------
-// Multigrid over anisotropic cell sizes.
+// The Poisson solver (single-level CompositeMg) over anisotropic cell
+// sizes.
 // ---------------------------------------------------------------------
 
 class MgAnisotropy : public ::testing::TestWithParam<double> {};
@@ -209,10 +210,11 @@ TEST_P(MgAnisotropy, ConvergesWithStretchedZones) {
                            std::sin(2 * pi * geom.cellCenter(2, kk) / stretch);
         });
     }
-    Multigrid::Options opt;
+    CompositeMgOptions opt;
     opt.max_vcycles = 200; // anisotropy slows point smoothers
-    Multigrid mg(geom, MgBC::Periodic, opt);
-    auto res = mg.solve(phi, rhs);
+    opt.nranks = 2;
+    CompositeMg mg({geom}, {ba}, {dm}, 2, MgBC::Periodic, opt);
+    auto res = mg.solve({&phi}, {&rhs});
     EXPECT_TRUE(res.converged);
 }
 

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace exa;
@@ -176,13 +177,13 @@ TEST_P(ReactBatchedBackends, HybridTailMatchesSerialBitwise) {
     ho.batch.hybrid_cpu_tail = true;
     ho.batch.tail_factor = 4.0;
     ho.batch.tail_min_stiffness = 0.0;
+    BatchBurnReport rep;
     auto ss = reactState(serial, net, eos, kDt, ReactOptions{});
-    auto hs = reactState(hybrid, net, eos, kDt, ho);
+    auto hs = reactState(hybrid, net, eos, kDt, ho, nullptr, 0, &rep);
 
     expectStatsEqual(ss, hs);
     expectBitIdentical(serial, hybrid);
 
-    const auto& rep = lastBatchBurnReport();
     EXPECT_EQ(rep.device_zones + rep.tail_zones, rep.gathered);
     EXPECT_GT(rep.tail_zones, 0) << "tail cut " << rep.stiffness_tail_cut
                                  << " median " << rep.stiffness_median;
@@ -210,11 +211,12 @@ TEST(ReactBatched, ColdZonesAreUntouchedBitwise) {
     auto burned = w.copy();
     ReactOptions bo;
     bo.batched = true;
-    auto bs = reactState(burned, net, eos, kDt, bo);
+    BatchBurnReport rep;
+    auto bs = reactState(burned, net, eos, kDt, bo, nullptr, 0, &rep);
 
     // The gather covers exactly the reacting zones...
     const std::int64_t ncold = static_cast<std::int64_t>(16 / 4) * 16 * 16;
-    EXPECT_EQ(lastBatchBurnReport().gathered, bs.zones - ncold);
+    EXPECT_EQ(rep.gathered, bs.zones - ncold);
 
     // ...and every skipped zone round-trips bitwise untouched.
     std::int64_t cold_seen = 0;
@@ -234,6 +236,49 @@ TEST(ReactBatched, ColdZonesAreUntouchedBitwise) {
                 }
     }
     EXPECT_EQ(cold_seen, ncold);
+}
+
+TEST(ReactBatched, ConcurrentBurnsEachGetTheirOwnReport) {
+    // Two tenants burning batched on different threads at the same time:
+    // each report is the caller's own and equals what the same burn
+    // reports when run alone.
+    const auto& net = testNet();
+    Eos eos{HelmLiteEos{}};
+    const Workload small(net, 8, 4);
+    const Workload large(net, 16, 8);
+    ReactOptions ho;
+    ho.batched = true;
+    ho.batch.hybrid_cpu_tail = true;
+    ho.batch.tail_factor = 4.0;
+    ho.batch.tail_min_stiffness = 0.0;
+
+    auto burn = [&](const Workload& w, BatchBurnReport& rep) {
+        MultiFab s = w.copy();
+        reactState(s, net, eos, kDt, ho, nullptr, 0, &rep);
+    };
+    BatchBurnReport solo_small, solo_large;
+    burn(small, solo_small);
+    burn(large, solo_large);
+    ASSERT_NE(solo_small.gathered, solo_large.gathered);
+
+    BatchBurnReport rep_small, rep_large;
+    std::thread t_small([&] { burn(small, rep_small); });
+    std::thread t_large([&] { burn(large, rep_large); });
+    t_small.join();
+    t_large.join();
+
+    auto expectSame = [](const BatchBurnReport& a, const BatchBurnReport& b) {
+        EXPECT_EQ(a.gathered, b.gathered);
+        EXPECT_EQ(a.device_zones, b.device_zones);
+        EXPECT_EQ(a.tail_zones, b.tail_zones);
+        EXPECT_EQ(a.batches, b.batches);
+        EXPECT_EQ(a.device_steps, b.device_steps);
+        EXPECT_EQ(a.tail_steps, b.tail_steps);
+        EXPECT_EQ(a.stiffness_median, b.stiffness_median);
+        EXPECT_EQ(a.stiffness_tail_cut, b.stiffness_tail_cut);
+    };
+    expectSame(rep_small, solo_small);
+    expectSame(rep_large, solo_large);
 }
 
 // --- Fault injection through the batched path ---------------------------

@@ -15,7 +15,7 @@
 #include "mesh/copier_cache.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/multifab.hpp"
-#include "solvers/multigrid.hpp"
+#include "solvers/mg/composite_mg.hpp"
 
 #include <gtest/gtest.h>
 
@@ -308,7 +308,7 @@ TEST_P(AsyncHaloBackends, MaestroAdvanceAsyncMatchesSync) {
 
 TEST_P(AsyncHaloBackends, MultigridSolveAsyncMatchesSync) {
     ScopedBackend backend(GetParam());
-    for (MgBC bc : {MgBC::Periodic, MgBC::Dirichlet}) {
+    for (MgBC bc : {MgBC::Periodic, MgBC::Dirichlet, MgBC::Neumann}) {
         const int n = 16;
         Box dom({0, 0, 0}, {n - 1, n - 1, n - 1});
         const IntVect per = bc == MgBC::Periodic ? IntVect{1, 1, 1} : IntVect{0, 0, 0};
@@ -332,17 +332,18 @@ TEST_P(AsyncHaloBackends, MultigridSolveAsyncMatchesSync) {
 
         auto run = [&](bool async, MultiFab& phi) {
             comm::ScopedAsyncHalo mode(async);
-            Multigrid::Options opt;
+            CompositeMgOptions opt;
             opt.max_vcycles = 4; // few cycles: enough to compare trajectories
-            Multigrid mg(geom, bc, opt);
+            opt.nranks = 4;
+            CompositeMg mg({geom}, {ba}, {dm}, 2, bc, opt);
             MultiFab rhs = makeRhs();
             phi.define(ba, dm, 1, 1);
             phi.setVal(0.0);
-            return mg.solve(phi, rhs);
+            return mg.solve({&phi}, {&rhs});
         };
         MultiFab phi_sync, phi_async;
-        const MgResult rs = run(false, phi_sync);
-        const MgResult ra = run(true, phi_async);
+        const CompositeMgResult rs = run(false, phi_sync);
+        const CompositeMgResult ra = run(true, phi_async);
         EXPECT_EQ(rs.vcycles, ra.vcycles);
         EXPECT_EQ(rs.final_resnorm, ra.final_resnorm);
         expectIdentical(phi_sync, phi_async);

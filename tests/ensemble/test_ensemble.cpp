@@ -262,46 +262,6 @@ TEST(EnsembleBitIdentity, WdCollisionMatchesDirectDriverOnAllBackends) {
     }
 }
 
-// --- Deprecated forwarders ----------------------------------------------
-//
-// The [[deprecated]] shims must stay exact aliases of the canonical
-// build() API for out-of-tree users. In-tree they are a -Werror, so this
-// block opts out locally.
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedForwarders, ForwardersMatchBuild) {
-    auto net = makeIgnitionSimple();
-    {
-        const auto p = tinySedov();
-        auto a = castro::makeSedov(p, net);
-        auto b = p.build(net);
-        a->step(a->estimateDt());
-        b->step(b->estimateDt());
-        EXPECT_EQ(stateCrc(a->state()), stateCrc(b->state()));
-    }
-    {
-        const auto p = tinyBubble();
-        auto a = maestro::makeReactingBubble(p, net);
-        auto b = p.build(net);
-        a->step(a->estimateDt());
-        b->step(b->estimateDt());
-        EXPECT_EQ(stateCrc(a->state()), stateCrc(b->state()));
-    }
-    {
-        const auto p = tinyWd();
-        auto a = castro::makeWdCollision(p);
-        auto b = p.build();
-        a.castro->step(a.castro->estimateDt());
-        b.castro->step(b.castro->estimateDt());
-        EXPECT_EQ(stateCrc(a.castro->state()), stateCrc(b.castro->state()));
-        auto c = castro::makeWdCollision(p, *a.network);
-        c.castro->step(c.castro->estimateDt());
-        EXPECT_EQ(stateCrc(c.castro->state()), stateCrc(b.castro->state()));
-    }
-}
-#pragma GCC diagnostic pop
-
 // --- Mixed-ensemble determinism ------------------------------------------
 
 namespace {

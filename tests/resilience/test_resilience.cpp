@@ -6,10 +6,10 @@
 // The load-bearing assertions are bit-identity ones: a supervised run
 // that loses a rank mid-flight must finish with exactly the bytes of an
 // uninterrupted run — restore + deterministic replay, not approximate
-// recovery — for single-level Castro (Sedov), subcycled AMR Castro
-// (across a regrid, exercising the remake-on-restore path), Maestro
-// (whose multigrid warm start phi is part of the trajectory), and the
-// WD-collision acceptance problem, on every backend.
+// recovery — for single-level Castro (Sedov, and Poisson self-gravity),
+// subcycled AMR Castro (across a regrid, exercising the remake-on-restore
+// path), Maestro (whose multigrid warm start phi is part of the
+// trajectory), and the WD-collision acceptance problem, on every backend.
 
 #include "castro/castro_amr.hpp"
 #include "castro/sedov.hpp"
@@ -606,6 +606,44 @@ TEST_P(ResilienceBackends, AmrRankFailureRecoversAcrossRegrid) {
             << "level " << lev;
     }
     EXPECT_EQ(survivor.amr->time(), baseline.amr->time());
+}
+
+TEST_P(ResilienceBackends, PoissonGravityRankFailureRecoversBitIdentically) {
+    // Single-level Castro with Poisson self-gravity: solves are cold, so
+    // the potential is a pure function of the restored density and the
+    // replay reproduces the uninterrupted run's bytes.
+    ScopedBackend backend(GetParam());
+    auto net = makeIso7();
+    castro::WdCollisionParams p;
+    p.ncell = 16;
+    p.max_grid_size = 8;
+    p.nranks = 4;
+    p.do_react = false;
+    p.gravity = castro::GravityType::Poisson;
+    const int nsteps = 4;
+
+    castro::WdCollision baseline = p.build(net);
+    for (int i = 0; i < nsteps; ++i)
+        baseline.castro->step(baseline.castro->estimateDt());
+
+    TmpDir tmp(std::string("poisson_") +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    castro::WdCollision survivor = p.build(net);
+    ResilienceSupervisor sup(makeSupervisedDriver(*survivor.castro),
+                             sedovSupervisor(tmp.path, 4));
+    {
+        fault::Spec s;
+        s.start = 2;
+        fault::ScopedFault kill(fault::Site::RankFailure, s);
+        sup.runSteps(nsteps);
+    }
+    EXPECT_EQ(sup.report().ranks_recovered, 1);
+    EXPECT_GT(sup.report().replay_steps, 0);
+    EXPECT_GT(survivor.castro->gravity().mgTotals().vcycles, 0);
+    EXPECT_TRUE(bitIdentical(survivor.castro->state(),
+                             baseline.castro->state(),
+                             baseline.castro->geom()));
+    EXPECT_EQ(survivor.castro->time(), baseline.castro->time());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ResilienceBackends,
