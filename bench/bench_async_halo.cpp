@@ -148,8 +148,8 @@ Row runCase(Stage& st, const RankLayout& layout, const NetworkModel& netmod) {
             for (std::size_t fb = 0; fb < s.size(); ++fb) {
                 if (!part->fabs[fb].interior.ok()) continue;
                 streams.useFab(fb);
-                molRhsRegion(s, dudt, static_cast<int>(fb), part->fabs[fb].interior,
-                             st.geom, st.net, st.eos);
+                molRhsRegions(s, dudt, static_cast<int>(fb),
+                              {&part->fabs[fb].interior, 1}, st.geom, st.net, st.eos);
             }
         }
         const double t_interior = dev.elapsedSeconds() * f;
@@ -162,10 +162,8 @@ Row runCase(Stage& st, const RankLayout& layout, const NetworkModel& netmod) {
             StreamScope streams;
             for (std::size_t fb = 0; fb < s.size(); ++fb) {
                 streams.useFab(fb);
-                for (const Box& sb : part->fabs[fb].shell) {
-                    molRhsRegion(s, dudt, static_cast<int>(fb), sb, st.geom, st.net,
-                                 st.eos);
-                }
+                molRhsRegions(s, dudt, static_cast<int>(fb), part->fabs[fb].shell,
+                              st.geom, st.net, st.eos);
             }
         }
         const double t_shell = dev.elapsedSeconds();

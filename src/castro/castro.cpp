@@ -19,7 +19,7 @@ Castro::Castro(const Geometry& geom, const BoxArray& ba,
       m_eos(eos),
       m_opt(opt),
       m_layout(net.nspec()),
-      m_state(ba, dm, m_layout.ncomp(), opt.ngrow),
+      m_state(ba, dm, m_layout.ncomp(), stencilWidth(opt.reconstruction)),
       m_gravity(opt.gravity, geom, net.nspec()),
       m_guard(opt.guard),
       m_rebalancer(opt.rebalance) {
@@ -89,9 +89,10 @@ double Castro::stageRhs(MultiFab& s, MultiFab& dudt) {
     }
     // Split phase: post the exchange, sweep every fab's interior (which
     // never reads ghost zones at this stencil width) while it is in
-    // flight, then deliver the ghosts, apply physical BCs, and sweep the
-    // boundary shells. Any disjoint cover of the valid boxes yields the
-    // fused result bit-for-bit.
+    // flight, then deliver the ghosts, apply physical BCs, and sweep each
+    // fab's boundary shell list in one call (one primitive pass per fab).
+    // Any disjoint cover of the valid boxes yields the fused result
+    // bit-for-bit.
     comm::HaloHandle halo = s.FillBoundary_nowait(0, s.nComp(), m_geom.periodicity());
     const auto part = CopierCache::instance().interiorPartition(
         s.boxArray(), stencilWidth(m_opt.reconstruction));
@@ -103,8 +104,8 @@ double Castro::stageRhs(MultiFab& s, MultiFab& dudt) {
             const FabRegions& fr = part->fabs[f];
             if (!fr.interior.ok()) continue;
             streams.useFab(f);
-            molRhsRegion(s, dudt, static_cast<int>(f), fr.interior, m_geom, m_net,
-                         m_eos, nullptr, m_opt.reconstruction);
+            molRhsRegions(s, dudt, static_cast<int>(f), {&fr.interior, 1}, m_geom,
+                          m_net, m_eos, nullptr, m_opt.reconstruction);
         }
         compute_s += compute.seconds();
     }
@@ -115,10 +116,8 @@ double Castro::stageRhs(MultiFab& s, MultiFab& dudt) {
         StreamScope streams;
         for (std::size_t f = 0; f < s.size(); ++f) {
             streams.useFab(f);
-            for (const Box& sb : part->fabs[f].shell) {
-                molRhsRegion(s, dudt, static_cast<int>(f), sb, m_geom, m_net, m_eos,
-                             nullptr, m_opt.reconstruction);
-            }
+            molRhsRegions(s, dudt, static_cast<int>(f), part->fabs[f].shell, m_geom,
+                          m_net, m_eos, nullptr, m_opt.reconstruction);
         }
         compute_s += compute.seconds();
     }
@@ -133,7 +132,7 @@ double Castro::hydroAdvance(Real dt) {
     TimerRegion timer("castro::hydro");
     const int nc = m_layout.ncomp();
     MultiFab dudt(m_state.boxArray(), m_state.distributionMap(), nc, 0);
-    MultiFab u1(m_state.boxArray(), m_state.distributionMap(), nc, m_opt.ngrow);
+    MultiFab u1(m_state.boxArray(), m_state.distributionMap(), nc, m_state.nGrow());
 
     // Stage 1: U1 = U^n + dt L(U^n).
     double compute_s = stageRhs(m_state, dudt);

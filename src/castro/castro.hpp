@@ -16,10 +16,10 @@ struct CastroOptions {
     Real cfl = 0.4;
     DomainBC bc = DomainBC::allOutflow();
     GravityType gravity = GravityType::None;
+    // Also fixes the state's ghost width: stencilWidth(reconstruction).
     Reconstruction reconstruction = Reconstruction::PLM;
     bool do_react = false;
     ReactOptions react;
-    int ngrow = 4;
     Real small_dens = 1.0e-12;
     // Step retry: snapshot / validate / rollback-with-dt-backoff around
     // every step (Castro's use_retry analogue). Off by default.

@@ -154,7 +154,8 @@ void CastroAmr::resetLevelCompanions(int lev) {
 
 void CastroAmr::MakeNewLevelFromScratch(int lev, const BoxArray& ba,
                                         const DistributionMapping& dm) {
-    m_state[lev].define(ba, dm, m_layout.ncomp(), m_opt.ngrow);
+    m_state[lev].define(ba, dm, m_layout.ncomp(),
+                        stencilWidth(m_opt.reconstruction));
     m_state[lev].setVal(0.0);
     initLevelData(lev, m_state[lev]);
     resetLevelCompanions(lev);
@@ -164,7 +165,8 @@ void CastroAmr::MakeNewLevelFromScratch(int lev, const BoxArray& ba,
 
 void CastroAmr::MakeNewLevelFromCoarse(int lev, const BoxArray& ba,
                                        const DistributionMapping& dm) {
-    m_state[lev].define(ba, dm, m_layout.ncomp(), m_opt.ngrow);
+    m_state[lev].define(ba, dm, m_layout.ncomp(),
+                        stencilWidth(m_opt.reconstruction));
     m_state[lev].setVal(0.0);
     // Interpolate everything from the coarse level. Passing the (freshly
     // interpolated) level itself as the fine source makes the same-level
@@ -180,7 +182,7 @@ void CastroAmr::MakeNewLevelFromCoarse(int lev, const BoxArray& ba,
 
 void CastroAmr::RemakeLevel(int lev, const BoxArray& ba,
                             const DistributionMapping& dm) {
-    MultiFab newstate(ba, dm, m_layout.ncomp(), m_opt.ngrow);
+    MultiFab newstate(ba, dm, m_layout.ncomp(), stencilWidth(m_opt.reconstruction));
     newstate.setVal(0.0);
     // Old same-level data where available, coarse interpolation elsewhere.
     fillPatchTwoLevels(newstate, m_state[lev], m_state[lev - 1], geom(lev - 1),
@@ -204,7 +206,8 @@ void CastroAmr::remakeForRestore(
         BoxArray ba(level_boxes[lev]);
         m_ba[lev] = ba;
         m_dm[lev] = dmBuilder(ba, lev);
-        m_state[lev].define(ba, m_dm[lev], m_layout.ncomp(), m_opt.ngrow);
+        m_state[lev].define(ba, m_dm[lev], m_layout.ncomp(),
+                            stencilWidth(m_opt.reconstruction));
         m_state[lev].setVal(0.0);
         m_rebalancer.noteRegrid(lev, ba.size());
     }
@@ -307,8 +310,8 @@ void CastroAmr::advanceLevel(int lev, Real time, Real dt, BurnGridStats& burn,
                 streams.useFab(f);
                 const int fi = static_cast<int>(f);
                 CostMonitor::ScopedFabTimer t(cost, lev, fi);
-                molRhsRegion(sborder, dudt, fi, s.box(fi), geom(lev), m_net,
-                             m_eos, fluxp, m_opt.reconstruction);
+                molRhsRegions(sborder, dudt, fi, {&s.box(fi), 1}, geom(lev), m_net,
+                              m_eos, fluxp, m_opt.reconstruction);
             }
         }
         if (crse_side && m_flux_reg[lev + 1].isDefined()) {

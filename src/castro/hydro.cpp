@@ -1,5 +1,6 @@
 #include "castro/hydro.hpp"
 
+#include "castro/face_kernel.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
@@ -89,39 +90,20 @@ void conservedToPrimitive(Array4<const Real> u, Array4<Real> q, const Box& regio
 }
 
 Real mcSlope(Array4<const Real> q, int i, int j, int k, int n, int dim) {
-    const IntVect e = IntVect::basis(dim);
-    const Real qm = q(i - e.x, j - e.y, k - e.z, n);
-    const Real q0 = q(i, j, k, n);
-    const Real qp = q(i + e.x, j + e.y, k + e.z, n);
-    const Real dl = q0 - qm;
-    const Real dr = qp - q0;
-    if (dl * dr <= 0.0) return 0.0;
-    const Real dc = 0.5 * (dl + dr);
-    const Real lim = 2.0 * std::min(std::abs(dl), std::abs(dr));
-    return std::copysign(std::min(std::abs(dc), lim), dc);
+    return mcSlopeAt(&q(i, j, k, n), faceStride(q, dim));
 }
 
 void ppmEdges(Array4<const Real> q, int i, int j, int k, int n, int dim, Real& qm,
               Real& qp) {
-    const IntVect e = IntVect::basis(dim);
-    auto at = [&](int s) { return q(i + s * e.x, j + s * e.y, k + s * e.z, n); };
-    // Fourth-order interface values at the low (i-1/2) and high (i+1/2)
-    // faces, then CW84 monotonization of the parabola.
-    const Real q0 = at(0);
-    qm = (7.0 / 12.0) * (at(-1) + q0) - (1.0 / 12.0) * (at(-2) + at(1));
-    qp = (7.0 / 12.0) * (q0 + at(1)) - (1.0 / 12.0) * (at(-1) + at(2));
-    if ((qp - q0) * (q0 - qm) <= 0.0) {
-        qm = q0;
-        qp = q0;
-        return;
-    }
-    const Real d = qp - qm;
-    const Real t = 6.0 * (q0 - 0.5 * (qp + qm));
-    if (d * t > d * d) qm = 3.0 * q0 - 2.0 * qp;
-    if (-(d * d) > d * t) qp = 3.0 * q0 - 2.0 * qm;
+    ppmEdgesAt(&q(i, j, k, n), faceStride(q, dim), qm, qp);
 }
 
-void hllcFlux(const Real* ql, const Real* qr, int nspec, int dim, Real* flux) {
+namespace {
+
+// HLLC flux body, force-inlined into the face kernels. The scratch
+// arrays are not zero-filled: every entry read below is written first.
+EXA_FORCE_INLINE void hllcFace(const Real* ql, const Real* qr, int nspec, int dim,
+                               Real* flux) {
     const StateLayout S(nspec);
     const int nstate = S.ncomp();
     const int iu = PrimLayout::QU + dim; // normal velocity slot
@@ -145,20 +127,27 @@ void hllcFlux(const Real* ql, const Real* qr, int nspec, int dim, Real* flux) {
             U[StateLayout::UFS + n] = rho * q[PrimLayout::QFS + n];
         }
     };
-    auto physFlux = [&](const Real* U, const Real* q, Real un, Real p, Real* F) {
-        for (int n = 0; n < nstate; ++n) F[n] = un * U[n];
+    // The fixed components are written one by one, so the compiler can
+    // see every entry of F written before it is read.
+    auto physFlux = [&](const Real* U, Real un, Real p, Real* F) {
+        F[StateLayout::URHO] = un * U[StateLayout::URHO];
+        F[StateLayout::UMX] = un * U[StateLayout::UMX];
+        F[StateLayout::UMX + 1] = un * U[StateLayout::UMX + 1];
+        F[StateLayout::UMX + 2] = un * U[StateLayout::UMX + 2];
         F[StateLayout::UMX + dim] += p;
-        F[StateLayout::UEDEN] += p * un;
+        F[StateLayout::UEDEN] = un * U[StateLayout::UEDEN] + p * un;
         F[StateLayout::UTEMP] = 0.0;
-        (void)q;
+        for (int n = 0; n < nspec; ++n) {
+            F[StateLayout::UFS + n] = un * U[StateLayout::UFS + n];
+        }
     };
 
-    Real UL[40] = {}, UR[40] = {}, FL[40] = {}, FR[40] = {};
+    Real UL[40], UR[40], FL[40], FR[40];
     Real unl, pl, cl, unr, pr, cr;
     buildU(ql, UL, unl, pl, cl);
     buildU(qr, UR, unr, pr, cr);
-    physFlux(UL, ql, unl, pl, FL);
-    physFlux(UR, qr, unr, pr, FR);
+    physFlux(UL, unl, pl, FL);
+    physFlux(UR, unr, pr, FR);
 
     const Real rl = ql[PrimLayout::QRHO];
     const Real rr = qr[PrimLayout::QRHO];
@@ -207,77 +196,110 @@ void hllcFlux(const Real* ql, const Real* qr, int nspec, int dim, Real* flux) {
     }
 }
 
-void molRhsRegion(const MultiFab& state, MultiFab& dudt, int fab, const Box& region,
-                  const Geometry& geom, const ReactionNetwork& net, const Eos& eos,
-                  std::array<MultiFab, 3>* fluxes, Reconstruction recon) {
+// One face-flux launch along d over the faces fb: the left state is zone
+// (i,j,k)-e reconstructed toward its high face, the right state zone
+// (i,j,k) toward its low face. The slopes (or parabola edges) are
+// recomputed here, per face, per zone — the paper's redundant-recompute
+// formulation. The stride is derived once per launch and the zone
+// pointers once per face; the component loop walks them by the primitive
+// fab's nstride.
+template <bool PPM>
+void faceFluxes(const KernelInfo& fk, const Box& fb, Array4<const Real> q,
+                Array4<Real> fx, int d, int nspec) {
+    const std::int64_t s = faceStride(q, d);
+    const std::int64_t qn = q.nstride;
+    const std::int64_t fn = fx.nstride;
+    const int nq = PrimLayout::QFS + nspec;
+    const int nf = StateLayout::UFS + nspec;
+    ParallelFor(fk, fb, [=](int i, int j, int k) {
+        const Real* zr = &q(i, j, k, 0);
+        const Real* zl = zr - s;
+        Real ql[40], qr[40];
+        for (int n = 0; n < nq; ++n) {
+            const Real* a = zl + n * qn;
+            const Real* b = zr + n * qn;
+            if constexpr (PPM) {
+                Real lm, lp, rm, rp;
+                ppmEdgesAt(a, s, lm, lp);
+                ppmEdgesAt(b, s, rm, rp);
+                ql[n] = lp; // high edge of the left zone
+                qr[n] = rm; // low edge of the right zone
+            } else {
+                const Real sll = mcSlopeAt(a, s);
+                const Real slr = mcSlopeAt(b, s);
+                ql[n] = a[0] + 0.5 * sll;
+                qr[n] = b[0] - 0.5 * slr;
+            }
+        }
+        // Guard reconstructed rho/p against undershoot.
+        ql[PrimLayout::QRHO] = std::max(ql[PrimLayout::QRHO], Real(1.0e-30));
+        qr[PrimLayout::QRHO] = std::max(qr[PrimLayout::QRHO], Real(1.0e-30));
+        ql[PrimLayout::QP] = std::max(ql[PrimLayout::QP], Real(1.0e-30));
+        qr[PrimLayout::QP] = std::max(qr[PrimLayout::QP], Real(1.0e-30));
+        ql[PrimLayout::QREINT] = std::max(ql[PrimLayout::QREINT], Real(1.0e-30));
+        qr[PrimLayout::QREINT] = std::max(qr[PrimLayout::QREINT], Real(1.0e-30));
+        Real fl[40];
+        hllcFace(ql, qr, nspec, d, fl);
+        Real* out = &fx(i, j, k, 0);
+        for (int n = 0; n < nf; ++n) out[n * fn] = fl[n];
+    });
+}
+
+} // namespace
+
+void hllcFlux(const Real* ql, const Real* qr, int nspec, int dim, Real* flux) {
+    hllcFace(ql, qr, nspec, dim, flux);
+}
+
+void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
+                   std::span<const Box> regions, const Geometry& geom,
+                   const ReactionNetwork& net, const Eos& eos,
+                   std::array<MultiFab, 3>* fluxes, Reconstruction recon) {
     const int nspec = net.nspec();
     checkKernelSpeciesLimit(nspec);
-    const PrimLayout Q(nspec);
-    const StateLayout S(nspec);
-    const int nstate = S.ncomp();
+    const int nstate = StateLayout(nspec).ncomp();
     const bool ppm = recon == Reconstruction::PPM;
 
-    {
-        const int fi = fab;
-        const Box& vb = state.box(fi);
-        const Box primbox = grow(region, ppm ? 3 : 2);
+    // One primitive pass over every zone any region's stencil reads.
+    Box bbox;
+    for (const Box& r : regions) {
+        if (!r.ok()) continue;
+        bbox = bbox.ok() ? Box(min(bbox.smallEnd(), r.smallEnd()),
+                               max(bbox.bigEnd(), r.bigEnd()))
+                         : r;
+    }
+    if (!bbox.ok()) return;
+    const Box primbox = grow(bbox, stencilWidth(recon));
+    FArrayBox qfab(primbox, PrimLayout(nspec).ncomp());
+    conservedToPrimitive(state.const_array(fab), qfab.array(), primbox, net, eos);
+    auto q = qfab.const_array();
 
-        FArrayBox qfab(primbox, Q.ncomp());
-        conservedToPrimitive(state.const_array(fi), qfab.array(), primbox, net, eos);
-        auto q = qfab.const_array();
-
+    const Box& vb = state.box(fab);
+    KernelInfo fk = fluxKernel(nspec);
+    if (ppm) fk.name = "hydro_flux_ppm";
+    const Real dxi = 1.0 / geom.cellSize(0);
+    const Real dyi = 1.0 / geom.cellSize(1);
+    const Real dzi = 1.0 / geom.cellSize(2);
+    for (const Box& region : regions) {
+        if (!region.ok()) continue;
         // Per-dimension face fluxes; stored in temporaries (from the pool
         // arena — the per-step scratch pattern of the allocator ablation).
         std::array<FArrayBox, 3> fxfab;
         for (int d = 0; d < 3; ++d) {
             const Box fb = surroundingFaces(region, d);
             fxfab[d].define(fb, nstate);
-            auto fx = fxfab[d].array();
-            const int nsp = nspec;
-            KernelInfo fk = fluxKernel(nspec);
-            if (ppm) fk.name = "hydro_flux_ppm";
-            ParallelFor(fk, fb, [=](int i, int j, int k) {
-                const IntVect e = IntVect::basis(d);
-                Real ql[40], qr[40];
-                // Left state: zone (i,j,k)-e reconstructed toward its high
-                // face; right state: zone (i,j,k) toward its low face. The
-                // slopes are recomputed here, per face, per zone — the
-                // paper's redundant-recompute formulation.
-                for (int n = 0; n < PrimLayout::QFS + nsp; ++n) {
-                    if (ppm) {
-                        Real lm, lp, rm, rp;
-                        ppmEdges(q, i - e.x, j - e.y, k - e.z, n, d, lm, lp);
-                        ppmEdges(q, i, j, k, n, d, rm, rp);
-                        ql[n] = lp; // high edge of the left zone
-                        qr[n] = rm; // low edge of the right zone
-                    } else {
-                        const Real sll = mcSlope(q, i - e.x, j - e.y, k - e.z, n, d);
-                        const Real slr = mcSlope(q, i, j, k, n, d);
-                        ql[n] = q(i - e.x, j - e.y, k - e.z, n) + 0.5 * sll;
-                        qr[n] = q(i, j, k, n) - 0.5 * slr;
-                    }
-                }
-                // Guard reconstructed rho/p against undershoot.
-                ql[PrimLayout::QRHO] = std::max(ql[PrimLayout::QRHO], Real(1.0e-30));
-                qr[PrimLayout::QRHO] = std::max(qr[PrimLayout::QRHO], Real(1.0e-30));
-                ql[PrimLayout::QP] = std::max(ql[PrimLayout::QP], Real(1.0e-30));
-                qr[PrimLayout::QP] = std::max(qr[PrimLayout::QP], Real(1.0e-30));
-                ql[PrimLayout::QREINT] = std::max(ql[PrimLayout::QREINT], Real(1.0e-30));
-                qr[PrimLayout::QREINT] = std::max(qr[PrimLayout::QREINT], Real(1.0e-30));
-                Real fl[40];
-                hllcFlux(ql, qr, nsp, d, fl);
-                for (int n = 0; n < StateLayout::UFS + nsp; ++n) fx(i, j, k, n) = fl[n];
-            });
+            if (ppm) {
+                faceFluxes<true>(fk, fb, q, fxfab[d].array(), d, nspec);
+            } else {
+                faceFluxes<false>(fk, fb, q, fxfab[d].array(), d, nspec);
+            }
         }
 
         // Conservative divergence.
-        auto du = dudt.array(fi);
+        auto du = dudt.array(fab);
         auto fx = fxfab[0].const_array();
         auto fy = fxfab[1].const_array();
         auto fz = fxfab[2].const_array();
-        const Real dxi = 1.0 / geom.cellSize(0);
-        const Real dyi = 1.0 / geom.cellSize(1);
-        const Real dzi = 1.0 / geom.cellSize(2);
         ParallelFor(updateKernel(nspec), region, nstate,
                     [=](int i, int j, int k, int n) {
             du(i, j, k, n) = -(fx(i + 1, j, k, n) - fx(i, j, k, n)) * dxi -
@@ -293,14 +315,14 @@ void molRhsRegion(const MultiFab& state, MultiFab& dudt, int fab, const Box& reg
         if (region.contains(vb.smallEnd()) &&
             fault::shouldFire(fault::Site::HydroNanFlux)) {
             const IntVect lo = vb.smallEnd();
-            dudt.fab(fi).array()(lo.x, lo.y, lo.z, StateLayout::UEDEN) =
+            dudt.fab(fab).array()(lo.x, lo.y, lo.z, StateLayout::UEDEN) =
                 std::numeric_limits<Real>::quiet_NaN();
         }
 
         if (fluxes != nullptr) {
             for (int d = 0; d < 3; ++d) {
                 const Box fb = surroundingFaces(region, d);
-                (*fluxes)[d].fab(fi).copyFrom(fxfab[d], fb, 0, fb, 0, nstate);
+                (*fluxes)[d].fab(fab).copyFrom(fxfab[d], fb, 0, fb, 0, nstate);
             }
         }
     }
@@ -313,7 +335,8 @@ void molRhs(const MultiFab& state, MultiFab& dudt, const Geometry& geom,
     for (std::size_t f = 0; f < state.size(); ++f) {
         streams.useFab(f);
         const int fi = static_cast<int>(f);
-        molRhsRegion(state, dudt, fi, state.box(fi), geom, net, eos, fluxes, recon);
+        molRhsRegions(state, dudt, fi, {&state.box(fi), 1}, geom, net, eos, fluxes,
+                      recon);
     }
 }
 

@@ -6,15 +6,23 @@
 #include "microphysics/eos.hpp"
 #include "microphysics/network.hpp"
 
+#include <span>
+
 namespace exa::castro {
 
 // The unsplit finite-volume hydrodynamics core: piecewise-linear (MC
-// limited) reconstruction + HLLC Riemann solver, evaluated zone-by-zone
-// in the per-thread style the paper's GPU port introduced — the slope at
-// each face is recomputed redundantly by each zone instead of being
-// staged through tile-local scratch arrays ("Converting this to a fully
-// thread parallel format required redundantly calculating two slopes for
-// each zone ... but exposed massive parallelism", Section III).
+// limited) or piecewise-parabolic reconstruction + HLLC Riemann solver,
+// evaluated zone-by-zone in the per-thread style the paper's GPU port
+// introduced — the slope at each face is recomputed redundantly by each
+// zone instead of being staged through tile-local scratch arrays
+// ("Converting this to a fully thread parallel format required
+// redundantly calculating two slopes for each zone ... but exposed
+// massive parallelism", Section III).
+//
+// The sweep does only the work its stencil needs (DESIGN §18): the face
+// kernel derives the dimension stride and the zone pointer once per face
+// (face_kernel.hpp) with HLLC inlined into it, a fab's regions share one
+// primitive pass, and the state carries exactly stencilWidth ghost zones.
 
 // Derive primitive variables q over `region` from conserved state u
 // (which must be valid there), using the EOS for p and cs.
@@ -26,6 +34,9 @@ void conservedToPrimitive(Array4<const Real> u, Array4<Real> q, const Box& regio
 // default here. Both are written in the per-zone redundant-recompute
 // style.
 enum class Reconstruction { PLM, PPM };
+
+// Array4 forms of the face kernels, kept for tests and benches; the sweep
+// itself calls mcSlopeAt/ppmEdgesAt and an inlined HLLC.
 
 // MC-limited slope of primitive component n along dim at (i,j,k).
 EXA_HOST_DEVICE Real mcSlope(Array4<const Real> q, int i, int j, int k, int n,
@@ -46,7 +57,8 @@ void hllcFlux(const Real* ql, const Real* qr, int nspec, int dim, Real* flux);
 // Ghost-zone stencil width of the reconstruction: how far molRhs reads
 // past a region it updates (PLM: 1 face + 1 slope zone; PPM: +-2 around
 // each face). This is the width the interior/boundary partition uses —
-// zones deeper than this inside the valid box never see ghost data.
+// zones deeper than this inside the valid box never see ghost data — and
+// the ghost width of every Castro state MultiFab.
 inline int stencilWidth(Reconstruction recon) {
     return recon == Reconstruction::PPM ? 3 : 2;
 }
@@ -59,17 +71,19 @@ void molRhs(const MultiFab& state, MultiFab& dudt, const Geometry& geom,
             std::array<MultiFab, 3>* fluxes = nullptr,
             Reconstruction recon = Reconstruction::PLM);
 
-// Region-restricted RHS: the same kernels, evaluated only over `region`
-// (a subset of fab `fab`'s valid box), reading state over
-// grow(region, stencilWidth(recon)). Sweeping any disjoint cover of the
-// valid box — e.g. a CopierCache interior partition's interior box while
-// a halo exchange is in flight, then the boundary shell after finish() —
-// reproduces the fused molRhs bit-for-bit, because every zone's update is
-// a pure function of the input state.
-void molRhsRegion(const MultiFab& state, MultiFab& dudt, int fab, const Box& region,
-                  const Geometry& geom, const ReactionNetwork& net, const Eos& eos,
-                  std::array<MultiFab, 3>* fluxes = nullptr,
-                  Reconstruction recon = Reconstruction::PLM);
+// Region-restricted RHS: the same kernels, evaluated only over `regions`
+// (disjoint subsets of fab `fab`'s valid box). One primitive pass covers
+// grow(bounding box of regions, stencilWidth(recon)); the flux and update
+// kernels then sweep each region in turn. Sweeping any disjoint cover of
+// the valid box — e.g. a CopierCache interior partition's interior box
+// while a halo exchange is in flight, then the whole boundary shell list
+// after finish() — reproduces the fused molRhs bit-for-bit, because every
+// zone's update is a pure function of the input state.
+void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
+                   std::span<const Box> regions, const Geometry& geom,
+                   const ReactionNetwork& net, const Eos& eos,
+                   std::array<MultiFab, 3>* fluxes = nullptr,
+                   Reconstruction recon = Reconstruction::PLM);
 
 // CFL timestep: min over zones of dx_d / (|u_d| + cs).
 Real estimateDt(const MultiFab& state, const Geometry& geom,

@@ -1,5 +1,6 @@
 #include "maestro/maestro.hpp"
 
+#include "castro/face_kernel.hpp"
 #include "core/executor.hpp"
 #include "core/parallel_for.hpp"
 #include "core/timer.hpp"
@@ -10,22 +11,6 @@
 #include <sstream>
 
 namespace exa::maestro {
-
-namespace {
-
-// MC-limited slope (local copy of the hydro limiter, on maestro state).
-EXA_FORCE_INLINE Real mcSlope(Array4<const Real> q, int i, int j, int k, int n,
-                              int d) {
-    const IntVect e = IntVect::basis(d);
-    const Real dl = q(i, j, k, n) - q(i - e.x, j - e.y, k - e.z, n);
-    const Real dr = q(i + e.x, j + e.y, k + e.z, n) - q(i, j, k, n);
-    if (dl * dr <= 0.0) return 0.0;
-    const Real dc = 0.5 * (dl + dr);
-    const Real lim = 2.0 * std::min(std::abs(dl), std::abs(dr));
-    return std::copysign(std::min(std::abs(dc), lim), dc);
-}
-
-} // namespace
 
 Maestro::Maestro(const Geometry& geom, const BoxArray& ba,
                  const DistributionMapping& dm, const ReactionNetwork& net,
@@ -156,31 +141,27 @@ void Maestro::advect(Real dt) {
                     [=](int i, int j, int k, int n) {
                         Real dq = 0.0;
                         for (int d = 0; d < 3; ++d) {
-                            const IntVect e = IntVect::basis(d);
+                            const std::int64_t s = castro::faceStride(q, d);
+                            const Real* pu = &q(i, j, k, d);
+                            const Real* pq = &q(i, j, k, n);
                             // Face velocities (average of adjacent zones).
-                            const Real ulo = 0.5 * (q(i - e.x, j - e.y, k - e.z, d) +
-                                                    q(i, j, k, d));
-                            const Real uhi = 0.5 * (q(i, j, k, d) +
-                                                    q(i + e.x, j + e.y, k + e.z, d));
-                            // Upwind MC-reconstructed face states.
-                            auto face = [&](int ii, int jj, int kk, Real uf) {
-                                // face between (ii,jj,kk)-e and (ii,jj,kk)
+                            const Real ulo = 0.5 * (pu[-s] + pu[0]);
+                            const Real uhi = 0.5 * (pu[0] + pu[s]);
+                            // Upwind MC-reconstructed state on the face
+                            // between zone pz - s and zone pz.
+                            auto face = [&](const Real* pz, Real uf) {
                                 if (uf >= 0.0) {
-                                    return q(ii - e.x, jj - e.y, kk - e.z, n) +
-                                           0.5 * mcSlope(q, ii - e.x, jj - e.y,
-                                                         kk - e.z, n, d);
+                                    return pz[-s] +
+                                           0.5 * castro::mcSlopeAt(pz - s, s);
                                 }
-                                return q(ii, jj, kk, n) -
-                                       0.5 * mcSlope(q, ii, jj, kk, n, d);
+                                return pz[0] - 0.5 * castro::mcSlopeAt(pz, s);
                             };
-                            const Real qlo = face(i, j, k, ulo);
-                            const Real qhi =
-                                face(i + e.x, j + e.y, k + e.z, uhi);
+                            const Real qlo = face(pq, ulo);
+                            const Real qhi = face(pq + s, uhi);
                             // Advective (convective) form: U . grad q,
                             // using flux difference minus q div(U) so a
                             // constant field is exactly preserved.
-                            dq += (uhi * qhi - ulo * qlo -
-                                   q(i, j, k, n) * (uhi - ulo)) *
+                            dq += (uhi * qhi - ulo * qlo - pq[0] * (uhi - ulo)) *
                                   dxi[d];
                         }
                         qn(i, j, k, n) = q(i, j, k, n) - dt * dq;

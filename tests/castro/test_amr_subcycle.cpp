@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 using namespace exa;
 using namespace exa::castro;
@@ -150,7 +152,9 @@ TEST(MolRhsFluxes, DivergenceMatchesUpdateOnEveryBackend) {
     // The returned face fluxes must BE the update: dU/dt == -div F zone
     // by zone, the total over a periodic domain must telescope to zero
     // for the conserved components, and a region-split sweep must
-    // reproduce the fused sweep bit-for-bit — on all four backends.
+    // reproduce the fused sweep bit-for-bit — on all four backends, for
+    // PLM and PPM, on data that varies along all three dimensions (so a
+    // wrong j or k stride in the face kernel cannot pass).
     auto net = makeIgnitionSimple();
     Eos eos{GammaLawEos{1.4}};
     const int n = 16;
@@ -162,100 +166,147 @@ TEST(MolRhsFluxes, DivergenceMatchesUpdateOnEveryBackend) {
     const StateLayout S(net.nspec());
     const int nc = S.ncomp();
 
-    for (const Backend be :
-         {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
-        SCOPED_TRACE(static_cast<int>(be));
-        ScopedBackend sb(be);
+    for (const Reconstruction recon : {Reconstruction::PLM, Reconstruction::PPM}) {
+        for (const Backend be :
+             {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+            SCOPED_TRACE("backend " + std::to_string(static_cast<int>(be)) + " recon " +
+                         std::to_string(static_cast<int>(recon)));
+            ScopedBackend sb(be);
+            const int width = stencilWidth(recon);
 
-        MultiFab state(ba, dm, nc, 4);
-        state.setVal(0.0);
-        for (std::size_t f = 0; f < state.size(); ++f) {
-            auto u = state.array(static_cast<int>(f));
-            const Box& vb = state.box(static_cast<int>(f));
-            for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
-                for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
-                    for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                        const Real x = (i + 0.5) / n, y = (j + 0.5) / n;
-                        const Real rho = 1.0 + 0.3 * std::sin(2 * constants::pi * x);
-                        EosState es;
-                        es.rho = rho;
-                        es.p = 1.0 + 0.1 * std::cos(2 * constants::pi * y);
-                        es.abar = net.abar(std::array<Real, 2>{1.0, 0.0}.data());
-                        es.ye = 0.5;
-                        eos.rhoP(es);
-                        u(i, j, k, StateLayout::URHO) = rho;
-                        u(i, j, k, StateLayout::UMX) = rho * 0.2;
-                        u(i, j, k, StateLayout::UEDEN) =
-                            rho * es.e + 0.5 * rho * 0.2 * 0.2;
-                        u(i, j, k, StateLayout::UTEMP) = es.T;
-                        u(i, j, k, StateLayout::UFS) = rho;
-                    }
-        }
-        state.FillBoundary(0, nc, geom.periodicity());
-
-        MultiFab dudt(ba, dm, nc, 0);
-        auto fluxes = makeFluxFabs(ba, dm, nc);
-        molRhs(state, dudt, geom, net, eos, &fluxes);
-
-        // Zone-wise: the out-param fluxes reproduce the update.
-        const Real dxi = 1.0 / geom.cellSize(0);
-        const Real dyi = 1.0 / geom.cellSize(1);
-        const Real dzi = 1.0 / geom.cellSize(2);
-        Real defect = 0.0, scale = 0.0;
-        for (std::size_t f = 0; f < dudt.size(); ++f) {
-            const int fi = static_cast<int>(f);
-            auto du = dudt.const_array(fi);
-            auto fx = fluxes[0].const_array(fi);
-            auto fy = fluxes[1].const_array(fi);
-            auto fz = fluxes[2].const_array(fi);
-            const Box& vb = dudt.box(fi);
-            for (int c = 0; c < nc; ++c)
+            MultiFab state(ba, dm, nc, width);
+            state.setVal(0.0);
+            for (std::size_t f = 0; f < state.size(); ++f) {
+                auto u = state.array(static_cast<int>(f));
+                const Box& vb = state.box(static_cast<int>(f));
                 for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
                     for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
                         for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                            const Real div =
-                                -(fx(i + 1, j, k, c) - fx(i, j, k, c)) * dxi -
-                                (fy(i, j + 1, k, c) - fy(i, j, k, c)) * dyi -
-                                (fz(i, j, k + 1, c) - fz(i, j, k, c)) * dzi;
-                            defect = std::max(defect,
-                                              std::abs(du(i, j, k, c) - div));
-                            scale = std::max(scale, std::abs(du(i, j, k, c)));
+                            const Real x = (i + 0.5) / n, y = (j + 0.5) / n,
+                                       z = (k + 0.5) / n;
+                            const Real rho = 1.0 + 0.3 * std::sin(2 * constants::pi * x) +
+                                             0.1 * std::cos(2 * constants::pi * z);
+                            const std::array<Real, 3> v{
+                                0.2 + 0.1 * std::cos(2 * constants::pi * z),
+                                -0.1 * std::sin(2 * constants::pi * x),
+                                0.15 * std::cos(2 * constants::pi * y)};
+                            const Real x0 = 0.6 + 0.3 * std::sin(2 * constants::pi * z);
+                            const std::array<Real, 2> X{x0, 1.0 - x0};
+                            EosState es;
+                            es.rho = rho;
+                            es.p = 1.0 + 0.1 * std::cos(2 * constants::pi * y) +
+                                   0.05 * std::sin(2 * constants::pi * z);
+                            es.abar = net.abar(X.data());
+                            es.ye = net.ye(X.data());
+                            eos.rhoP(es);
+                            u(i, j, k, StateLayout::URHO) = rho;
+                            u(i, j, k, StateLayout::UMX) = rho * v[0];
+                            u(i, j, k, StateLayout::UMY) = rho * v[1];
+                            u(i, j, k, StateLayout::UMZ) = rho * v[2];
+                            u(i, j, k, StateLayout::UEDEN) =
+                                rho * es.e +
+                                0.5 * rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+                            u(i, j, k, StateLayout::UTEMP) = es.T;
+                            u(i, j, k, StateLayout::UFS) = rho * X[0];
+                            u(i, j, k, StateLayout::UFS + 1) = rho * X[1];
                         }
-        }
-        EXPECT_LE(defect, 1e-12 * std::max(scale, Real(1.0)));
+            }
+            state.FillBoundary(0, nc, geom.periodicity());
 
-        // Domain total: conserved components telescope to zero over the
-        // periodic domain.
-        const Real vol = geom.cellVolume();
-        for (const int c : {StateLayout::URHO, StateLayout::UMX,
-                            StateLayout::UEDEN, StateLayout::UFS}) {
-            Real total = 0.0, mag = 0.0;
+            MultiFab dudt(ba, dm, nc, 0);
+            auto fluxes = makeFluxFabs(ba, dm, nc);
+            molRhs(state, dudt, geom, net, eos, &fluxes, recon);
+
+            // Zone-wise: the out-param fluxes reproduce the update.
+            const Real dxi = 1.0 / geom.cellSize(0);
+            const Real dyi = 1.0 / geom.cellSize(1);
+            const Real dzi = 1.0 / geom.cellSize(2);
+            Real defect = 0.0, scale = 0.0;
             for (std::size_t f = 0; f < dudt.size(); ++f) {
                 const int fi = static_cast<int>(f);
-                total += dudt.fab(fi).sum(dudt.box(fi), c) * vol;
-                mag += std::abs(dudt.fab(fi).sum(dudt.box(fi), c)) * vol;
+                auto du = dudt.const_array(fi);
+                auto fx = fluxes[0].const_array(fi);
+                auto fy = fluxes[1].const_array(fi);
+                auto fz = fluxes[2].const_array(fi);
+                const Box& vb = dudt.box(fi);
+                for (int c = 0; c < nc; ++c)
+                    for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
+                        for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
+                            for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
+                                const Real div =
+                                    -(fx(i + 1, j, k, c) - fx(i, j, k, c)) * dxi -
+                                    (fy(i, j + 1, k, c) - fy(i, j, k, c)) * dyi -
+                                    (fz(i, j, k + 1, c) - fz(i, j, k, c)) * dzi;
+                                defect = std::max(defect,
+                                                  std::abs(du(i, j, k, c) - div));
+                                scale = std::max(scale, std::abs(du(i, j, k, c)));
+                            }
             }
-            EXPECT_LE(std::abs(total), 1e-11 * std::max(mag, Real(1.0)))
-                << "comp " << c;
+            EXPECT_LE(defect, 1e-12 * std::max(scale, Real(1.0)));
+
+            // Domain total: conserved components telescope to zero over the
+            // periodic domain.
+            const Real vol = geom.cellVolume();
+            for (const int c : {StateLayout::URHO, StateLayout::UMX,
+                                StateLayout::UEDEN, StateLayout::UFS}) {
+                Real total = 0.0, mag = 0.0;
+                for (std::size_t f = 0; f < dudt.size(); ++f) {
+                    const int fi = static_cast<int>(f);
+                    total += dudt.fab(fi).sum(dudt.box(fi), c) * vol;
+                    mag += std::abs(dudt.fab(fi).sum(dudt.box(fi), c)) * vol;
+                }
+                EXPECT_LE(std::abs(total), 1e-11 * std::max(mag, Real(1.0)))
+                    << "comp " << c;
+            }
+
+            // Region-split sweep (the async-halo interior/boundary pattern:
+            // the interior, then the whole shell list in one call) is
+            // bit-identical, fluxes included.
+            MultiFab dudt2(ba, dm, nc, 0);
+            auto fluxes2 = makeFluxFabs(ba, dm, nc);
+            for (std::size_t f = 0; f < state.size(); ++f) {
+                const int fi = static_cast<int>(f);
+                const Box& vb = state.box(fi);
+                const Box inner = grow(vb, -width);
+                ASSERT_TRUE(inner.ok());
+                const std::vector<Box> shell = boxDiff(vb, inner);
+                molRhsRegions(state, dudt2, fi, {&inner, 1}, geom, net, eos, &fluxes2,
+                              recon);
+                molRhsRegions(state, dudt2, fi, shell, geom, net, eos, &fluxes2, recon);
+            }
+            EXPECT_EQ(maxAbsDiff(dudt, dudt2), 0.0);
+            for (int d = 0; d < 3; ++d) {
+                EXPECT_EQ(maxAbsDiff(fluxes[d], fluxes2[d]), 0.0) << "dim " << d;
+            }
+        }
+    }
+}
+
+TEST(CastroGhosts, StateGhostsEqualStencilWidth) {
+    // Castro and every CastroAmr level carry exactly the ghost zones the
+    // reconstruction stencil reads — also after a regrid remakes a level.
+    for (const Reconstruction recon : {Reconstruction::PLM, Reconstruction::PPM}) {
+        SCOPED_TRACE(static_cast<int>(recon));
+        const int width = stencilWidth(recon);
+        auto b = makeBlast(1, /*periodic=*/false, 16,
+                           [&](CastroOptions& o) { o.reconstruction = recon; });
+        ASSERT_EQ(b.amr->finestLevel(), 1);
+        b.amr->regrid_interval = 1;
+        for (int s = 0; s < 2; ++s) b.amr->step(b.amr->estimateDt());
+        for (int lev = 0; lev <= b.amr->finestLevel(); ++lev) {
+            EXPECT_EQ(b.amr->state(lev).nGrow(), width) << "level " << lev;
         }
 
-        // Region-split sweep (the async-halo interior/boundary pattern)
-        // is bit-identical, fluxes included.
-        MultiFab dudt2(ba, dm, nc, 0);
-        auto fluxes2 = makeFluxFabs(ba, dm, nc);
-        for (std::size_t f = 0; f < state.size(); ++f) {
-            const int fi = static_cast<int>(f);
-            const Box& vb = state.box(fi);
-            const Box inner = grow(vb, -2);
-            molRhsRegion(state, dudt2, fi, inner, geom, net, eos, &fluxes2);
-            for (const Box& shell : boxDiff(vb, inner)) {
-                molRhsRegion(state, dudt2, fi, shell, geom, net, eos, &fluxes2);
-            }
-        }
-        EXPECT_EQ(maxAbsDiff(dudt, dudt2), 0.0);
-        for (int d = 0; d < 3; ++d) {
-            EXPECT_EQ(maxAbsDiff(fluxes[d], fluxes2[d]), 0.0) << "dim " << d;
-        }
+        Box dom({0, 0, 0}, {7, 7, 7});
+        Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
+        BoxArray ba(dom);
+        DistributionMapping dm(ba, 1);
+        CastroOptions opt;
+        opt.bc = DomainBC::allPeriodic();
+        opt.reconstruction = recon;
+        Eos eos{GammaLawEos{1.4}};
+        Castro c(geom, ba, dm, b.net, eos, opt);
+        EXPECT_EQ(c.state().nGrow(), width);
     }
 }
 
