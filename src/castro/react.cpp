@@ -5,143 +5,47 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace exa::castro {
 
-namespace {
-
-// The per-zone driver: one fab at a time, one zone at a time, one device
-// launch per fab priced with the fab's measured step distribution.
-BurnGridStats reactSerial(MultiFab& state, const ReactionNetwork& net,
-                          const Eos& eos, Real dt, const ReactOptions& opt,
-                          CostMonitor* cost, int level) {
+BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
+                       const ReactionNetwork& net, const Eos& eos, Real dt,
+                       const ReactOptions& opt, CostMonitor* cost, int level,
+                       BatchBurnReport* report) {
     const int nspec = net.nspec();
-    BurnGridStats stats;
-    // Size the scratch to the network instead of a fixed stack buffer, so
-    // large networks can't overrun it; hoist the ODE, integrator
-    // workspace, and result out of the zone loops so the burn path makes
-    // no per-zone heap allocations.
-    std::vector<Real> X(nspec);
-    BurnOde ode(net, eos, 0.0);
-    BurnWorkspace ws;
-    BurnResult r;
-
-    for (std::size_t f = 0; f < state.size(); ++f) {
-        CostMonitor::ScopedFabTimer fab_timer(cost, level, static_cast<int>(f));
-        const std::int64_t steps_before = stats.total_steps;
-        auto u = state.array(static_cast<int>(f));
-        const Box& vb = state.box(static_cast<int>(f));
-        std::int64_t fab_max = 0; // largest per-zone step count, failures too
-
-        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k) {
-            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j) {
-                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                    ++stats.zones;
-                    const Real rho = u(i, j, k, StateLayout::URHO);
-                    const Real T = u(i, j, k, StateLayout::UTEMP);
-                    if (T < opt.T_min || rho < opt.rho_min) {
-                        fab_max = std::max<std::int64_t>(fab_max, 1); // skip: cheap
-                        ++stats.total_steps;
-                        stats.max_steps = std::max<std::int64_t>(stats.max_steps, 1);
-                        continue;
-                    }
-                    for (int n = 0; n < nspec; ++n) {
-                        X[n] = std::clamp(u(i, j, k, StateLayout::UFS + n) / rho,
-                                          Real(0), Real(1));
-                    }
-                    burnZoneInto(ode, rho, T, X.data(), dt, opt.ode, ws, r);
-                    if (!r.success) {
-                        ++stats.failures;
-                        if (!stats.first_failure.valid) {
-                            stats.first_failure = {true, i, j, k,
-                                                   static_cast<int>(f), -1, rho, T};
-                        }
-                        fab_max = std::max(fab_max, r.stats.steps + 1);
-                        stats.total_steps += r.stats.steps + 1;
-                        continue;
-                    }
-                    for (int n = 0; n < nspec; ++n) {
-                        u(i, j, k, StateLayout::UFS + n) = rho * r.X[n];
-                    }
-                    u(i, j, k, StateLayout::UEDEN) += rho * r.e_nuc;
-                    u(i, j, k, StateLayout::UTEMP) = r.T;
-                    const std::int64_t steps = std::max<std::int64_t>(r.stats.steps, 1);
-                    fab_max = std::max(fab_max, steps);
-                    stats.total_steps += steps;
-                    stats.max_steps = std::max(stats.max_steps, steps);
-                }
-            }
-        }
-
-        // Report the burn launch to the simulated device, priced with the
-        // fab's zone-to-zone step imbalance (max / mean). The step counts
-        // are integers, so their double sum is exact in any order.
-        const std::int64_t fab_zones = vb.numPts();
-        if (ExecConfig::accountsLaunches() && fab_zones > 0) {
-            const double mean =
-                static_cast<double>(stats.total_steps - steps_before) /
-                static_cast<double>(fab_zones);
-            const double imbalance =
-                mean > 0 ? static_cast<double>(fab_max) / mean : 1.0;
-            LaunchRecord rec;
-            rec.info = burnKernelInfo(nspec, std::max(mean, 1.0), imbalance);
-            rec.zones = fab_zones;
-            rec.ncomp = 1;
-            rec.stream = ExecConfig::currentStream();
-            ExecConfig::notifyLaunch(rec);
-        }
-
-        if (cost != nullptr) {
-            // Burn work channel: integrator steps this fab consumed. The
-            // wall-time channel is credited by fab_timer's destructor.
-            cost->addWork(level, static_cast<int>(f),
-                          static_cast<double>(stats.total_steps - steps_before));
-        }
+    if (nspec > kMaxStackSpec) {
+        throw std::invalid_argument("burnGrid: network '" + net.name() +
+                                    "' has more species than the gather holds");
     }
-    return stats;
-}
-
-// The batched driver: gather every reacting zone of the MultiFab (across
-// all fabs) into one flat SoA buffer, hand it to BatchBurner (stiffness
-// sort, fused device batches, optional host tail), and scatter results
-// back. Per-zone arithmetic — and therefore every output value and every
-// bookkeeping total — is bit-identical to reactSerial; only the launch
-// structure the device model sees differs.
-BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
-                           const Eos& eos, Real dt, const ReactOptions& opt,
-                           CostMonitor* cost, int level,
-                           BatchBurnReport* report) {
-    const int nspec = net.nspec();
     const int nfabs = static_cast<int>(state.size());
     BurnGridStats stats;
 
     const auto t_begin = std::chrono::steady_clock::now();
 
-    // Pass 1 (host): find the reacting zones, in the serial traversal
-    // order (fab, then k/j/i), so gather index order == serial zone order
-    // and first-failure semantics carry over exactly.
+    // Pass 1 (host): load every zone in traversal order (fab, then k/j/i)
+    // and apply the skip rule, so gather index order == traversal order
+    // and first_failure is the traversal-first failing zone.
     struct ZoneRef {
         int i, j, k;
     };
     std::vector<ZoneRef> refs;
     std::vector<std::int64_t> fab_begin(nfabs + 1, 0); // refs range per fab
     std::vector<std::int64_t> fab_skipped(nfabs, 0);
+    Real x[kMaxStackSpec];
     for (int f = 0; f < nfabs; ++f) {
         fab_begin[f] = static_cast<std::int64_t>(refs.size());
-        auto u = state.array(f);
+        auto u = state.const_array(f);
         const Box& vb = state.box(f);
         for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k) {
             for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j) {
                 for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
                     ++stats.zones;
-                    const Real rho = u(i, j, k, StateLayout::URHO);
-                    const Real T = u(i, j, k, StateLayout::UTEMP);
+                    Real T = 0.0;
+                    const Real rho = io.load(u, i, j, k, T, x);
                     if (T < opt.T_min || rho < opt.rho_min) {
-                        ++fab_skipped[f]; // skip: trivially cheap, 1 step
-                        ++stats.total_steps;
-                        stats.max_steps = std::max<std::int64_t>(stats.max_steps, 1);
+                        ++fab_skipped[f];
                         continue;
                     }
                     refs.push_back({i, j, k});
@@ -154,6 +58,7 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
     const std::int64_t nzones = static_cast<std::int64_t>(refs.size());
     BurnBatch batch;
     batch.resize(nspec, nzones);
+    const BurnZoneIO* iop = &io;
 
     // Pass 2: gather fab state into the SoA buffer — per fab one streaming
     // launch on that fab's stream (each gathered zone writes only its own
@@ -165,7 +70,7 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
         if (lo == hi) continue;
         StreamScope stream;
         stream.useFab(static_cast<std::size_t>(f));
-        auto u = state.array(f);
+        auto u = state.const_array(f);
         const ZoneRef* rp = refs.data();
         Real* rho_p = batch.rho.data();
         Real* T_p = batch.T.data();
@@ -173,14 +78,9 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
         ParallelFor(gather_ki, hi - lo, [=](std::int64_t q) {
             const std::int64_t g = lo + q;
             const ZoneRef& zr = rp[g];
-            const Real rho = u(zr.i, zr.j, zr.k, StateLayout::URHO);
-            rho_p[g] = rho;
-            T_p[g] = u(zr.i, zr.j, zr.k, StateLayout::UTEMP);
-            for (int n = 0; n < nspec; ++n) {
-                X_p[n * nzones + g] = std::clamp(
-                    u(zr.i, zr.j, zr.k, StateLayout::UFS + n) / rho, Real(0),
-                    Real(1));
-            }
+            Real xz[kMaxStackSpec];
+            rho_p[g] = iop->load(u, zr.i, zr.j, zr.k, T_p[g], xz);
+            for (int n = 0; n < nspec; ++n) X_p[n * nzones + g] = xz[n];
         });
     }
 
@@ -208,23 +108,23 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
             const std::int64_t g = lo + q;
             if (!ok_p[g]) return;
             const ZoneRef& zr = rp[g];
-            const Real rho = rho_p[g];
-            for (int n = 0; n < nspec; ++n) {
-                u(zr.i, zr.j, zr.k, StateLayout::UFS + n) =
-                    rho * Xo_p[n * nzones + g];
-            }
-            u(zr.i, zr.j, zr.k, StateLayout::UEDEN) += rho * e_p[g];
-            u(zr.i, zr.j, zr.k, StateLayout::UTEMP) = To_p[g];
+            Real xz[kMaxStackSpec];
+            for (int n = 0; n < nspec; ++n) xz[n] = Xo_p[n * nzones + g];
+            iop->store(u, zr.i, zr.j, zr.k, rho_p[g], To_p[g], xz, e_p[g]);
         });
     }
 
-    // Bookkeeping, replicating the serial semantics exactly: failures
-    // count steps+1 and leave max_steps alone; successes count
-    // max(steps, 1). Gather order is serial order, so the first failing
-    // gather index is the serial first_failure.
+    // Bookkeeping in traversal order: a skipped zone counts one step; a
+    // failure counts steps+1 and leaves max_steps alone; a success counts
+    // max(steps, 1). The first failing gather index is the traversal-first
+    // failure.
     std::vector<std::int64_t> fab_steps(nfabs, 0);
     for (int f = 0; f < nfabs; ++f) {
         fab_steps[f] = fab_skipped[f];
+        stats.total_steps += fab_skipped[f];
+        if (fab_skipped[f] > 0) {
+            stats.max_steps = std::max<std::int64_t>(stats.max_steps, 1);
+        }
         for (std::int64_t g = fab_begin[f]; g < fab_begin[f + 1]; ++g) {
             if (!batch.success[g]) {
                 ++stats.failures;
@@ -269,15 +169,28 @@ BurnGridStats reactBatched(MultiFab& state, const ReactionNetwork& net,
     return stats;
 }
 
-} // namespace
-
 BurnGridStats reactState(MultiFab& state, const ReactionNetwork& net, const Eos& eos,
                          Real dt, const ReactOptions& opt, CostMonitor* cost,
                          int level, BatchBurnReport* report) {
-    if (opt.batched) {
-        return reactBatched(state, net, eos, dt, opt, cost, level, report);
-    }
-    return reactSerial(state, net, eos, dt, opt, cost, level);
+    const int nspec = net.nspec();
+    BurnZoneIO io;
+    io.load = [nspec](const Array4<const Real>& u, int i, int j, int k, Real& T,
+                      Real* X) {
+        const Real rho = u(i, j, k, StateLayout::URHO);
+        T = u(i, j, k, StateLayout::UTEMP);
+        for (int n = 0; n < nspec; ++n) {
+            X[n] = std::clamp(u(i, j, k, StateLayout::UFS + n) / rho, Real(0),
+                              Real(1));
+        }
+        return rho;
+    };
+    io.store = [nspec](const Array4<Real>& u, int i, int j, int k, Real rho, Real T,
+                       const Real* X, Real e_nuc) {
+        for (int n = 0; n < nspec; ++n) u(i, j, k, StateLayout::UFS + n) = rho * X[n];
+        u(i, j, k, StateLayout::UEDEN) += rho * e_nuc;
+        u(i, j, k, StateLayout::UTEMP) = T;
+    };
+    return burnGrid(state, io, net, eos, dt, opt, cost, level, report);
 }
 
 } // namespace exa::castro

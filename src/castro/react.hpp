@@ -6,37 +6,63 @@
 #include "microphysics/batch_burner.hpp"
 #include "microphysics/burner.hpp"
 
+#include <functional>
+
 namespace exa::castro {
 
-// Options for the grid-level burn driver.
+// Options for the grid burn driver (Castro's and MAESTRO's).
 struct ReactOptions {
     OdeOptions ode;
     Real T_min = 5.0e7;   // zones cooler than this are skipped (inert)
     Real rho_min = 1.0e2; // zones more dilute than this are skipped
-    // Batched GPU-resident engine: gather all reacting zones of the
-    // MultiFab (across fabs) into one flat SoA buffer, sort by stiffness,
-    // and burn in fused device batches (BatchBurner) instead of
-    // zone-at-a-time per-fab launches. Bit-identical results; radically
-    // fewer, better-shaped launches. The Section VI hybrid split (stiff
-    // tail on the host) lives in `batch`.
-    bool batched = false;
+    // How the gathered zones burn: batch size, stiffness sort, and the
+    // Section VI hybrid split (stiff tail on the host). One launch per
+    // fab in traversal order is batch_size = zones per fab with the sort
+    // and the tail off.
     BatchBurnOptions batch;
 };
 
-// Burn every (eligible) zone of the state for dt at constant volume,
-// updating species, energy, and temperature. Reports per-grid cost
-// statistics and notifies the simulated device of the launch with a
-// KernelInfo reflecting the network size (register pressure) and the
-// measured zone-to-zone work imbalance.
+// How one state layout hands a zone to the burn driver and takes it back.
+// Both callables run inside the driver's per-fab gather and scatter
+// launches (concurrently under OpenMP), so each may touch only zone
+// (i, j, k) of the fab it is given.
+struct BurnZoneIO {
+    // Returns the zone's density; sets its temperature and its nspec mass
+    // fractions X, clamped to [0, 1].
+    std::function<Real(const Array4<const Real>& u, int i, int j, int k, Real& T,
+                       Real* X)>
+        load;
+    // Writes a successful burn back: the density load returned, and the
+    // final temperature, mass fractions, and specific nuclear energy.
+    std::function<void(const Array4<Real>& u, int i, int j, int k, Real rho, Real T,
+                       const Real* X, Real e_nuc)>
+        store;
+};
+
+// The grid burn driver: burn every eligible zone of the state for dt at
+// constant density. Zones below opt.T_min or opt.rho_min are skipped (one
+// step each, state untouched). The rest are loaded in traversal order
+// (fab, then k/j/i) into one flat SoA gather with one launch per fab,
+// burned by BatchBurner under opt.batch, and scattered back with one
+// launch per fab; a failed zone is not written back. Bookkeeping follows
+// traversal order whatever order the batches burn in: first_failure names
+// the traversal-first failing zone, a failure counts steps + 1 and leaves
+// max_steps alone, a success counts max(steps, 1).
 //
-// When `cost` is non-null, each fab's integrator-step total and wall time
-// are credited to (level, fab) — the burn channel of the load balancer's
-// CostMonitor.
+// When `cost` is non-null, each fab's integrator steps are credited to the
+// work channel of (level, fab), and the wall time of the call is split
+// across fabs in proportion to those steps.
 //
-// When `report` is non-null and opt.batched is set, it receives what the
-// batched engine did on this call (gather size, batch count, tail split);
-// it is left untouched on the per-zone path. The sink is caller-owned, so
+// When `report` is non-null it receives what BatchBurner did on this call
+// (gather size, batch count, tail split). The sink is caller-owned, so
 // concurrent burns (ensemble tenants on worker threads) never share it.
+BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
+                       const ReactionNetwork& net, const Eos& eos, Real dt,
+                       const ReactOptions& opt, CostMonitor* cost = nullptr,
+                       int level = 0, BatchBurnReport* report = nullptr);
+
+// burnGrid on the Castro state: partial densities rho*X in UFS.., and
+// rho*e_nuc added to UEDEN.
 BurnGridStats reactState(MultiFab& state, const ReactionNetwork& net, const Eos& eos,
                          Real dt, const ReactOptions& opt = ReactOptions{},
                          CostMonitor* cost = nullptr, int level = 0,

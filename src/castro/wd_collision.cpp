@@ -121,11 +121,10 @@ WdCollision WdCollisionParams::build(const ReactionNetwork& net) const {
     opt.do_react = p.do_react;
     opt.react.T_min = 1.0e8;
     opt.react.rho_min = 1.0e4;
-    // Burn with the batched engine by default: the collision's reacting
+    // Burn with the stiff tail on the host: the collision's reacting
     // interface is exactly the many-quiescent-zones-plus-stiff-hot-spots
     // distribution the stiffness sort and hybrid tail are built for
     // (EXPERIMENTS.md E14).
-    opt.react.batched = true;
     opt.react.batch.hybrid_cpu_tail = true;
     // Burn cost dominates and is well modeled by integrator steps, but
     // the EOS/gravity side is not; the Hybrid metric (work blended with

@@ -9,7 +9,6 @@ Backend ExecConfig::s_backend = backendFromName(std::getenv("EXA_BACKEND"));
 IntVect ExecConfig::s_tile_size = IntVect{1024000, 8, 8};
 LaunchHook ExecConfig::s_hook;
 int ExecConfig::s_num_streams = 4;
-thread_local int ExecConfig::s_current_stream = 0;
 
 const char* backendName(Backend b) {
     switch (b) {

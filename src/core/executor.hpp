@@ -108,7 +108,10 @@ private:
     static int s_num_streams;
     // Thread-local: ensemble workers each select a stream for their tenant
     // (StreamScope) and must not race on — or clobber — each other's slot.
-    static thread_local int s_current_stream;
+    // Defined in the header as constinit: with an out-of-line definition
+    // GCC routes every access through a TLS wrapper call, which UBSan
+    // reports as a store to a null pointer.
+    static inline thread_local constinit int s_current_stream = 0;
 };
 
 // Exception-safe stream selection: captures the current stream on entry

@@ -230,69 +230,26 @@ void Maestro::buoyancy(Real dt) {
 
 BurnGridStats Maestro::react(Real dt) {
     TimerRegion timer("maestro::react");
-    BurnGridStats stats;
+    // The MAESTRO layout: mass fractions in QFS.., density from the EOS at
+    // the base-state pressure, and no energy equation (T carries the heat).
     const int nspec = m_net.nspec();
-    std::vector<Real> X(nspec);
+    castro::BurnZoneIO io;
+    io.load = [this, nspec](const Array4<const Real>& q, int i, int j, int k, Real& T,
+                            Real* X) {
+        T = q(i, j, k, MaestroLayout::QT);
+        for (int n = 0; n < nspec; ++n) {
+            X[n] = std::clamp(q(i, j, k, MaestroLayout::QFS + n), Real(0), Real(1));
+        }
+        return rhoOf(k, T, X);
+    };
+    io.store = [nspec](const Array4<Real>& q, int i, int j, int k, Real /*rho*/,
+                       Real T, const Real* X, Real /*e_nuc*/) {
+        q(i, j, k, MaestroLayout::QT) = T;
+        for (int n = 0; n < nspec; ++n) q(i, j, k, MaestroLayout::QFS + n) = X[n];
+    };
     CostMonitor* cost =
         m_opt.rebalance.enabled ? &m_rebalancer.monitor() : nullptr;
-    for (std::size_t b = 0; b < m_state.size(); ++b) {
-        CostMonitor::ScopedFabTimer fab_timer(cost, 0, static_cast<int>(b));
-        auto q = m_state.array(static_cast<int>(b));
-        const Box& vb = m_state.box(static_cast<int>(b));
-        std::int64_t fab_steps = 0, fab_zones = 0, fab_max = 0;
-        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
-            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
-                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                    ++fab_zones;
-                    const Real T = q(i, j, k, MaestroLayout::QT);
-                    if (T < m_opt.react.T_min) {
-                        ++fab_steps;
-                        fab_max = std::max<std::int64_t>(fab_max, 1);
-                        continue;
-                    }
-                    for (int n = 0; n < nspec; ++n) {
-                        X[n] = std::clamp(q(i, j, k, MaestroLayout::QFS + n),
-                                          Real(0), Real(1));
-                    }
-                    const Real rho = rhoOf(k, T, X.data());
-                    auto r = burnZone(m_net, m_eos, rho, T, X.data(), dt,
-                                      m_opt.react.ode);
-                    if (r.success) {
-                        q(i, j, k, MaestroLayout::QT) = r.T;
-                        for (int n = 0; n < nspec; ++n) {
-                            q(i, j, k, MaestroLayout::QFS + n) = r.X[n];
-                        }
-                    } else {
-                        ++stats.failures;
-                        if (!stats.first_failure.valid) {
-                            stats.first_failure = {true, i, j, k,
-                                                   static_cast<int>(b), -1, rho, T};
-                        }
-                    }
-                    const std::int64_t st = std::max<std::int64_t>(r.stats.steps, 1);
-                    fab_steps += st;
-                    fab_max = std::max(fab_max, st);
-                }
-        stats.zones += fab_zones;
-        stats.total_steps += fab_steps;
-        stats.max_steps = std::max(stats.max_steps, fab_max);
-        if (cost != nullptr) {
-            // Burn work channel; the wall-time channel is credited by
-            // fab_timer's destructor.
-            cost->addWork(0, static_cast<int>(b),
-                          static_cast<double>(fab_steps));
-        }
-        if (ExecConfig::accountsLaunches() && fab_zones > 0) {
-            const double mean = static_cast<double>(fab_steps) / fab_zones;
-            LaunchRecord rec;
-            rec.info = burnKernelInfo(nspec, std::max(mean, 1.0),
-                                      fab_max / std::max(mean, 1.0));
-            rec.zones = fab_zones;
-            rec.stream = ExecConfig::currentStream();
-            ExecConfig::notifyLaunch(rec);
-        }
-    }
-    return stats;
+    return castro::burnGrid(m_state, io, m_net, m_eos, dt, m_opt.react, cost, 0);
 }
 
 void Maestro::project() {
@@ -551,6 +508,10 @@ std::unique_ptr<Maestro> BubbleParams::build(const ReactionNetwork& net) const {
     MaestroOptions opt;
     opt.do_react = p.do_react;
     opt.react.T_min = 1.0e8;
+    // Burn box by box, in traversal order: one unsorted batch per fab, the
+    // launch shape the Fig. 3 anchors (EXPERIMENTS.md E2) were calibrated on.
+    opt.react.batch.batch_size = p.max_grid_size * p.max_grid_size * p.max_grid_size;
+    opt.react.batch.sort_by_stiffness = false;
     opt.guard = p.guard;
     opt.rebalance = p.rebalance;
 

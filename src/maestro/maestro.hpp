@@ -31,7 +31,9 @@ struct MaestroOptions {
     Real cfl = 0.5;
     int ngrow = 2;
     int proj_interval = 1; // project every step
-    castro::ReactOptions react; // reuses the Castro burn driver options
+    // The burn: MAESTRO burns through the same grid driver as Castro
+    // (castro::burnGrid), so every field applies, the batch shape too.
+    castro::ReactOptions react;
     bool do_react = true;
     // Step retry (StepGuard) around each step; min_density/min_energy do
     // not apply to the low Mach state (density is EOS-derived) — the

@@ -10,11 +10,6 @@ namespace exa {
 
 namespace {
 
-// Stack capacity for the per-zone stiffness kernel's state vectors, so the
-// estimate runs allocation-free (and OpenMP-safely) for every network in
-// the suite. Networks larger than this fall back to a serial heap loop.
-constexpr int kMaxStackSpec = 63;
-
 KernelInfo stiffnessKernelInfo(int nspec) {
     KernelInfo ki;
     ki.name = "burn_stiffness";

@@ -7,6 +7,12 @@
 
 namespace exa {
 
+// Stack capacity for per-zone species scratch in the batch kernels (the
+// stiffness estimate, the grid driver's gather and scatter), so they run
+// allocation-free and OpenMP-safely for every network in the suite. The
+// stiffness estimate of a larger network falls back to a serial heap loop.
+inline constexpr int kMaxStackSpec = 63;
+
 // A flat SoA workspace of gathered reacting zones — the device-resident
 // burn buffer. Zones come from anywhere (the grid driver gathers across
 // fabs); the batch knows nothing of boxes. Layout is struct-of-arrays
@@ -98,7 +104,7 @@ struct BatchBurnReport {
 // the stiff tail runs the per-zone host path. Per-zone arithmetic is
 // identical to burnZone on every backend — processing order only changes
 // *when* a zone is integrated, never its result — so batched output is
-// bit-identical to the serial path.
+// bit-identical to a zone-by-zone burnZone loop.
 class BatchBurner {
 public:
     BatchBurner(const ReactionNetwork& net, const Eos& eos,

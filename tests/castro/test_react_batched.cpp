@@ -1,9 +1,11 @@
-// The batched grid burn driver: reactState(batched=true) must be
-// bit-identical to the per-zone path on every backend — state, stats,
+// The grid burn driver (burnGrid / reactState) must be bit-identical to a
+// per-zone burnZone reference loop on every backend — state, stats,
 // skipped zones, failure attribution, and the CostMonitor work channel —
-// while routing the stiff tail and surviving fault injection with the
-// same first-failure semantics. Plus the WD-collision driver defaults
-// that turn the engine on.
+// for both state layouts it serves: Castro's partial densities, and
+// MAESTRO-style mass fractions with the density supplied by the caller.
+// It must also route the stiff tail and survive fault injection with the
+// traversal-order first-failure semantics. Plus the WD-collision driver
+// defaults.
 #include "castro/react.hpp"
 
 #include "castro/state.hpp"
@@ -24,18 +26,85 @@ using namespace exa::castro;
 
 namespace {
 
+// The two state layouts the driver serves.
+enum class Layout {
+    PartialDensity, // Castro: rho in URHO, rho*X in UFS.., energy in UEDEN
+    MassFraction,   // MAESTRO-style: T in comp 0, X in comps 1.., rho derived
+};
+const Layout kLayouts[] = {Layout::PartialDensity, Layout::MassFraction};
+
+const char* layoutName(Layout l) {
+    return l == Layout::PartialDensity ? "partial-density" : "mass-fraction";
+}
+
+// The caller-supplied density of the mass-fraction layout: depends on the
+// zone's height and composition, as MAESTRO's rhoOf(k, T, X) does.
+Real massFractionRho(int k, const Real* X, int ic12) {
+    return 1.0e7 * (1.0 + 0.02 * k) / (0.5 + X[ic12]);
+}
+
+// Zone access of each layout, written independently of the driver's own
+// Castro load/store so the reference checks reactState too.
+BurnZoneIO zoneIO(Layout layout, const ReactionNetwork& net) {
+    const int nspec = net.nspec();
+    BurnZoneIO io;
+    if (layout == Layout::PartialDensity) {
+        io.load = [nspec](const Array4<const Real>& u, int i, int j, int k, Real& T,
+                          Real* X) {
+            const Real rho = u(i, j, k, StateLayout::URHO);
+            T = u(i, j, k, StateLayout::UTEMP);
+            for (int n = 0; n < nspec; ++n) {
+                X[n] = std::clamp(u(i, j, k, StateLayout::UFS + n) / rho, Real(0),
+                                  Real(1));
+            }
+            return rho;
+        };
+        io.store = [nspec](const Array4<Real>& u, int i, int j, int k, Real rho,
+                           Real T, const Real* X, Real e_nuc) {
+            for (int n = 0; n < nspec; ++n) {
+                u(i, j, k, StateLayout::UFS + n) = rho * X[n];
+            }
+            u(i, j, k, StateLayout::UEDEN) += rho * e_nuc;
+            u(i, j, k, StateLayout::UTEMP) = T;
+        };
+    } else {
+        const int ic12 = net.speciesIndex("c12");
+        io.load = [nspec, ic12](const Array4<const Real>& u, int i, int j, int k,
+                                Real& T, Real* X) {
+            T = u(i, j, k, 0);
+            for (int n = 0; n < nspec; ++n) {
+                X[n] = std::clamp(u(i, j, k, 1 + n), Real(0), Real(1));
+            }
+            return massFractionRho(k, X, ic12);
+        };
+        io.store = [nspec](const Array4<Real>& u, int i, int j, int k, Real, Real T,
+                           const Real* X, Real) {
+            u(i, j, k, 0) = T;
+            for (int n = 0; n < nspec; ++n) u(i, j, k, 1 + n) = X[n];
+        };
+    }
+    return io;
+}
+
+int layoutNcomp(Layout layout, int nspec) {
+    return layout == Layout::PartialDensity ? StateLayout(nspec).ncomp() : 1 + nspec;
+}
+
 // A small WD-collision-like stiffness distribution: a cold (skipped)
 // slab, a warm quiescent bulk, a hot interface plane, and two igniting
 // zones in different fabs.
 struct Workload {
+    Layout layout;
     BoxArray ba;
     DistributionMapping dm;
     MultiFab state;
     int nspec;
 
-    explicit Workload(const ReactionNetwork& net, int ncell = 16, int max_grid = 8)
-        : ba(makeBa(ncell, max_grid)), dm(ba, 1),
-          state(ba, dm, StateLayout(net.nspec()).ncomp(), 0), nspec(net.nspec()) {
+    explicit Workload(const ReactionNetwork& net,
+                      Layout layout_in = Layout::PartialDensity, int ncell = 16,
+                      int max_grid = 8)
+        : layout(layout_in), ba(makeBa(ncell, max_grid)), dm(ba, 1),
+          state(ba, dm, layoutNcomp(layout_in, net.nspec()), 0), nspec(net.nspec()) {
         std::vector<Real> X(nspec, 0.0);
         X[net.speciesIndex("c12")] = 0.5;
         X[net.speciesIndex("o16")] = 0.5;
@@ -56,6 +125,11 @@ struct Workload {
                             T = hot ? 2.5e9 : 6.0e8;
                         } else {
                             T = 1.5e8;
+                        }
+                        if (layout == Layout::MassFraction) {
+                            u(i, j, k, 0) = T;
+                            for (int n = 0; n < nspec; ++n) u(i, j, k, 1 + n) = X[n];
+                            continue;
                         }
                         u(i, j, k, StateLayout::URHO) = rho;
                         u(i, j, k, StateLayout::UTEMP) = T;
@@ -78,6 +152,66 @@ struct Workload {
         return out;
     }
 };
+
+// The layout's burn through the driver: reactState for Castro's layout,
+// burnGrid with the caller's load/store for the mass-fraction layout.
+BurnGridStats burnDriver(const Workload& w, MultiFab& s, const ReactionNetwork& net,
+                         const Eos& eos, Real dt, const ReactOptions& opt,
+                         CostMonitor* cost = nullptr,
+                         BatchBurnReport* report = nullptr) {
+    if (w.layout == Layout::PartialDensity) {
+        return reactState(s, net, eos, dt, opt, cost, 0, report);
+    }
+    return burnGrid(s, zoneIO(w.layout, net), net, eos, dt, opt, cost, 0, report);
+}
+
+// The per-zone reference: one zone at a time in traversal order (fab,
+// then k/j/i), burnZone per reacting zone, results written straight back.
+// A skipped zone counts one step; a failure counts steps+1, leaves
+// max_steps alone and is not written back; a success counts max(steps, 1).
+// Each fab's steps go to the cost monitor's work channel.
+BurnGridStats burnReference(const Workload& w, MultiFab& s, const ReactionNetwork& net,
+                            const Eos& eos, Real dt, const ReactOptions& opt,
+                            CostMonitor* cost = nullptr) {
+    const BurnZoneIO io = zoneIO(w.layout, net);
+    std::vector<Real> X(net.nspec());
+    BurnGridStats stats;
+    for (std::size_t f = 0; f < s.size(); ++f) {
+        auto u = s.array(static_cast<int>(f));
+        const Box& vb = s.box(static_cast<int>(f));
+        std::int64_t fab_steps = 0;
+        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
+            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
+                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
+                    ++stats.zones;
+                    Real T = 0.0;
+                    const Real rho = io.load(u, i, j, k, T, X.data());
+                    std::int64_t steps = 1;
+                    if (T >= opt.T_min && rho >= opt.rho_min) {
+                        const auto r = burnZone(net, eos, rho, T, X.data(), dt, opt.ode);
+                        if (!r.success) {
+                            ++stats.failures;
+                            if (!stats.first_failure.valid) {
+                                stats.first_failure = {
+                                    true, i, j, k, static_cast<int>(f), -1, rho, T};
+                            }
+                            fab_steps += r.stats.steps + 1;
+                            stats.total_steps += r.stats.steps + 1;
+                            continue;
+                        }
+                        io.store(u, i, j, k, rho, r.T, r.X.data(), r.e_nuc);
+                        steps = std::max<std::int64_t>(r.stats.steps, 1);
+                    }
+                    fab_steps += steps;
+                    stats.total_steps += steps;
+                    stats.max_steps = std::max(stats.max_steps, steps);
+                }
+        if (cost != nullptr) {
+            cost->addWork(0, static_cast<int>(f), static_cast<double>(fab_steps));
+        }
+    }
+    return stats;
+}
 
 // Bitwise comparison over every fab and component of the valid regions.
 void expectBitIdentical(const MultiFab& a, const MultiFab& b) {
@@ -109,21 +243,26 @@ void expectStatsEqual(const BurnGridStats& a, const BurnGridStats& b) {
         EXPECT_EQ(a.first_failure.k, b.first_failure.k);
         EXPECT_EQ(a.first_failure.fab, b.first_failure.fab);
         EXPECT_EQ(a.first_failure.level, b.first_failure.level);
+        EXPECT_EQ(a.first_failure.rho, b.first_failure.rho);
+        EXPECT_EQ(a.first_failure.T, b.first_failure.T);
     }
 }
 
 // The traversal-order-first reacting zone (fab, then k/j/i) — what the
-// serial path hits first and what both paths must report as the first
+// reference hits first and what both paths must report as the first
 // failure when every burn fails.
-BurnFailureSite firstReactingZone(const MultiFab& state, const ReactOptions& opt) {
-    for (std::size_t f = 0; f < state.size(); ++f) {
-        auto u = state.const_array(static_cast<int>(f));
-        const Box& vb = state.box(static_cast<int>(f));
+BurnFailureSite firstReactingZone(const Workload& w, const ReactionNetwork& net,
+                                  const ReactOptions& opt) {
+    const BurnZoneIO io = zoneIO(w.layout, net);
+    std::vector<Real> X(net.nspec());
+    for (std::size_t f = 0; f < w.state.size(); ++f) {
+        auto u = w.state.const_array(static_cast<int>(f));
+        const Box& vb = w.state.box(static_cast<int>(f));
         for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
             for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
                 for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                    const Real rho = u(i, j, k, StateLayout::URHO);
-                    const Real T = u(i, j, k, StateLayout::UTEMP);
+                    Real T = 0.0;
+                    const Real rho = io.load(u, i, j, k, T, X.data());
                     if (T < opt.T_min || rho < opt.rho_min) continue;
                     return {true, i, j, k, static_cast<int>(f), -1, rho, T};
                 }
@@ -141,6 +280,9 @@ const Real kDt = 1.0e-7;
 } // namespace
 
 // --- Bit-identity across backends ---------------------------------------
+//
+// Each test runs both layouts: the reference is the per-zone burnZone loop
+// above, the driver is the BatchBurner gather/scatter.
 
 class ReactBatchedBackends : public ::testing::TestWithParam<Backend> {};
 
@@ -148,46 +290,49 @@ TEST_P(ReactBatchedBackends, BatchedMatchesSerialBitwise) {
     ScopedBackend sb(GetParam());
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    Workload w(net);
-    auto serial = w.copy();
-    auto batched = w.copy();
+    for (Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        Workload w(net, layout);
+        auto reference = w.copy();
+        auto batched = w.copy();
 
-    ReactOptions so;
-    ReactOptions bo;
-    bo.batched = true;
-    auto ss = reactState(serial, net, eos, kDt, so);
-    auto bs = reactState(batched, net, eos, kDt, bo);
+        const ReactOptions opt;
+        auto rs = burnReference(w, reference, net, eos, kDt, opt);
+        auto bs = burnDriver(w, batched, net, eos, kDt, opt);
 
-    expectStatsEqual(ss, bs);
-    expectBitIdentical(serial, batched);
-    EXPECT_EQ(ss.failures, 0);
-    EXPECT_GT(ss.total_steps, ss.zones); // something actually burned
+        expectStatsEqual(rs, bs);
+        expectBitIdentical(reference, batched);
+        EXPECT_EQ(rs.failures, 0);
+        EXPECT_GT(rs.total_steps, rs.zones); // something actually burned
+    }
 }
 
 TEST_P(ReactBatchedBackends, HybridTailMatchesSerialBitwise) {
     ScopedBackend sb(GetParam());
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    Workload w(net);
-    auto serial = w.copy();
-    auto hybrid = w.copy();
-
     ReactOptions ho;
-    ho.batched = true;
     ho.batch.hybrid_cpu_tail = true;
     ho.batch.tail_factor = 4.0;
     ho.batch.tail_min_stiffness = 0.0;
-    BatchBurnReport rep;
-    auto ss = reactState(serial, net, eos, kDt, ReactOptions{});
-    auto hs = reactState(hybrid, net, eos, kDt, ho, nullptr, 0, &rep);
+    for (Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        Workload w(net, layout);
+        auto reference = w.copy();
+        auto hybrid = w.copy();
 
-    expectStatsEqual(ss, hs);
-    expectBitIdentical(serial, hybrid);
+        BatchBurnReport rep;
+        auto rs = burnReference(w, reference, net, eos, kDt, ho);
+        auto hs = burnDriver(w, hybrid, net, eos, kDt, ho, nullptr, &rep);
 
-    EXPECT_EQ(rep.device_zones + rep.tail_zones, rep.gathered);
-    EXPECT_GT(rep.tail_zones, 0) << "tail cut " << rep.stiffness_tail_cut
-                                 << " median " << rep.stiffness_median;
-    EXPECT_GT(rep.batches, 0);
+        expectStatsEqual(rs, hs);
+        expectBitIdentical(reference, hybrid);
+
+        EXPECT_EQ(rep.device_zones + rep.tail_zones, rep.gathered);
+        EXPECT_GT(rep.tail_zones, 0) << "tail cut " << rep.stiffness_tail_cut
+                                     << " median " << rep.stiffness_median;
+        EXPECT_GT(rep.batches, 0);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ReactBatchedBackends,
@@ -207,47 +352,73 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ReactBatchedBackends,
 TEST(ReactBatched, ColdZonesAreUntouchedBitwise) {
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    Workload w(net);
-    auto burned = w.copy();
-    ReactOptions bo;
-    bo.batched = true;
-    BatchBurnReport rep;
-    auto bs = reactState(burned, net, eos, kDt, bo, nullptr, 0, &rep);
+    for (Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        Workload w(net, layout);
+        auto burned = w.copy();
+        BatchBurnReport rep;
+        auto bs = burnDriver(w, burned, net, eos, kDt, ReactOptions{}, nullptr, &rep);
 
-    // The gather covers exactly the reacting zones...
-    const std::int64_t ncold = static_cast<std::int64_t>(16 / 4) * 16 * 16;
-    EXPECT_EQ(rep.gathered, bs.zones - ncold);
+        // The gather covers exactly the reacting zones...
+        const std::int64_t ncold = static_cast<std::int64_t>(16 / 4) * 16 * 16;
+        EXPECT_EQ(rep.gathered, bs.zones - ncold);
 
-    // ...and every skipped zone round-trips bitwise untouched.
-    std::int64_t cold_seen = 0;
-    for (std::size_t f = 0; f < burned.size(); ++f) {
-        auto ub = burned.const_array(static_cast<int>(f));
-        auto u0 = w.state.const_array(static_cast<int>(f));
-        const Box& vb = burned.box(static_cast<int>(f));
-        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
-            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
-                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                    if (u0(i, j, k, StateLayout::UTEMP) >= 5.0e7) continue;
-                    ++cold_seen;
-                    for (int n = 0; n < burned.nComp(); ++n) {
-                        ASSERT_EQ(ub(i, j, k, n), u0(i, j, k, n))
-                            << "cold zone (" << i << "," << j << "," << k << ")";
+        // ...and every skipped zone round-trips bitwise untouched.
+        const int comp_T = layout == Layout::PartialDensity ? StateLayout::UTEMP : 0;
+        std::int64_t cold_seen = 0;
+        for (std::size_t f = 0; f < burned.size(); ++f) {
+            auto ub = burned.const_array(static_cast<int>(f));
+            auto u0 = w.state.const_array(static_cast<int>(f));
+            const Box& vb = burned.box(static_cast<int>(f));
+            for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
+                for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
+                    for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
+                        if (u0(i, j, k, comp_T) >= 5.0e7) continue;
+                        ++cold_seen;
+                        for (int n = 0; n < burned.nComp(); ++n) {
+                            ASSERT_EQ(ub(i, j, k, n), u0(i, j, k, n))
+                                << "cold zone (" << i << "," << j << "," << k << ")";
+                        }
                     }
-                }
+        }
+        EXPECT_EQ(cold_seen, ncold);
     }
-    EXPECT_EQ(cold_seen, ncold);
+}
+
+TEST(ReactBatched, PerBoxUnsortedConfigurationBurnsOneBatchPerReactingFab) {
+    // The old per-zone driver's launch shape as a configuration: batches
+    // of one fab's zones, in traversal order. In the workload every fab is
+    // either wholly cold or wholly reacting, so each reacting fab is one
+    // batch.
+    const auto& net = testNet();
+    Eos eos{HelmLiteEos{}};
+    Workload w(net, Layout::PartialDensity, 16, 4);
+    ReactOptions po;
+    po.batch.batch_size = 4 * 4 * 4;
+    po.batch.sort_by_stiffness = false;
+    auto reference = w.copy();
+    auto per_box = w.copy();
+    BatchBurnReport rep;
+    auto rs = burnReference(w, reference, net, eos, kDt, po);
+    auto ps = burnDriver(w, per_box, net, eos, kDt, po, nullptr, &rep);
+
+    expectStatsEqual(rs, ps);
+    expectBitIdentical(reference, per_box);
+    const std::int64_t cold_fabs = (16 / 4) * (16 / 4); // the i < 4 slab
+    EXPECT_EQ(rep.batches, static_cast<std::int64_t>(w.state.size()) - cold_fabs);
+    EXPECT_EQ(rep.gathered, rep.batches * 4 * 4 * 4);
+    EXPECT_EQ(rep.tail_zones, 0);
 }
 
 TEST(ReactBatched, ConcurrentBurnsEachGetTheirOwnReport) {
-    // Two tenants burning batched on different threads at the same time:
-    // each report is the caller's own and equals what the same burn
-    // reports when run alone.
+    // Two tenants burning on different threads at the same time: each
+    // report is the caller's own and equals what the same burn reports
+    // when run alone.
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    const Workload small(net, 8, 4);
-    const Workload large(net, 16, 8);
+    const Workload small(net, Layout::PartialDensity, 8, 4);
+    const Workload large(net, Layout::PartialDensity, 16, 8);
     ReactOptions ho;
-    ho.batched = true;
     ho.batch.hybrid_cpu_tail = true;
     ho.batch.tail_factor = 4.0;
     ho.batch.tail_min_stiffness = 0.0;
@@ -281,68 +452,66 @@ TEST(ReactBatched, ConcurrentBurnsEachGetTheirOwnReport) {
     expectSame(rep_large, solo_large);
 }
 
-// --- Fault injection through the batched path ---------------------------
+// --- Fault injection through the driver ---------------------------------
 
 TEST(ReactBatched, EveryZoneFailingNamesTraversalFirstZone) {
     // An unbounded fault window fails every burn in both paths. The
-    // batched engine integrates in stiffness order, but first-failure
-    // attribution is defined in traversal order — both paths must name
-    // the same zone, and neither may write anything back.
+    // driver integrates in stiffness order, but first-failure attribution
+    // is defined in traversal order — both paths must name the same zone,
+    // and neither may write anything back.
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    Workload w(net);
-    ReactOptions so;
-    ReactOptions bo;
-    bo.batched = true;
-
+    const ReactOptions opt;
     fault::Spec forever;
     forever.start = 0;
     forever.count = 0; // unbounded
-    const auto expected = firstReactingZone(w.state, so);
-    ASSERT_TRUE(expected.valid);
+    for (Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        Workload w(net, layout);
+        const auto expected = firstReactingZone(w, net, opt);
+        ASSERT_TRUE(expected.valid);
 
-    auto serial = w.copy();
-    BurnGridStats ss;
-    {
-        fault::ScopedFault arm(fault::Site::BurnZoneFailure, forever);
-        ss = reactState(serial, net, eos, kDt, so);
-    }
-    auto batched = w.copy();
-    BurnGridStats bs;
-    {
-        fault::ScopedFault arm(fault::Site::BurnZoneFailure, forever);
-        bs = reactState(batched, net, eos, kDt, bo);
-    }
+        auto reference = w.copy();
+        BurnGridStats rs;
+        {
+            fault::ScopedFault arm(fault::Site::BurnZoneFailure, forever);
+            rs = burnReference(w, reference, net, eos, kDt, opt);
+        }
+        auto batched = w.copy();
+        BurnGridStats bs;
+        {
+            fault::ScopedFault arm(fault::Site::BurnZoneFailure, forever);
+            bs = burnDriver(w, batched, net, eos, kDt, opt);
+        }
 
-    for (const auto* st : {&ss, &bs}) {
-        EXPECT_GT(st->failures, 0);
-        ASSERT_TRUE(st->first_failure.valid);
-        EXPECT_EQ(st->first_failure.i, expected.i);
-        EXPECT_EQ(st->first_failure.j, expected.j);
-        EXPECT_EQ(st->first_failure.k, expected.k);
-        EXPECT_EQ(st->first_failure.fab, expected.fab);
-        EXPECT_EQ(st->first_failure.level, -1);
-        EXPECT_EQ(st->first_failure.rho, expected.rho);
-        EXPECT_EQ(st->first_failure.T, expected.T);
+        for (const auto* st : {&rs, &bs}) {
+            EXPECT_GT(st->failures, 0);
+            ASSERT_TRUE(st->first_failure.valid);
+            EXPECT_EQ(st->first_failure.i, expected.i);
+            EXPECT_EQ(st->first_failure.j, expected.j);
+            EXPECT_EQ(st->first_failure.k, expected.k);
+            EXPECT_EQ(st->first_failure.fab, expected.fab);
+            EXPECT_EQ(st->first_failure.level, -1);
+            EXPECT_EQ(st->first_failure.rho, expected.rho);
+            EXPECT_EQ(st->first_failure.T, expected.T);
+        }
+        expectStatsEqual(rs, bs);
+        // Failed zones are not scattered: the whole state is untouched.
+        expectBitIdentical(reference, w.state);
+        expectBitIdentical(batched, w.state);
     }
-    expectStatsEqual(ss, bs);
-    // Failed zones are not scattered: the whole state is untouched.
-    expectBitIdentical(serial, w.state);
-    expectBitIdentical(batched, w.state);
 }
 
 TEST(ReactBatched, SingleFaultFailsExactlyOneZoneAndLeavesItUntouched) {
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
     Workload w(net);
-    ReactOptions bo;
-    bo.batched = true;
 
     auto burned = w.copy();
     BurnGridStats bs;
     {
         fault::ScopedFault arm(fault::Site::BurnZoneFailure, fault::Spec{});
-        bs = reactState(burned, net, eos, kDt, bo);
+        bs = reactState(burned, net, eos, kDt, ReactOptions{});
     }
     EXPECT_EQ(bs.failures, 1);
     ASSERT_TRUE(bs.first_failure.valid);
@@ -365,31 +534,31 @@ TEST(ReactBatched, SingleFaultFailsExactlyOneZoneAndLeavesItUntouched) {
 // --- Cost accounting -----------------------------------------------------
 
 TEST(ReactBatched, WorkChannelMatchesSerialPerFab) {
-    // The load balancer's work channel (integrator steps per fab) must be
-    // the same whichever burn driver ran.
+    // The load balancer's work channel (integrator steps per fab) must
+    // equal the per-zone reference's.
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    Workload w(net);
-
     CostMonitorOptions co;
     co.metric = CostMetric::Work;
-    CostMonitor mon_s(co), mon_b(co);
+    for (Layout layout : kLayouts) {
+        SCOPED_TRACE(layoutName(layout));
+        Workload w(net, layout);
+        CostMonitor mon_r(co), mon_b(co);
 
-    auto serial = w.copy();
-    auto batched = w.copy();
-    ReactOptions bo;
-    bo.batched = true;
-    reactState(serial, net, eos, kDt, ReactOptions{}, &mon_s, 0);
-    reactState(batched, net, eos, kDt, bo, &mon_b, 0);
-    mon_s.commitStep(0);
-    mon_b.commitStep(0);
+        auto reference = w.copy();
+        auto batched = w.copy();
+        burnReference(w, reference, net, eos, kDt, ReactOptions{}, &mon_r);
+        burnDriver(w, batched, net, eos, kDt, ReactOptions{}, &mon_b);
+        mon_r.commitStep(0);
+        mon_b.commitStep(0);
 
-    const auto cs = mon_s.costs(0);
-    const auto cb = mon_b.costs(0);
-    ASSERT_EQ(cs.size(), w.state.size());
-    ASSERT_EQ(cb.size(), cs.size());
-    for (std::size_t f = 0; f < cs.size(); ++f) {
-        EXPECT_DOUBLE_EQ(cs[f], cb[f]) << "fab " << f;
+        const auto cr = mon_r.costs(0);
+        const auto cb = mon_b.costs(0);
+        ASSERT_EQ(cr.size(), w.state.size());
+        ASSERT_EQ(cb.size(), cr.size());
+        for (std::size_t f = 0; f < cr.size(); ++f) {
+            EXPECT_DOUBLE_EQ(cr[f], cb[f]) << "fab " << f;
+        }
     }
 }
 
@@ -404,7 +573,7 @@ TEST(ReactBatched, WdCollisionDriverEnablesBatchedHybridBurn) {
     ASSERT_TRUE(wd.network != nullptr);
     EXPECT_EQ(wd.network->name(), "aprox13");
     const auto& opt = wd.castro->options();
-    EXPECT_TRUE(opt.react.batched);
+    EXPECT_TRUE(opt.react.batch.sort_by_stiffness);
     EXPECT_TRUE(opt.react.batch.hybrid_cpu_tail);
     EXPECT_EQ(opt.rebalance.cost.metric, CostMetric::Hybrid);
 }

@@ -44,8 +44,9 @@ std::unique_ptr<Maestro> makeBubbleNoReact(int n) {
     p.ncell = n;
     p.max_grid_size = std::max(8, n / 2);
     p.do_react = false;
-    auto net_local = new ReactionNetwork(makeIgnitionSimple()); // kept alive
-    return p.build(*net_local);
+    // The Maestro keeps a reference to the network: give it static storage.
+    static const ReactionNetwork net = makeIgnitionSimple();
+    return p.build(net);
 }
 
 } // namespace

@@ -87,7 +87,10 @@ TEST_P(ConslinConservation, FineAverageEqualsCoarse) {
         for (int j = 0; j < 8; ++j)
             for (int i = 0; i < 8; ++i)
                 c(i, j, k) = std::sin(1.7 * i) * std::cos(0.9 * j) + 0.3 * k * k;
-    conslinInterp(f, Array4<const Real>(cdata.data(), cbox, 1), fbox, ratio, 0, 0, 1);
+    // Interpolate under the interior coarse zones only: their slopes read
+    // one coarse neighbour each way, and the coarse array has no ghosts.
+    conslinInterp(f, Array4<const Real>(cdata.data(), cbox, 1),
+                  refine(grow(cbox, -1), ratio), ratio, 0, 0, 1);
     // Conservation: fine average over each interior coarse zone == coarse.
     for (int k = 1; k < 7; ++k)
         for (int j = 1; j < 7; ++j)
