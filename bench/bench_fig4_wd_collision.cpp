@@ -157,11 +157,12 @@ int main() {
 
         // Reactions vs gravity (paper: reactions ~5x the gravity solve
         // after contact): burn kernel compute vs the Poisson multigrid at
-        // production scale.
+        // production scale. Every burn launch counts: BatchBurner names
+        // its launches nuclear_burn_batch, so match the prefix.
         {
             StepModel burn_only;
             for (const auto& k : step.kernels) {
-                if (std::string(k.info.name) == "nuclear_burn") {
+                if (std::string(k.info.name).rfind("nuclear_burn", 0) == 0) {
                     burn_only.kernels.push_back(k);
                 }
             }

@@ -20,7 +20,7 @@
 //     round-off despite the coarse level seeing r x fewer, larger steps.
 
 #include "bench_util.hpp"
-#include "castro/castro_amr.hpp"
+#include "castro/castro.hpp"
 #include "core/parallel_for.hpp"
 
 #include <cmath>
@@ -33,7 +33,7 @@ using namespace exa::castro;
 namespace {
 
 struct Blast {
-    std::unique_ptr<CastroAmr> amr;
+    std::unique_ptr<Castro> amr;
     ReactionNetwork net = makeIgnitionSimple();
 };
 
@@ -64,8 +64,8 @@ Blast makeBlast(int max_level, int ncell) {
         zn.X = {1.0, 0.0};
         return zn;
     };
-    CastroAmr::TagFn tag = [](int /*lev*/, const Geometry&, const MultiFab& s,
-                              MultiFab& tags) {
+    Castro::TagFn tag = [](int /*lev*/, const Geometry&, const MultiFab& s,
+                           MultiFab& tags) {
         const Real thresh = 1.0e-8;
         for (std::size_t f = 0; f < tags.size(); ++f) {
             auto t = tags.array(static_cast<int>(f));
@@ -77,8 +77,8 @@ Blast makeBlast(int max_level, int ncell) {
     };
 
     Eos eos{GammaLawEos{1.4}};
-    b.amr = std::make_unique<CastroAmr>(geom, info, b.net, eos, opt,
-                                        std::move(init), std::move(tag));
+    b.amr = std::make_unique<Castro>(geom, info, b.net, eos, opt,
+                                     std::move(init), std::move(tag));
     b.amr->init();
     return b;
 }
@@ -92,7 +92,7 @@ struct RunResult {
     int steps = 0;
 };
 
-RunResult runTo(CastroAmr& amr, Real t_end) {
+RunResult runTo(Castro& amr, Real t_end) {
     RunResult r;
     r.advances.assign(static_cast<std::size_t>(amr.finestLevel()) + 1, 0);
     const Real m0 = amr.totalMass();

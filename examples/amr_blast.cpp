@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     auto scenario = makeScenarioByName("amr-blast", cfg);
     scenario->init();
     auto& blast = dynamic_cast<AmrBlastScenario&>(*scenario);
-    CastroAmr& amr = blast.driver();
+    Castro& amr = blast.driver();
 
     std::printf("AMR blast: base %d^3 + %d refined level(s); level-1 covers "
                 "%.1f%% of the domain\n",

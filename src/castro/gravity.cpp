@@ -16,73 +16,101 @@ GravityType gravityTypeFromName(const std::string& name) {
     throw std::invalid_argument("unknown gravity type: " + name);
 }
 
-Gravity::Gravity(GravityType type, const Geometry& geom, int /*nspec*/)
-    : m_type(type), m_geom(geom) {
-    m_center = {0.5 * (geom.probLo(0) + geom.probHi(0)),
-                0.5 * (geom.probLo(1) + geom.probHi(1)),
-                0.5 * (geom.probLo(2) + geom.probHi(2))};
-}
+Gravity::Gravity(GravityType type) : m_type(type) {}
 
-void Gravity::solve(const MultiFab& state) {
+void Gravity::solve(const std::vector<Geometry>& geoms,
+                    const std::vector<const MultiFab*>& states, int ref_ratio) {
     if (m_type == GravityType::None) return;
-    if (!m_defined) {
-        m_g.define(state.boxArray(), state.distributionMap(), 3, 0);
-        if (m_type == GravityType::Poisson) {
-            m_phi.define(state.boxArray(), state.distributionMap(), 1, 1);
-            m_phi.setVal(0.0);
+    const std::size_t nlev = m_type == GravityType::Monopole ? 1 : states.size();
+    if (m_dirty) {
+        m_phi.clear();
+        m_g.clear();
+        m_phi.resize(nlev);
+        m_g.resize(nlev);
+        std::vector<BoxArray> bas;
+        std::vector<DistributionMapping> dms;
+        for (std::size_t l = 0; l < nlev; ++l) {
+            bas.push_back(states[l]->boxArray());
+            dms.push_back(states[l]->distributionMap());
+            m_g[l].define(bas[l], dms[l], 3, 0);
         }
-        m_defined = true;
+        if (m_type == GravityType::Poisson) {
+            for (std::size_t l = 0; l < nlev; ++l) {
+                m_phi[l].define(bas[l], dms[l], 1, 1);
+                m_phi[l].setVal(0.0);
+            }
+            CompositeMgOptions opt;
+            opt.rtol = 1.0e-10;
+            opt.nranks = dms[0].numRanks();
+            m_cmg = std::make_unique<CompositeMg>(
+                std::vector<Geometry>(geoms.begin(), geoms.begin() + nlev),
+                std::move(bas), std::move(dms), ref_ratio, MgBC::Dirichlet, opt);
+        }
+        m_dirty = false;
     }
     if (m_type == GravityType::Monopole) {
-        solveMonopole(state);
-    } else {
-        solvePoisson(state);
+        solveMonopole(geoms[0], *states[0]);
+        return;
+    }
+
+    // rhs[lev] = 4 pi G rho on each level's own layout.
+    std::vector<MultiFab> rhs(nlev);
+    std::vector<MultiFab*> phi_ptrs(nlev);
+    std::vector<const MultiFab*> rhs_ptrs(nlev);
+    for (std::size_t l = 0; l < nlev; ++l) {
+        rhs[l].define(states[l]->boxArray(), states[l]->distributionMap(), 1, 0);
+        for (std::size_t f = 0; f < rhs[l].size(); ++f) {
+            auto r = rhs[l].array(static_cast<int>(f));
+            auto u = states[l]->const_array(static_cast<int>(f));
+            ParallelFor(rhs[l].box(static_cast<int>(f)), [=](int i, int j, int k) {
+                r(i, j, k) = 4.0 * constants::pi * constants::G_newton *
+                             u(i, j, k, StateLayout::URHO);
+            });
+        }
+        phi_ptrs[l] = &m_phi[l];
+        rhs_ptrs[l] = &rhs[l];
+    }
+
+    const CompositeMgResult res = m_cmg->solve(phi_ptrs, rhs_ptrs);
+    m_totals.vcycles += res.all_vcycles;
+    m_totals.fmg_cycles += res.fmg_cycles;
+    m_totals.sweeps += res.sweeps;
+    m_totals.agg_copies += res.agg_copies;
+    m_totals.agg_bytes += res.agg_bytes;
+
+    // Ghosts for the gradient stencil: same-level exchange, coarse-fine
+    // interpolation, physical BC.
+    m_cmg->fillCompositeGhosts(phi_ptrs);
+    for (std::size_t l = 0; l < nlev; ++l) {
+        computeGravityAccel(m_phi[l], m_g[l], geoms[l]);
     }
 }
 
-std::vector<MultiFab*> Gravity::rebalanceFabs() {
-    std::vector<MultiFab*> fabs;
-    if (!m_defined) return fabs;
-    fabs.push_back(&m_g);
-    if (m_type == GravityType::Poisson) fabs.push_back(&m_phi);
-    return fabs;
-}
-
-MgEvent Gravity::mgTotals() const {
-    MgEvent e;
-    if (m_cmg) {
-        const CompositeMgStats& s = m_cmg->stats();
-        e.fmg_cycles = s.fmg_cycles;
-        e.vcycles = s.vcycles;
-        e.sweeps = s.sweeps;
-        e.agg_copies = s.agg_copies;
-        e.agg_bytes = s.agg_bytes;
-    }
-    return e;
-}
-
-void Gravity::solveMonopole(const MultiFab& state) {
-    // Radial mass histogram about the center.
-    const Real dx = m_geom.cellSize(0);
+void Gravity::solveMonopole(const Geometry& geom, const MultiFab& state) {
+    // Radial mass histogram about the domain center.
+    const std::array<Real, 3> center = {0.5 * (geom.probLo(0) + geom.probHi(0)),
+                                        0.5 * (geom.probLo(1) + geom.probHi(1)),
+                                        0.5 * (geom.probLo(2) + geom.probHi(2))};
+    const Real dx = geom.cellSize(0);
     const Real rmax =
         0.5 * std::sqrt(3.0) *
-        std::max({m_geom.probHi(0) - m_geom.probLo(0),
-                  m_geom.probHi(1) - m_geom.probLo(1),
-                  m_geom.probHi(2) - m_geom.probLo(2)});
-    const int nbins = std::max(16, m_geom.domain().length(0));
+        std::max({geom.probHi(0) - geom.probLo(0),
+                  geom.probHi(1) - geom.probLo(1),
+                  geom.probHi(2) - geom.probLo(2)});
+    const int nbins = std::max(16, geom.domain().length(0));
     const Real dr = rmax / nbins;
     std::vector<Real> mass(nbins, 0.0);
 
-    const Real vol = m_geom.cellVolume();
+    const Real vol = geom.cellVolume();
     for (std::size_t f = 0; f < state.size(); ++f) {
         auto u = state.const_array(static_cast<int>(f));
         const Box& vb = state.box(static_cast<int>(f));
         for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k) {
             for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j) {
                 for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                    const Real x = m_geom.cellCenter(0, i) - m_center[0];
-                    const Real y = m_geom.cellCenter(1, j) - m_center[1];
-                    const Real z = m_geom.cellCenter(2, k) - m_center[2];
+                    const Real x = geom.cellCenter(0, i) - center[0];
+                    const Real y = geom.cellCenter(1, j) - center[1];
+                    const Real z = geom.cellCenter(2, k) - center[2];
                     const Real r = std::sqrt(x * x + y * y + z * z);
                     const int b = std::min(static_cast<int>(r / dr), nbins - 1);
                     mass[b] += u(i, j, k, StateLayout::URHO) * vol;
@@ -95,14 +123,10 @@ void Gravity::solveMonopole(const MultiFab& state) {
     for (int b = 0; b < nbins; ++b) menc[b + 1] = menc[b] + mass[b];
 
     const Real* mencp = menc.data();
-    const Geometry geom = m_geom;
-    const auto center = m_center;
-    for (std::size_t f = 0; f < m_g.size(); ++f) {
-        auto g = m_g.array(static_cast<int>(f));
-        auto u = state.const_array(static_cast<int>(f));
-        (void)u;
+    for (std::size_t f = 0; f < m_g[0].size(); ++f) {
+        auto g = m_g[0].array(static_cast<int>(f));
         ParallelFor(KernelInfo{"grav_monopole", 40.0, 48.0, 48, 1.0},
-                    m_g.box(static_cast<int>(f)), [=](int i, int j, int k) {
+                    m_g[0].box(static_cast<int>(f)), [=](int i, int j, int k) {
                         const Real x = geom.cellCenter(0, i) - center[0];
                         const Real y = geom.cellCenter(1, j) - center[1];
                         const Real z = geom.cellCenter(2, k) - center[2];
@@ -166,52 +190,9 @@ void applyGravitySource(MultiFab& state, const MultiFab& g, Real dt) {
     }
 }
 
-namespace {
-
-// rhs = 4 pi G rho on the state's layout.
-MultiFab makeGravityRhs(const MultiFab& state) {
-    MultiFab rhs(state.boxArray(), state.distributionMap(), 1, 0);
-    for (std::size_t f = 0; f < rhs.size(); ++f) {
-        auto r = rhs.array(static_cast<int>(f));
-        auto u = state.const_array(static_cast<int>(f));
-        ParallelFor(rhs.box(static_cast<int>(f)), [=](int i, int j, int k) {
-            r(i, j, k) = 4.0 * constants::pi * constants::G_newton *
-                         u(i, j, k, StateLayout::URHO);
-        });
-    }
-    return rhs;
-}
-
-} // namespace
-
-void Gravity::solvePoisson(const MultiFab& state) {
-    // The composite solver captures the layout at construction; a
-    // rebalance migrates the state (and m_phi/m_g with it), so rebuild on
-    // any layout-id change. Solves are cold, so a rebuild costs setup
-    // only — the answer is unchanged.
-    if (!m_cmg || m_cmg_ba_id != state.boxArray().id() ||
-        m_cmg_dm_id != state.distributionMap().id()) {
-        CompositeMgOptions opt;
-        opt.rtol = 1.0e-10;
-        opt.nranks = state.distributionMap().numRanks();
-        m_cmg = std::make_unique<CompositeMg>(
-            std::vector<Geometry>{m_geom},
-            std::vector<BoxArray>{state.boxArray()},
-            std::vector<DistributionMapping>{state.distributionMap()}, 2,
-            MgBC::Dirichlet, opt);
-        m_cmg_ba_id = state.boxArray().id();
-        m_cmg_dm_id = state.distributionMap().id();
-    }
-    MultiFab rhs = makeGravityRhs(state);
-    auto res = m_cmg->solve({&m_phi}, {&rhs});
-    m_last_vcycles = res.vcycles;
-    m_cmg->fillCompositeGhosts({&m_phi});
-    computeGravityAccel(m_phi, m_g, m_geom);
-}
-
-void Gravity::addSource(MultiFab& state, Real dt) const {
+void Gravity::addSource(int lev, MultiFab& state, Real dt) const {
     if (m_type == GravityType::None) return;
-    applyGravitySource(state, m_g, dt);
+    applyGravitySource(state, m_g[lev], dt);
 }
 
 } // namespace exa::castro

@@ -6,23 +6,22 @@
 #include "microphysics/network.hpp"
 #include "solvers/mg/composite_mg.hpp"
 
-#include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace exa::castro {
 
 // Self-gravity for Castro-mini. Two solvers, as in Castro:
-//   * Monopole: spherically averaged mass profile about a center;
-//     g(r) = -G M(<r) / r^2. Cheap, exact for spherical stars; used for
-//     the early (free-fall) phase sanity checks.
+//   * Monopole: spherically averaged mass profile about the domain
+//     center; g(r) = -G M(<r) / r^2. Cheap, exact for spherical stars;
+//     used for the early (free-fall) phase sanity checks. One level only.
 //   * Poisson: lap(phi) = 4 pi G rho with homogeneous Dirichlet boundaries
 //     (the domain is assumed to extend well beyond the mass), solved by
 //     the composite-grid FMG solver (CompositeMg) — the "global linear
 //     solve similar to [the multigrid solve], though a little easier" of
-//     Section V. On the single-level driver the hierarchy is one AMR rung
-//     plus the geometric ladder below; CastroAmr couples every AMR level
-//     into one solve (AmrGravity).
+//     Section V. One solve couples every AMR level; a single-level run is
+//     one AMR rung plus the geometric ladder below.
 enum class GravityType { None, Monopole, Poisson };
 
 // Parse a config-file gravity name: "none", "monopole", "poisson". The
@@ -40,50 +39,51 @@ void computeGravityAccel(const MultiFab& phi, MultiFab& g, const Geometry& geom)
 // 3-component acceleration field on the state's layout.
 void applyGravitySource(MultiFab& state, const MultiFab& g, Real dt);
 
+// The Castro driver's gravity: the potential or monopole field is solved
+// once per coarse step and the resulting acceleration applied as an
+// operator-split source at every level advance within that step.
+//
+// The fabs and the Poisson solver capture the hierarchy's layouts; the
+// driver calls noteRegrid() whenever a regrid, rebalance, or restore
+// changes them, and the next solve() rebuilds. Solves are cold (initial
+// guess 0), so the field is a pure function of the density — gravity is
+// bit-identical across regrids, rebalances, and rank-failure replay.
 class Gravity {
 public:
-    Gravity(GravityType type, const Geometry& geom, int nspec);
+    explicit Gravity(GravityType type);
 
-    // Recompute the acceleration field (3 components) from the state.
-    void solve(const MultiFab& state);
+    // Recompute the acceleration of levels 0..n-1 from their conserved
+    // states (geoms: the level geometries; ref_ratio: the uniform
+    // fine/coarse ratio). Monopole reads level 0 only.
+    void solve(const std::vector<Geometry>& geoms,
+               const std::vector<const MultiFab*>& states, int ref_ratio);
 
-    const MultiFab& accel() const { return m_g; }
+    // Acceleration of level lev (3 components, on the state's layout)
+    // from the last solve. Valid until the next layout change.
+    const MultiFab& accel(int lev) const { return m_g[lev]; }
 
-    // Apply the gravitational source over dt: momentum and energy.
-    void addSource(MultiFab& state, Real dt) const;
+    // Operator-split gravity source on level lev's state over dt:
+    // momentum and energy.
+    void addSource(int lev, MultiFab& state, Real dt) const;
 
-    // Center for the monopole solver (defaults to the domain center).
-    void setCenter(const std::array<Real, 3>& c) { m_center = c; }
+    // The hierarchy's layouts changed (regrid / rebalance / restore):
+    // rebuild the fabs and the solver on the next solve.
+    void noteRegrid() { m_dirty = true; }
 
-    // V-cycles of the last Poisson solve (performance accounting).
-    int lastVcycles() const { return m_last_vcycles; }
-
-    // Lifetime MG counters of the Poisson solver (zeros for the other
-    // gravity types); feeds the supervisor / ensemble summaries.
-    MgEvent mgTotals() const;
-
-    // The fabs living on the state's layout that must migrate with it
-    // when the load balancer redistributes (empty until the first solve
-    // defines them). Poisson solves are cold, so phi is a pure function
-    // of the density and none of these fabs carries trajectory state.
-    std::vector<MultiFab*> rebalanceFabs();
-
-    GravityType type() const { return m_type; }
+    // Lifetime MG counters of the Poisson solves (zeros for the other
+    // gravity types), accumulated across rebuilds; feeds the supervisor /
+    // ensemble summaries.
+    MgEvent mgTotals() const { return m_totals; }
 
 private:
-    void solveMonopole(const MultiFab& state);
-    void solvePoisson(const MultiFab& state);
+    void solveMonopole(const Geometry& geom, const MultiFab& state);
 
     GravityType m_type;
-    Geometry m_geom;
-    MultiFab m_g;   // acceleration, 3 components, on the state's BoxArray
-    MultiFab m_phi; // potential (Poisson only)
-    std::unique_ptr<CompositeMg> m_cmg; // Poisson; rebuilt on layout change
-    std::uint64_t m_cmg_ba_id = 0;
-    std::uint64_t m_cmg_dm_id = 0;
-    std::array<Real, 3> m_center;
-    int m_last_vcycles = 0;
-    bool m_defined = false;
+    bool m_dirty = true;
+    std::unique_ptr<CompositeMg> m_cmg; // Poisson only
+    std::vector<MultiFab> m_phi;        // Poisson; 1 ghost (gradient stencil)
+    std::vector<MultiFab> m_g;          // acceleration, 3 components
+    MgEvent m_totals;
 };
 
 } // namespace exa::castro

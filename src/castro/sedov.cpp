@@ -8,18 +8,15 @@ std::unique_ptr<Castro> SedovParams::build(const ReactionNetwork& net) const {
     const SedovParams& p = *this;
     Box domain({0, 0, 0}, {p.ncell - 1, p.ncell - 1, p.ncell - 1});
     Geometry geom(domain, {0, 0, 0}, {1, 1, 1});
-    BoxArray ba(domain);
-    ba.maxSize(p.max_grid_size);
-    DistributionMapping dm(ba, p.nranks);
+    AmrInfo info;
+    info.max_grid_size = p.max_grid_size;
+    info.nranks = p.nranks;
 
     CastroOptions opt;
     opt.cfl = p.cfl;
     opt.bc = DomainBC::allOutflow();
     opt.guard = p.guard;
     opt.rebalance = p.rebalance;
-
-    Eos eos{GammaLawEos{p.gamma}};
-    auto castro = std::make_unique<Castro>(geom, ba, dm, net, eos, opt);
 
     const Real r_init = p.r_init > 0 ? p.r_init : 2.0 * geom.cellSize(0);
     // Deposited energy spread uniformly over the initial sphere.
@@ -29,7 +26,7 @@ std::unique_ptr<Castro> SedovParams::build(const ReactionNetwork& net) const {
     const Real p_in = (gamma - 1.0) * p.rho0 * e_in;
     const int nspec = net.nspec();
 
-    castro->initialize([=](Real x, Real y, Real z) {
+    Castro::InitFn init = [=](Real x, Real y, Real z) {
         Castro::InitialZone zn;
         zn.rho = p.rho0;
         const Real r = std::sqrt((x - 0.5) * (x - 0.5) + (y - 0.5) * (y - 0.5) +
@@ -38,7 +35,10 @@ std::unique_ptr<Castro> SedovParams::build(const ReactionNetwork& net) const {
         zn.X.assign(nspec, 0.0);
         zn.X[0] = 1.0;
         return zn;
-    });
+    };
+    auto castro = std::make_unique<Castro>(geom, info, net, Eos{GammaLawEos{p.gamma}},
+                                           opt, std::move(init));
+    castro->init();
     return castro;
 }
 

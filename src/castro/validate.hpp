@@ -12,7 +12,7 @@ namespace exa::castro {
 // Post-step validation of a conserved (StateLayout) state against the
 // StepGuard thresholds: NaN/Inf, density and energy floors, species-sum
 // drift, and burn failures above the tolerated fraction. Shared by the
-// Castro, CastroAmr, and Maestro drivers' validate callbacks.
+// Castro and Maestro drivers' validate callbacks.
 ValidationReport validateState(const MultiFab& state, int nspec,
                                const StepGuardOptions& opt,
                                const BurnGridStats* burn = nullptr,

@@ -110,9 +110,9 @@ WdCollision WdCollisionParams::build(const ReactionNetwork& net) const {
     const Real L = p.domain_width;
     Box domain({0, 0, 0}, {p.ncell - 1, p.ncell - 1, p.ncell - 1});
     Geometry geom(domain, {-0.5 * L, -0.5 * L, -0.5 * L}, {0.5 * L, 0.5 * L, 0.5 * L});
-    BoxArray ba(domain);
-    ba.maxSize(p.max_grid_size);
-    DistributionMapping dm(ba, p.nranks);
+    AmrInfo info;
+    info.max_grid_size = p.max_grid_size;
+    info.nranks = p.nranks;
 
     CastroOptions opt;
     opt.cfl = p.cfl;
@@ -131,12 +131,10 @@ WdCollision WdCollisionParams::build(const ReactionNetwork& net) const {
     // measured wall time) balances best on this workload (E9 calibration).
     opt.rebalance.cost.metric = CostMetric::Hybrid;
 
-    out.castro = std::make_unique<Castro>(geom, ba, dm, net, eos, opt);
-
     const Real xc = 0.5 * p.separation_in_diameters * (2.0 * out.profile.radius);
     const WdProfile& prof = out.profile;
     const Real vx = p.approach_velocity;
-    out.castro->initialize([&, vx, xc](Real x, Real y, Real z) {
+    Castro::InitFn init = [=](Real x, Real y, Real z) {
         Castro::InitialZone zn;
         zn.X = Xstar;
         const Real r1 = std::sqrt((x + xc) * (x + xc) + y * y + z * z);
@@ -156,7 +154,9 @@ WdCollision WdCollisionParams::build(const ReactionNetwork& net) const {
             zn.T = p.ambient_T;
         }
         return zn;
-    });
+    };
+    out.castro = std::make_unique<Castro>(geom, info, net, eos, opt, std::move(init));
+    out.castro->init();
     return out;
 }
 

@@ -27,7 +27,7 @@ RunLimits limitsFromConfig(const ScenarioConfig& cfg, int default_steps) {
 
 // --- AmrBlastParams ------------------------------------------------------
 
-std::unique_ptr<castro::CastroAmr>
+std::unique_ptr<castro::Castro>
 AmrBlastParams::build(const ReactionNetwork& net) const {
     using namespace castro;
     Box dom({0, 0, 0}, {ncell - 1, ncell - 1, ncell - 1});
@@ -57,8 +57,8 @@ AmrBlastParams::build(const ReactionNetwork& net) const {
         return zn;
     };
     const Real T_tag = tag_temp;
-    CastroAmr::TagFn tag = [T_tag](int, const Geometry&, const MultiFab& s,
-                                   MultiFab& tags) {
+    Castro::TagFn tag = [T_tag](int, const Geometry&, const MultiFab& s,
+                                MultiFab& tags) {
         for (std::size_t f = 0; f < tags.size(); ++f) {
             auto t = tags.array(static_cast<int>(f));
             auto u = s.const_array(static_cast<int>(f));
@@ -69,7 +69,7 @@ AmrBlastParams::build(const ReactionNetwork& net) const {
     };
 
     Eos eos{GammaLawEos{1.4}};
-    auto amr = std::make_unique<CastroAmr>(geom, info, net, eos, opt, init, tag);
+    auto amr = std::make_unique<Castro>(geom, info, net, eos, opt, init, tag);
     amr->regrid_interval = regrid_interval;
     amr->init();
     return amr;

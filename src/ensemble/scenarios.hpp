@@ -1,6 +1,6 @@
 #pragma once
 
-#include "castro/castro_amr.hpp"
+#include "castro/castro.hpp"
 #include "castro/sedov.hpp"
 #include "castro/wd_collision.hpp"
 #include "ensemble/registry.hpp"
@@ -29,9 +29,9 @@ struct AmrBlastParams {
     // coupling every AMR level).
     castro::GravityType gravity = castro::GravityType::None;
 
-    // Build a subcycled CastroAmr hierarchy initialized with the blast
+    // Build a subcycled Castro hierarchy initialized with the blast
     // (PPM reconstruction, outflow boundaries) and init() it.
-    std::unique_ptr<castro::CastroAmr> build(const ReactionNetwork& net) const;
+    std::unique_ptr<castro::Castro> build(const ReactionNetwork& net) const;
 };
 
 // --- The built-in scenarios ----------------------------------------------
@@ -116,13 +116,13 @@ public:
     std::uint32_t stateCrc() const override;
     std::string summary() const override;
 
-    castro::CastroAmr& driver() { return *m_amr; }
+    castro::Castro& driver() { return *m_amr; }
     const AmrBlastParams& params() const { return m_params; }
 
 private:
     AmrBlastParams m_params;
     ReactionNetwork m_net;
-    std::unique_ptr<castro::CastroAmr> m_amr;
+    std::unique_ptr<castro::Castro> m_amr;
 };
 
 class WdCollisionScenario final : public Scenario {

@@ -39,7 +39,7 @@ public:
     int refRatio() const { return m_info.ref_ratio; }
     const AmrInfo& info() const { return m_info; }
 
-    const Geometry& geom(int lev) const { return m_geom[lev]; }
+    const Geometry& geom(int lev = 0) const { return m_geom[lev]; }
     const BoxArray& boxArray(int lev) const { return m_ba[lev]; }
     const DistributionMapping& distributionMap(int lev) const { return m_dm[lev]; }
 

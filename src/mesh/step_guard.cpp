@@ -8,7 +8,7 @@
 namespace exa {
 
 namespace {
-// Depth of nested StepGuard::advance() calls (CastroAmr guards all
+// Depth of nested StepGuard::advance() calls (Castro guards all
 // levels in one scope; the counter tolerates nesting anyway).
 std::atomic<int> g_advance_depth{0};
 

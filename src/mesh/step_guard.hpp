@@ -17,7 +17,7 @@
 //                flagged in RetryStats::degraded)
 //
 // The engine is physics-agnostic: drivers supply snapshot/restore/
-// advance/validate/degrade callbacks so Castro, CastroAmr, and Maestro
+// advance/validate/degrade callbacks so Castro and Maestro
 // share one retry loop. Exceptions thrown by the advance callback (e.g.
 // an injected arena allocation failure) are treated as failed attempts,
 // not crashes: the snapshot restore makes them recoverable.

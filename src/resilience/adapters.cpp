@@ -11,13 +11,21 @@ SupervisedDriver makeSupervisedDriver(castro::Castro& c) {
     d.stepCount = [&c] { return c.stepCount(); };
     d.resetTime = [&c](Real t, int n) { c.resetTime(t, n); };
     d.fields = [&c] {
-        CheckpointField f;
-        f.mf = &c.state();
-        f.geom = c.geom();
-        f.name = "state";
-        f.companions = c.gravity().rebalanceFabs();
-        return std::vector<CheckpointField>{f};
+        std::vector<CheckpointField> out;
+        for (int lev = 0; lev <= c.finestLevel(); ++lev) {
+            CheckpointField f;
+            f.mf = &c.state(lev);
+            f.geom = c.geom(lev);
+            f.name = "state_lev" + std::to_string(lev);
+            out.push_back(std::move(f));
+        }
+        return out;
     };
+    d.remakeForRestore =
+        [&c](const std::vector<std::vector<Box>>& boxes,
+             const std::function<DistributionMapping(const BoxArray&, int)>&
+                 dmBuilder) { c.remakeForRestore(boxes, dmBuilder); };
+    d.postRestore = [&c] { c.finishRestore(); };
     d.retryStats = [&c] { return &c.retryStats(); };
     d.mgStats = [&c] { return c.gravity().mgTotals(); };
     return d;
@@ -43,35 +51,6 @@ SupervisedDriver makeSupervisedDriver(maestro::Maestro& m) {
         return out;
     };
     d.retryStats = [&m] { return &m.retryStats(); };
-    return d;
-}
-
-SupervisedDriver makeSupervisedDriver(castro::CastroAmr& a) {
-    SupervisedDriver d;
-    d.name = "castro-amr";
-    d.estimateDt = [&a] { return a.estimateDt(); };
-    d.step = [&a](Real dt) { a.step(dt); };
-    d.time = [&a] { return a.time(); };
-    d.stepCount = [&a] { return a.stepCount(); };
-    d.resetTime = [&a](Real t, int n) { a.resetTime(t, n); };
-    d.fields = [&a] {
-        std::vector<CheckpointField> out;
-        for (int lev = 0; lev <= a.finestLevel(); ++lev) {
-            CheckpointField f;
-            f.mf = &a.state(lev);
-            f.geom = a.geom(lev);
-            f.name = "state_lev" + std::to_string(lev);
-            out.push_back(std::move(f));
-        }
-        return out;
-    };
-    d.remakeForRestore =
-        [&a](const std::vector<std::vector<Box>>& boxes,
-             const std::function<DistributionMapping(const BoxArray&, int)>&
-                 dmBuilder) { a.remakeForRestore(boxes, dmBuilder); };
-    d.postRestore = [&a] { a.finishRestore(); };
-    d.retryStats = [&a] { return &a.retryStats(); };
-    d.mgStats = [&a] { return a.mgTotals(); };
     return d;
 }
 

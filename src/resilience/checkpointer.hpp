@@ -40,14 +40,13 @@
 
 namespace exa::resilience {
 
-// One driver-owned MultiFab to persist, plus live-only companions that
-// must follow it through a shrink redistribution but are rebuildable and
-// therefore not persisted (e.g. Castro's gravity acceleration fab).
+// One driver-owned MultiFab to persist. Fabs a driver can rebuild from
+// its fields (e.g. Castro's gravity) are not persisted; the driver's
+// postRestore hook rebuilds them on the restored layout.
 struct CheckpointField {
     MultiFab* mf = nullptr;
     Geometry geom;
     std::string name; // slot subdirectory (e.g. "state", "phi", "state_lev1")
-    std::vector<MultiFab*> companions;
 };
 
 // A field staged into host buffers, with the rank that owned each fab at

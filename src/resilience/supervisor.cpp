@@ -161,13 +161,9 @@ void ResilienceSupervisor::killRank(int victim) {
     const Real nan = std::numeric_limits<Real>::quiet_NaN();
     std::vector<CheckpointField> fields = m_driver.fields();
     for (CheckpointField& f : fields) {
-        std::vector<MultiFab*> fabs{f.mf};
-        fabs.insert(fabs.end(), f.companions.begin(), f.companions.end());
-        for (MultiFab* mf : fabs) {
-            const DistributionMapping& dm = mf->distributionMap();
-            for (std::size_t i = 0; i < mf->size(); ++i) {
-                if (dm[i] == victim) mf->fab(static_cast<int>(i)).setVal(nan);
-            }
+        const DistributionMapping& dm = f.mf->distributionMap();
+        for (std::size_t i = 0; i < f.mf->size(); ++i) {
+            if (dm[i] == victim) f.mf->fab(static_cast<int>(i)).setVal(nan);
         }
     }
 }
@@ -192,20 +188,15 @@ DistributionMapping ResilienceSupervisor::shrinkMapping(const BoxArray& ba) cons
 
 void ResilienceSupervisor::shrinkFields(std::vector<CheckpointField>& fields) {
     // One shrink mapping per distinct BoxArray, so fields sharing a layout
-    // (state + phi + divu; state + gravity) land on identical mappings and
-    // stay co-located.
+    // (state + phi + divu) land on identical mappings and stay co-located.
     std::map<std::uint64_t, DistributionMapping> built;
     for (CheckpointField& f : fields) {
-        std::vector<MultiFab*> fabs{f.mf};
-        fabs.insert(fabs.end(), f.companions.begin(), f.companions.end());
-        for (MultiFab* mf : fabs) {
-            const BoxArray& ba = mf->boxArray();
-            auto it = built.find(ba.id());
-            if (it == built.end()) {
-                it = built.emplace(ba.id(), shrinkMapping(ba)).first;
-            }
-            mf->Redistribute(it->second, "recovery");
+        const BoxArray& ba = f.mf->boxArray();
+        auto it = built.find(ba.id());
+        if (it == built.end()) {
+            it = built.emplace(ba.id(), shrinkMapping(ba)).first;
         }
+        f.mf->Redistribute(it->second, "recovery");
     }
 }
 

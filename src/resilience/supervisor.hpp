@@ -3,7 +3,7 @@
 // The resilience supervisor: closes the loop from fault to recovery.
 //
 // A SupervisedDriver is a callback bundle over one simulation driver
-// (Castro, CastroAmr, Maestro — adapters.hpp builds them). The supervisor
+// (Castro, Maestro — adapters.hpp builds them). The supervisor
 // owns the run loop: before each step it consults the Daly-scheduled
 // AsyncCheckpointer; after each step its heartbeat consults the
 // `rank-failure` fault site. When a modeled rank dies the supervisor
@@ -54,7 +54,7 @@ struct SupervisedDriver {
         const std::function<DistributionMapping(const BoxArray&, int)>&)>
         remakeForRestore;
     // Optional: driver fixup after all fields hold restored data and
-    // resetTime has run (CastroAmr::finishRestore).
+    // resetTime has run (Castro::finishRestore).
     std::function<void()> postRestore;
     // Optional: the driver's StepGuard retry stats, for the report.
     std::function<const RetryStats*()> retryStats;
@@ -131,7 +131,7 @@ private:
     // Cost-weighted mapping over the surviving ranks for `ba` (packed
     // knapsack/SFC build remapped onto alive rank ids).
     DistributionMapping shrinkMapping(const BoxArray& ba) const;
-    // Redistribute every field (and companions) onto shrink mappings,
+    // Redistribute every field onto shrink mappings,
     // reusing one mapping per distinct live layout.
     void shrinkFields(std::vector<CheckpointField>& fields);
     std::vector<int> aliveList() const;

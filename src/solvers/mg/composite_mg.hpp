@@ -83,7 +83,7 @@ struct CompositeMgStats {
 class CompositeMg {
 public:
     // geoms/bas/dms describe the AMR hierarchy, index 0 = coarsest AMR
-    // level (CastroAmr ordering); ref_ratio is the uniform fine/coarse
+    // level (Castro ordering); ref_ratio is the uniform fine/coarse
     // ratio between consecutive AMR levels. Layouts are captured by value:
     // after a regrid, build a new CompositeMg.
     CompositeMg(std::vector<Geometry> geoms, std::vector<BoxArray> bas,

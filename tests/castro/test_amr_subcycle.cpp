@@ -1,8 +1,9 @@
-#include "castro/castro_amr.hpp"
+#include "castro/castro.hpp"
 #include "castro/hydro.hpp"
 #include "castro/sedov.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
+#include "core/timer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ using namespace exa::castro;
 namespace {
 
 struct AmrBlast {
-    std::unique_ptr<CastroAmr> amr;
+    std::unique_ptr<Castro> amr;
     ReactionNetwork net = makeIgnitionSimple();
 };
 
@@ -54,8 +55,8 @@ AmrBlast makeBlast(int max_level, bool periodic, int ncell = 16,
         zn.X = {1.0, 0.0};
         return zn;
     };
-    CastroAmr::TagFn tag = [](int /*lev*/, const Geometry&, const MultiFab& s,
-                              MultiFab& tags) {
+    Castro::TagFn tag = [](int /*lev*/, const Geometry&, const MultiFab& s,
+                           MultiFab& tags) {
         const Real thresh = 1.0e-8;
         for (std::size_t f = 0; f < tags.size(); ++f) {
             auto t = tags.array(static_cast<int>(f));
@@ -67,8 +68,8 @@ AmrBlast makeBlast(int max_level, bool periodic, int ncell = 16,
     };
 
     Eos eos{GammaLawEos{1.4}};
-    b.amr = std::make_unique<CastroAmr>(geom, info, b.net, eos, opt,
-                                        std::move(init), std::move(tag));
+    b.amr = std::make_unique<Castro>(geom, info, b.net, eos, opt,
+                                     std::move(init), std::move(tag));
     b.amr->init();
     return b;
 }
@@ -106,8 +107,8 @@ AmrBlast makeFlow(int ncell = 16) {
     // direction ([4..11] at ncell = 16), so the coarse/fine interface
     // sits at the same physical location at every resolution.
     const int tlo = ncell / 4, thi = 3 * ncell / 4 - 1;
-    CastroAmr::TagFn tag = [=](int /*lev*/, const Geometry&, const MultiFab&,
-                               MultiFab& tags) {
+    Castro::TagFn tag = [=](int /*lev*/, const Geometry&, const MultiFab&,
+                            MultiFab& tags) {
         for (std::size_t f = 0; f < tags.size(); ++f) {
             auto t = tags.array(static_cast<int>(f));
             ParallelFor(tags.box(static_cast<int>(f)), [=](int i, int j, int k) {
@@ -119,8 +120,8 @@ AmrBlast makeFlow(int ncell = 16) {
     };
 
     Eos eos{GammaLawEos{1.4}};
-    b.amr = std::make_unique<CastroAmr>(geom, info, b.net, eos, opt,
-                                        std::move(init), std::move(tag));
+    b.amr = std::make_unique<Castro>(geom, info, b.net, eos, opt,
+                                     std::move(init), std::move(tag));
     b.amr->regrid_interval = 0;
     b.amr->init();
     return b;
@@ -283,7 +284,7 @@ TEST(MolRhsFluxes, DivergenceMatchesUpdateOnEveryBackend) {
 }
 
 TEST(CastroGhosts, StateGhostsEqualStencilWidth) {
-    // Castro and every CastroAmr level carry exactly the ghost zones the
+    // Castro and every level of the hierarchy carry exactly the ghost zones the
     // reconstruction stencil reads — also after a regrid remakes a level.
     for (const Reconstruction recon : {Reconstruction::PLM, Reconstruction::PPM}) {
         SCOPED_TRACE(static_cast<int>(recon));
@@ -299,13 +300,16 @@ TEST(CastroGhosts, StateGhostsEqualStencilWidth) {
 
         Box dom({0, 0, 0}, {7, 7, 7});
         Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
-        BoxArray ba(dom);
-        DistributionMapping dm(ba, 1);
         CastroOptions opt;
         opt.bc = DomainBC::allPeriodic();
         opt.reconstruction = recon;
         Eos eos{GammaLawEos{1.4}};
-        Castro c(geom, ba, dm, b.net, eos, opt);
+        Castro c(geom, AmrInfo{}, b.net, eos, opt, [](Real, Real, Real) {
+            Castro::InitialZone z;
+            z.X = {1.0, 0.0};
+            return z;
+        });
+        c.init();
         EXPECT_EQ(c.state().nGrow(), width);
     }
 }
@@ -482,6 +486,24 @@ TEST(AmrSubcycle, CoarseStateUnderFineGridsIsEosConsistentAfterBurnStep) {
     enforceConsistency(check, b.net, Eos{GammaLawEos{1.4}});
     const Real scale = s0.max(StateLayout::UTEMP);
     EXPECT_LE(maxAbsDiff(check, s0), 1e-12 * std::max(scale, Real(1.0)));
+}
+
+TEST(AmrSubcycle, EveryLevelRecordsHydroReactAndGravityRegions) {
+    // The per-level advance runs inside the castro::hydro, castro::react
+    // and castro::gravity timer regions the perf tooling reads.
+    auto b = makeBlast(1, /*periodic=*/false, 16, [](CastroOptions& o) {
+        o.do_react = true;
+        o.gravity = GravityType::Poisson;
+    });
+    ASSERT_EQ(b.amr->finestLevel(), 1);
+    TimerRegistry timers;
+    {
+        ScopedTimerRegistry scope(&timers);
+        b.amr->step(b.amr->estimateDt());
+    }
+    EXPECT_GT(timers.seconds("castro::hydro"), 0.0);
+    EXPECT_GT(timers.seconds("castro::react"), 0.0);
+    EXPECT_GT(timers.seconds("castro::gravity"), 0.0);
 }
 
 TEST(AmrSubcycle, MaskedSumsSeeFineLevelOnlyChanges) {

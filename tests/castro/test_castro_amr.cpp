@@ -1,4 +1,4 @@
-#include "castro/castro_amr.hpp"
+#include "castro/castro.hpp"
 #include "castro/sedov.hpp"
 #include "core/parallel_for.hpp"
 
@@ -13,7 +13,7 @@ namespace {
 
 // Sedov-like blast with AMR tagging on pressure (tracks the hot region).
 struct AmrBlast {
-    std::unique_ptr<CastroAmr> amr;
+    std::unique_ptr<Castro> amr;
     ReactionNetwork net = makeIgnitionSimple();
 };
 
@@ -44,8 +44,8 @@ AmrBlast makeAmrBlast(int max_level, int ncell = 16) {
         zn.X = {1.0, 0.0};
         return zn;
     };
-    CastroAmr::TagFn tag = [](int /*lev*/, const Geometry&, const MultiFab& s,
-                              MultiFab& tags) {
+    Castro::TagFn tag = [](int /*lev*/, const Geometry&, const MultiFab& s,
+                           MultiFab& tags) {
         // Tag hot material. The blast deposit sits at T ~ 7e-6 in this
         // setup's gamma-law units (abar = 12); ambient is ~1e-12.
         const Real thresh = 1.0e-8;
@@ -59,8 +59,8 @@ AmrBlast makeAmrBlast(int max_level, int ncell = 16) {
     };
 
     Eos eos{GammaLawEos{1.4}};
-    b.amr = std::make_unique<CastroAmr>(geom, info, b.net, eos, opt,
-                                        std::move(init), std::move(tag));
+    b.amr = std::make_unique<Castro>(geom, info, b.net, eos, opt,
+                                     std::move(init), std::move(tag));
     b.amr->init();
     return b;
 }

@@ -18,14 +18,14 @@ std::unique_ptr<Castro> makePeriodic(const ReactionNetwork& net, int n, Real gam
                                      const Castro::InitFn& init) {
     Box dom({0, 0, 0}, {n - 1, n - 1, n - 1});
     Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
-    BoxArray ba(dom);
-    ba.maxSize(std::max(8, n / 2));
-    DistributionMapping dm(ba, 2);
+    AmrInfo info;
+    info.max_grid_size = std::max(8, n / 2);
+    info.nranks = 2;
     CastroOptions opt;
     opt.bc = DomainBC::allPeriodic();
     Eos eos{GammaLawEos{gamma}};
-    auto c = std::make_unique<Castro>(geom, ba, dm, net, eos, opt);
-    c->initialize(init);
+    auto c = std::make_unique<Castro>(geom, info, net, eos, opt, init);
+    c->init();
     return c;
 }
 
@@ -233,21 +233,21 @@ TEST(CastroHydro, SodShockTubeStructure) {
     auto net = makeIgnitionSimple();
     Box dom({0, 0, 0}, {63, 3, 3});
     Geometry geom(dom, {0, 0, 0}, {1.0, 0.0625, 0.0625});
-    BoxArray ba(dom);
-    ba.maxSize(32);
-    DistributionMapping dm(ba, 2);
+    AmrInfo info;
+    info.max_grid_size = 32;
+    info.nranks = 2;
     CastroOptions opt;
     opt.bc = DomainBC::allOutflow();
     opt.cfl = 0.4;
     Eos eos{GammaLawEos{1.4}};
-    Castro c(geom, ba, dm, net, eos, opt);
-    c.initialize([&](Real x, Real, Real) {
+    Castro c(geom, info, net, eos, opt, [&](Real x, Real, Real) {
         Castro::InitialZone z;
         z.rho = x < 0.5 ? 1.0 : 0.125;
         z.p = x < 0.5 ? 1.0 : 0.1;
         z.X = {1.0, 0.0};
         return z;
     });
+    c.init();
     while (c.time() < 0.15) c.step(std::min(c.estimateDt(), 0.15 - c.time()));
 
     auto u = c.state().const_array(0);
@@ -303,15 +303,14 @@ void expectBackendsIdentical(Reconstruction recon) {
         ScopedBackend sb(be);
         Box dom({0, 0, 0}, {7, 7, 7});
         Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
-        BoxArray ba(dom);
-        ba.maxSize(4);
-        DistributionMapping dm(ba, 2);
+        AmrInfo info;
+        info.max_grid_size = 4;
+        info.nranks = 2;
         CastroOptions opt;
         opt.bc = DomainBC::allPeriodic();
         opt.reconstruction = recon;
         Eos eos{GammaLawEos{1.4}};
-        Castro c(geom, ba, dm, net, eos, opt);
-        c.initialize([&](Real x, Real y, Real z) {
+        Castro c(geom, info, net, eos, opt, [&](Real x, Real y, Real z) {
             Castro::InitialZone zone;
             zone.rho = 1.0 + 0.3 * std::sin(2 * constants::pi * x);
             zone.T = 300.0 * (1.0 + 0.2 * std::cos(2 * constants::pi * z));
@@ -320,6 +319,7 @@ void expectBackendsIdentical(Reconstruction recon) {
             zone.X = {1.0, 0.0};
             return zone;
         });
+        c.init();
         for (int s = 0; s < 3; ++s) c.step(c.estimateDt());
         return validState(c.state());
     };
@@ -473,22 +473,22 @@ TEST(CastroHydro, PpmSharperThanPlmOnSod) {
     auto run = [&](Reconstruction recon) {
         Box dom({0, 0, 0}, {63, 3, 3});
         Geometry geom(dom, {0, 0, 0}, {1.0, 0.0625, 0.0625});
-        BoxArray ba(dom);
-        ba.maxSize(32);
-        DistributionMapping dm(ba, 2);
+        AmrInfo info;
+        info.max_grid_size = 32;
+        info.nranks = 2;
         CastroOptions opt;
         opt.bc = DomainBC::allOutflow();
         opt.cfl = 0.4;
         opt.reconstruction = recon;
         Eos eos{GammaLawEos{1.4}};
-        Castro c(geom, ba, dm, net, eos, opt);
-        c.initialize([&](Real x, Real, Real) {
+        Castro c(geom, info, net, eos, opt, [&](Real x, Real, Real) {
             Castro::InitialZone z;
             z.rho = x < 0.5 ? 1.0 : 0.125;
             z.p = x < 0.5 ? 1.0 : 0.1;
             z.X = {1.0, 0.0};
             return z;
         });
+        c.init();
         while (c.time() < 0.15) c.step(std::min(c.estimateDt(), 0.15 - c.time()));
         std::vector<Real> line(64);
         for (std::size_t b = 0; b < c.state().size(); ++b) {

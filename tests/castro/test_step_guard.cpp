@@ -46,20 +46,19 @@ struct ReactingBox {
     explicit ReactingBox(const StepGuardOptions& guard) {
         Box dom({0, 0, 0}, {7, 7, 7});
         Geometry geom(dom, {0, 0, 0}, {1.0e7, 1.0e7, 1.0e7});
-        BoxArray ba(dom);
-        ba.maxSize(8);
-        DistributionMapping dm(ba, 1);
+        AmrInfo info;
+        info.max_grid_size = 8;
         CastroOptions opt;
         opt.do_react = true;
         opt.guard = guard;
-        c = std::make_unique<Castro>(geom, ba, dm, net, eos, opt);
-        c->initialize([](Real, Real, Real) {
+        c = std::make_unique<Castro>(geom, info, net, eos, opt, [](Real, Real, Real) {
             Castro::InitialZone z;
             z.rho = 2.6e9;
             z.T = 6.0e8;
             z.X = {1.0, 0.0};
             return z;
         });
+        c->init();
     }
 };
 

@@ -11,7 +11,7 @@
 // path), Maestro (whose multigrid warm start phi is part of the
 // trajectory), and the WD-collision acceptance problem, on every backend.
 
-#include "castro/castro_amr.hpp"
+#include "castro/castro.hpp"
 #include "castro/sedov.hpp"
 #include "castro/wd_collision.hpp"
 #include "comm/ledger.hpp"
@@ -513,7 +513,7 @@ TEST_P(ResilienceBackends, MaestroRankFailureRecoversBitIdentically) {
 namespace {
 
 struct AmrBlast {
-    std::unique_ptr<castro::CastroAmr> amr;
+    std::unique_ptr<castro::Castro> amr;
     ReactionNetwork net = makeIgnitionSimple();
 };
 
@@ -550,8 +550,8 @@ AmrBlast makeAmrBlast(int ncell = 16) {
         zn.X = {1.0, 0.0};
         return zn;
     };
-    castro::CastroAmr::TagFn tag = [](int /*lev*/, const Geometry&,
-                                      const MultiFab& s, MultiFab& tags) {
+    castro::Castro::TagFn tag = [](int /*lev*/, const Geometry&,
+                                   const MultiFab& s, MultiFab& tags) {
         const Real thresh = 1.0e-8;
         for (std::size_t f = 0; f < tags.size(); ++f) {
             auto t = tags.array(static_cast<int>(f));
@@ -564,8 +564,8 @@ AmrBlast makeAmrBlast(int ncell = 16) {
     };
 
     Eos eos{GammaLawEos{1.4}};
-    b.amr = std::make_unique<castro::CastroAmr>(geom, info, b.net, eos, opt,
-                                                std::move(init), std::move(tag));
+    b.amr = std::make_unique<castro::Castro>(geom, info, b.net, eos, opt,
+                                             std::move(init), std::move(tag));
     b.amr->init();
     return b;
 }

@@ -8,7 +8,7 @@
 // amr-blast with gravity across a regrid, and rank-failure recovery
 // bit-identity.
 
-#include "castro/castro_amr.hpp"
+#include "castro/castro.hpp"
 #include "comm/halo_handle.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
@@ -402,7 +402,7 @@ struct TmpDir {
     ~TmpDir() { std::filesystem::remove_all(path); }
 };
 
-std::uint64_t hashAmrState(const castro::CastroAmr& a) {
+std::uint64_t hashAmrState(const castro::Castro& a) {
     std::uint64_t h = 1469598103934665603ULL;
     for (int lev = 0; lev <= a.finestLevel(); ++lev)
         hashMfInto(h, a.state(lev));
@@ -411,7 +411,7 @@ std::uint64_t hashAmrState(const castro::CastroAmr& a) {
 
 struct GravityBlast {
     ReactionNetwork net = makeIgnitionSimple();
-    std::unique_ptr<castro::CastroAmr> amr;
+    std::unique_ptr<castro::Castro> amr;
 };
 
 // The AMR blast of the subcycle/resilience suites with composite-grid
@@ -450,8 +450,8 @@ GravityBlast makeGravityBlast(int ncell = 16) {
         zn.X = {1.0, 0.0};
         return zn;
     };
-    castro::CastroAmr::TagFn tag = [](int /*lev*/, const Geometry&,
-                                      const MultiFab& s, MultiFab& tags) {
+    castro::Castro::TagFn tag = [](int /*lev*/, const Geometry&,
+                                   const MultiFab& s, MultiFab& tags) {
         const Real thresh = 1.0e-8;
         for (std::size_t f = 0; f < tags.size(); ++f) {
             auto t = tags.array(static_cast<int>(f));
@@ -465,9 +465,9 @@ GravityBlast makeGravityBlast(int ncell = 16) {
     };
 
     Eos eos{GammaLawEos{1.4}};
-    b.amr = std::make_unique<castro::CastroAmr>(geom, info, b.net, eos, opt,
-                                                std::move(init),
-                                                std::move(tag));
+    b.amr = std::make_unique<castro::Castro>(geom, info, b.net, eos, opt,
+                                             std::move(init),
+                                             std::move(tag));
     b.amr->regrid_interval = 2;
     b.amr->init();
     return b;
@@ -488,7 +488,7 @@ TEST(GravityAmr, BlastAcrossRegridBitIdenticalAcrossBackends) {
         for (int i = 0; i < 5; ++i) b.amr->step(b.amr->estimateDt());
         ASSERT_GT(b.amr->finestLevel(), 0);
         hashes.push_back(hashAmrState(*b.amr));
-        vcycles = b.amr->mgTotals().vcycles;
+        vcycles = b.amr->gravity().mgTotals().vcycles;
     }
     EXPECT_GT(vcycles, 0);
     for (std::size_t i = 1; i < hashes.size(); ++i)
