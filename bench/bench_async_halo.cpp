@@ -143,14 +143,10 @@ Row runCase(Stage& st, const RankLayout& layout, const NetworkModel& netmod) {
         const auto part = CopierCache::instance().interiorPartition(
             s.boxArray(), stencilWidth(Reconstruction::PLM));
         dev.reset();
-        {
-            StreamScope streams;
-            for (std::size_t fb = 0; fb < s.size(); ++fb) {
-                if (!part->fabs[fb].interior.ok()) continue;
-                streams.useFab(fb);
-                molRhsRegions(s, dudt, static_cast<int>(fb),
-                              {&part->fabs[fb].interior, 1}, st.geom, st.net, st.eos);
-            }
+        for (std::size_t fb = 0; fb < s.size(); ++fb) {
+            if (!part->fabs[fb].interior.ok()) continue;
+            molRhsRegions(s, dudt, static_cast<int>(fb),
+                          {&part->fabs[fb].interior, 1}, st.geom, st.net, st.eos);
         }
         const double t_interior = dev.elapsedSeconds() * f;
         dev.reset();
@@ -158,13 +154,9 @@ Row runCase(Stage& st, const RankLayout& layout, const NetworkModel& netmod) {
         const double t_unpack = dev.elapsedSeconds();
         const double t_net = netTime();
         dev.reset();
-        {
-            StreamScope streams;
-            for (std::size_t fb = 0; fb < s.size(); ++fb) {
-                streams.useFab(fb);
-                molRhsRegions(s, dudt, static_cast<int>(fb), part->fabs[fb].shell,
-                              st.geom, st.net, st.eos);
-            }
+        for (std::size_t fb = 0; fb < s.size(); ++fb) {
+            molRhsRegions(s, dudt, static_cast<int>(fb), part->fabs[fb].shell,
+                          st.geom, st.net, st.eos);
         }
         const double t_shell = dev.elapsedSeconds();
         row.t_async = (t_pack + t_unpack + t_shell) * f + std::max(t_net, t_interior);

@@ -194,9 +194,11 @@ int main(int argc, char** argv) {
 
     // --- Modeled device multi-tenancy (V100 price book) ------------------
     //
-    // Per-tenant streams let the device model overlap tenants' kernel
-    // timelines the way concurrent CUDA streams would; the runner keeps
-    // the model's resident-set at the sum of live tenants' state bytes.
+    // The device model charges every tenant's kernels to one modeled GPU:
+    // bodies run one after another and launch latency overlaps across
+    // DeviceModel::kStreams streams (a fixed divisor, whichever tenant
+    // launched). The runner keeps the model's resident set at the sum of
+    // live tenants' state bytes.
     {
         ScopedBackend gpu(Backend::SimGpu);
         DeviceModel device;
@@ -207,7 +209,7 @@ int main(int argc, char** argv) {
         for (int i = 0; i < 8; ++i) runner.add(makeMember(i));
         const auto report = runner.run();
         std::printf("\nmodeled V100 multi-tenancy (8 tenants, %d streams):\n",
-                    ExecConfig::numStreams());
+                    DeviceModel::kStreams);
         std::printf("  modeled %.3f s (serialized %.3f s)  launches %lld  "
                     "oversubscribed %s\n",
                     device.elapsedSeconds(), device.serializedSeconds(),

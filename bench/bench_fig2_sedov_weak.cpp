@@ -37,7 +37,6 @@ int main() {
     auto castro_run = sp.build(net);
 
     ScopedBackend sb(Backend::SimGpu);
-    ExecConfig::setNumStreams(4);
     DeviceModel dev;
     dev.attach();
     const int nsteps = 5;

@@ -39,7 +39,6 @@ int main() {
     auto m = bp.build(net);
 
     ScopedBackend sb(Backend::SimGpu);
-    ExecConfig::setNumStreams(4);
     DeviceModel dev;
     dev.attach();
     const int nsteps = 3;

@@ -7,8 +7,8 @@
 // two-level hierarchy solves the manufactured-rhs Poisson problem to
 // rtol = 1e-10 for real under the SimGpu backend; kernels are priced by
 // the DeviceModel (V100 params) and scaled to the busiest rank's box
-// share f. Every message the mesh layer would send is recorded via
-// CommHooks and priced individually with the NetworkModel's alpha-beta
+// share f. Every message the mesh layer would send is recorded from the
+// event stream and priced individually with the NetworkModel's alpha-beta
 // p2p cost, serialized per rank (T_net = the busiest rank's sum). The
 // per-message latency pricing matters here: unlike a hydro step, an MG
 // solve is thousands of tiny ghost exchanges — a 1-ghost face of a
@@ -39,8 +39,8 @@
 #include "bench_util.hpp"
 #include "comm/halo_handle.hpp"
 #include "comm/network.hpp"
+#include "core/events.hpp"
 #include "core/parallel_for.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/copier_cache.hpp"
 #include "solvers/mg/composite_mg.hpp"
 
@@ -135,10 +135,11 @@ struct NetClock {
     std::vector<double> rank_time;
     std::int64_t msgs = 0;
     std::int64_t bytes = 0;
+    EventSubscription sub;
 
     void attach() {
         rank_time.assign(static_cast<std::size_t>(layout.numRanks()), 0.0);
-        CommHooks::setMessageHook([this](const MessageRecord& r) {
+        sub = events::subscribe<MessageRecord>([this](const MessageRecord& r) {
             if (r.src_rank == r.dst_rank) return;
             if (r.src_rank >= layout.numRanks() ||
                 r.dst_rank >= layout.numRanks())
@@ -151,7 +152,7 @@ struct NetClock {
             bytes += r.bytes;
         });
     }
-    void detach() { CommHooks::clearMessageHook(); }
+    void detach() { sub.reset(); }
     double time() const {
         return rank_time.empty()
                    ? 0.0

@@ -1,7 +1,6 @@
 #include "castro/castro.hpp"
 
 #include "castro/validate.hpp"
-#include "core/executor.hpp"
 #include "core/parallel_for.hpp"
 #include "core/timer.hpp"
 #include "mesh/copier_cache.hpp"
@@ -290,19 +289,12 @@ void Castro::level0Rhs(MultiFab& src, MultiFab& dudt,
         molRhsRegions(src, dudt, fi, regions, g, m_net, m_eos, fluxes,
                       m_opt.reconstruction);
     };
-    {
-        StreamScope streams;
-        for (std::size_t f = 0; f < src.size(); ++f) {
-            if (!overlaps[f]) continue;
-            streams.useFab(f);
-            rhs(f, {&part->fabs[f].interior, 1});
-        }
+    for (std::size_t f = 0; f < src.size(); ++f) {
+        if (overlaps[f]) rhs(f, {&part->fabs[f].interior, 1});
     }
     halo.finish();
     applyPhysBC(0, src);
-    StreamScope streams;
     for (std::size_t f = 0; f < src.size(); ++f) {
-        streams.useFab(f);
         if (overlaps[f]) {
             rhs(f, part->fabs[f].shell);
         } else {
@@ -370,9 +362,7 @@ void Castro::advanceLevel(int lev, Real time, Real dt, BurnGridStats& burn,
                 level0Rhs(src, dudt, fluxp, cost);
             } else {
                 fillPatchAtTime(lev, at, src, sborder);
-                StreamScope streams;
                 for (std::size_t f = 0; f < s.size(); ++f) {
-                    streams.useFab(f);
                     const int fi = static_cast<int>(f);
                     CostMonitor::ScopedFabTimer t(cost, lev, fi);
                     molRhsRegions(sborder, dudt, fi, {&s.box(fi), 1}, geom(lev),

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "castro/state.hpp"
-#include "mesh/comm_hooks.hpp"
+#include "core/events.hpp"
 #include "mesh/multifab.hpp"
 #include "microphysics/network.hpp"
 #include "solvers/mg/composite_mg.hpp"

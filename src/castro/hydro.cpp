@@ -331,9 +331,7 @@ void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
 void molRhs(const MultiFab& state, MultiFab& dudt, const Geometry& geom,
             const ReactionNetwork& net, const Eos& eos,
             std::array<MultiFab, 3>* fluxes, Reconstruction recon) {
-    StreamScope streams;
     for (std::size_t f = 0; f < state.size(); ++f) {
-        streams.useFab(f);
         const int fi = static_cast<int>(f);
         molRhsRegions(state, dudt, fi, {&state.box(fi), 1}, geom, net, eos, fluxes,
                       recon);

@@ -60,16 +60,14 @@ BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
     batch.resize(nspec, nzones);
     const BurnZoneIO* iop = &io;
 
-    // Pass 2: gather fab state into the SoA buffer — per fab one streaming
-    // launch on that fab's stream (each gathered zone writes only its own
-    // slots, so the kernel is backend-safe).
+    // Pass 2: gather fab state into the SoA buffer — one streaming launch
+    // per fab (each gathered zone writes only its own slots, so the kernel
+    // is backend-safe).
     const KernelInfo gather_ki =
         KernelInfo::streaming("burn_gather", 8.0 * (nspec + 2) * 2);
     for (int f = 0; f < nfabs; ++f) {
         const std::int64_t lo = fab_begin[f], hi = fab_begin[f + 1];
         if (lo == hi) continue;
-        StreamScope stream;
-        stream.useFab(static_cast<std::size_t>(f));
         auto u = state.const_array(f);
         const ZoneRef* rp = refs.data();
         Real* rho_p = batch.rho.data();
@@ -95,8 +93,6 @@ BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
     for (int f = 0; f < nfabs; ++f) {
         const std::int64_t lo = fab_begin[f], hi = fab_begin[f + 1];
         if (lo == hi) continue;
-        StreamScope stream;
-        stream.useFab(static_cast<std::size_t>(f));
         auto u = state.array(f);
         const ZoneRef* rp = refs.data();
         const Real* rho_p = batch.rho.data();

@@ -7,12 +7,12 @@
 //     h.finish();                                             // deliver
 //
 // The post phase executes the cached CopyPlan's *pack* work — every
-// source region is staged into exchange buffers on per-fab streams, so
-// the destination fabs are untouched while the exchange is "on the
-// wire". finish() unpacks the staged payloads in exact plan-item order
-// and runs the CommHooks/fault-injection accounting precisely as the
-// fused path does, so byte/message counts and deterministic fault
-// schedules are identical between the two paths. Results are
+// source region is staged into exchange buffers, so the destination fabs
+// are untouched while the exchange is "on the wire". finish() unpacks the
+// staged payloads in exact plan-item order and runs the event-stream and
+// fault-injection accounting precisely as the fused path does, so
+// byte/message counts and deterministic fault schedules are identical
+// between the two paths. Results are
 // bit-identical to the blocking call on every backend.
 //
 // Lifecycle contract: finish() exactly once. The destructor completes a
@@ -44,7 +44,7 @@ public:
     HaloHandle& operator=(const HaloHandle&) = delete;
 
     // Deliver the staged exchange into the destination's ghost zones and
-    // run the CommHooks accounting. Idempotent only in the sense that a
+    // publish its accounting events. Idempotent only in the sense that a
     // second call does nothing — under Backend::Debug it is diagnosed.
     void finish();
 

@@ -17,26 +17,17 @@ void CommLedger::setCurrentTenant(std::string tenant) {
 }
 
 void CommLedger::attach() {
-    CommHooks::setMessageHook([this](const MessageRecord& r) { record(r); });
-    CommHooks::setHaloHook([this](const HaloEvent& e) { recordHalo(e); });
-    CommHooks::setRebalanceHook(
-        [this](const RebalanceEvent& e) { recordRebalance(e); });
-    CommHooks::setResilienceHook(
-        [this](const ResilienceEvent& e) { recordResilience(e); });
-    CommHooks::setMgHook([this](const MgEvent& e) { recordMg(e); });
-    m_attached = true;
+    if (m_sub) return;
+    m_sub = EventSubscription([this](const Event& e) {
+        if (const auto* r = std::get_if<MessageRecord>(&e)) record(*r);
+        else if (const auto* h = std::get_if<HaloEvent>(&e)) recordHalo(*h);
+        else if (const auto* b = std::get_if<RebalanceEvent>(&e)) recordRebalance(*b);
+        else if (const auto* c = std::get_if<ResilienceEvent>(&e)) recordResilience(*c);
+        else if (const auto* m = std::get_if<MgEvent>(&e)) recordMg(*m);
+    });
 }
 
-void CommLedger::detach() {
-    if (m_attached) {
-        CommHooks::clearMessageHook();
-        CommHooks::clearHaloHook();
-        CommHooks::clearRebalanceHook();
-        CommHooks::clearResilienceHook();
-        CommHooks::clearMgHook();
-        m_attached = false;
-    }
-}
+void CommLedger::detach() { m_sub.reset(); }
 
 void CommLedger::record(const MessageRecord& r) {
     std::lock_guard<std::mutex> lk(m_mutex);

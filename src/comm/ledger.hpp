@@ -2,7 +2,7 @@
 
 #include "comm/layout.hpp"
 #include "comm/network.hpp"
-#include "mesh/comm_hooks.hpp"
+#include "core/events.hpp"
 
 #include <atomic>
 #include <cstdint>
@@ -20,8 +20,8 @@ namespace exa {
 // serialized send+recv cost.
 //
 // Instance-based with per-tenant scoping: a ledger is an ordinary object
-// (attach() binds it as the process-wide message sink — the retained
-// global default path, unchanged for existing call sites). When one
+// that attach() subscribes to the event stream (core/events.hpp), next
+// to any other listeners. When one
 // process multiplexes many simulations, the scheduler brackets each
 // tenant's work with ScopedLedgerTenant; records arriving inside the
 // scope are additionally bucketed under that tenant's tag, so one shared
@@ -31,11 +31,12 @@ namespace exa {
 // multi-threaded scheduler.
 class CommLedger {
 public:
-    // Attach this ledger as the process-wide message sink. Only one ledger
-    // may be attached at a time.
+    // Subscribe this ledger to the event stream / drop the subscription.
+    // Both are idempotent: attaching an attached ledger records each event
+    // once, and detaching a detached one does nothing. The destructor
+    // detaches.
     void attach();
     void detach();
-    ~CommLedger() { detach(); }
 
     void record(const MessageRecord& r);
     void recordHalo(const HaloEvent& e);
@@ -60,7 +61,7 @@ public:
     std::int64_t tenantMessages(const std::string& tenant) const;
     std::vector<std::string> tenantNames() const;
 
-    // Split-phase exchange tracking (HaloEvent hook): how many handles
+    // Split-phase exchange tracking (HaloEvent): how many handles
     // were posted, how many are currently between post and finish, the
     // high-water mark of concurrent in-flight exchanges, and how many
     // MessageRecords were delivered by a finish() (i.e. overlapped with
@@ -70,7 +71,7 @@ public:
     std::int64_t maxHalosInFlight() const;
     std::int64_t splitPhaseMessages() const;
 
-    // Load-balancing traffic (RebalanceEvent hook): how many live-state
+    // Load-balancing traffic (RebalanceEvent): how many live-state
     // migrations the Rebalancer performed and the off-rank payload they
     // moved. The same bytes also appear in bytesWithTag("rebalance") via
     // the per-message records; the event-level counters survive even when
@@ -79,7 +80,7 @@ public:
     std::int64_t migrationBytes() const;
     std::int64_t migrationBoxesMoved() const;
 
-    // Resilience accounting (ResilienceEvent hook). Checkpoint commits
+    // Resilience accounting (ResilienceEvent). Checkpoint commits
     // fire on the async checkpointer's drain thread, so these counters are
     // atomic — they predate the ledger mutex and stay lock-free.
     std::int64_t checkpointsWritten() const { return m_checkpoints.load(); }
@@ -88,7 +89,7 @@ public:
     std::int64_t recoveryReplaySteps() const { return m_replay_steps.load(); }
     std::int64_t recoveryBytes() const { return m_recovery_bytes.load(); }
 
-    // MG solve accounting (MgEvent hook): FMG/V-cycle and smoother sweep
+    // MG solve accounting (MgEvent): FMG/V-cycle and smoother sweep
     // counts from the Poisson solver (gravity and projection), plus the
     // coarse-level rank aggregation's staged ParallelCopies and their
     // off-rank payload.
@@ -137,7 +138,8 @@ private:
     std::atomic<std::int64_t> m_ranks_recovered{0};
     std::atomic<std::int64_t> m_replay_steps{0};
     std::atomic<std::int64_t> m_recovery_bytes{0};
-    bool m_attached = false;
+    // Last member, so it unsubscribes before the counters are destroyed.
+    EventSubscription m_sub;
 };
 
 // RAII tenant tag for ledger records made by this thread: the scheduler

@@ -6,9 +6,6 @@
 namespace exa {
 
 Backend ExecConfig::s_backend = backendFromName(std::getenv("EXA_BACKEND"));
-IntVect ExecConfig::s_tile_size = IntVect{1024000, 8, 8};
-LaunchHook ExecConfig::s_hook;
-int ExecConfig::s_num_streams = 4;
 
 const char* backendName(Backend b) {
     switch (b) {
@@ -26,13 +23,6 @@ Backend backendFromName(const char* name) {
     if (std::strcmp(name, "simgpu") == 0) return Backend::SimGpu;
     if (std::strcmp(name, "debug") == 0) return Backend::Debug;
     return Backend::Serial;
-}
-
-void ExecConfig::setLaunchHook(LaunchHook h) { s_hook = std::move(h); }
-void ExecConfig::clearLaunchHook() { s_hook = nullptr; }
-
-void ExecConfig::notifyLaunch(const LaunchRecord& r) {
-    if (s_hook) s_hook(r);
 }
 
 } // namespace exa

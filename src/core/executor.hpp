@@ -1,12 +1,5 @@
 #pragma once
 
-#include "core/box.hpp"
-
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <string>
-
 namespace exa {
 
 // Which implementation a ParallelFor launch runs on. This mirrors the
@@ -22,9 +15,10 @@ namespace exa {
 //            Sums keep Serial order, so results are bit-identical to
 //            Serial for any OMP_NUM_THREADS.
 //   SimGpu : per-zone threading semantics of Figure 1 (right). Results are
-//            bit-identical to Serial; in addition every launch is reported
-//            to the registered device-model hook, which charges modeled
-//            V100 time (launch latency, occupancy, bandwidth).
+//            bit-identical to Serial; in addition every launch is published
+//            as a LaunchRecord on the event stream (core/events.hpp),
+//            where the device model charges modeled V100 time (launch
+//            latency, occupancy, bandwidth).
 //   Debug  : verification mode (core/debug.hpp). Each launch runs in
 //            forward, reversed, and shuffled zone order against a snapshot
 //            of all arena-resident state; order-dependent results and
@@ -62,19 +56,10 @@ struct KernelInfo {
     }
 };
 
-// A record of one ParallelFor launch, delivered to the device-model hook.
-struct LaunchRecord {
-    KernelInfo info;
-    std::int64_t zones = 0;
-    int ncomp = 1;
-    int stream = 0;
-};
-
-using LaunchHook = std::function<void(const LaunchRecord&)>;
-
-// Global execution configuration. Not thread-safe by design: the backend
-// is chosen at startup (or per benchmark section), exactly like choosing
-// the build/runtime configuration of the production codes.
+// Global execution configuration: the backend every ParallelFor launch
+// runs on. Not thread-safe by design: the backend is chosen at startup
+// (or per benchmark section), exactly like choosing the build/runtime
+// configuration of the production codes.
 class ExecConfig {
 public:
     static Backend backend() { return s_backend; }
@@ -84,63 +69,8 @@ public:
     // this before assembling LaunchRecords for e.g. burn imbalance).
     static bool accountsLaunches() { return s_backend == Backend::SimGpu; }
 
-    // Tile size of a tiling MFIter (zones per dim; z unsplit).
-    static IntVect tileSize() { return s_tile_size; }
-    static void setTileSize(const IntVect& ts) { s_tile_size = ts; }
-
-    // Device-model hook; invoked for every launch under Backend::SimGpu.
-    static void setLaunchHook(LaunchHook h);
-    static void clearLaunchHook();
-    static void notifyLaunch(const LaunchRecord& r);
-
-    // The CUDA-stream analogue: kernels launched from different boxes of
-    // an MFIter round-robin over streams, letting the device model overlap
-    // small launches (the paper's partial mitigation for small boxes).
-    static int numStreams() { return s_num_streams; }
-    static void setNumStreams(int n) { s_num_streams = n > 0 ? n : 1; }
-    static int currentStream() { return s_current_stream; }
-    static void setCurrentStream(int s) { s_current_stream = s; }
-
 private:
     static Backend s_backend;
-    static IntVect s_tile_size;
-    static LaunchHook s_hook;
-    static int s_num_streams;
-    // Thread-local: ensemble workers each select a stream for their tenant
-    // (StreamScope) and must not race on — or clobber — each other's slot.
-    // Defined in the header as constinit: with an out-of-line definition
-    // GCC routes every access through a TLS wrapper call, which UBSan
-    // reports as a store to a null pointer.
-    static inline thread_local constinit int s_current_stream = 0;
-};
-
-// Exception-safe stream selection: captures the current stream on entry
-// and restores it on scope exit, replacing the manual
-// setCurrentStream(...) / restore call pairs that used to bracket
-// MultiFab-wide ops and driver loops (and leaked the stream on early
-// return or throw). `setCurrentStream` remains the primitive underneath;
-// this guard is the supported way to change streams for a region of code.
-class StreamScope {
-public:
-    StreamScope() : m_saved(ExecConfig::currentStream()) {}
-    // Convenience: enter the scope already on stream `s`.
-    explicit StreamScope(int s) : StreamScope() { use(s); }
-    ~StreamScope() { ExecConfig::setCurrentStream(m_saved); }
-    StreamScope(const StreamScope&) = delete;
-    StreamScope& operator=(const StreamScope&) = delete;
-
-    // Select an explicit stream.
-    void use(int s) { ExecConfig::setCurrentStream(s); }
-    // Round-robin the stream over fab indices — the MFIter::syncStream
-    // policy — so per-box launches of MultiFab-wide ops can overlap in
-    // the device model.
-    void useFab(std::size_t fab) {
-        ExecConfig::setCurrentStream(
-            static_cast<int>(fab % static_cast<std::size_t>(ExecConfig::numStreams())));
-    }
-
-private:
-    int m_saved;
 };
 
 // RAII helper: set a backend for a scope, restore on exit.

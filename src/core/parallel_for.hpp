@@ -12,7 +12,7 @@
 //               calling thread (see ompForks below and DESIGN.md §17).
 //   * SimGpu  — identical arithmetic to Serial (so results are
 //               bit-reproducible across backends), plus a LaunchRecord
-//               sent to the device model, which charges modeled GPU time.
+//               published to the device model, which charges modeled GPU time.
 //
 // Correctness contract (same as a real GPU launch): the body must be safe
 // to run for all zones concurrently — it may write only to locations
@@ -20,6 +20,7 @@
 
 #include "core/box.hpp"
 #include "core/debug.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/real.hpp"
 
@@ -115,12 +116,7 @@ inline void omp_for(const Box& box, int ncomp, F&& f) {
 }
 
 inline void record_launch(const KernelInfo& ki, std::int64_t zones, int ncomp) {
-    LaunchRecord r;
-    r.info = ki;
-    r.zones = zones;
-    r.ncomp = ncomp;
-    r.stream = ExecConfig::currentStream();
-    ExecConfig::notifyLaunch(r);
+    events::publish(LaunchRecord{ki, zones, ncomp});
 }
 
 } // namespace detail

@@ -47,10 +47,11 @@ int EnsembleRunner::add(std::unique_ptr<Scenario> s, std::string label) {
 }
 
 int EnsembleRunner::resolveWorkers() const {
-    // The device-model launch hook and the debug contract checker are
-    // process-global; both backends serialize launches, so correctness
-    // (and the deterministic round-robin schedule) wants exactly one
-    // worker regardless of the requested count.
+    // SimGpu's DeviceModel listener counts launches without a lock and the
+    // debug contract checker is process-global; both backends serialize
+    // launches, so correctness (and the deterministic round-robin
+    // schedule) wants exactly one worker regardless of the requested
+    // count.
     const Backend b = ExecConfig::backend();
     if (b == Backend::SimGpu || b == Backend::Debug) return 1;
     if (m_opt.workers > 0) return m_opt.workers;
@@ -72,8 +73,6 @@ void EnsembleRunner::stepTenant(int id, WorkStealingQueue& queue, int worker) {
     ArenaTenantScope arena_scope(id);
     ScopedLedgerTenant ledger_scope(t.label);
     ScopedTimerRegistry timer_scope(t.timers.get());
-    StreamScope stream;
-    if (m_opt.per_tenant_streams) stream.use(id % ExecConfig::numStreams());
 
     if (!t.scenario->initialized()) {
         WallTimer w;

@@ -17,17 +17,13 @@ namespace exa::ensemble {
 
 struct EnsembleOptions {
     // Worker threads. 0 = auto: min(hardware threads, tenants), capped at
-    // 8. Forced to 1 under Backend::SimGpu and Backend::Debug — the
-    // device-model launch hook and the debug contract checker are
-    // process-global and serialize launches anyway, so threading them
+    // 8. Forced to 1 under Backend::SimGpu and Backend::Debug — SimGpu
+    // publishes every launch to the event stream, whose DeviceModel
+    // listener counts without a lock, and the debug contract checker is
+    // process-global; both serialize launches anyway, so threading them
     // would race for no speedup; the cooperative single-worker mode keeps
     // the deterministic round-robin schedule instead.
     int workers = 0;
-    // Assign tenant id % numStreams() as each tenant's stream (the
-    // per-simulation CUDA-stream analogue): under SimGpu, different
-    // tenants' kernels land on different device-model stream timelines
-    // and overlap.
-    bool per_tenant_streams = true;
     // When set, the runner attaches this ledger for the duration of run()
     // and fills per-tenant comm traffic in the report.
     CommLedger* ledger = nullptr;
@@ -91,10 +87,9 @@ struct EnsembleReport {
 //
 // Every tenant step (and its init) executes inside that tenant's scopes:
 // ArenaTenantScope (byte/peak attribution), ScopedLedgerTenant (comm
-// traffic buckets), ScopedTimerRegistry (a tagged per-tenant registry),
-// and StreamScope (per-simulation device streams). The scopes are
-// thread-local, so they follow a stolen tenant to whichever worker runs
-// it.
+// traffic buckets) and ScopedTimerRegistry (a tagged per-tenant
+// registry). The scopes are thread-local, so they follow a stolen tenant
+// to whichever worker runs it.
 class EnsembleRunner {
 public:
     explicit EnsembleRunner(EnsembleOptions opt = {});

@@ -177,29 +177,19 @@ void Maestro::advect(Real dt) {
         MultiFab::Copy(snew, m_state, 0, 0, nc, 0);
         const auto part =
             CopierCache::instance().interiorPartition(m_state.boxArray(), 2);
-        {
-            StreamScope streams;
-            for (std::size_t b = 0; b < m_state.size(); ++b) {
-                if (!part->fabs[b].interior.ok()) continue;
-                streams.useFab(b);
-                sweep(b, part->fabs[b].interior);
-            }
+        for (std::size_t b = 0; b < m_state.size(); ++b) {
+            if (!part->fabs[b].interior.ok()) continue;
+            sweep(b, part->fabs[b].interior);
         }
         halo.finish();
         applyPhysBC(m_state);
-        {
-            StreamScope streams;
-            for (std::size_t b = 0; b < m_state.size(); ++b) {
-                streams.useFab(b);
-                for (const Box& sb : part->fabs[b].shell) sweep(b, sb);
-            }
+        for (std::size_t b = 0; b < m_state.size(); ++b) {
+            for (const Box& sb : part->fabs[b].shell) sweep(b, sb);
         }
     } else {
         fillGhosts(m_state);
         MultiFab::Copy(snew, m_state, 0, 0, nc, 0);
-        StreamScope streams;
         for (std::size_t b = 0; b < m_state.size(); ++b) {
-            streams.useFab(b);
             sweep(b, m_state.box(static_cast<int>(b)));
         }
     }

@@ -1,14 +1,13 @@
 // Split-phase halo exchange: the implementation behind
 // comm::HaloHandle and the MultiFab _nowait entry points.
 //
-// Post stages every plan item's source region into a pack buffer on the
-// destination fab's stream (the payload is captured before the caller
-// overwrites anything, exactly as an MPI_Isend would have serialized
-// it); finish() unpacks the buffers in exact plan-item order and runs
-// the per-item delivery tail (fault injection + CommHooks message
-// records) through the same MultiFab helper the fused path uses, so the
-// two paths are bit-identical in data, accounting, and fault-schedule
-// consumption.
+// Post stages every plan item's source region into a pack buffer (the
+// payload is captured before the caller overwrites anything, exactly as
+// an MPI_Isend would have serialized it); finish() unpacks the buffers in
+// exact plan-item order and runs the per-item delivery tail (fault
+// injection + MessageRecords published on the event stream) through the
+// same MultiFab helper the fused path uses, so the two paths are
+// bit-identical in data, accounting, and fault-schedule consumption.
 //
 // This file lives in exastro_mesh (not exastro_comm) because the comm
 // library links against the mesh library, not the other way round; the
@@ -17,9 +16,9 @@
 #include "comm/halo_handle.hpp"
 
 #include "core/debug.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/copier_cache.hpp"
 #include "mesh/multifab.hpp"
 
@@ -75,29 +74,24 @@ void HaloHandle::finish() {
         }
         return;
     }
-    const bool account = CommHooks::active();
-    {
-        StreamScope streams;
-        for (std::size_t i = 0; i < im.plan->items.size(); ++i) {
-            const CopyItem& item = im.plan->items[i];
-            // Injection site: same dropped-message semantics as the fused
-            // copyFromPlan path — an off-rank payload never arrives.
-            if (!item.local() &&
-                fault::shouldFire(fault::Site::CommMessageDrop)) {
-                continue;
-            }
-            streams.useFab(static_cast<std::size_t>(item.dst_fab));
-            im.dst->fab(item.dst_fab).copyFrom(im.staged[i], item.src_box, 0,
-                                               item.dst_box, im.dcomp, im.ncomp);
-            im.dst->deliverItemTail(item, im.dcomp, im.ncomp, account, im.tag);
+    const bool account = events::active();
+    for (std::size_t i = 0; i < im.plan->items.size(); ++i) {
+        const CopyItem& item = im.plan->items[i];
+        // Injection site: same dropped-message semantics as the fused
+        // copyFromPlan path — an off-rank payload never arrives.
+        if (!item.local() && fault::shouldFire(fault::Site::CommMessageDrop)) {
+            continue;
         }
+        im.dst->fab(item.dst_fab).copyFrom(im.staged[i], item.src_box, 0,
+                                           item.dst_box, im.dcomp, im.ncomp);
+        im.dst->deliverItemTail(item, im.dcomp, im.ncomp, account, im.tag);
     }
     im.staged.clear();
     im.finished = true;
-    if (CommHooks::haloActive()) {
-        CommHooks::notifyHalo({HaloPhase::Finished, im.tag,
-                               static_cast<std::int64_t>(im.plan->items.size()),
-                               im.offrankBytes()});
+    if (events::active()) {
+        events::publish(HaloEvent{HaloPhase::Finished, im.tag,
+                                  static_cast<std::int64_t>(im.plan->items.size()),
+                                  im.offrankBytes()});
     }
 }
 
@@ -125,15 +119,11 @@ HaloHandle::~HaloHandle() {
 
 namespace {
 
-// Stage every plan item's source region into its own pack buffer, on the
-// destination fab's stream (matching the stream the fused path would use
-// for the delivery copy).
+// Stage every plan item's source region into its own pack buffer.
 void packItems(std::vector<FArrayBox>& staged, const CopyPlan& plan,
                const MultiFab& src, int scomp, int ncomp) {
     staged.reserve(plan.items.size());
-    StreamScope streams;
     for (const CopyItem& item : plan.items) {
-        streams.useFab(static_cast<std::size_t>(item.dst_fab));
         FArrayBox buf(item.src_box, ncomp);
         buf.copyFrom(src.fab(item.src_fab), item.src_box, scomp, item.src_box, 0,
                      ncomp);
@@ -157,10 +147,10 @@ comm::HaloHandle MultiFab::FillBoundary_nowait(int scomp, int ncomp,
     impl->ncomp = ncomp;
     impl->tag = "fillboundary";
     packItems(impl->staged, *impl->plan, *this, scomp, ncomp);
-    if (CommHooks::haloActive()) {
-        CommHooks::notifyHalo({HaloPhase::Posted, impl->tag,
-                               static_cast<std::int64_t>(impl->plan->items.size()),
-                               impl->offrankBytes()});
+    if (events::active()) {
+        events::publish(HaloEvent{HaloPhase::Posted, impl->tag,
+                                  static_cast<std::int64_t>(impl->plan->items.size()),
+                                  impl->offrankBytes()});
     }
     return comm::HaloHandle(std::move(impl));
 }
@@ -181,10 +171,10 @@ comm::HaloHandle MultiFab::ParallelCopy_nowait(const MultiFab& src, int scomp,
     impl->ncomp = ncomp;
     impl->tag = "parallelcopy";
     packItems(impl->staged, *impl->plan, src, scomp, ncomp);
-    if (CommHooks::haloActive()) {
-        CommHooks::notifyHalo({HaloPhase::Posted, impl->tag,
-                               static_cast<std::int64_t>(impl->plan->items.size()),
-                               impl->offrankBytes()});
+    if (events::active()) {
+        events::publish(HaloEvent{HaloPhase::Posted, impl->tag,
+                                  static_cast<std::int64_t>(impl->plan->items.size()),
+                                  impl->offrankBytes()});
     }
     return comm::HaloHandle(std::move(impl));
 }

@@ -1,9 +1,9 @@
 #include "mesh/multifab.hpp"
 
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/copier_cache.hpp"
 
 #include <algorithm>
@@ -41,17 +41,13 @@ void MultiFab::clear() {
 }
 
 void MultiFab::setVal(Real v) {
-    StreamScope streams;
     for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        streams.useFab(i);
         m_fabs[i].setVal(v);
     }
 }
 
 void MultiFab::setVal(Real v, int comp, int ncomp, int ngrow) {
-    StreamScope streams;
     for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        streams.useFab(i);
         m_fabs[i].setVal(v, grow(m_ba[i], ngrow), comp, ncomp);
     }
 }
@@ -79,17 +75,16 @@ void MultiFab::deliverItemTail(const CopyItem& item, int dcomp, int ncomp,
             std::numeric_limits<Real>::quiet_NaN();
     }
     if (account && !item.local()) {
-        CommHooks::notify({item.src_rank, item.dst_rank,
-                           item.src_box.numPts() * ncomp *
-                               static_cast<int>(sizeof(Real)),
-                           tag});
+        events::publish(MessageRecord{item.src_rank, item.dst_rank,
+                                      item.src_box.numPts() * ncomp *
+                                          static_cast<int>(sizeof(Real)),
+                                      tag});
     }
 }
 
 void MultiFab::copyFromPlan(const CopyPlan& plan, const MultiFab& src, int scomp,
                             int dcomp, int ncomp, const char* tag) {
-    const bool account = CommHooks::active();
-    StreamScope streams;
+    const bool account = events::active();
     for (const CopyItem& item : plan.items) {
         // Injection site: a dropped off-rank message — the payload never
         // arrives, so neither the copy nor its accounting happens and the
@@ -98,7 +93,6 @@ void MultiFab::copyFromPlan(const CopyPlan& plan, const MultiFab& src, int scomp
         if (!item.local() && fault::shouldFire(fault::Site::CommMessageDrop)) {
             continue;
         }
-        streams.useFab(static_cast<std::size_t>(item.dst_fab));
         m_fabs[item.dst_fab].copyFrom(src.m_fabs[item.src_fab], item.src_box, scomp,
                                       item.dst_box, dcomp, ncomp);
         deliverItemTail(item, dcomp, ncomp, account, tag);
@@ -149,18 +143,14 @@ MultiFab::RedistributeStats MultiFab::Redistribute(const DistributionMapping& ne
     // ghost zones bit-identical across the migration.
     std::vector<FArrayBox> moved;
     moved.reserve(m_fabs.size());
-    {
-        StreamScope streams;
-        for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-            streams.useFab(i);
-            const Box gb = fabbox(static_cast<int>(i));
-            FArrayBox fab(gb, m_ncomp, m_fabs[i].arena());
-            fab.copyFrom(m_fabs[i], gb, 0, gb, 0, m_ncomp);
-            moved.push_back(std::move(fab));
-        }
+    for (std::size_t i = 0; i < m_fabs.size(); ++i) {
+        const Box gb = fabbox(static_cast<int>(i));
+        FArrayBox fab(gb, m_ncomp, m_fabs[i].arena());
+        fab.copyFrom(m_fabs[i], gb, 0, gb, 0, m_ncomp);
+        moved.push_back(std::move(fab));
     }
 
-    const bool account = CommHooks::active();
+    const bool account = events::active();
     for (const CopyItem& item : plan->items) {
         if (item.local()) continue;
         ++st.boxes_moved;
@@ -168,7 +158,7 @@ MultiFab::RedistributeStats MultiFab::Redistribute(const DistributionMapping& ne
             item.src_box.numPts() * m_ncomp * static_cast<int>(sizeof(Real));
         st.bytes += bytes;
         if (account) {
-            CommHooks::notify({item.src_rank, item.dst_rank, bytes, tag});
+            events::publish(MessageRecord{item.src_rank, item.dst_rank, bytes, tag});
         }
         // Injection site: one migrated payload corrupted in flight — the
         // first valid zone of the received fab becomes NaN. Plain host
@@ -230,25 +220,19 @@ Real MultiFab::norm2(int comp) const {
 
 void MultiFab::saxpy(Real a, const MultiFab& x, int scomp, int dcomp, int ncomp) {
     assert(m_ba == x.m_ba);
-    StreamScope streams;
     for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        streams.useFab(i);
         m_fabs[i].saxpy(a, x.m_fabs[i], m_ba[i], scomp, dcomp, ncomp);
     }
 }
 
 void MultiFab::plus(Real v, int comp, int ncomp) {
-    StreamScope streams;
     for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        streams.useFab(i);
         m_fabs[i].plus(v, m_ba[i], comp, ncomp);
     }
 }
 
 void MultiFab::mult(Real v, int comp, int ncomp) {
-    StreamScope streams;
     for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        streams.useFab(i);
         m_fabs[i].mult(v, m_ba[i], comp, ncomp);
     }
 }
@@ -257,9 +241,7 @@ void MultiFab::Copy(MultiFab& dst, const MultiFab& src, int scomp, int dcomp,
                     int ncomp, int ng) {
     assert(dst.m_ba == src.m_ba);
     assert(ng <= dst.nGrow() && ng <= src.nGrow());
-    StreamScope streams;
     for (std::size_t i = 0; i < dst.m_fabs.size(); ++i) {
-        streams.useFab(i);
         const Box region = grow(dst.m_ba[i], ng);
         dst.m_fabs[i].copyFrom(src.m_fabs[i], region, scomp, region, dcomp, ncomp);
     }
@@ -268,9 +250,7 @@ void MultiFab::Copy(MultiFab& dst, const MultiFab& src, int scomp, int dcomp,
 void MultiFab::LinComb(MultiFab& dst, Real a, const MultiFab& x, Real b,
                        const MultiFab& y, int comp, int ncomp) {
     assert(dst.m_ba == x.m_ba && dst.m_ba == y.m_ba);
-    StreamScope streams;
     for (std::size_t i = 0; i < dst.m_fabs.size(); ++i) {
-        streams.useFab(i);
         auto d = dst.m_fabs[i].array();
         auto xa = x.m_fabs[i].const_array();
         auto ya = y.m_fabs[i].const_array();
@@ -279,34 +259,6 @@ void MultiFab::LinComb(MultiFab& dst, Real a, const MultiFab& x, Real b,
             d(ii, j, k, comp + n) = a * xa(ii, j, k, comp + n) + b * ya(ii, j, k, comp + n);
         });
     }
-}
-
-MFIter::MFIter(const MultiFab& mf, bool tiling) : m_mf(&mf) {
-    const IntVect ts = ExecConfig::tileSize();
-    for (std::size_t i = 0; i < mf.size(); ++i) {
-        const Box& vb = mf.box(static_cast<int>(i));
-        if (tiling) {
-            for (const Box& t : chopDomain(vb, ts)) {
-                m_tiles.push_back({static_cast<int>(i), t});
-            }
-        } else {
-            m_tiles.push_back({static_cast<int>(i), vb});
-        }
-    }
-    syncStream();
-}
-
-void MFIter::syncStream() {
-    if (isValid()) {
-        ExecConfig::setCurrentStream(m_tiles[m_pos].fab % ExecConfig::numStreams());
-    } else {
-        ExecConfig::setCurrentStream(0);
-    }
-}
-
-Box MFIter::growntilebox(int ng) const {
-    Box b = grow(m_tiles[m_pos].box, ng);
-    return b & grow(validbox(), m_mf->nGrow());
 }
 
 } // namespace exa

@@ -21,8 +21,9 @@ struct CopyItem;
 //
 // In a distributed build each rank would hold only its own Fabs; here one
 // process holds them all and the DistributionMapping drives the *message
-// accounting* (CommHooks) for every ghost exchange and parallel copy, from
-// exactly the intersections that move the data.
+// accounting* (MessageRecords on the event stream) for every ghost
+// exchange and parallel copy, from exactly the intersections that move
+// the data.
 class MultiFab {
 public:
     MultiFab() = default;
@@ -55,7 +56,7 @@ public:
     // Fill every ghost zone that overlaps the valid region of any fab in
     // this MultiFab, honoring periodic images. This is the halo exchange:
     // each box-to-box copy whose source and destination live on different
-    // ranks is reported to CommHooks as one message. The intersection set
+    // ranks is published as one MessageRecord. The intersection set
     // is memoized in the process-wide CopierCache, keyed on the BoxArray /
     // DistributionMapping ids, so repeated exchanges on a stable layout
     // skip the O(nfabs^2) pattern rescan.
@@ -81,9 +82,9 @@ public:
                       const Periodicity& period = Periodicity::nonPeriodic());
 
     // Split-phase forms: post the exchange (stage every source region into
-    // pack buffers on per-fab streams) and return immediately; the
-    // returned handle's finish() delivers the ghosts and reports the
-    // CommHooks accounting exactly as the fused call. Between post and
+    // pack buffers) and return immediately; the returned handle's
+    // finish() delivers the ghosts and publishes the same accounting
+    // events as the fused call. Between post and
     // finish this MultiFab's ghost zones are unmodified and its valid
     // zones may be read or overwritten freely — the payload was captured
     // at post time. When comm::asyncHalo() is off these run the fused
@@ -139,12 +140,12 @@ private:
     friend class comm::HaloHandle;
 
     // Execute a cached copy plan against `src` (which may be *this),
-    // reporting each off-rank item to CommHooks under `tag`.
+    // publishing each off-rank item as a MessageRecord under `tag`.
     void copyFromPlan(const CopyPlan& plan, const MultiFab& src, int scomp,
                       int dcomp, int ncomp, const char* tag);
 
     // Post-delivery tail of one plan item: the HaloPayloadCorrupt
-    // injection site and the CommHooks message record. Shared between the
+    // injection site and the published MessageRecord. Shared between the
     // fused path and HaloHandle::finish() so the two report identical
     // accounting and consume identical fault-schedule slots.
     void deliverItemTail(const CopyItem& item, int dcomp, int ncomp, bool account,
@@ -155,45 +156,6 @@ private:
     int m_ncomp = 0;
     int m_ngrow = 0;
     std::vector<FArrayBox> m_fabs;
-};
-
-// Iterate over the fabs of a MultiFab, optionally decomposed into tiles.
-// This reproduces both sides of the paper's Figure 1:
-//   * tiled iteration (tile_size from ExecConfig) = the coarse-grained
-//     OpenMP model, one thread per tile;
-//   * untiled iteration + per-zone ParallelFor = the GPU model.
-// Each fab advances the round-robin stream id so the simulated device can
-// overlap kernels from different boxes (the CUDA-streams mitigation).
-class MFIter {
-public:
-    explicit MFIter(const MultiFab& mf, bool tiling = false);
-
-    bool isValid() const { return m_pos < m_tiles.size(); }
-    MFIter& operator++() {
-        ++m_pos;
-        syncStream();
-        return *this;
-    }
-
-    // Index of the underlying fab (for mf.array(mfi.index())).
-    int index() const { return m_tiles[m_pos].fab; }
-    // This tile's zones (= the valid box when not tiling).
-    const Box& tilebox() const { return m_tiles[m_pos].box; }
-    // The fab's full valid box.
-    const Box& validbox() const { return m_mf->box(m_tiles[m_pos].fab); }
-    // Tile box grown by ng, clipped to the fab's grown box.
-    Box growntilebox(int ng) const;
-
-private:
-    void syncStream();
-
-    struct Tile {
-        int fab;
-        Box box;
-    };
-    const MultiFab* m_mf;
-    std::vector<Tile> m_tiles;
-    std::size_t m_pos = 0;
 };
 
 } // namespace exa

@@ -1,8 +1,8 @@
 #include "mesh/rebalance/rebalancer.hpp"
 
 #include "core/debug.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/step_guard.hpp"
 
 #include <cstdio>
@@ -157,10 +157,10 @@ RebalanceDecision Rebalancer::step(int lev, std::int64_t step_index,
     m_stats.boxes_moved += d.boxes_moved;
     m_stats.bytes_moved += d.bytes_moved;
 
-    if (CommHooks::rebalanceActive()) {
-        CommHooks::notifyRebalance({lev, d.boxes_moved, d.bytes_moved,
-                                    d.measured_imbalance,
-                                    d.predicted_imbalance});
+    if (events::active()) {
+        events::publish(RebalanceEvent{lev, d.boxes_moved, d.bytes_moved,
+                                       d.measured_imbalance,
+                                       d.predicted_imbalance});
     }
 
     {

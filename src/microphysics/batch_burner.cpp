@@ -135,8 +135,6 @@ void BatchBurner::run(BurnBatch& b, Real dt, const OdeOptions& ode_opt) {
         const std::int64_t start = batch_idx * split / nb;
         const std::int64_t count = (batch_idx + 1) * split / nb - start;
         if (count == 0) continue;
-        StreamScope stream;
-        stream.use(static_cast<int>(batch_idx % ExecConfig::numStreams()));
         if (use_batched_lu) {
             m_batched_lu.resize(nspec + 1, static_cast<int>(count));
         }
@@ -171,8 +169,7 @@ void BatchBurner::run(BurnBatch& b, Real dt, const OdeOptions& ode_opt) {
             rec.info.name = "nuclear_burn_batch";
             rec.zones = count;
             rec.ncomp = 1;
-            rec.stream = ExecConfig::currentStream();
-            ExecConfig::notifyLaunch(rec);
+            events::publish(rec);
         }
     }
 

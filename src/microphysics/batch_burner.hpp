@@ -99,9 +99,9 @@ struct BatchBurnReport {
 
 // The batched burn engine: stiffness-estimate, sort, split, and integrate
 // a BurnBatch. Each device batch is one fused launch on the simulated
-// device (named kernel, per-batch stream, batch-local work imbalance)
-// whose Newton systems factor through one contiguous BatchedDenseLU slab;
-// the stiff tail runs the per-zone host path. Per-zone arithmetic is
+// device (named kernel, batch-local work imbalance) whose Newton systems
+// factor through one contiguous BatchedDenseLU slab; the stiff tail runs
+// the per-zone host path. Per-zone arithmetic is
 // identical to burnZone on every backend — processing order only changes
 // *when* a zone is integrated, never its result — so batched output is
 // bit-identical to a zone-by-zone burnZone loop.

@@ -12,26 +12,17 @@ double GpuParams::occupancy(int regs_per_thread) const {
     return static_cast<double>(threads) / max_threads_per_sm;
 }
 
-DeviceModel::DeviceModel(const GpuParams& p) : m_params(p) {
-    m_stream_time.assign(std::max(1, ExecConfig::numStreams()), 0.0);
-}
-
-DeviceModel::~DeviceModel() { detach(); }
+DeviceModel::DeviceModel(const GpuParams& p) : m_params(p) {}
 
 void DeviceModel::attach() {
-    ExecConfig::setLaunchHook([this](const LaunchRecord& r) { onLaunch(r); });
-    m_attached = true;
+    if (m_sub) return;
+    m_sub = events::subscribe<LaunchRecord>(
+        [this](const LaunchRecord& r) { onLaunch(r); });
 }
 
-void DeviceModel::detach() {
-    if (m_attached) {
-        ExecConfig::clearLaunchHook();
-        m_attached = false;
-    }
-}
+void DeviceModel::detach() { m_sub.reset(); }
 
 void DeviceModel::reset() {
-    m_stream_time.assign(std::max(1, ExecConfig::numStreams()), 0.0);
     m_serialized = 0.0;
     m_launches = 0;
     m_zones = 0;
@@ -90,11 +81,6 @@ double DeviceModel::launchTime(const LaunchRecord& r) const {
 
 void DeviceModel::onLaunch(const LaunchRecord& r) {
     const double t = launchTime(r);
-    const int s = std::clamp(r.stream, 0, static_cast<int>(m_stream_time.size()) - 1);
-    // Launch latency overlaps across streams; kernel bodies contend for
-    // the same SMs, so they are charged to every stream's timeline via the
-    // serialized clock and the latency to the issuing stream only.
-    m_stream_time[s] += t;
     m_serialized += t;
     ++m_launches;
     m_zones += r.zones * std::max(1, r.ncomp);
@@ -114,16 +100,15 @@ void DeviceModel::onLaunch(const LaunchRecord& r) {
 double DeviceModel::elapsedSeconds() const {
     // Bodies serialize on the device; only launch gaps overlap. Elapsed is
     // therefore bounded below by total body time and above by the fully
-    // serialized time; we take body-total plus the max per-stream latency
-    // share.
+    // serialized time; we take body-total plus the latency shared over
+    // kStreams.
     double body_total = 0.0;
     double lat_total = 0.0;
     for (const auto& [name, ks] : m_stats) {
         body_total += ks.seconds - ks.launches * m_params.launch_latency;
         lat_total += ks.launches * m_params.launch_latency;
     }
-    const int nstreams = static_cast<int>(m_stream_time.size());
-    return body_total + lat_total / std::max(1, nstreams);
+    return body_total + lat_total / kStreams;
 }
 
 double DeviceModel::serializedSeconds() const { return m_serialized; }

@@ -1,12 +1,11 @@
 #pragma once
 
-#include "core/executor.hpp"
+#include "core/events.hpp"
 #include "perf/summit.hpp"
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace exa {
 
@@ -21,17 +20,30 @@ namespace exa {
 //   * occupancy limited by register pressure, with spilling past 255
 //     registers (the N-isotope Jacobian discussion),
 //   * streaming-bandwidth- or FLOP-bound execution, whichever is slower,
-//   * CUDA-streams overlap of launch latency across boxes,
+//   * CUDA-streams overlap of launch latency,
 //   * Unified-Memory oversubscription (eviction-bandwidth penalty).
+//
+// The streams assumption is a fixed rule: kernel bodies run one after
+// another (they contend for the same SMs), and the launch latency of
+// every launch overlaps across kStreams streams, whichever launch issued
+// it. No launch carries a stream id; the model reads only the count.
 class DeviceModel {
 public:
-    explicit DeviceModel(const GpuParams& p = GpuParams{});
+    // Concurrent streams whose launch latencies overlap.
+    static constexpr int kStreams = 4;
 
-    // Attach as the process-wide launch hook (Backend::SimGpu must also be
-    // selected for launches to be reported).
+    explicit DeviceModel(const GpuParams& p = GpuParams{});
+    DeviceModel(const DeviceModel&) = delete;
+    DeviceModel& operator=(const DeviceModel&) = delete;
+
+    // Subscribe to the event stream's LaunchRecords / drop the
+    // subscription (Backend::SimGpu must also be selected for launches to
+    // be published). Both are idempotent: attaching an attached model
+    // counts each launch once, and detaching a detached one does nothing.
+    // Other device models may be attached at the same time; each counts
+    // every launch. The destructor detaches.
     void attach();
     void detach();
-    ~DeviceModel();
 
     // Modeled execution time of a single launch.
     double launchTime(const LaunchRecord& r) const;
@@ -40,9 +52,8 @@ public:
 
     void reset();
 
-    // Modeled elapsed device time: streams run concurrently, so elapsed is
-    // the max over per-stream timelines; kernel bodies serialize on the
-    // device and are charged to the stream that issued them.
+    // Modeled elapsed device time: every kernel body plus the launch
+    // latencies divided over kStreams.
     double elapsedSeconds() const;
     // Total serialized kernel time (as if one stream).
     double serializedSeconds() const;
@@ -78,13 +89,13 @@ private:
     void onLaunch(const LaunchRecord& r);
 
     GpuParams m_params;
-    std::vector<double> m_stream_time;
     double m_serialized = 0.0;
     std::int64_t m_launches = 0;
     std::int64_t m_zones = 0;
     double m_resident_bytes = 0.0;
     std::map<std::string, KernelStats> m_stats;
-    bool m_attached = false;
+    // Last member, so it unsubscribes before the counters are destroyed.
+    EventSubscription m_sub;
 };
 
 } // namespace exa

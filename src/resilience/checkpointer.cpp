@@ -1,7 +1,7 @@
 #include "resilience/checkpointer.hpp"
 
+#include "core/events.hpp"
 #include "core/fault.hpp"
-#include "mesh/comm_hooks.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -213,7 +213,7 @@ void AsyncCheckpointer::writeSnapshot(
     ResilienceEvent ev;
     ev.checkpoints = 1;
     ev.checkpoint_bytes = bytes;
-    CommHooks::notifyResilience(ev);
+    events::publish(ev);
 }
 
 void AsyncCheckpointer::flush() {

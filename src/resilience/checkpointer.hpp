@@ -22,8 +22,10 @@
 //
 // Thread-safety contract: checkpoint()/flush()/noteStepSeconds() are
 // main-thread calls; the drain thread touches only plain host buffers,
-// the filesystem, fault::shouldFire (mutexed), and
-// CommHooks::notifyResilience (whose receiving counters are atomic).
+// the filesystem, fault::shouldFire (mutexed), and events::publish of a
+// ResilienceEvent (CommLedger, its listener, keeps these counters
+// atomic). Subscribe to or leave the event stream only after flush(),
+// while no drain is in flight.
 // MultiFab data is never accessed off the main thread.
 
 #include "mesh/geometry.hpp"

@@ -1,7 +1,7 @@
 #include "resilience/supervisor.hpp"
 
+#include "core/events.hpp"
 #include "core/fault.hpp"
-#include "mesh/comm_hooks.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -384,7 +384,7 @@ void ResilienceSupervisor::recover() {
     ev.ranks_recovered = 1;
     ev.replay_steps = replay;
     ev.recovery_bytes = disk_bytes;
-    CommHooks::notifyResilience(ev);
+    events::publish(ev);
     if (m_opt.verbose) {
         std::fprintf(stderr,
                      "[supervisor] recovered: rewound to step %d (replaying %d "

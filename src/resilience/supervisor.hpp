@@ -21,7 +21,7 @@
 // supervisor falls back to a full rollback from the *other* slot; if that
 // also fails, or no rank survives, the run is unrecoverable and throws.
 
-#include "mesh/comm_hooks.hpp"
+#include "core/events.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/step_guard.hpp"
 #include "resilience/checkpointer.hpp"

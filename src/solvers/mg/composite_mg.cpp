@@ -1,10 +1,10 @@
 #include "solvers/mg/composite_mg.hpp"
 
 #include "comm/halo_handle.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/parallel_for.hpp"
 #include "core/timer.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/copier_cache.hpp"
 
 #include <algorithm>
@@ -236,33 +236,22 @@ void CompositeMg::smoothRung(int r, int sweeps) {
                 if (R.cf) R.cf->interpGhosts(phi);
                 const auto part =
                     CopierCache::instance().interiorPartition(R.ba, 1);
-                {
-                    StreamScope streams;
-                    for (std::size_t i = 0; i < phi.size(); ++i) {
-                        const FabRegions& fr = part->fabs[i];
-                        if (!fr.interior.ok()) continue;
-                        streams.useFab(i);
-                        sweepRegion(i, fr.interior, color);
-                    }
+                for (std::size_t i = 0; i < phi.size(); ++i) {
+                    const FabRegions& fr = part->fabs[i];
+                    if (fr.interior.ok()) sweepRegion(i, fr.interior, color);
                 }
                 halo.finish();
                 mgApplyDomainBC(phi, g, m_bc);
-                {
-                    StreamScope streams;
-                    for (std::size_t i = 0; i < phi.size(); ++i) {
-                        streams.useFab(i);
-                        for (const Box& sb : part->fabs[i].shell) {
-                            sweepRegion(i, sb, color);
-                        }
+                for (std::size_t i = 0; i < phi.size(); ++i) {
+                    for (const Box& sb : part->fabs[i].shell) {
+                        sweepRegion(i, sb, color);
                     }
                 }
             } else {
                 phi.FillBoundary(0, 1, g.periodicity());
                 if (R.cf) R.cf->interpGhosts(phi);
                 mgApplyDomainBC(phi, g, m_bc);
-                StreamScope streams;
                 for (std::size_t i = 0; i < phi.size(); ++i) {
-                    streams.useFab(i);
                     sweepRegion(i, phi.box(static_cast<int>(i)), color);
                 }
             }
@@ -645,14 +634,14 @@ CompositeMgResult CompositeMg::solve(const std::vector<MultiFab*>& phi,
     result.agg_bytes = m_stats.agg_bytes - before.agg_bytes;
     result.final_resnorm = res;
     result.converged = res <= target;
-    if (CommHooks::mgActive()) {
+    if (events::active()) {
         MgEvent e;
         e.fmg_cycles = result.fmg_cycles;
         e.vcycles = result.all_vcycles;
         e.sweeps = result.sweeps;
         e.agg_copies = result.agg_copies;
         e.agg_bytes = result.agg_bytes;
-        CommHooks::notifyMg(e);
+        events::publish(e);
     }
     return result;
 }

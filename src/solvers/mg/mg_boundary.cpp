@@ -1,7 +1,7 @@
 #include "solvers/mg/mg_boundary.hpp"
 
+#include "core/events.hpp"
 #include "core/parallel_for.hpp"
-#include "mesh/comm_hooks.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -191,14 +191,14 @@ void MgCfBoundary::prepare(const MultiFab& crse) {
         for (const GatherItem& item : gs.items) {
             gs.vals.copyFrom(crse.fab(item.crse_fab), item.src, 0, item.dst, 0,
                              1);
-            if (item.src_rank != item.dst_rank && CommHooks::active()) {
+            if (item.src_rank != item.dst_rank && events::active()) {
                 MessageRecord r;
                 r.src_rank = item.src_rank;
                 r.dst_rank = item.dst_rank;
                 r.bytes = item.src.numPts() *
                           static_cast<std::int64_t>(sizeof(Real));
                 r.tag = "mg-cfb";
-                CommHooks::notify(r);
+                events::publish(r);
             }
         }
     }

@@ -10,8 +10,8 @@
 //                        neighbors) of every coarse-fine ghost cell into
 //                        per-fab scratch and evaluate the tangentially
 //                        interpolated coarse value phi~ at each fine ghost
-//                        center. Off-rank gather items are accounted to
-//                        CommHooks under the "mg-cfb" tag.
+//                        center. Off-rank gather items are published as
+//                        MessageRecords under the "mg-cfb" tag.
 //   interpGhosts(fine)   write each coarse-fine ghost as the quadratic
 //                        normal interpolant through phi~ and the first two
 //                        fine interior cells (O(h^2) at the interface).

@@ -2,7 +2,7 @@
 // ParallelCopy_nowait + HaloHandle::finish() must be bit-identical to the
 // fused (blocking) calls on every backend, across the driver-level
 // overlap paths (Castro RK stages, Maestro advection, the multigrid
-// smoother, AMR fillPatch), with identical CommHooks accounting, and the
+// smoother, AMR fillPatch), with identical published accounting, and the
 // Debug backend must flag handle-lifecycle mistakes (forgotten finish,
 // double finish).
 #include "castro/castro.hpp"
@@ -10,10 +10,10 @@
 #include "comm/halo_handle.hpp"
 #include "comm/ledger.hpp"
 #include "core/debug.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/parallel_for.hpp"
 #include "maestro/maestro.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/copier_cache.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/multifab.hpp"

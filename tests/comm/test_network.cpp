@@ -80,6 +80,55 @@ TEST(CommLedger, AttachCapturesFillBoundaryTraffic) {
     EXPECT_EQ(ledger.totalBytes(), (24 * 64 + 24 * 8 + 8) * 2 * 8);
 }
 
+namespace {
+// 2x2x2 boxes of 8^3 on 8 ranks: every FillBoundary sends 56 messages.
+MultiFab eightRankFab() {
+    BoxArray ba(Box({0, 0, 0}, {15, 15, 15}));
+    ba.maxSize(8);
+    MultiFab mf(ba, DistributionMapping(ba, 8), 1, 1);
+    mf.setVal(1.0);
+    return mf;
+}
+} // namespace
+
+// An attached ledger keeps counting while another message listener (the
+// rebalance test's slow-network sleep) comes and goes.
+TEST(CommLedger, KeepsCountingAcrossAnotherListener) {
+    MultiFab mf = eightRankFab();
+    CommLedger ledger;
+    ledger.attach();
+    mf.FillBoundary();
+    const std::int64_t per = ledger.totalMessages();
+    ASSERT_EQ(per, 8 * 7);
+    {
+        std::int64_t seen = 0;
+        EventSubscription other = events::subscribe<MessageRecord>(
+            [&](const MessageRecord&) { ++seen; });
+        mf.FillBoundary();
+        EXPECT_EQ(seen, per);
+    }
+    mf.FillBoundary();
+    ledger.detach();
+    EXPECT_EQ(ledger.totalMessages(), 3 * per);
+}
+
+// attach() on an attached ledger records each message once (the ensemble
+// runner attaches a ledger its caller may already have attached), and
+// detach() on a detached ledger does nothing.
+TEST(CommLedger, AttachAndDetachAreIdempotent) {
+    MultiFab mf = eightRankFab();
+    CommLedger ledger;
+    ledger.attach();
+    ledger.attach();
+    mf.FillBoundary();
+    EXPECT_EQ(ledger.totalMessages(), 8 * 7);
+    ledger.detach();
+    ledger.detach();
+    mf.FillBoundary();
+    EXPECT_EQ(ledger.totalMessages(), 8 * 7);
+    EXPECT_FALSE(events::active());
+}
+
 TEST(CommLedger, PhaseTimeIsMaxOverRanks) {
     CommLedger ledger;
     NetworkModel net;

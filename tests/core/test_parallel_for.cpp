@@ -103,14 +103,15 @@ TEST(ParallelReduce, MaxMin) {
 TEST(ParallelFor, SimGpuLaunchHookReceivesRecords) {
     ScopedBackend sb(Backend::SimGpu);
     std::vector<LaunchRecord> records;
-    ExecConfig::setLaunchHook([&](const LaunchRecord& r) { records.push_back(r); });
+    EventSubscription sub = events::subscribe<LaunchRecord>(
+        [&](const LaunchRecord& r) { records.push_back(r); });
 
     Box b({0, 0, 0}, {15, 15, 15});
     KernelInfo ki{"test_kernel", 10.0, 40.0, 80, 1.0};
     ParallelFor(ki, b, [](int, int, int) {});
     ParallelFor(ki, b, 4, [](int, int, int, int) {});
 
-    ExecConfig::clearLaunchHook();
+    sub.reset();
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].zones, 4096);
     EXPECT_EQ(records[0].ncomp, 1);
@@ -122,22 +123,12 @@ TEST(ParallelFor, SimGpuLaunchHookReceivesRecords) {
 TEST(ParallelFor, SerialBackendDoesNotNotifyHook) {
     ScopedBackend sb(Backend::Serial);
     int launches = 0;
-    ExecConfig::setLaunchHook([&](const LaunchRecord&) { ++launches; });
+    EventSubscription sub =
+        events::subscribe<LaunchRecord>([&](const LaunchRecord&) { ++launches; });
     Box b({0, 0, 0}, {3, 3, 3});
     ParallelFor(b, [](int, int, int) {});
-    ExecConfig::clearLaunchHook();
+    sub.reset();
     EXPECT_EQ(launches, 0);
-}
-
-TEST(ExecConfig, StreamsRoundTrip) {
-    ExecConfig::setNumStreams(4);
-    EXPECT_EQ(ExecConfig::numStreams(), 4);
-    ExecConfig::setCurrentStream(3);
-    EXPECT_EQ(ExecConfig::currentStream(), 3);
-    ExecConfig::setCurrentStream(0);
-    ExecConfig::setNumStreams(0); // clamps to 1
-    EXPECT_EQ(ExecConfig::numStreams(), 1);
-    ExecConfig::setNumStreams(4);
 }
 
 class ParallelForBoxShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};

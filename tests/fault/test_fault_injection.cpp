@@ -20,6 +20,8 @@
 #include <filesystem>
 #include <string>
 
+#include <unistd.h>
+
 using namespace exa;
 
 namespace {
@@ -33,8 +35,10 @@ StepGuardOptions quietGuard() {
 
 struct TmpDir {
     std::string path;
+    // Per process: ctest runs a test's plain, debug-backend and
+    // determinism entries concurrently.
     explicit TmpDir(const std::string& name)
-        : path(std::string("/tmp/exastro_fault_") + name) {
+        : path("/tmp/exastro_fault_" + std::to_string(getpid()) + "_" + name) {
         std::filesystem::remove_all(path);
     }
     ~TmpDir() { std::filesystem::remove_all(path); }

@@ -2,8 +2,8 @@
 // hash index, stable BoxArray/DistributionMapping ids, and the CopierCache
 // memoizing FillBoundary / ParallelCopy / averageDown plans. The cached
 // paths must be bit-identical to uncached execution on every backend.
+#include "core/events.hpp"
 #include "core/executor.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/copier_cache.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/multifab.hpp"
@@ -130,11 +130,12 @@ struct Msg {
 
 std::vector<Msg> recordMessages(const std::function<void()>& body) {
     std::vector<Msg> out;
-    CommHooks::setMessageHook([&](const MessageRecord& r) {
-        out.push_back({r.src_rank, r.dst_rank, r.bytes, r.tag});
-    });
+    EventSubscription sub =
+        events::subscribe<MessageRecord>([&](const MessageRecord& r) {
+            out.push_back({r.src_rank, r.dst_rank, r.bytes, r.tag});
+        });
     body();
-    CommHooks::clearMessageHook();
+    sub.reset();
     return out;
 }
 
@@ -499,7 +500,7 @@ TEST(CopierCacheTest, InteriorPartitionGeometryAndCaching) {
     EXPECT_EQ(s.misses, 0u);
 }
 
-// --- split-phase accounting (satellite: identical CommHooks counts) ------
+// --- split-phase accounting (identical published message counts) -------
 
 TEST(CopierCacheTest, SplitPhaseReportsIdenticalMessages) {
     const int nx = 16;

@@ -1,5 +1,4 @@
-#include "core/executor.hpp"
-#include "mesh/comm_hooks.hpp"
+#include "core/events.hpp"
 #include "mesh/multifab.hpp"
 
 #include <gtest/gtest.h>
@@ -96,14 +95,15 @@ TEST(MultiFab, FillBoundaryReportsOffRankMessages) {
     MultiFab mf = makeFilled(nx, 8, 1, 1, /*nranks=*/8); // one box per rank
     std::int64_t bytes = 0;
     int msgs = 0;
-    CommHooks::setMessageHook([&](const MessageRecord& r) {
-        ++msgs;
-        bytes += r.bytes;
-        EXPECT_NE(r.src_rank, r.dst_rank);
-        EXPECT_STREQ(r.tag, "fillboundary");
-    });
+    EventSubscription sub =
+        events::subscribe<MessageRecord>([&](const MessageRecord& r) {
+            ++msgs;
+            bytes += r.bytes;
+            EXPECT_NE(r.src_rank, r.dst_rank);
+            EXPECT_STREQ(r.tag, "fillboundary");
+        });
     mf.FillBoundary();
-    CommHooks::clearMessageHook();
+    sub.reset();
     // 8 boxes in a 2x2x2 arrangement: every pair of distinct boxes
     // touches (face, edge, or corner) and each box has 7 neighbors.
     EXPECT_EQ(msgs, 8 * 7);
@@ -159,51 +159,6 @@ TEST(MultiFab, ArithmeticHelpers) {
     c.plus(1.0, 0, 1);
     c.mult(0.5, 0, 1);
     EXPECT_DOUBLE_EQ(c.max(0), 4.0);
-}
-
-TEST(MFIter, UntiledVisitsEachFabOnce) {
-    MultiFab mf = makeFilled(16, 8, 1, 0);
-    int count = 0;
-    for (MFIter mfi(mf); mfi.isValid(); ++mfi) {
-        EXPECT_EQ(mfi.tilebox(), mf.box(mfi.index()));
-        ++count;
-    }
-    EXPECT_EQ(count, 8);
-}
-
-TEST(MFIter, TiledCoversValidRegionExactly) {
-    MultiFab mf = makeFilled(16, 8, 1, 0);
-    ExecConfig::setTileSize(IntVect{1024000, 4, 4});
-    std::int64_t zones = 0;
-    for (MFIter mfi(mf, /*tiling=*/true); mfi.isValid(); ++mfi) {
-        zones += mfi.tilebox().numPts();
-        EXPECT_TRUE(mf.box(mfi.index()).contains(mfi.tilebox()));
-        // Tile shape: full pencil in x, 4x4 in y,z.
-        EXPECT_EQ(mfi.tilebox().length(0), 8);
-        EXPECT_LE(mfi.tilebox().length(1), 4);
-    }
-    EXPECT_EQ(zones, 16LL * 16 * 16);
-    ExecConfig::setTileSize(IntVect{1024000, 8, 8});
-}
-
-TEST(MFIter, GrownTileboxClipsToFab) {
-    MultiFab mf = makeFilled(16, 8, 1, 2);
-    for (MFIter mfi(mf); mfi.isValid(); ++mfi) {
-        EXPECT_EQ(mfi.growntilebox(2), grow(mfi.validbox(), 2));
-        EXPECT_EQ(mfi.growntilebox(5), grow(mfi.validbox(), 2)); // clipped
-    }
-}
-
-TEST(MFIter, RoundRobinsStreams) {
-    MultiFab mf = makeFilled(16, 4, 1, 0); // 64 fabs
-    ExecConfig::setNumStreams(4);
-    std::vector<int> seen;
-    for (MFIter mfi(mf); mfi.isValid(); ++mfi) {
-        seen.push_back(ExecConfig::currentStream());
-    }
-    EXPECT_EQ(seen[0], 0);
-    EXPECT_EQ(seen[1], 1);
-    EXPECT_EQ(seen[4], 0);
 }
 
 TEST(MultiFab, EmptyMinMaxAreReductionIdentities) {

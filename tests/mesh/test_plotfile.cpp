@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 using namespace exa;
 
 namespace {
@@ -31,8 +33,10 @@ MultiFab makeState(int n, int nc, int seed) {
 
 struct TmpDir {
     std::string path;
+    // Per process: ctest runs a test's plain, debug-backend and
+    // determinism entries concurrently.
     explicit TmpDir(const std::string& name)
-        : path(std::string("/tmp/exastro_test_") + name) {
+        : path("/tmp/exastro_test_" + std::to_string(getpid()) + "_" + name) {
         std::filesystem::remove_all(path);
     }
     ~TmpDir() { std::filesystem::remove_all(path); }

@@ -7,11 +7,11 @@
 #include "castro/sedov.hpp"
 #include "comm/ledger.hpp"
 #include "core/debug.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/timer.hpp"
 #include "maestro/maestro.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/multifab.hpp"
 #include "mesh/rebalance/rebalancer.hpp"
@@ -578,15 +578,16 @@ TEST(RebalanceDrivers, CastroTimeMetricCreditsComputeNotCommWaits) {
     q.rebalance.cost.metric = CostMetric::Time;
     auto c = q.build(net);
 
-    CommHooks::setMessageHook([](const MessageRecord&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    });
+    EventSubscription slow_messages =
+        events::subscribe<MessageRecord>([](const MessageRecord&) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        });
     const Real dt = c->estimateDt();
     const int nsteps = 2;
     WallTimer wall;
     for (int s = 0; s < nsteps; ++s) c->step(dt);
     const double wall_s = wall.seconds();
-    CommHooks::clearMessageHook();
+    slow_messages.reset();
 
     const auto costs = c->rebalancer().monitor().costs(0);
     ASSERT_FALSE(costs.empty());

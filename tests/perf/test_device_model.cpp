@@ -1,9 +1,10 @@
 #include "core/array4.hpp"
-#include <vector>
 #include "core/parallel_for.hpp"
 #include "perf/device_model.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 using namespace exa;
 
@@ -45,9 +46,9 @@ TEST(DeviceModel, SmallLaunchesArePenalized) {
     KernelInfo ki{"stream", 1.0, 100.0, 32, 1.0};
     // Same total zones, split into 512 small launches vs 1 big one.
     const std::int64_t big = 1 << 21;
-    const double t_big = dev.launchTime({ki, big, 1, 0});
+    const double t_big = dev.launchTime({ki, big, 1});
     double t_small = 0;
-    for (int i = 0; i < 512; ++i) t_small += dev.launchTime({ki, big / 512, 1, 0});
+    for (int i = 0; i < 512; ++i) t_small += dev.launchTime({ki, big / 512, 1});
     EXPECT_GT(t_small, 3.0 * t_big);
 }
 
@@ -103,7 +104,6 @@ TEST(DeviceModel, WorkImbalanceTailLatency) {
 
 TEST(DeviceModel, AttachAccumulatesFromSimGpuBackend) {
     ScopedBackend sb(Backend::SimGpu);
-    ExecConfig::setNumStreams(4);
     DeviceModel dev;
     dev.attach();
     Box b({0, 0, 0}, {31, 31, 31});
@@ -127,7 +127,6 @@ TEST(DeviceModel, StreamsHideLaunchLatency) {
     // Many tiny launches: with 4 streams, elapsed ~ serialized/4 for the
     // latency-dominated part.
     GpuParams p;
-    ExecConfig::setNumStreams(4);
     DeviceModel dev(p);
     KernelInfo ki{"tiny", 1.0, 8.0, 32, 1.0};
     for (int i = 0; i < 100; ++i) {
@@ -135,13 +134,50 @@ TEST(DeviceModel, StreamsHideLaunchLatency) {
         r.info = ki;
         r.zones = 8; // negligible body
         r.ncomp = 1;
-        r.stream = i % 4;
         // feed directly through attach path
         dev.attach();
-        ExecConfig::notifyLaunch(r);
+        events::publish(r);
         dev.detach();
     }
     EXPECT_LT(dev.elapsedSeconds(), 0.5 * dev.serializedSeconds());
+}
+
+namespace {
+void launchOnce() {
+    ParallelFor(KernelInfo{"tick", 1.0, 8.0, 32, 1.0}, Box({0, 0, 0}, {7, 7, 7}),
+                [](int, int, int) {});
+}
+} // namespace
+
+// A second model attached next to the first counts the same launches,
+// and destroying it leaves the first one attached.
+TEST(DeviceModel, SecondModelLeavesFirstAttached) {
+    ScopedBackend sb(Backend::SimGpu);
+    DeviceModel a;
+    a.attach();
+    {
+        DeviceModel b;
+        b.attach();
+        launchOnce();
+        EXPECT_EQ(b.numLaunches(), 1);
+    }
+    launchOnce();
+    a.detach();
+    EXPECT_EQ(a.numLaunches(), 2);
+}
+
+// attach() on an attached model counts each launch once; detach() on a
+// detached model does nothing.
+TEST(DeviceModel, AttachAndDetachAreIdempotent) {
+    ScopedBackend sb(Backend::SimGpu);
+    DeviceModel dev;
+    dev.attach();
+    dev.attach();
+    launchOnce();
+    dev.detach();
+    dev.detach();
+    launchOnce();
+    EXPECT_EQ(dev.numLaunches(), 1);
 }
 
 TEST(DeviceModel, TransferTimeForCheckpoints) {

@@ -15,11 +15,11 @@
 #include "castro/sedov.hpp"
 #include "castro/wd_collision.hpp"
 #include "comm/ledger.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
 #include "maestro/maestro.hpp"
-#include "mesh/comm_hooks.hpp"
 #include "mesh/plotfile.hpp"
 #include "resilience/adapters.hpp"
 #include "resilience/campaign.hpp"
@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace exa;
 using namespace exa::resilience;
 
@@ -42,8 +44,10 @@ namespace {
 
 struct TmpDir {
     std::string path;
+    // Per process: ctest runs a test's plain, debug-backend and
+    // determinism entries concurrently.
     explicit TmpDir(const std::string& name)
-        : path(std::string("/tmp/exastro_resilience_") + name) {
+        : path("/tmp/exastro_resilience_" + std::to_string(getpid()) + "_" + name) {
         std::filesystem::remove_all(path);
         std::filesystem::create_directories(path);
     }

@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace exa;
 
 namespace {
@@ -394,8 +396,10 @@ namespace {
 
 struct TmpDir {
     std::string path;
+    // Per process: ctest runs a test's plain, debug-backend and
+    // determinism entries concurrently.
     explicit TmpDir(const std::string& name)
-        : path(std::string("/tmp/exastro_gravity_") + name) {
+        : path("/tmp/exastro_gravity_" + std::to_string(getpid()) + "_" + name) {
         std::filesystem::remove_all(path);
         std::filesystem::create_directories(path);
     }
