@@ -47,6 +47,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 using namespace exa;
@@ -164,6 +167,7 @@ struct Row {
     CompositeMgResult res;
     double t_kernel = 0.0, t_smooth = 0.0, t_net = 0.0, hidden = 0.0;
     std::int64_t msgs = 0;
+    std::map<std::string, DeviceModel::KernelStats> kernels;
     double total() const {
         return t_kernel + std::max(0.0, t_net - hidden);
     }
@@ -207,6 +211,7 @@ Row runCase(const Config& cfg, const RankLayout& layout,
     const auto& ks = dev.kernelStats();
     if (auto it = ks.find("mg_smooth"); it != ks.end())
         row.t_smooth = it->second.seconds * f;
+    row.kernels = ks;
     row.t_net = clock.time();
     row.msgs = clock.msgs;
     if (split)
@@ -215,6 +220,25 @@ Row runCase(const Config& cfg, const RankLayout& layout,
     clock.detach();
     dev.detach();
     return row;
+}
+
+// Where the modeled device time of one solve goes: launches, mean zones
+// per launch and serialized modeled time of every kernel (whole device,
+// not scaled to the busiest rank), the most expensive first.
+void printKernelTable(const char* label, const Row& r) {
+    std::vector<std::pair<std::string, DeviceModel::KernelStats>> rows(r.kernels.begin(),
+                                                                      r.kernels.end());
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+        return a.second.seconds > b.second.seconds;
+    });
+    std::printf("\nPer-kernel modeled time, %s:\n%-20s %9s %12s %12s\n", label, "kernel",
+                "launches", "mean zones", "modeled ms");
+    for (const auto& [name, ks] : rows) {
+        std::printf("%-20s %9lld %12.1f %12.3f\n", name.c_str(),
+                    static_cast<long long>(ks.launches),
+                    static_cast<double>(ks.zones) / static_cast<double>(ks.launches),
+                    ks.seconds * 1e3);
+    }
 }
 
 } // namespace
@@ -244,8 +268,9 @@ void runSweep(const char* title, const Config& cfg,
         {"FMG + aggregation + split", true, true, true},
     };
     double t_base = 0.0;
+    Row r;
     for (const Case& c : cases) {
-        const Row r = runCase(cfg, layout, netmod, c.fmg, c.agg, c.split);
+        r = runCase(cfg, layout, netmod, c.fmg, c.agg, c.split);
         if (t_base == 0.0) t_base = r.total();
         std::printf("%-28s %7d %7lld %9lld %10.2f %10.2f %10.2f %10.2f",
                     c.label, r.res.all_vcycles,
@@ -259,6 +284,7 @@ void runSweep(const char* title, const Config& cfg,
                         static_cast<double>(r.res.agg_bytes) / 1024.0);
         std::printf(")\n");
     }
+    printKernelTable(cases[std::size(cases) - 1].label, r);
 }
 
 int main() {

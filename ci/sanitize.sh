@@ -7,6 +7,8 @@
 # shuffled zone order, and the resilience suite hands staged checkpoint
 # buffers to a background drain thread — under TSan that covers the
 # main-thread/drain-thread handshake the runtime checkers cannot see.
+# The async-comm and determinism labels cover the split-phase halo
+# delivery and the fused-launch reruns at 1, 2 and 4 OpenMP threads.
 # The combination is where sanitizers catch what the runtime checkers
 # cannot, and vice versa. A seeded multi-fault campaign smoke test runs
 # last: rank failures + halo corruption + a checkpoint bit flip through
@@ -23,7 +25,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${ROOT}/build-sanitize-${SAN//;/-}"
 
 # Repeated `ctest -L` flags AND together; one regex is the union.
-LABELS='rebalance|debug-backend|amr|burn|resilience|ensemble|gravity'
+LABELS='rebalance|debug-backend|amr|burn|resilience|ensemble|gravity|async-comm|determinism'
 
 cmake -B "${BUILD}" -S "${ROOT}" -DEXA_SANITIZE="${SAN}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -78,7 +78,10 @@ void molRhs(const MultiFab& state, MultiFab& dudt, const Geometry& geom,
 // the valid box — e.g. a CopierCache interior partition's interior box
 // while a halo exchange is in flight, then the whole boundary shell list
 // after finish() — reproduces the fused molRhs bit-for-bit, because every
-// zone's update is a pure function of the input state.
+// zone's update is a pure function of the input state. The flux and
+// update kernels stay one launch per region, not fused across regions or
+// fabs (DESIGN.md §20): they are a small share of the modeled device
+// time, and their face-flux scratch is per region.
 void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
                    std::span<const Box> regions, const Geometry& geom,
                    const ReactionNetwork& net, const Eos& eos,

@@ -4,6 +4,7 @@
 #include "core/fault.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -369,7 +370,9 @@ std::string GuardArena::report() const {
 // --- Global arena selection ----------------------------------------------
 
 namespace {
-Arena* g_the_arena = nullptr;
+// Null until first use or after setTheArena(nullptr); atomic because
+// ensemble workers make their first allocations concurrently.
+std::atomic<Arena*> g_the_arena{nullptr};
 }
 
 PoolArena& thePoolArena() {
@@ -398,10 +401,16 @@ Arena* arenaFromName(const char* name) {
 Arena* defaultArena() { return arenaFromName(std::getenv("EXA_ARENA")); }
 
 Arena* The_Arena() {
-    if (g_the_arena == nullptr) g_the_arena = defaultArena();
-    return g_the_arena;
+    Arena* a = g_the_arena.load(std::memory_order_acquire);
+    if (a != nullptr) return a;
+    // Racing first callers resolve the same default; one of them installs it.
+    Arena* expected = nullptr;
+    a = defaultArena();
+    return g_the_arena.compare_exchange_strong(expected, a, std::memory_order_acq_rel)
+               ? a
+               : expected;
 }
 
-void setTheArena(Arena* a) { g_the_arena = a; }
+void setTheArena(Arena* a) { g_the_arena.store(a, std::memory_order_release); }
 
 } // namespace exa

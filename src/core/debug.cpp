@@ -2,6 +2,7 @@
 
 #include "core/arena.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -207,25 +208,33 @@ void LaunchCheck::beginFootprint() {
 }
 
 void LaunchCheck::footprintScan(std::int64_t item) {
+    // An item changes a few bytes of one block, but a fused launch's
+    // blocks span every fab it touches: skip unchanged chunks with memcmp
+    // and compare single bytes only inside a chunk that changed.
+    constexpr std::size_t kChunk = 256;
     for (auto& fp : m_footprints) {
         const auto& s = m_snaps[fp.snap];
-        for (std::size_t b = 0; b < s.bytes; ++b) {
-            if (s.ptr[b] == fp.shadow[b]) continue;
-            fp.shadow[b] = s.ptr[b];
-            if (fp.owner[b] < 0 || fp.owner[b] == item) {
+        for (std::size_t c = 0; c < s.bytes; c += kChunk) {
+            const std::size_t end = std::min(c + kChunk, s.bytes);
+            if (std::memcmp(s.ptr + c, fp.shadow.data() + c, end - c) == 0) continue;
+            for (std::size_t b = c; b < end; ++b) {
+                if (s.ptr[b] == fp.shadow[b]) continue;
+                fp.shadow[b] = s.ptr[b];
+                if (fp.owner[b] < 0 || fp.owner[b] == item) {
+                    fp.owner[b] = item;
+                    continue;
+                }
+                if (!m_collision_reported) {
+                    m_collision_reported = true;
+                    std::ostringstream os;
+                    os << "work items " << fp.owner[b] << " and " << item
+                       << " both wrote byte " << static_cast<const void*>(s.ptr + b)
+                       << " within one launch; per-zone writes must be keyed by the "
+                          "zone's own (i,j,k[,n]).";
+                    reportViolation(m_kernel, "write-collision", os.str());
+                }
                 fp.owner[b] = item;
-                continue;
             }
-            if (!m_collision_reported) {
-                m_collision_reported = true;
-                std::ostringstream os;
-                os << "work items " << fp.owner[b] << " and " << item
-                   << " both wrote byte " << static_cast<const void*>(s.ptr + b)
-                   << " within one launch; per-zone writes must be keyed by the "
-                      "zone's own (i,j,k[,n]).";
-                reportViolation(m_kernel, "write-collision", os.str());
-            }
-            fp.owner[b] = item;
         }
     }
 }

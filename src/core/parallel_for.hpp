@@ -26,7 +26,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #if defined(EXA_USE_OPENMP)
 #include <omp.h>
@@ -181,6 +183,124 @@ void ParallelFor(const Box& box, int ncomp, F&& f) {
     ParallelFor(KernelInfo{}, box, ncomp, std::forward<F>(f));
 }
 
+// --- Fused ParallelFor over a list of tags --------------------------------
+//
+// One launch over many boxes, the way AMReX fuses the copy tags of a
+// FillBoundary: `tag(t)` for t in [0, ntags) returns a
+// std::pair<Box, Body> holding the tag's box and its zone body, a
+// body(i,j,k) when ncomp == 1 or a body(i,j,k,n) over ncomp components.
+// The factory builds the body's Array4s once per tag, never per zone,
+// and indexes data its caller has cached (a copy plan's items, a
+// partition's fabs), so a launch allocates nothing outside the Debug
+// checker. Tags with empty boxes are skipped; the launch publishes one
+// LaunchRecord whose zones are the sum over the others, and nothing when
+// there are none.
+//
+//   * Serial / OpenMP — the tags run in list order through the per-box
+//     path above, each behind its own kOmpForkFlops gate, so measured
+//     time and bits are those of one launch per tag (DESIGN.md §20).
+//   * SimGpu — one LaunchRecord, then the Serial loops.
+//   * Debug — one checked launch over the concatenated (tag, zone) index,
+//     whose ascending order is Serial's, so the contract holds across
+//     tags too: no two tags may write the same location.
+
+namespace detail {
+
+template <typename Body>
+inline constexpr bool kTakesComponent = std::is_invocable_v<Body&, int, int, int, int>;
+
+// One tag of a fused launch on the host; `omp` lets it fork a team under
+// the same gate as a launch over that box alone.
+template <typename Body>
+inline void runTag(bool omp, const KernelInfo& ki, const Box& box, int ncomp, Body& body) {
+    if (!box.ok()) return;
+    const bool fork = omp && ompForks(modeledFlops(ki, box.numPts(), ncomp));
+    if constexpr (kTakesComponent<Body>) {
+        if (fork)
+            omp_for(box, ncomp, body);
+        else
+            serial_for(box, ncomp, body);
+    } else {
+        if (fork)
+            omp_for(box, body);
+        else
+            serial_for(box, body);
+    }
+}
+
+template <typename TagFn>
+void checkedFusedFor(const KernelInfo& ki, std::size_t ntags, int ncomp, TagFn& tag) {
+    using Body = std::decay_t<decltype(tag(std::size_t{0}).second)>;
+    struct Item {
+        Box box;
+        std::int64_t first; // concatenated index of the tag's first work item
+        Body body;
+    };
+    std::vector<Item> items;
+    items.reserve(ntags);
+    std::int64_t total = 0;
+    for (std::size_t t = 0; t < ntags; ++t) {
+        auto [box, body] = tag(t);
+        if (!box.ok()) continue;
+        items.push_back(Item{box, total, std::move(body)});
+        total += box.numPts() * ncomp;
+    }
+    if (total == 0) return;
+    debug::run_checked(ki, total, [&](std::int64_t l) {
+        auto it = std::upper_bound(items.begin(), items.end(), l,
+                                   [](std::int64_t v, const Item& x) { return v < x.first; });
+        Item& item = *(it - 1);
+        const Box& b = item.box;
+        const std::int64_t npts = b.numPts();
+        const std::int64_t z = (l - item.first) % npts;
+        const Dim3 lo = b.loDim3();
+        const std::int64_t nx = b.length(0);
+        const int i = lo.x + static_cast<int>(z % nx);
+        const int j = lo.y + static_cast<int>((z / nx) % b.length(1));
+        const int k = lo.z + static_cast<int>(z / (nx * b.length(1)));
+        if constexpr (kTakesComponent<Body>) {
+            item.body(i, j, k, static_cast<int>((l - item.first) / npts));
+        } else {
+            item.body(i, j, k);
+        }
+    });
+}
+
+} // namespace detail
+
+template <typename TagFn>
+void ParallelFor(const KernelInfo& ki, std::size_t ntags, int ncomp, TagFn&& tag) {
+    if (ntags == 0 || ncomp <= 0) return;
+    switch (ExecConfig::backend()) {
+        case Backend::Serial:
+        case Backend::OpenMP: {
+            const bool omp = ExecConfig::backend() == Backend::OpenMP;
+            for (std::size_t t = 0; t < ntags; ++t) {
+                auto [box, body] = tag(t);
+                detail::runTag(omp, ki, box, ncomp, body);
+            }
+            break;
+        }
+        case Backend::SimGpu: {
+            std::int64_t zones = 0;
+            for (std::size_t t = 0; t < ntags; ++t) {
+                const Box box = tag(t).first;
+                if (box.ok()) zones += box.numPts();
+            }
+            if (zones == 0) return;
+            detail::record_launch(ki, zones, ncomp);
+            for (std::size_t t = 0; t < ntags; ++t) {
+                auto [box, body] = tag(t);
+                detail::runTag(false, ki, box, ncomp, body);
+            }
+            break;
+        }
+        case Backend::Debug:
+            detail::checkedFusedFor(ki, ntags, ncomp, tag);
+            break;
+    }
+}
+
 // --- 1-D ParallelFor -----------------------------------------------------
 //
 // 1-D launches run unchecked (plain serial) under Backend::Debug: their
@@ -218,7 +338,9 @@ void ParallelFor(std::int64_t n, F&& f) {
 // multigrid mean removal depend on OMP_NUM_THREADS. Max (and Min, which
 // is built on it) returns one of its inputs whatever the order (NaNs and
 // signed zeros aside), so under OpenMP it still forks a team above
-// kOmpForkFlops.
+// kOmpForkFlops. Reductions have no fused form: MultiFab::sum adds one
+// partial per fab, and one running sum across fabs would round
+// differently.
 
 template <typename F>
 Real ParallelReduceSum(const KernelInfo& ki, const Box& box, F&& f) {

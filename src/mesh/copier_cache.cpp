@@ -267,6 +267,7 @@ CopierCache::PartitionPtr CopierCache::buildInteriorPartition(const BoxArray& ba
             // (empty), which callers must skip.
             fr.shell = {vb};
         }
+        assert(fr.shell.size() <= FabRegions::kMaxShell);
     }
     return part;
 }

@@ -52,6 +52,8 @@ struct CopyPlan {
 // `shell` after finish(). A box too small to have an interior gets an
 // empty interior and its whole valid box as the shell.
 struct FabRegions {
+    // boxDiff of a box and a box inside it has at most this many pieces.
+    static constexpr std::size_t kMaxShell = 6;
     Box interior;
     std::vector<Box> shell;
 };

@@ -61,46 +61,19 @@ void FArrayBox::setVal(Real v) {
 void FArrayBox::setVal(Real v, const Box& region, int comp, int ncomp) {
     auto a = array();
     const Box b = region & m_box;
-    ParallelFor(KernelInfo::streaming("fab_setval", 8.0), b, ncomp,
+    ParallelFor(setValKernel(), b, ncomp,
                 [=](int i, int j, int k, int n) { a(i, j, k, comp + n) = v; });
 }
 
 void FArrayBox::copyFrom(const FArrayBox& src, const Box& srcbox, int scomp,
                          const Box& dstbox, int dcomp, int ncomp) {
-    assert(srcbox.size() == dstbox.size());
-    assert(src.m_box.contains(srcbox) && m_box.contains(dstbox));
-    auto d = array();
-    auto s = src.const_array();
-    const IntVect off = srcbox.smallEnd() - dstbox.smallEnd();
-    ParallelFor(KernelInfo::streaming("fab_copy", 16.0), dstbox, ncomp,
-                [=](int i, int j, int k, int n) {
-                    d(i, j, k, dcomp + n) = s(i + off.x, j + off.y, k + off.z, scomp + n);
-                });
-}
-
-void FArrayBox::plus(Real v, const Box& region, int comp, int ncomp) {
-    auto a = array();
-    const Box b = region & m_box;
-    ParallelFor(KernelInfo::streaming("fab_plus", 16.0), b, ncomp,
-                [=](int i, int j, int k, int n) { a(i, j, k, comp + n) += v; });
-}
-
-void FArrayBox::mult(Real v, const Box& region, int comp, int ncomp) {
-    auto a = array();
-    const Box b = region & m_box;
-    ParallelFor(KernelInfo::streaming("fab_mult", 16.0), b, ncomp,
-                [=](int i, int j, int k, int n) { a(i, j, k, comp + n) *= v; });
+    ParallelFor(copyKernel(), dstbox, ncomp, copyBody(src, srcbox, scomp, dstbox, dcomp));
 }
 
 void FArrayBox::saxpy(Real a, const FArrayBox& src, const Box& region, int scomp,
                       int dcomp, int ncomp) {
-    auto d = array();
-    auto s = src.const_array();
-    const Box b = region & m_box & src.box();
-    ParallelFor(KernelInfo::streaming("fab_saxpy", 24.0), b, ncomp,
-                [=](int i, int j, int k, int n) {
-                    d(i, j, k, dcomp + n) += a * s(i, j, k, scomp + n);
-                });
+    ParallelFor(saxpyKernel(), region & m_box & src.box(), ncomp,
+                saxpyBody(a, src, scomp, dcomp));
 }
 
 Real FArrayBox::max(const Box& region, int comp) const {

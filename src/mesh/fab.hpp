@@ -3,7 +3,10 @@
 #include "core/arena.hpp"
 #include "core/array4.hpp"
 #include "core/box.hpp"
+#include "core/executor.hpp"
 #include "core/real.hpp"
+
+#include <cassert>
 
 namespace exa {
 
@@ -44,19 +47,41 @@ public:
 
     void setVal(Real v);
     void setVal(Real v, const Box& region, int comp, int ncomp);
+    // setVal's kernel, for fused launches that fill many fabs at once.
+    static KernelInfo setValKernel() { return KernelInfo::streaming("fab_setval", 8.0); }
 
     // Copy `ncomp` components from src over region `srcbox` into this fab
     // over `dstbox`. The two boxes must be the same shape; they may be at
     // different positions (used for periodic shifts).
     void copyFrom(const FArrayBox& src, const Box& srcbox, int scomp, const Box& dstbox,
                   int dcomp, int ncomp);
+    // copyFrom's kernel and zone body, body(i, j, k, n) over dstbox, for
+    // fused launches that copy many regions at once (plan delivery).
+    static KernelInfo copyKernel() { return KernelInfo::streaming("fab_copy", 16.0); }
+    auto copyBody(const FArrayBox& src, const Box& srcbox, int scomp, const Box& dstbox,
+                  int dcomp) {
+        assert(srcbox.size() == dstbox.size());
+        assert(src.m_box.contains(srcbox) && m_box.contains(dstbox));
+        auto d = array();
+        auto s = src.const_array();
+        const IntVect off = srcbox.smallEnd() - dstbox.smallEnd();
+        return [=](int i, int j, int k, int n) {
+            d(i, j, k, dcomp + n) = s(i + off.x, j + off.y, k + off.z, scomp + n);
+        };
+    }
 
-    // In-place arithmetic over a region.
-    void plus(Real v, const Box& region, int comp, int ncomp);
-    void mult(Real v, const Box& region, int comp, int ncomp);
     // this += a * src (same region in both fabs).
     void saxpy(Real a, const FArrayBox& src, const Box& region, int scomp, int dcomp,
                int ncomp);
+    // saxpy's kernel and zone body, for fused MultiFab-wide launches.
+    static KernelInfo saxpyKernel() { return KernelInfo::streaming("fab_saxpy", 24.0); }
+    auto saxpyBody(Real a, const FArrayBox& src, int scomp, int dcomp) {
+        auto d = array();
+        auto s = src.const_array();
+        return [=](int i, int j, int k, int n) {
+            d(i, j, k, dcomp + n) += a * s(i, j, k, scomp + n);
+        };
+    }
 
     Real max(const Box& region, int comp) const;
     Real min(const Box& region, int comp) const;

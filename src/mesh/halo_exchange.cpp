@@ -3,10 +3,11 @@
 //
 // Post stages every plan item's source region into a pack buffer (the
 // payload is captured before the caller overwrites anything, exactly as
-// an MPI_Isend would have serialized it); finish() unpacks the buffers in
-// exact plan-item order and runs the per-item delivery tail (fault
-// injection + MessageRecords published on the event stream) through the
-// same MultiFab helper the fused path uses, so the two paths are
+// an MPI_Isend would have serialized it) in one fused launch; finish()
+// unpacks the buffers in one fused launch in exact plan-item order and
+// runs the per-item fault decisions and delivery tails (fault injection
+// + MessageRecords published on the event stream) through the same
+// MultiFab helpers the eager path uses, so the two paths are
 // bit-identical in data, accounting, and fault-schedule consumption.
 //
 // This file lives in exastro_mesh (not exastro_comm) because the comm
@@ -18,7 +19,7 @@
 #include "core/debug.hpp"
 #include "core/events.hpp"
 #include "core/executor.hpp"
-#include "core/fault.hpp"
+#include "core/parallel_for.hpp"
 #include "mesh/copier_cache.hpp"
 #include "mesh/multifab.hpp"
 
@@ -74,18 +75,18 @@ void HaloHandle::finish() {
         }
         return;
     }
-    const bool account = events::active();
-    for (std::size_t i = 0; i < im.plan->items.size(); ++i) {
-        const CopyItem& item = im.plan->items[i];
-        // Injection site: same dropped-message semantics as the fused
-        // copyFromPlan path — an off-rank payload never arrives.
-        if (!item.local() && fault::shouldFire(fault::Site::CommMessageDrop)) {
-            continue;
-        }
-        im.dst->fab(item.dst_fab).copyFrom(im.staged[i], item.src_box, 0,
-                                           item.dst_box, im.dcomp, im.ncomp);
-        im.dst->deliverItemTail(item, im.dcomp, im.ncomp, account, im.tag);
-    }
+    // Same dropped-message semantics and tails as the eager copyFromPlan
+    // path, around one fused unpack launch.
+    const CopyPlan& plan = *im.plan;
+    const std::vector<char> dropped = MultiFab::dropDecisions(plan);
+    ParallelFor(FArrayBox::copyKernel(), plan.items.size(), im.ncomp, [&](std::size_t t) {
+        const CopyItem& item = plan.items[t];
+        const bool drop = !dropped.empty() && dropped[t];
+        return std::pair{drop ? Box{} : item.dst_box,
+                         im.dst->fab(item.dst_fab).copyBody(im.staged[t], item.src_box, 0,
+                                                            item.dst_box, im.dcomp)};
+    });
+    im.dst->deliverTails(plan, dropped, im.dcomp, im.ncomp, im.tag);
     im.staged.clear();
     im.finished = true;
     if (events::active()) {
@@ -119,16 +120,17 @@ HaloHandle::~HaloHandle() {
 
 namespace {
 
-// Stage every plan item's source region into its own pack buffer.
+// Stage every plan item's source region into its own pack buffer, all
+// of them in one fused launch.
 void packItems(std::vector<FArrayBox>& staged, const CopyPlan& plan,
                const MultiFab& src, int scomp, int ncomp) {
     staged.reserve(plan.items.size());
-    for (const CopyItem& item : plan.items) {
-        FArrayBox buf(item.src_box, ncomp);
-        buf.copyFrom(src.fab(item.src_fab), item.src_box, scomp, item.src_box, 0,
-                     ncomp);
-        staged.push_back(std::move(buf));
-    }
+    for (const CopyItem& item : plan.items) staged.emplace_back(item.src_box, ncomp);
+    ParallelFor(FArrayBox::copyKernel(), plan.items.size(), ncomp, [&](std::size_t t) {
+        const CopyItem& item = plan.items[t];
+        return std::pair{item.src_box, staged[t].copyBody(src.fab(item.src_fab), item.src_box,
+                                                          scomp, item.src_box, 0)};
+    });
 }
 
 } // namespace

@@ -61,10 +61,13 @@ void averageDown(MultiFab& crse, const MultiFab& fine, int ratio, int scomp,
                                                           fine.boxArray(), ratio);
     const KernelInfo info =
         KernelInfo::streaming("avg_down", (ratio * ratio * ratio + 1) * 8.0);
-    for (const CopyItem& item : plan->items) {
+    // One launch for every (coarse, fine) pair: the items' coarse regions
+    // are disjoint.
+    ParallelFor(info, plan->items.size(), ncomp, [&](std::size_t t) {
+        const CopyItem& item = plan->items[t];
         auto c = crse.array(item.dst_fab);
         auto f = fine.const_array(item.src_fab);
-        ParallelFor(info, item.dst_box, ncomp, [=](int i, int j, int k, int n) {
+        return std::pair{item.dst_box, [=](int i, int j, int k, int n) {
             Real s = 0;
             for (int kk = 0; kk < ratio; ++kk)
                 for (int jj = 0; jj < ratio; ++jj)
@@ -72,8 +75,8 @@ void averageDown(MultiFab& crse, const MultiFab& fine, int ratio, int scomp,
                         s += f(i * ratio + ii, j * ratio + jj, k * ratio + kk,
                                scomp + n);
             c(i, j, k, dcomp + n) = s * inv;
-        });
-    }
+        }};
+    });
 }
 
 namespace {
@@ -81,6 +84,10 @@ namespace {
 // Step 1 of fillPatchTwoLevels: interpolate everywhere from the coarse
 // level. We build a scratch coarse fab around each destination region so
 // the slope stencil has data, filled by copies from the coarse level.
+//
+// Stays one launch per copy: crse_src's BoxArray may overlap itself, so
+// the regions gathered into ctmp may overlap and resolve by gather
+// order, which one launch cannot keep.
 void interpFromCoarse(MultiFab& dst, const MultiFab& crse_src,
                       const Geometry& crse_geom, int ratio, int scomp, int dcomp,
                       int ncomp, int dst_ng) {

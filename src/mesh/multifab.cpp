@@ -41,62 +41,83 @@ void MultiFab::clear() {
 }
 
 void MultiFab::setVal(Real v) {
-    for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        m_fabs[i].setVal(v);
-    }
+    setVal(v, 0, m_ncomp, m_ngrow);
 }
 
 void MultiFab::setVal(Real v, int comp, int ncomp, int ngrow) {
-    for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        m_fabs[i].setVal(v, grow(m_ba[i], ngrow), comp, ncomp);
-    }
+    ParallelFor(FArrayBox::setValKernel(), m_fabs.size(), ncomp,
+                [&](std::size_t i) {
+        auto a = m_fabs[i].array();
+        return std::pair{grow(m_ba[i], ngrow) & m_fabs[i].box(),
+                         [=](int ii, int j, int k, int n) { a(ii, j, k, comp + n) = v; }};
+    });
 }
 
-void MultiFab::deliverItemTail(const CopyItem& item, int dcomp, int ncomp,
-                               bool account, const char* tag) {
-    // Injection site: a corrupted message payload — one value of the
-    // just-delivered region becomes NaN, as if the wire flipped bits.
-    // The poisoned zone is the one nearest the receiving fab's valid
-    // box, so a ghost-fill corruption actually feeds the stencils that
-    // read it. Plain host write (not a launch) so Backend::Debug's
-    // replay passes see identical state.
-    if (fault::shouldFire(fault::Site::HaloPayloadCorrupt)) {
-        const Box& vb = m_ba[item.dst_fab];
-        IntVect p;
-        for (int d = 0; d < 3; ++d) {
-            p[d] = std::clamp(vb.smallEnd(d), item.dst_box.smallEnd(d),
-                              item.dst_box.bigEnd(d));
-            if (p[d] < vb.smallEnd(d) || p[d] > vb.bigEnd(d)) {
-                p[d] = std::clamp(vb.bigEnd(d), item.dst_box.smallEnd(d),
-                                  item.dst_box.bigEnd(d));
-            }
-        }
-        m_fabs[item.dst_fab].array()(p.x, p.y, p.z, dcomp) =
-            std::numeric_limits<Real>::quiet_NaN();
-    }
-    if (account && !item.local()) {
-        events::publish(MessageRecord{item.src_rank, item.dst_rank,
-                                      item.src_box.numPts() * ncomp *
-                                          static_cast<int>(sizeof(Real)),
-                                      tag});
-    }
-}
-
-void MultiFab::copyFromPlan(const CopyPlan& plan, const MultiFab& src, int scomp,
-                            int dcomp, int ncomp, const char* tag) {
-    const bool account = events::active();
+std::vector<char> MultiFab::dropDecisions(const CopyPlan& plan) {
+    std::vector<char> dropped;
+    if (!fault::anyArmed()) return dropped;
+    dropped.reserve(plan.items.size());
     for (const CopyItem& item : plan.items) {
         // Injection site: a dropped off-rank message — the payload never
         // arrives, so neither the copy nor its accounting happens and the
         // destination keeps whatever (stale) values it had. Local items
         // are in-memory copies, not messages, and cannot drop.
-        if (!item.local() && fault::shouldFire(fault::Site::CommMessageDrop)) {
-            continue;
-        }
-        m_fabs[item.dst_fab].copyFrom(src.m_fabs[item.src_fab], item.src_box, scomp,
-                                      item.dst_box, dcomp, ncomp);
-        deliverItemTail(item, dcomp, ncomp, account, tag);
+        dropped.push_back(!item.local() &&
+                          fault::shouldFire(fault::Site::CommMessageDrop));
     }
+    return dropped;
+}
+
+void MultiFab::deliverTails(const CopyPlan& plan, const std::vector<char>& dropped,
+                            int dcomp, int ncomp, const char* tag) {
+    const bool account = events::active();
+    for (std::size_t t = 0; t < plan.items.size(); ++t) {
+        if (!dropped.empty() && dropped[t]) continue;
+        const CopyItem& item = plan.items[t];
+        // Injection site: a corrupted message payload — one value of the
+        // just-delivered region becomes NaN, as if the wire flipped bits.
+        // The poisoned zone is the one nearest the receiving fab's valid
+        // box, so a ghost-fill corruption actually feeds the stencils that
+        // read it. Plain host write (not a launch) so Backend::Debug's
+        // replay passes see identical state.
+        if (fault::shouldFire(fault::Site::HaloPayloadCorrupt)) {
+            const Box& vb = m_ba[item.dst_fab];
+            IntVect p;
+            for (int d = 0; d < 3; ++d) {
+                p[d] = std::clamp(vb.smallEnd(d), item.dst_box.smallEnd(d),
+                                  item.dst_box.bigEnd(d));
+                if (p[d] < vb.smallEnd(d) || p[d] > vb.bigEnd(d)) {
+                    p[d] = std::clamp(vb.bigEnd(d), item.dst_box.smallEnd(d),
+                                      item.dst_box.bigEnd(d));
+                }
+            }
+            m_fabs[item.dst_fab].array()(p.x, p.y, p.z, dcomp) =
+                std::numeric_limits<Real>::quiet_NaN();
+        }
+        if (account && !item.local()) {
+            events::publish(MessageRecord{item.src_rank, item.dst_rank,
+                                          item.src_box.numPts() * ncomp *
+                                              static_cast<int>(sizeof(Real)),
+                                          tag});
+        }
+    }
+}
+
+void MultiFab::copyFromPlan(const CopyPlan& plan, const MultiFab& src, int scomp,
+                            int dcomp, int ncomp, const char* tag) {
+    const std::vector<char> dropped = dropDecisions(plan);
+    // One launch for every item. A plan's items write disjoint regions and
+    // read valid zones no item writes (ghosts from valid data, or another
+    // MultiFab), so the fused launch keeps the per-item results.
+    ParallelFor(FArrayBox::copyKernel(), plan.items.size(), ncomp, [&](std::size_t t) {
+        const CopyItem& item = plan.items[t];
+        const bool drop = !dropped.empty() && dropped[t];
+        return std::pair{drop ? Box{} : item.dst_box,
+                         m_fabs[item.dst_fab].copyBody(src.m_fabs[item.src_fab],
+                                                       item.src_box, scomp,
+                                                       item.dst_box, dcomp)};
+    });
+    deliverTails(plan, dropped, dcomp, ncomp, tag);
 }
 
 void MultiFab::FillBoundary(int scomp, int ncomp, const Periodicity& period) {
@@ -220,45 +241,53 @@ Real MultiFab::norm2(int comp) const {
 
 void MultiFab::saxpy(Real a, const MultiFab& x, int scomp, int dcomp, int ncomp) {
     assert(m_ba == x.m_ba);
-    for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        m_fabs[i].saxpy(a, x.m_fabs[i], m_ba[i], scomp, dcomp, ncomp);
-    }
+    ParallelFor(FArrayBox::saxpyKernel(), m_fabs.size(), ncomp, [&](std::size_t i) {
+        return std::pair{m_ba[i] & m_fabs[i].box() & x.m_fabs[i].box(),
+                         m_fabs[i].saxpyBody(a, x.m_fabs[i], scomp, dcomp)};
+    });
 }
 
 void MultiFab::plus(Real v, int comp, int ncomp) {
-    for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        m_fabs[i].plus(v, m_ba[i], comp, ncomp);
-    }
+    ParallelFor(KernelInfo::streaming("fab_plus", 16.0), m_fabs.size(), ncomp,
+                [&](std::size_t i) {
+        auto a = m_fabs[i].array();
+        return std::pair{m_ba[i] & m_fabs[i].box(),
+                         [=](int ii, int j, int k, int n) { a(ii, j, k, comp + n) += v; }};
+    });
 }
 
 void MultiFab::mult(Real v, int comp, int ncomp) {
-    for (std::size_t i = 0; i < m_fabs.size(); ++i) {
-        m_fabs[i].mult(v, m_ba[i], comp, ncomp);
-    }
+    ParallelFor(KernelInfo::streaming("fab_mult", 16.0), m_fabs.size(), ncomp,
+                [&](std::size_t i) {
+        auto a = m_fabs[i].array();
+        return std::pair{m_ba[i] & m_fabs[i].box(),
+                         [=](int ii, int j, int k, int n) { a(ii, j, k, comp + n) *= v; }};
+    });
 }
 
 void MultiFab::Copy(MultiFab& dst, const MultiFab& src, int scomp, int dcomp,
                     int ncomp, int ng) {
     assert(dst.m_ba == src.m_ba);
     assert(ng <= dst.nGrow() && ng <= src.nGrow());
-    for (std::size_t i = 0; i < dst.m_fabs.size(); ++i) {
+    ParallelFor(FArrayBox::copyKernel(), dst.m_fabs.size(), ncomp, [&](std::size_t i) {
         const Box region = grow(dst.m_ba[i], ng);
-        dst.m_fabs[i].copyFrom(src.m_fabs[i], region, scomp, region, dcomp, ncomp);
-    }
+        return std::pair{region, dst.m_fabs[i].copyBody(src.m_fabs[i], region, scomp,
+                                                        region, dcomp)};
+    });
 }
 
 void MultiFab::LinComb(MultiFab& dst, Real a, const MultiFab& x, Real b,
                        const MultiFab& y, int comp, int ncomp) {
     assert(dst.m_ba == x.m_ba && dst.m_ba == y.m_ba);
-    for (std::size_t i = 0; i < dst.m_fabs.size(); ++i) {
+    ParallelFor(KernelInfo::streaming("mf_lincomb", 24.0), dst.m_fabs.size(), ncomp,
+                [&](std::size_t i) {
         auto d = dst.m_fabs[i].array();
         auto xa = x.m_fabs[i].const_array();
         auto ya = y.m_fabs[i].const_array();
-        ParallelFor(KernelInfo::streaming("mf_lincomb", 24.0), dst.m_ba[i],
-                    ncomp, [=](int ii, int j, int k, int n) {
+        return std::pair{dst.m_ba[i], [=](int ii, int j, int k, int n) {
             d(ii, j, k, comp + n) = a * xa(ii, j, k, comp + n) + b * ya(ii, j, k, comp + n);
-        });
-    }
+        }};
+    });
 }
 
 } // namespace exa

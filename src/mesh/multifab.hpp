@@ -139,17 +139,23 @@ public:
 private:
     friend class comm::HaloHandle;
 
-    // Execute a cached copy plan against `src` (which may be *this),
-    // publishing each off-rank item as a MessageRecord under `tag`.
+    // Execute a cached copy plan against `src` (which may be *this) in
+    // one fused fab_copy launch, publishing each off-rank item as a
+    // MessageRecord under `tag`.
     void copyFromPlan(const CopyPlan& plan, const MultiFab& src, int scomp,
                       int dcomp, int ncomp, const char* tag);
 
-    // Post-delivery tail of one plan item: the HaloPayloadCorrupt
-    // injection site and the published MessageRecord. Shared between the
-    // fused path and HaloHandle::finish() so the two report identical
-    // accounting and consume identical fault-schedule slots.
-    void deliverItemTail(const CopyItem& item, int dcomp, int ncomp, bool account,
-                         const char* tag);
+    // The two halves of a delivery's fault and accounting work, shared
+    // between copyFromPlan and HaloHandle::finish() so the two report
+    // identical accounting and consume identical fault-schedule slots.
+    // dropDecisions runs the CommMessageDrop site once per off-rank item,
+    // in item order, before the launch; it returns one flag per item, or
+    // nothing (and allocates nothing) while no fault site is armed.
+    // deliverTails then runs, in item order after the launch, each
+    // delivered item's HaloPayloadCorrupt site and MessageRecord.
+    static std::vector<char> dropDecisions(const CopyPlan& plan);
+    void deliverTails(const CopyPlan& plan, const std::vector<char>& dropped, int dcomp,
+                      int ncomp, const char* tag);
 
     BoxArray m_ba;
     DistributionMapping m_dm;

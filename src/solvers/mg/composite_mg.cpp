@@ -210,15 +210,22 @@ void CompositeMg::smoothRung(int r, int sweeps) {
     if (R.cf) R.cf->prepare(m_r[static_cast<std::size_t>(r - 1)].phi);
     MultiFab& phi = R.phi;
     const MultiFab& rhs = R.rhs;
-    auto sweepRegion = [&](std::size_t i, const Box& region, int color) {
-        auto p = phi.array(static_cast<int>(i));
-        auto b = rhs.const_array(static_cast<int>(i));
-        ParallelFor(smoothKernel(), region, [=](int ii, int j, int k) {
-            if (((ii + j + k) & 1) != color) return;
-            const Real sum = hx2 * (p(ii + 1, j, k) + p(ii - 1, j, k)) +
-                             hy2 * (p(ii, j + 1, k) + p(ii, j - 1, k)) +
-                             hz2 * (p(ii, j, k + 1) + p(ii, j, k - 1));
-            p(ii, j, k) = (sum - b(ii, j, k)) / diag;
+    // One half-sweep launch over a list of regions; `region(t)` gives tag
+    // t's fab and box. Fabs are disjoint and a half-sweep writes only
+    // `color` zones while reading only the other color, so the regions
+    // of every fab share one launch.
+    auto sweep = [&](std::size_t ntags, int color, auto&& region) {
+        ParallelFor(smoothKernel(), ntags, 1, [&](std::size_t t) {
+            const auto [i, box] = region(t);
+            auto p = phi.array(static_cast<int>(i));
+            auto b = rhs.const_array(static_cast<int>(i));
+            return std::pair{box, [=](int ii, int j, int k) {
+                if (((ii + j + k) & 1) != color) return;
+                const Real sum = hx2 * (p(ii + 1, j, k) + p(ii - 1, j, k)) +
+                                 hy2 * (p(ii, j + 1, k) + p(ii, j - 1, k)) +
+                                 hz2 * (p(ii, j, k + 1) + p(ii, j, k - 1));
+                p(ii, j, k) = (sum - b(ii, j, k)) / diag;
+            }};
         });
     };
     for (int s = 0; s < sweeps; ++s) {
@@ -236,24 +243,25 @@ void CompositeMg::smoothRung(int r, int sweeps) {
                 if (R.cf) R.cf->interpGhosts(phi);
                 const auto part =
                     CopierCache::instance().interiorPartition(R.ba, 1);
-                for (std::size_t i = 0; i < phi.size(); ++i) {
-                    const FabRegions& fr = part->fabs[i];
-                    if (fr.interior.ok()) sweepRegion(i, fr.interior, color);
-                }
+                sweep(phi.size(), color, [&](std::size_t i) {
+                    return std::pair{i, part->fabs[i].interior};
+                });
                 halo.finish();
                 mgApplyDomainBC(phi, g, m_bc);
-                for (std::size_t i = 0; i < phi.size(); ++i) {
-                    for (const Box& sb : part->fabs[i].shell) {
-                        sweepRegion(i, sb, color);
-                    }
-                }
+                // Shell tag t is box t % kMaxShell of fab t / kMaxShell;
+                // the slots a fab's shell does not use are empty tags.
+                constexpr std::size_t m = FabRegions::kMaxShell;
+                sweep(m * phi.size(), color, [&](std::size_t t) {
+                    const auto& shell = part->fabs[t / m].shell;
+                    return std::pair{t / m, t % m < shell.size() ? shell[t % m] : Box{}};
+                });
             } else {
                 phi.FillBoundary(0, 1, g.periodicity());
                 if (R.cf) R.cf->interpGhosts(phi);
                 mgApplyDomainBC(phi, g, m_bc);
-                for (std::size_t i = 0; i < phi.size(); ++i) {
-                    sweepRegion(i, phi.box(static_cast<int>(i)), color);
-                }
+                sweep(phi.size(), color, [&](std::size_t i) {
+                    return std::pair{i, phi.box(static_cast<int>(i))};
+                });
             }
             ++m_stats.sweeps;
         }
@@ -265,17 +273,16 @@ void CompositeMg::applyOpNoFill(int r, const MultiFab& phi, MultiFab& out) {
     const Real hx2 = 1.0 / (g.cellSize(0) * g.cellSize(0));
     const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
     const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
-    for (std::size_t i = 0; i < phi.size(); ++i) {
+    ParallelFor(applyKernel(), phi.size(), 1, [&](std::size_t i) {
         auto p = phi.const_array(static_cast<int>(i));
         auto o = out.array(static_cast<int>(i));
-        ParallelFor(applyKernel(), out.box(static_cast<int>(i)),
-                    [=](int ii, int j, int k) {
+        return std::pair{out.box(static_cast<int>(i)), [=](int ii, int j, int k) {
             o(ii, j, k) =
                 hx2 * (p(ii + 1, j, k) - 2 * p(ii, j, k) + p(ii - 1, j, k)) +
                 hy2 * (p(ii, j + 1, k) - 2 * p(ii, j, k) + p(ii, j - 1, k)) +
                 hz2 * (p(ii, j, k + 1) - 2 * p(ii, j, k) + p(ii, j, k - 1));
-        });
-    }
+        }};
+    });
 }
 
 void CompositeMg::applyResidual(int r, const MultiFab& rhs, MultiFab& res) {
@@ -284,19 +291,19 @@ void CompositeMg::applyResidual(int r, const MultiFab& rhs, MultiFab& res) {
     const Real hx2 = 1.0 / (g.cellSize(0) * g.cellSize(0));
     const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
     const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
-    for (std::size_t i = 0; i < res.size(); ++i) {
+    ParallelFor(KernelInfo{"mg_comp_residual", 12.0, 104.0, 40, 1.0}, res.size(), 1,
+                [&](std::size_t i) {
         auto p = R.phi.const_array(static_cast<int>(i));
         auto b = rhs.const_array(static_cast<int>(i));
         auto o = res.array(static_cast<int>(i));
-        ParallelFor(KernelInfo{"mg_comp_residual", 12.0, 104.0, 40, 1.0},
-                    res.box(static_cast<int>(i)), [=](int ii, int j, int k) {
+        return std::pair{res.box(static_cast<int>(i)), [=](int ii, int j, int k) {
             o(ii, j, k) =
                 b(ii, j, k) -
                 (hx2 * (p(ii + 1, j, k) - 2 * p(ii, j, k) + p(ii - 1, j, k)) +
                  hy2 * (p(ii, j + 1, k) - 2 * p(ii, j, k) + p(ii, j - 1, k)) +
                  hz2 * (p(ii, j, k + 1) - 2 * p(ii, j, k) + p(ii, j, k - 1)));
-        });
-    }
+        }};
+    });
 }
 
 void CompositeMg::restrictIntoCoarse(int r, const MultiFab& fine,
@@ -334,19 +341,20 @@ void CompositeMg::buildCoarseRhs(int r) {
     const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
     const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
     auto plan = CopierCache::instance().averageDown(C.ba, F.ba, F.ratio);
-    for (const CopyItem& item : plan->items) {
+    ParallelFor(KernelInfo{"mg_fas_rhs", 12.0, 104.0, 40, 1.0}, plan->items.size(), 1,
+                [&](std::size_t t) {
+        const CopyItem& item = plan->items[t];
         auto p = C.phi.const_array(item.dst_fab);
         auto rs = C.res.const_array(item.dst_fab);
         auto o = C.rhs.array(item.dst_fab);
-        ParallelFor(KernelInfo{"mg_fas_rhs", 12.0, 104.0, 40, 1.0},
-                    item.dst_box, [=](int ii, int j, int k) {
+        return std::pair{item.dst_box, [=](int ii, int j, int k) {
             o(ii, j, k) =
                 hx2 * (p(ii + 1, j, k) - 2 * p(ii, j, k) + p(ii - 1, j, k)) +
                 hy2 * (p(ii, j + 1, k) - 2 * p(ii, j, k) + p(ii, j - 1, k)) +
                 hz2 * (p(ii, j, k + 1) - 2 * p(ii, j, k) + p(ii, j, k - 1)) +
                 rs(ii, j, k);
-        });
-    }
+        }};
+    });
 }
 
 namespace {
@@ -380,30 +388,26 @@ void CompositeMg::prolongAddCorrection(int r) {
         C.stage.ParallelCopy(C.res, 0, 0, 1, 1, C.geom.periodicity());
         ++m_stats.agg_copies;
         m_stats.agg_bytes += C.stage_prolong_bytes;
-    }
-    for (std::size_t i = 0; i < F.phi.size(); ++i) {
-        auto f = F.phi.array(static_cast<int>(i));
-        const Box& fb = F.phi.box(static_cast<int>(i));
-        if (C.aggregated) {
-            auto c = C.stage.const_array(static_cast<int>(i));
-            ParallelFor(KernelInfo::streaming("mg_prolong_add", 24.0), fb,
-                        [=](int ii, int j, int k) {
-                f(ii, j, k) += c(coarsen_index(ii, ratio),
-                                 coarsen_index(j, ratio),
-                                 coarsen_index(k, ratio));
-            });
-        } else {
-            const FArrayBox ctmp =
-                gatherValid(C.res, C.ba, C.geom, coarsen(fb, ratio));
-            auto c = ctmp.const_array();
-            ParallelFor(KernelInfo::streaming("mg_prolong_add", 24.0), fb,
-                        [=](int ii, int j, int k) {
-                f(ii, j, k) += c(coarsen_index(ii, ratio),
-                                 coarsen_index(j, ratio),
-                                 coarsen_index(k, ratio));
-            });
+    } else {
+        // Gather every fab's coarse correction first (one launch per
+        // gather copy, since periodic images may overlap), then add them
+        // all in one launch.
+        for (std::size_t i = 0; i < F.phi.size(); ++i) {
+            m_prolong_src.push_back(gatherValid(
+                C.res, C.ba, C.geom, coarsen(F.phi.box(static_cast<int>(i)), ratio)));
         }
     }
+    ParallelFor(KernelInfo::streaming("mg_prolong_add", 24.0), F.phi.size(), 1,
+                [&](std::size_t i) {
+        auto f = F.phi.array(static_cast<int>(i));
+        auto c = C.aggregated ? C.stage.const_array(static_cast<int>(i))
+                              : m_prolong_src[i].const_array();
+        return std::pair{F.phi.box(static_cast<int>(i)), [=](int ii, int j, int k) {
+            f(ii, j, k) += c(coarsen_index(ii, ratio), coarsen_index(j, ratio),
+                             coarsen_index(k, ratio));
+        }};
+    });
+    m_prolong_src.clear();
 }
 
 void CompositeMg::fmgInterp(int r) {
@@ -481,12 +485,12 @@ void CompositeMg::zeroCovered(int r, MultiFab& mf) {
     const Rung& C = m_r[static_cast<std::size_t>(r)];
     const Rung& F = m_r[static_cast<std::size_t>(r + 1)];
     auto plan = CopierCache::instance().averageDown(C.ba, F.ba, F.ratio);
-    for (const CopyItem& item : plan->items) {
-        auto o = mf.array(item.dst_fab);
-        ParallelFor(KernelInfo::streaming("mg_zero_covered", 8.0),
-                    item.dst_box,
-                    [=](int ii, int j, int k) { o(ii, j, k) = 0.0; });
-    }
+    ParallelFor(KernelInfo::streaming("mg_zero_covered", 8.0), plan->items.size(), 1,
+                [&](std::size_t t) {
+        auto o = mf.array(plan->items[t].dst_fab);
+        return std::pair{plan->items[t].dst_box,
+                         [=](int ii, int j, int k) { o(ii, j, k) = 0.0; }};
+    });
 }
 
 Real CompositeMg::compositeResidualNorm() {

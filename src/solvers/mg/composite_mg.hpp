@@ -162,6 +162,10 @@ private:
     Real m_domain_volume = 1.0;
     std::vector<Rung> m_r;
     CompositeMgStats m_stats;
+    // Gathered coarse corrections of a non-aggregated prolongation, one
+    // per fine fab, kept so the fused launch finds them all alive and a
+    // V-cycle allocates no vector.
+    std::vector<FArrayBox> m_prolong_src;
 };
 
 } // namespace exa

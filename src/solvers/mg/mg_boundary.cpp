@@ -14,42 +14,35 @@ void mgApplyDomainBC(MultiFab& phi, const Geometry& g, MgBC bc) {
     // Physical BC in the face-normal ghost zones outside the domain:
     // Dirichlet: phi_g = -phi_i (value 0 on the face between them);
     // Neumann:   phi_g = +phi_i.
+    // One launch over the six faces of every fab (tag = 6 * fab + 2 * dim
+    // + side); faces off the domain boundary or periodic are empty tags.
+    // The face slabs are disjoint and read only valid zones.
     const Real sgn = (bc == MgBC::Dirichlet) ? -1.0 : 1.0;
     const Box& dom = g.domain();
-    for (std::size_t i = 0; i < phi.size(); ++i) {
-        auto a = phi.array(static_cast<int>(i));
-        const Box& vb = phi.box(static_cast<int>(i));
-        for (int d = 0; d < 3; ++d) {
-            if (g.isPeriodic(d)) continue; // FillBoundary already wrapped
-            const IntVect e = IntVect::basis(d);
-            if (vb.smallEnd(d) == dom.smallEnd(d)) {
-                Box face(
-                    {d == 0 ? vb.smallEnd(0) - 1 : vb.smallEnd(0),
-                     d == 1 ? vb.smallEnd(1) - 1 : vb.smallEnd(1),
-                     d == 2 ? vb.smallEnd(2) - 1 : vb.smallEnd(2)},
-                    {d == 0 ? vb.smallEnd(0) - 1 : vb.bigEnd(0),
-                     d == 1 ? vb.smallEnd(1) - 1 : vb.bigEnd(1),
-                     d == 2 ? vb.smallEnd(2) - 1 : vb.bigEnd(2)});
-                ParallelFor(KernelInfo::streaming("mg_bc_fill", 16.0), face,
-                            [=](int ii, int j, int k) {
-                    a(ii, j, k) = sgn * a(ii + e.x, j + e.y, k + e.z);
-                });
-            }
-            if (vb.bigEnd(d) == dom.bigEnd(d)) {
-                Box face(
-                    {d == 0 ? vb.bigEnd(0) + 1 : vb.smallEnd(0),
-                     d == 1 ? vb.bigEnd(1) + 1 : vb.smallEnd(1),
-                     d == 2 ? vb.bigEnd(2) + 1 : vb.smallEnd(2)},
-                    {d == 0 ? vb.bigEnd(0) + 1 : vb.bigEnd(0),
-                     d == 1 ? vb.bigEnd(1) + 1 : vb.bigEnd(1),
-                     d == 2 ? vb.bigEnd(2) + 1 : vb.bigEnd(2)});
-                ParallelFor(KernelInfo::streaming("mg_bc_fill", 16.0), face,
-                            [=](int ii, int j, int k) {
-                    a(ii, j, k) = sgn * a(ii - e.x, j - e.y, k - e.z);
-                });
+    ParallelFor(KernelInfo::streaming("mg_bc_fill", 16.0), 6 * phi.size(), 1,
+                [&](std::size_t t) {
+        const int i = static_cast<int>(t / 6);
+        const int d = static_cast<int>(t % 6) / 2;
+        const bool hi = t % 2 == 1;
+        auto a = phi.array(i);
+        const Box& vb = phi.box(i);
+        // The interior neighbour the ghost mirrors.
+        const IntVect e = hi ? -IntVect::basis(d) : IntVect::basis(d);
+        Box face;
+        const bool on_boundary =
+            hi ? vb.bigEnd(d) == dom.bigEnd(d) : vb.smallEnd(d) == dom.smallEnd(d);
+        if (!g.isPeriodic(d) && on_boundary) { // else FillBoundary wrapped it
+            face = vb;
+            if (hi) {
+                face.growHi(d, 1).growLo(d, -vb.length(d));
+            } else {
+                face.growLo(d, 1).growHi(d, -vb.length(d));
             }
         }
-    }
+        return std::pair{face, [=](int ii, int j, int k) {
+            a(ii, j, k) = sgn * a(ii + e.x, j + e.y, k + e.z);
+        }};
+    });
 }
 
 // --- MgCfBoundary --------------------------------------------------------
@@ -132,23 +125,23 @@ MgCfBoundary::MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
         gs.cbox =
             coarsen(grow(fine_ba[static_cast<std::size_t>(piece.fab)], 1), ratio)
                 .grow(1);
+        gs.vals.define(gs.cbox, 1);
+        gs.mask.define(gs.cbox, 1);
+        gs.mask.setVal(0.0);
         for (const IntVect& s : crse_shifts) {
             for (const auto& [cj, isect] :
                  crse_ba.intersections(shift(gs.cbox, -s))) {
                 GatherItem item;
+                item.spec = static_cast<int>(m_gather.size());
                 item.crse_fab = cj;
                 item.src = isect;
                 item.dst = shift(isect, s);
                 item.src_rank = crse_dm[static_cast<std::size_t>(cj)];
                 item.dst_rank = fine_dm[static_cast<std::size_t>(piece.fab)];
-                gs.items.push_back(item);
+                gs.mask.setVal(1.0, item.dst, 0, 1);
+                m_gather_items.push_back(item);
             }
         }
-        gs.vals.define(gs.cbox, 1);
-        gs.mask.define(gs.cbox, 1);
-        gs.mask.setVal(0.0);
-        for (const GatherItem& item : gs.items)
-            gs.mask.setVal(1.0, item.dst, 0, 1);
         fab_gather[static_cast<std::size_t>(piece.fab)] =
             static_cast<int>(m_gather.size());
         m_gather.push_back(std::move(gs));
@@ -186,26 +179,36 @@ MgCfBoundary::MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
 }
 
 void MgCfBoundary::prepare(const MultiFab& crse) {
-    for (GatherSpec& gs : m_gather) {
-        gs.vals.setVal(0.0);
-        for (const GatherItem& item : gs.items) {
-            gs.vals.copyFrom(crse.fab(item.crse_fab), item.src, 0, item.dst, 0,
-                             1);
-            if (item.src_rank != item.dst_rank && events::active()) {
-                MessageRecord r;
-                r.src_rank = item.src_rank;
-                r.dst_rank = item.dst_rank;
-                r.bytes = item.src.numPts() *
-                          static_cast<std::int64_t>(sizeof(Real));
-                r.tag = "mg-cfb";
-                events::publish(r);
-            }
+    // Zero every gather fab, then copy every coarse region in, one launch
+    // each. The regions of one gather are disjoint: the coarse rung's
+    // boxes are, and so are the periodic images of its domain.
+    ParallelFor(FArrayBox::setValKernel(), m_gather.size(), 1, [&](std::size_t g) {
+        auto a = m_gather[g].vals.array();
+        return std::pair{m_gather[g].cbox, [=](int i, int j, int k) { a(i, j, k) = 0.0; }};
+    });
+    ParallelFor(FArrayBox::copyKernel(), m_gather_items.size(), 1, [&](std::size_t t) {
+        const GatherItem& item = m_gather_items[t];
+        return std::pair{item.dst,
+                         m_gather[static_cast<std::size_t>(item.spec)].vals.copyBody(
+                             crse.fab(item.crse_fab), item.src, 0, item.dst, 0)};
+    });
+    if (events::active()) {
+        for (const GatherItem& item : m_gather_items) {
+            if (item.src_rank == item.dst_rank) continue;
+            MessageRecord r;
+            r.src_rank = item.src_rank;
+            r.dst_rank = item.dst_rank;
+            r.bytes = item.src.numPts() * static_cast<std::int64_t>(sizeof(Real));
+            r.tag = "mg-cfb";
+            events::publish(r);
         }
     }
     // Tangentially interpolated coarse value at each fine ghost center.
     const int r = m_ratio;
     const Real rr = static_cast<Real>(r);
-    for (std::size_t pi = 0; pi < m_pieces.size(); ++pi) {
+    // One launch over every piece; each writes its own scratch fab.
+    ParallelFor(KernelInfo{"mg_cf_tangent", 18.0, 72.0, 40, 1.0}, m_pieces.size(), 1,
+                [&](std::size_t pi) {
         const Piece& piece = m_pieces[pi];
         const GatherSpec& gs =
             m_gather[static_cast<std::size_t>(m_piece_gather[pi])];
@@ -214,8 +217,7 @@ void MgCfBoundary::prepare(const MultiFab& crse) {
         auto tl = m_tilde[pi].array();
         const int t1 = (piece.dim + 1) % 3;
         const int t2 = (piece.dim + 2) % 3;
-        ParallelFor(KernelInfo{"mg_cf_tangent", 18.0, 72.0, 40, 1.0},
-                    piece.box, [=](int i, int j, int k) {
+        return std::pair{piece.box, [=](int i, int j, int k) {
             const IntVect g{i, j, k};
             const IntVect C{coarsen_index(i, r), coarsen_index(j, r),
                             coarsen_index(k, r)};
@@ -250,8 +252,8 @@ void MgCfBoundary::prepare(const MultiFab& crse) {
                 val += delta * slope;
             }
             tl(i, j, k) = val;
-        });
-    }
+        }};
+    });
 }
 
 void MgCfBoundary::interpGhosts(MultiFab& fine) const {
@@ -265,32 +267,32 @@ void MgCfBoundary::interpGhosts(MultiFab& fine) const {
     // Linear fallback (fine box a single cell deep: no f2):
     const Real wc_l = 2.0_rt / (rr + 1.0_rt);
     const Real w1_l = (rr - 1.0_rt) / (rr + 1.0_rt);
-    for (std::size_t pi = 0; pi < m_pieces.size(); ++pi) {
+    // One launch over every piece: the pieces are disjoint one-cell ghost
+    // layers, and each reads only valid fine zones and its own phi~.
+    ParallelFor(KernelInfo::streaming("mg_cf_interp", 20.0), m_pieces.size(), 1,
+                [&](std::size_t pi) {
         const Piece& piece = m_pieces[pi];
         auto a = fine.array(piece.fab);
         auto tl = m_tilde[pi].const_array();
         const IntVect off =
             piece.side == 0 ? IntVect::basis(piece.dim) : -IntVect::basis(piece.dim);
-        if (piece.quad) {
-            const Real wc = wc_q, w1 = w1_q, w2 = w2_q;
-            ParallelFor(KernelInfo::streaming("mg_cf_interp", 20.0), piece.box,
-                        [=](int i, int j, int k) {
-                a(i, j, k) = wc * tl(i, j, k) +
-                             w1 * a(i + off.x, j + off.y, k + off.z) +
-                             w2 * a(i + 2 * off.x, j + 2 * off.y,
-                                    k + 2 * off.z);
-            });
-        } else {
-            const Real wc = wc_l, w1 = w1_l;
-            ParallelFor(KernelInfo::streaming("mg_cf_interp", 20.0), piece.box,
-                        [=](int i, int j, int k) {
-                a(i, j, k) = wc * tl(i, j, k) +
-                             w1 * a(i + off.x, j + off.y, k + off.z);
-            });
-        }
-    }
+        const bool quad = piece.quad;
+        return std::pair{piece.box, [=](int i, int j, int k) {
+            if (quad) {
+                a(i, j, k) = wc_q * tl(i, j, k) +
+                             w1_q * a(i + off.x, j + off.y, k + off.z) +
+                             w2_q * a(i + 2 * off.x, j + 2 * off.y, k + 2 * off.z);
+            } else {
+                a(i, j, k) = wc_l * tl(i, j, k) +
+                             w1_l * a(i + off.x, j + off.y, k + off.z);
+            }
+        }};
+    });
 }
 
+// Stays one launch per item: items of neighbouring pieces accumulate
+// (dA += ...) into the same uncovered coarse cells, so they may not share
+// a launch.
 void MgCfBoundary::addFluxMismatch(MultiFab& dst, const MultiFab& fine,
                                    const MultiFab& crse, Real sign) const {
     const int r = m_ratio;

@@ -91,19 +91,21 @@ private:
     };
     // Gathered coarse source for one fine fab: every coarse valid region
     // (with periodic images) intersecting cbox.
+    struct GatherSpec {
+        int fine_fab = 0;
+        Box cbox;
+        FArrayBox vals; // gathered coarse values over cbox
+        FArrayBox mask; // 1 where vals holds coarse valid data (set once)
+    };
+    // One coarse region of one gather, flat across gathers so that every
+    // gather copy shares one launch.
     struct GatherItem {
+        int spec = 0; // index into m_gather
         int crse_fab = 0;
         Box src;  // in the coarse fab's frame
         Box dst;  // shifted into the fine fab's (coarsened) frame
         int src_rank = 0;
         int dst_rank = 0;
-    };
-    struct GatherSpec {
-        int fine_fab = 0;
-        Box cbox;
-        std::vector<GatherItem> items;
-        FArrayBox vals; // gathered coarse values over cbox
-        FArrayBox mask; // 1 where vals holds coarse valid data (set once)
     };
     // Flux-mismatch work for one (piece, coarse fab) pair.
     struct FluxItem {
@@ -124,6 +126,7 @@ private:
     std::vector<int> m_piece_gather;   // piece -> index into m_gather
     std::vector<FArrayBox> m_tilde;    // per piece, over piece.box
     std::vector<GatherSpec> m_gather;
+    std::vector<GatherItem> m_gather_items;
     std::vector<FluxItem> m_flux;
     std::size_t m_nghost_cells = 0;
 };

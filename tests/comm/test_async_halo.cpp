@@ -17,6 +17,7 @@
 #include "mesh/copier_cache.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/multifab.hpp"
+#include "perf/device_model.hpp"
 #include "solvers/mg/composite_mg.hpp"
 
 #include <gtest/gtest.h>
@@ -585,4 +586,52 @@ TEST(AsyncHalo, LedgerTracksSplitPhaseExchanges) {
     EXPECT_EQ(fused.halosPosted(), 0);
     EXPECT_EQ(fused.splitPhaseMessages(), 0);
     fused.detach();
+}
+
+// --- fused launches ------------------------------------------------------
+
+TEST(AsyncHalo, SplitPhaseExchangeIsTwoFabCopyLaunches) {
+    // The post packs every plan item in one launch and finish() unpacks
+    // them all in a second, with the data, messages and bytes of one
+    // copy per item.
+    ScopedBackend backend(Backend::SimGpu);
+    const int nx = 16;
+    BoxArray ba(Box({0, 0, 0}, {nx - 1, nx - 1, nx - 1}));
+    ba.maxSize(4);
+    DistributionMapping dm(ba, 4);
+    const Periodicity per(IntVect{nx, nx, nx});
+    const int ncomp = 3;
+    const auto plan = CopierCache::instance().fillBoundary(ba, dm, 1, per);
+    ASSERT_GT(plan->items.size(), ba.size());
+
+    MultiFab ref = makeFilled(ba, dm, ncomp, 1);
+    std::int64_t ref_messages = 0, ref_bytes = 0;
+    for (const CopyItem& item : plan->items) {
+        ref.fab(item.dst_fab).copyFrom(ref.fab(item.src_fab), item.src_box, 0,
+                                       item.dst_box, 0, ncomp);
+        if (item.local()) continue;
+        ++ref_messages;
+        ref_bytes += item.src_box.numPts() * ncomp * static_cast<std::int64_t>(sizeof(Real));
+    }
+    ASSERT_GT(ref_messages, 0);
+
+    comm::ScopedAsyncHalo on(true);
+    MultiFab mf = makeFilled(ba, dm, ncomp, 1);
+    DeviceModel dev;
+    CommLedger ledger;
+    dev.attach();
+    ledger.attach();
+    comm::HaloHandle h = mf.FillBoundary_nowait(0, ncomp, per);
+    EXPECT_EQ(dev.numLaunches(), 1);
+    h.finish();
+    dev.detach();
+    ledger.detach();
+
+    EXPECT_EQ(dev.numLaunches(), 2);
+    const auto& ks = dev.kernelStats().at("fab_copy");
+    EXPECT_EQ(ks.launches, 2);
+    EXPECT_EQ(ks.zones, 2 * plan->zones * ncomp);
+    EXPECT_EQ(ledger.totalMessages(), ref_messages);
+    EXPECT_EQ(ledger.totalBytes(), ref_bytes);
+    expectIdentical(mf, ref);
 }

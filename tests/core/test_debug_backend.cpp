@@ -212,3 +212,25 @@ TEST(ParallelReduce, EmptyBoxIdentities) {
     EXPECT_EQ(std::max(mx, ParallelReduceMax(empty, [](int, int, int) { return 0.0; })),
               -5.0);
 }
+
+TEST(DebugBackend, FusedTagsWritingOneZoneCollide) {
+    debug::ScopedViolationTrap trap;
+    debug::clearViolations();
+    debug::resetCheckCounts();
+    ScopedBackend sb(Backend::Debug);
+
+    // Each tag alone is contract-clean; the two together write the same
+    // zones of one array. The adds are exact, so every order agrees and
+    // only the footprint pass across tags can see the collision.
+    Box b({0, 0, 0}, {3, 3, 3});
+    ArenaBuffer buf(b.numPts());
+    Array4<Real> a(buf.data(), b, 1);
+    ParallelFor(KernelInfo{"fused_collider", 5.0, 8.0, 32, 1.0}, 2, 1, [&](std::size_t) {
+        return std::pair{b, [=](int i, int j, int k) { a(i, j, k) += 1.0; }};
+    });
+
+    EXPECT_TRUE(anyViolationFrom("fused_collider", "write-collision"));
+    EXPECT_FALSE(anyViolationFrom("fused_collider", "order-dependence"));
+    EXPECT_DOUBLE_EQ(a(2, 1, 3), 2.0); // forward result retained
+    debug::clearViolations();
+}

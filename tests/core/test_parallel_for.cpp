@@ -326,3 +326,159 @@ TEST(ParallelReduce, OpenMpSumKeepsSerialOrderFarAboveThreshold) {
         EXPECT_EQ(std::memcmp(&omp, &serial, sizeof(Real)), 0) << omp << " vs " << serial;
     });
 }
+
+// --- Fused launches over tag lists ----------------------------------------
+//
+// ParallelFor(ki, ntags, ncomp, tag) is one launch over many boxes. On
+// every backend it must leave the bits of one launch per tag, and under
+// SimGpu it must publish exactly one LaunchRecord.
+
+namespace {
+
+// Tag boxes of mixed shapes, two of them empty, each into its own
+// arena-backed array (the Debug checker snapshots arena state only).
+struct TagSet {
+    std::vector<Box> boxes{cube(4), Box(), Box({-2, 1, 0}, {5, 3, 2}), cube(24),
+                           Box({3, 3, 3}, {2, 2, 2}), Box({0, 0, 0}, {0, 6, 0})};
+    std::vector<Real*> data;
+    explicit TagSet(int ncomp) {
+        for (const Box& b : boxes) {
+            const std::int64_t n = std::max<std::int64_t>(1, b.numPts() * ncomp);
+            Real* p = static_cast<Real*>(The_Arena()->allocate(sizeof(Real) * n));
+            std::fill(p, p + n, -1.0);
+            data.push_back(p);
+        }
+    }
+    ~TagSet() {
+        for (Real* p : data) The_Arena()->deallocate(p);
+    }
+    TagSet(const TagSet&) = delete;
+    TagSet& operator=(const TagSet&) = delete;
+    std::int64_t zones() const {
+        std::int64_t z = 0;
+        for (const Box& b : boxes) z += b.numPts();
+        return z;
+    }
+    std::vector<Real> values(int ncomp) const {
+        std::vector<Real> out;
+        for (std::size_t t = 0; t < boxes.size(); ++t)
+            out.insert(out.end(), data[t], data[t] + boxes[t].numPts() * ncomp);
+        return out;
+    }
+};
+
+Real tagField(std::size_t t, int i, int j, int k, int n) {
+    return std::sin(0.1 * i + 0.3 * static_cast<Real>(t)) + std::cos(0.2 * j) * k +
+           1.0e-3 * i * j * (n + 1);
+}
+
+// Fills every tag of `ts` on backend `be`, either with one launch per box
+// or with one fused launch, and returns the values.
+std::vector<Real> fillTags(Backend be, int ncomp, bool fused) {
+    ScopedBackend sb(be);
+    TagSet ts(ncomp);
+    auto tag = [&](std::size_t t) {
+        Array4<Real> a(ts.data[t], ts.boxes[t], ncomp);
+        return std::pair{ts.boxes[t], [=](int i, int j, int k, int n) {
+            a(i, j, k, n) = tagField(t, i, j, k, n);
+        }};
+    };
+    if (fused) {
+        ParallelFor(kPolicyKernel, ts.boxes.size(), ncomp, tag);
+    } else {
+        for (std::size_t t = 0; t < ts.boxes.size(); ++t) {
+            auto [box, body] = tag(t);
+            ParallelFor(kPolicyKernel, box, ncomp, body);
+        }
+    }
+    return ts.values(ncomp);
+}
+
+} // namespace
+
+TEST(ParallelFor, FusedMatchesPerBoxOnEveryBackend) {
+    for (int ncomp : {1, 3}) {
+        SCOPED_TRACE(::testing::Message() << "ncomp " << ncomp);
+        const auto reference = fillTags(Backend::Serial, ncomp, false);
+        for (Backend be : {Backend::Serial, Backend::SimGpu, Backend::Debug}) {
+            SCOPED_TRACE(backendName(be));
+            EXPECT_EQ(fillTags(be, ncomp, true), reference);
+        }
+        atThreadCounts(
+            [&] { EXPECT_EQ(fillTags(Backend::OpenMP, ncomp, true), reference); });
+    }
+    // A body(i, j, k) without a component index runs with ncomp == 1.
+    ScopedBackend sb(Backend::SimGpu);
+    TagSet ts(1);
+    ParallelFor(kPolicyKernel, ts.boxes.size(), 1, [&](std::size_t t) {
+        Array4<Real> a(ts.data[t], ts.boxes[t], 1);
+        return std::pair{ts.boxes[t],
+                         [=](int i, int j, int k) { a(i, j, k) = tagField(t, i, j, k, 0); }};
+    });
+    EXPECT_EQ(ts.values(1), fillTags(Backend::Serial, 1, false));
+}
+
+TEST(ParallelFor, FusedPublishesOneLaunchRecord) {
+    ScopedBackend sb(Backend::SimGpu);
+    std::vector<LaunchRecord> records;
+    EventSubscription sub = events::subscribe<LaunchRecord>(
+        [&](const LaunchRecord& r) { records.push_back(r); });
+    for (int ncomp : {1, 4}) {
+        records.clear();
+        TagSet ts(ncomp);
+        ParallelFor(kPolicyKernel, ts.boxes.size(), ncomp, [&](std::size_t t) {
+            Array4<Real> a(ts.data[t], ts.boxes[t], ncomp);
+            return std::pair{ts.boxes[t],
+                             [=](int i, int j, int k, int n) { a(i, j, k, n) = 1.0; }};
+        });
+        ASSERT_EQ(records.size(), 1u);
+        EXPECT_EQ(records[0].zones, ts.zones());
+        EXPECT_EQ(records[0].ncomp, ncomp);
+        EXPECT_STREQ(records[0].info.name, kPolicyKernel.name);
+    }
+
+    // Zero tags, or only empty ones, launch nothing.
+    records.clear();
+    int calls = 0;
+    auto empty = [&](std::size_t) {
+        ++calls;
+        return std::pair{Box(), [](int, int, int) {}};
+    };
+    ParallelFor(kPolicyKernel, 0, 1, empty);
+    EXPECT_EQ(calls, 0);
+    ParallelFor(kPolicyKernel, 5, 1, empty);
+    EXPECT_GT(calls, 0);
+    sub.reset();
+    EXPECT_TRUE(records.empty());
+}
+
+TEST(ParallelFor, FusedTagsKeepTheirOwnOpenMpGate) {
+#if !defined(EXA_USE_OPENMP)
+    GTEST_SKIP() << "built without OpenMP";
+#else
+    if (omp_get_max_threads() < 2) GTEST_SKIP() << "only one OpenMP thread available";
+    ScopedBackend sb(Backend::OpenMP);
+    // Eight small tags: each is below the threshold, their sum above it.
+    // A ninth, large tag forks on its own.
+    const Box small = cube(4);
+    const Box large = cube(24);
+    ASSERT_FALSE(forksOver(small));
+    ASSERT_TRUE(static_cast<double>(8 * small.numPts()) * kPolicyKernel.flops_per_zone >=
+                kOmpForkFlops);
+    ASSERT_TRUE(forksOver(large));
+    std::vector<Box> boxes(8, small);
+    boxes.push_back(large);
+    std::vector<std::vector<int>> flags;
+    for (const Box& b : boxes) flags.emplace_back(static_cast<std::size_t>(b.numPts()), -1);
+    ParallelFor(kPolicyKernel, boxes.size(), 1, [&](std::size_t t) {
+        Array4<int> a(flags[t].data(), boxes[t], 1);
+        return std::pair{boxes[t], [=](int i, int j, int k) { a(i, j, k) = omp_in_parallel(); }};
+    });
+    for (std::size_t t = 0; t < boxes.size(); ++t) {
+        const int expect = t + 1 < boxes.size() ? 0 : 1;
+        EXPECT_TRUE(std::all_of(flags[t].begin(), flags[t].end(),
+                                [&](int v) { return v == expect; }))
+            << "tag " << t;
+    }
+#endif
+}

@@ -2,11 +2,13 @@
 // hash index, stable BoxArray/DistributionMapping ids, and the CopierCache
 // memoizing FillBoundary / ParallelCopy / averageDown plans. The cached
 // paths must be bit-identical to uncached execution on every backend.
+#include "comm/ledger.hpp"
 #include "core/events.hpp"
 #include "core/executor.hpp"
 #include "mesh/copier_cache.hpp"
 #include "mesh/interp.hpp"
 #include "mesh/multifab.hpp"
+#include "perf/device_model.hpp"
 
 #include <gtest/gtest.h>
 
@@ -542,4 +544,50 @@ TEST(CopierCacheTest, SplitPhaseReportsIdenticalMessages) {
     }
     EXPECT_FALSE(pfused.empty());
     EXPECT_EQ(pfused, psplit);
+}
+
+// --- fused plan delivery -------------------------------------------------
+
+TEST(CopierCacheTest, EagerFillBoundaryIsOneFabCopyLaunch) {
+    // 64 boxes on 4 ranks, periodic: hundreds of plan items, every one of
+    // them delivered by the same fab_copy launch.
+    ScopedBackend backend(Backend::SimGpu);
+    const int nx = 16;
+    BoxArray ba(Box({0, 0, 0}, {nx - 1, nx - 1, nx - 1}));
+    ba.maxSize(4);
+    DistributionMapping dm(ba, 4);
+    const Periodicity per(IntVect{nx, nx, nx});
+    const int ncomp = 2;
+    const auto plan = CopierCache::instance().fillBoundary(ba, dm, 2, per);
+    ASSERT_GT(plan->items.size(), ba.size());
+
+    // The per-box path: one copyFrom launch per item, and the messages
+    // its off-rank items carry.
+    MultiFab ref = makeFilled(ba, dm, ncomp, 2);
+    std::int64_t ref_messages = 0, ref_bytes = 0;
+    for (const CopyItem& item : plan->items) {
+        ref.fab(item.dst_fab).copyFrom(ref.fab(item.src_fab), item.src_box, 0,
+                                       item.dst_box, 0, ncomp);
+        if (item.local()) continue;
+        ++ref_messages;
+        ref_bytes += item.src_box.numPts() * ncomp * static_cast<std::int64_t>(sizeof(Real));
+    }
+    ASSERT_GT(ref_messages, 0);
+
+    MultiFab mf = makeFilled(ba, dm, ncomp, 2);
+    DeviceModel dev;
+    CommLedger ledger;
+    dev.attach();
+    ledger.attach();
+    mf.FillBoundary(0, ncomp, per);
+    dev.detach();
+    ledger.detach();
+
+    EXPECT_EQ(dev.numLaunches(), 1);
+    const auto& ks = dev.kernelStats().at("fab_copy");
+    EXPECT_EQ(ks.launches, 1);
+    EXPECT_EQ(ks.zones, plan->zones * ncomp);
+    EXPECT_EQ(ledger.totalMessages(), ref_messages);
+    EXPECT_EQ(ledger.totalBytes(), ref_bytes);
+    expectIdentical(mf, ref);
 }

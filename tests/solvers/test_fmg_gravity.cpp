@@ -10,10 +10,12 @@
 
 #include "castro/castro.hpp"
 #include "comm/halo_handle.hpp"
+#include "comm/ledger.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
 #include "microphysics/network.hpp"
+#include "perf/device_model.hpp"
 #include "resilience/adapters.hpp"
 #include "resilience/supervisor.hpp"
 #include "solvers/mg/composite_mg.hpp"
@@ -370,6 +372,56 @@ TEST(CompositeMg, SplitPhaseHalosBitIdentical) {
         hfused = hashLevels(h.phi);
     }
     EXPECT_EQ(hsplit, hfused);
+}
+
+TEST(CompositeMg, HalfSweepIsAtMostTwoSmoothLaunches) {
+    // Every red-black half-sweep smooths one rung: one launch over all of
+    // its fabs on the blocking path, one over the interiors and one over
+    // the shells on the split path. Data, messages and bytes match the
+    // Serial backend, which runs one launch per box.
+    struct Run {
+        CompositeMgResult res;
+        std::uint64_t hash = 0;
+        std::int64_t smooth_launches = 0, messages = 0, bytes = 0;
+    };
+    auto run = [](Backend be, bool async) {
+        ScopedBackend backend(be);
+        comm::ScopedAsyncHalo halo(async);
+        Hier h = makeHier(16, true, true);
+        DeviceModel dev;
+        CommLedger ledger;
+        dev.attach();
+        ledger.attach();
+        Run out;
+        out.res = solveHier(h, MgBC::Dirichlet);
+        dev.detach();
+        ledger.detach();
+        out.hash = hashLevels(h.phi);
+        const auto it = dev.kernelStats().find("mg_smooth");
+        out.smooth_launches = it == dev.kernelStats().end() ? 0 : it->second.launches;
+        out.messages = ledger.totalMessages();
+        out.bytes = ledger.totalBytes();
+        return out;
+    };
+    for (bool async : {false, true}) {
+        SCOPED_TRACE(async ? "split-phase" : "blocking");
+        const Run gpu = run(Backend::SimGpu, async);
+        const Run ref = run(Backend::Serial, async);
+        ASSERT_TRUE(gpu.res.converged);
+        ASSERT_GT(gpu.res.sweeps, 0);
+        if (async) {
+            EXPECT_LE(gpu.smooth_launches, 2 * gpu.res.sweeps);
+            EXPECT_GT(gpu.smooth_launches, gpu.res.sweeps); // some rungs have interiors
+        } else {
+            EXPECT_EQ(gpu.smooth_launches, gpu.res.sweeps);
+        }
+        EXPECT_EQ(ref.smooth_launches, 0); // Serial publishes no launches
+        EXPECT_EQ(gpu.res.sweeps, ref.res.sweeps);
+        EXPECT_EQ(gpu.hash, ref.hash);
+        EXPECT_GT(gpu.messages, 0);
+        EXPECT_EQ(gpu.messages, ref.messages);
+        EXPECT_EQ(gpu.bytes, ref.bytes);
+    }
 }
 
 TEST(CompositeMg, RepeatSolveIsDeterministic) {
