@@ -122,7 +122,6 @@ Row runCase(Stage& st, const RankLayout& layout, const NetworkModel& netmod) {
 
     // --- fused stage: blocking exchange, then the full sweep.
     {
-        comm::ScopedAsyncHalo off(false);
         dev.reset();
         ledger.reset();
         s.FillBoundary(0, nc, per);
@@ -135,7 +134,6 @@ Row runCase(Stage& st, const RankLayout& layout, const NetworkModel& netmod) {
 
     // --- split stage: post, interior, finish, shell.
     {
-        comm::ScopedAsyncHalo on(true);
         ledger.reset();
         dev.reset();
         comm::HaloHandle halo = s.FillBoundary_nowait(0, nc, per);

@@ -17,8 +17,7 @@
 // (CommLedger::phaseTime, which pays latency once per rank pair) would
 // hide exactly the cost aggregation removes.
 //
-//   fused : T = t_kernels*f + T_net
-//   split : T = t_kernels*f + max(0, T_net - hidden)
+//   T = t_kernels*f + max(0, T_net - hidden)
 //
 // with hidden = min(T_net, t_smooth*f * interior_fraction): each
 // red-black half-sweep posts its exchange and smooths fab interiors
@@ -33,11 +32,11 @@
 // onto fewer ranks turn the latency-bound all-to-all chatter of the
 // ladder's bottom into on-rank copies (the staging ParallelCopies are
 // priced too — agg bytes buys message-count reduction). Split-phase
-// halos cut the *exposed* network time without changing a single bit of
-// the answer (ctest -L gravity pins all three bit-identities).
+// halos, on in every configuration, cut the *exposed* network time
+// without changing a single bit of the answer (ctest -L gravity pins the
+// bit-identities).
 
 #include "bench_util.hpp"
-#include "comm/halo_handle.hpp"
 #include "comm/network.hpp"
 #include "core/events.hpp"
 #include "core/parallel_for.hpp"
@@ -183,7 +182,7 @@ struct Config {
 };
 
 Row runCase(const Config& cfg, const RankLayout& layout,
-            const NetworkModel& netmod, bool fmg, bool agg, bool split) {
+            const NetworkModel& netmod, bool fmg, bool agg) {
     Hier h = makeHier(cfg.n, cfg.max_grid, cfg.nranks);
     CompositeMgOptions opt;
     opt.rtol = 1.0e-10;
@@ -202,10 +201,7 @@ Row runCase(const Config& cfg, const RankLayout& layout,
     NetClock clock{layout, &netmod, {}, 0, 0};
     clock.attach();
     Row row;
-    {
-        comm::ScopedAsyncHalo async(split);
-        row.res = mg.solve(phi, rhs);
-    }
+    row.res = mg.solve(phi, rhs);
     const double f = busiestRankShare(h.dms[0]);
     row.t_kernel = dev.elapsedSeconds() * f;
     const auto& ks = dev.kernelStats();
@@ -214,9 +210,7 @@ Row runCase(const Config& cfg, const RankLayout& layout,
     row.kernels = ks;
     row.t_net = clock.time();
     row.msgs = clock.msgs;
-    if (split)
-        row.hidden =
-            std::min(row.t_net, row.t_smooth * interiorFraction(h.bas[1]));
+    row.hidden = std::min(row.t_net, row.t_smooth * interiorFraction(h.bas[1]));
     clock.detach();
     dev.detach();
     return row;
@@ -259,18 +253,17 @@ void runSweep(const char* title, const Config& cfg,
 
     struct Case {
         const char* label;
-        bool fmg, agg, split;
+        bool fmg, agg;
     };
     const Case cases[] = {
-        {"V-cycles only, fused", false, false, false},
-        {"FMG bootstrap, fused", true, false, false},
-        {"FMG + aggregation, fused", true, true, false},
-        {"FMG + aggregation + split", true, true, true},
+        {"V-cycles only", false, false},
+        {"FMG bootstrap", true, false},
+        {"FMG + aggregation", true, true},
     };
     double t_base = 0.0;
     Row r;
     for (const Case& c : cases) {
-        r = runCase(cfg, layout, netmod, c.fmg, c.agg, c.split);
+        r = runCase(cfg, layout, netmod, c.fmg, c.agg);
         if (t_base == 0.0) t_base = r.total();
         std::printf("%-28s %7d %7lld %9lld %10.2f %10.2f %10.2f %10.2f",
                     c.label, r.res.all_vcycles,
@@ -289,8 +282,8 @@ void runSweep(const char* title, const Config& cfg,
 
 int main() {
     benchutil::printHeader(
-        "Ablation: composite FMG gravity (bootstrap, coarse aggregation, "
-        "split halos)");
+        "Ablation: composite FMG gravity (bootstrap, coarse aggregation; "
+        "split halos throughout)");
 
     ScopedBackend backend(Backend::SimGpu);
     const NetworkModel netmod; // Summit-like fabric (src/comm/network.hpp)

@@ -252,37 +252,17 @@ Real Castro::estimateDt() const {
 void Castro::level0Rhs(MultiFab& src, MultiFab& dudt,
                        std::array<MultiFab, 3>* fluxes, CostMonitor* cost) {
     const Geometry& g = geom(0);
-    // Split phase (comm::asyncHalo() on): post the exchange, sweep each
-    // fab's interior (which never reads ghost zones at this stencil width)
-    // while it is in flight, then deliver the ghosts, apply physical BCs,
-    // and sweep the fab's boundary shell list in one call (one primitive
-    // pass per fab). Any disjoint cover of the valid boxes yields the fused
-    // result bit-for-bit, fluxes included: each region writes its
-    // surrounding faces, and a face two regions share gets the same value
-    // from both. A fab overlaps only when its interior holds at least an
-    // eighth of its zones (for a cube, half its width): a thinner interior
-    // hides almost no work, while the split still costs a second primitive
-    // pass and one launch set per shell slab. Every other fab is swept
-    // whole after delivery, and when no fab overlaps the exchange is fused.
-    CopierCache::PartitionPtr part;
-    std::vector<char> overlaps(src.size(), 0);
-    bool any = false;
-    if (comm::asyncHalo()) {
-        part = CopierCache::instance().interiorPartition(
-            src.boxArray(), stencilWidth(m_opt.reconstruction));
-        for (std::size_t f = 0; f < src.size(); ++f) {
-            const Box& in = part->fabs[f].interior;
-            overlaps[f] =
-                in.ok() && 8 * in.numPts() >= src.box(static_cast<int>(f)).numPts();
-            any = any || overlaps[f];
-        }
-    }
-    comm::HaloHandle halo;
-    if (any) {
-        halo = src.FillBoundary_nowait(0, src.nComp(), g.periodicity());
-    } else {
-        src.FillBoundary(0, src.nComp(), g.periodicity());
-    }
+    // Post the exchange, sweep each fab's interior (which never reads
+    // ghost zones at this stencil width) while it is in flight, then
+    // deliver the ghosts, apply physical BCs, and sweep the fab's shell
+    // list in one call (one primitive pass per fab). Any disjoint cover of
+    // the valid boxes yields the same result bit-for-bit, fluxes included:
+    // each region writes its surrounding faces, and a face two regions
+    // share gets the same value from both. The partition decides which
+    // fabs overlap; a whole fab's shell is its valid box.
+    const auto part = CopierCache::instance().interiorPartition(
+        src.boxArray(), stencilWidth(m_opt.reconstruction));
+    comm::HaloHandle halo = src.FillBoundary_nowait(*part, 0, src.nComp(), g.periodicity());
     auto rhs = [&](std::size_t f, std::span<const Box> regions) {
         const int fi = static_cast<int>(f);
         CostMonitor::ScopedFabTimer t(cost, 0, fi);
@@ -290,17 +270,11 @@ void Castro::level0Rhs(MultiFab& src, MultiFab& dudt,
                       m_opt.reconstruction);
     };
     for (std::size_t f = 0; f < src.size(); ++f) {
-        if (overlaps[f]) rhs(f, {&part->fabs[f].interior, 1});
+        if (part->fabs[f].interior.ok()) rhs(f, {&part->fabs[f].interior, 1});
     }
     halo.finish();
     applyPhysBC(0, src);
-    for (std::size_t f = 0; f < src.size(); ++f) {
-        if (overlaps[f]) {
-            rhs(f, part->fabs[f].shell);
-        } else {
-            rhs(f, {&src.box(static_cast<int>(f)), 1});
-        }
-    }
+    for (std::size_t f = 0; f < src.size(); ++f) rhs(f, part->fabs[f].shell);
 }
 
 void Castro::advanceLevel(int lev, Real time, Real dt, BurnGridStats& burn,

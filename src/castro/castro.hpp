@@ -53,9 +53,9 @@ struct CastroOptions {
 // false` takes every level at the finest dt on the same code path — one
 // substep per recursion, registers still balancing the books.
 //
-// Level 0 covers the domain, so it fills its ghosts in place: with
-// comm::asyncHalo() on, its halo exchange is in flight while the interior
-// of every fab is swept. Finer levels fill a ghost-bearing copy from
+// Level 0 covers the domain, so it fills its ghosts in place: its halo
+// exchange is in flight while the interior of every fab its partition
+// overlaps is swept. Finer levels fill a ghost-bearing copy from
 // their own data and the coarser level.
 class Castro : public AmrCore {
 public:
@@ -218,10 +218,10 @@ private:
     // only zones not covered by a finer level.
     Real maskedSum(int comp) const;
     // Level 0's RHS of `src` (which carries ghost zones): fill the ghosts
-    // in place and sweep every fab. With comm::asyncHalo() on, the
-    // exchange is in flight while the interior of each fab large enough
-    // to pay for the split is swept; the boundary shells follow after
-    // delivery and physical BCs. Each molRhsRegions call is timed per fab
+    // in place and sweep every fab. The exchange is in flight while the
+    // interior of each fab large enough to pay for the split
+    // (CopierCache::buildInteriorPartition) is swept; the boundary shells
+    // follow after delivery and physical BCs. Each molRhsRegions call is timed per fab
     // for the cost monitor, so halo waits never count as hydro cost.
     void level0Rhs(MultiFab& src, MultiFab& dudt, std::array<MultiFab, 3>* fluxes,
                    CostMonitor* cost);

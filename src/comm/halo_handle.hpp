@@ -8,12 +8,13 @@
 //
 // The post phase executes the cached CopyPlan's *pack* work — every
 // source region is staged into exchange buffers, so the destination fabs
-// are untouched while the exchange is "on the wire". finish() unpacks the
-// staged payloads in exact plan-item order and runs the event-stream and
-// fault-injection accounting precisely as the fused path does, so
-// byte/message counts and deterministic fault schedules are identical
-// between the two paths. Results are
-// bit-identical to the blocking call on every backend.
+// are untouched while the exchange is "on the wire" (under Backend::Debug
+// the in-flight destination zones read quiet NaN until finish(), so an
+// early read shows up as a Debug-vs-Serial bit difference). finish()
+// unpacks the staged payloads in exact plan-item order and runs the
+// event-stream and fault-injection accounting precisely as the blocking
+// call does, so byte/message counts, deterministic fault schedules and
+// results are identical to the blocking call on every backend.
 //
 // Lifecycle contract: finish() exactly once. The destructor completes a
 // still-pending exchange (RAII safety net) and, under Backend::Debug,
@@ -56,28 +57,6 @@ private:
     struct Impl;
     explicit HaloHandle(std::unique_ptr<Impl> impl);
     std::unique_ptr<Impl> m_impl;
-};
-
-// Process-wide switch for the split-phase machinery (default on). When
-// off, the _nowait entry points execute the fused path immediately and
-// return an already-finished handle, and the drivers take their original
-// fused branches — the knob the bit-identity tests and bench_async_halo
-// flip to compare overlap on/off.
-void setAsyncHalo(bool enabled);
-bool asyncHalo();
-
-// RAII toggle (mirrors the comm-cache tests' ScopedCacheDisabled idiom).
-class ScopedAsyncHalo {
-public:
-    explicit ScopedAsyncHalo(bool enabled) : m_saved(asyncHalo()) {
-        setAsyncHalo(enabled);
-    }
-    ~ScopedAsyncHalo() { setAsyncHalo(m_saved); }
-    ScopedAsyncHalo(const ScopedAsyncHalo&) = delete;
-    ScopedAsyncHalo& operator=(const ScopedAsyncHalo&) = delete;
-
-private:
-    bool m_saved;
 };
 
 } // namespace comm

@@ -168,30 +168,20 @@ void Maestro::advect(Real dt) {
                     });
     };
 
-    if (comm::asyncHalo()) {
-        // Split phase: pack the exchange, copy valid zones and sweep every
-        // interior while it is in flight, then deliver ghosts + physical
-        // BCs and sweep the boundary shells.
-        comm::HaloHandle halo =
-            m_state.FillBoundary_nowait(0, nc, m_geom.periodicity());
-        MultiFab::Copy(snew, m_state, 0, 0, nc, 0);
-        const auto part =
-            CopierCache::instance().interiorPartition(m_state.boxArray(), 2);
-        for (std::size_t b = 0; b < m_state.size(); ++b) {
-            if (!part->fabs[b].interior.ok()) continue;
-            sweep(b, part->fabs[b].interior);
-        }
-        halo.finish();
-        applyPhysBC(m_state);
-        for (std::size_t b = 0; b < m_state.size(); ++b) {
-            for (const Box& sb : part->fabs[b].shell) sweep(b, sb);
-        }
-    } else {
-        fillGhosts(m_state);
-        MultiFab::Copy(snew, m_state, 0, 0, nc, 0);
-        for (std::size_t b = 0; b < m_state.size(); ++b) {
-            sweep(b, m_state.box(static_cast<int>(b)));
-        }
+    // Pack the exchange, copy valid zones and sweep every interior while
+    // it is in flight, then deliver ghosts + physical BCs and sweep the
+    // boundary shells.
+    const auto part = CopierCache::instance().interiorPartition(m_state.boxArray(), 2);
+    comm::HaloHandle halo =
+        m_state.FillBoundary_nowait(*part, 0, nc, m_geom.periodicity());
+    MultiFab::Copy(snew, m_state, 0, 0, nc, 0);
+    for (std::size_t b = 0; b < m_state.size(); ++b) {
+        if (part->fabs[b].interior.ok()) sweep(b, part->fabs[b].interior);
+    }
+    halo.finish();
+    applyPhysBC(m_state);
+    for (std::size_t b = 0; b < m_state.size(); ++b) {
+        for (const Box& sb : part->fabs[b].shell) sweep(b, sb);
     }
     m_state = std::move(snew);
 }

@@ -119,8 +119,8 @@ private:
     BurnGridStats advanceOnce(Real dt);
     ValidationReport validate(const BurnGridStats& burn) const;
     void fillGhosts(MultiFab& s);
-    // The physical-boundary half of fillGhosts; runs after the halo
-    // delivery in both the fused and the split-phase advect.
+    // The physical-boundary half of fillGhosts; the split-phase advect
+    // runs it after the halo delivery.
     void applyPhysBC(MultiFab& s);
     // End-of-step rebalance hook: feed the advect work channel, then let
     // the Rebalancer decide; m_state, m_phi, and m_divu migrate together.

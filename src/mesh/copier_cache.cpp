@@ -258,13 +258,13 @@ CopierCache::PartitionPtr CopierCache::buildInteriorPartition(const BoxArray& ba
         const Box& vb = ba[i];
         FabRegions& fr = part->fabs[i];
         const Box interior = grow(vb, -stencil);
-        if (interior.ok()) {
+        if (interior.ok() && 8 * interior.numPts() >= vb.numPts()) {
             fr.interior = interior;
             fr.shell = boxDiff(vb, interior);
+            part->overlaps = true;
         } else {
-            // Box thinner than 2*stencil in some direction: everything is
-            // boundary shell. fr.interior stays default-constructed
-            // (empty), which callers must skip.
+            // Whole fab: fr.interior stays default-constructed (empty),
+            // which callers skip, and the valid box is the shell.
             fr.shell = {vb};
         }
         assert(fr.shell.size() <= FabRegions::kMaxShell);

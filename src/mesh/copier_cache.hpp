@@ -47,10 +47,10 @@ struct CopyPlan {
 // Interior/boundary partition of one fab's valid region at a given
 // stencil width: `interior` is the largest box whose stencils of that
 // width never read a ghost zone, and `shell` is the disjoint cover of
-// the rest of the valid box (up to 6 boxes from boxDiff). The async step
-// loop sweeps `interior` while the halo exchange is in flight and the
-// `shell` after finish(). A box too small to have an interior gets an
-// empty interior and its whole valid box as the shell.
+// the rest of the valid box (up to 6 boxes from boxDiff). An overlap
+// site sweeps `interior` while the halo exchange is in flight and the
+// `shell` after finish(). A whole fab (no interior worth overlapping)
+// has an empty interior and its valid box as the one shell box.
 struct FabRegions {
     // boxDiff of a box and a box inside it has at most this many pieces.
     static constexpr std::size_t kMaxShell = 6;
@@ -58,8 +58,15 @@ struct FabRegions {
     std::vector<Box> shell;
 };
 
+// The halo-overlap decision of every split-phase site (Castro level 0,
+// the MG smoother, MAESTRO advection), made once per (BoxArray, stencil)
+// by CopierCache::buildInteriorPartition. `overlaps` is true when at
+// least one fab has an interior; when it is false there is nothing to
+// hide the exchange behind and MultiFab::FillBoundary_nowait(part, ...)
+// runs it eagerly.
 struct PartitionPlan {
     int stencil = 0;
+    bool overlaps = false;
     std::vector<FabRegions> fabs;
 };
 
@@ -121,7 +128,11 @@ public:
     // (partition_* in Stats) so the exact hit/miss accounting of the copy
     // plans is untouched.
     PartitionPtr interiorPartition(const BoxArray& ba, int stencil);
-    // Uncached builder (the cold path).
+    // Uncached builder (the cold path) and the one home of the overlap
+    // rule: a fab overlaps only when its interior holds at least an
+    // eighth of its zones (for a cube, half its width). A thinner
+    // interior hides almost no work, while the split still costs a second
+    // sweep pass and one launch set per shell box, so such a fab is whole.
     static PartitionPtr buildInteriorPartition(const BoxArray& ba, int stencil);
 
     struct Stats {

@@ -19,12 +19,14 @@
 #include "core/debug.hpp"
 #include "core/events.hpp"
 #include "core/executor.hpp"
+#include "core/fault.hpp"
 #include "core/parallel_for.hpp"
 #include "mesh/copier_cache.hpp"
 #include "mesh/multifab.hpp"
 
 #include <cassert>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -32,13 +34,6 @@
 
 namespace exa {
 namespace comm {
-
-namespace {
-bool g_async_halo = true;
-}
-
-void setAsyncHalo(bool enabled) { g_async_halo = enabled; }
-bool asyncHalo() { return g_async_halo; }
 
 struct HaloHandle::Impl {
     std::shared_ptr<const CopyPlan> plan;
@@ -133,22 +128,40 @@ void packItems(std::vector<FArrayBox>& staged, const CopyPlan& plan,
     });
 }
 
+// Under Backend::Debug every in-flight destination zone reads quiet NaN
+// until finish() delivers it, so a read of an in-flight zone shows up as
+// a Debug-vs-Serial bit difference even when the stale value happens to
+// equal the fresh one. A plain host write, not a launch, like the
+// HaloPayloadCorrupt site. Skipped while CommMessageDrop is armed: a
+// dropped item keeps its stale values, as on every other backend.
+void poisonInFlight(MultiFab& dst, const CopyPlan& plan, int dcomp, int ncomp) {
+    if (ExecConfig::backend() != Backend::Debug ||
+        fault::armed(fault::Site::CommMessageDrop)) {
+        return;
+    }
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    for (const CopyItem& item : plan.items) {
+        auto a = dst.array(item.dst_fab);
+        const Box& b = item.dst_box;
+        for (int n = dcomp; n < dcomp + ncomp; ++n)
+            for (int k = b.smallEnd(2); k <= b.bigEnd(2); ++k)
+                for (int j = b.smallEnd(1); j <= b.bigEnd(1); ++j)
+                    for (int i = b.smallEnd(0); i <= b.bigEnd(0); ++i) a(i, j, k, n) = nan;
+    }
+}
+
 } // namespace
 
-comm::HaloHandle MultiFab::FillBoundary_nowait(int scomp, int ncomp,
-                                               const Periodicity& period) {
-    assert(scomp + ncomp <= m_ncomp);
-    if (!comm::asyncHalo() || m_fabs.empty()) {
-        FillBoundary(scomp, ncomp, period);
-        return comm::HaloHandle{};
-    }
+comm::HaloHandle MultiFab::post(std::shared_ptr<const CopyPlan> plan, const MultiFab& src,
+                                int scomp, int dcomp, int ncomp, const char* tag) {
     auto impl = std::make_unique<comm::HaloHandle::Impl>();
-    impl->plan = CopierCache::instance().fillBoundary(m_ba, m_dm, m_ngrow, period);
+    impl->plan = std::move(plan);
     impl->dst = this;
-    impl->dcomp = scomp; // FillBoundary exchanges in place: dcomp == scomp
+    impl->dcomp = dcomp;
     impl->ncomp = ncomp;
-    impl->tag = "fillboundary";
-    packItems(impl->staged, *impl->plan, *this, scomp, ncomp);
+    impl->tag = tag;
+    packItems(impl->staged, *impl->plan, src, scomp, ncomp);
+    poisonInFlight(*this, *impl->plan, dcomp, ncomp);
     if (events::active()) {
         events::publish(HaloEvent{HaloPhase::Posted, impl->tag,
                                   static_cast<std::int64_t>(impl->plan->items.size()),
@@ -157,28 +170,31 @@ comm::HaloHandle MultiFab::FillBoundary_nowait(int scomp, int ncomp,
     return comm::HaloHandle(std::move(impl));
 }
 
+comm::HaloHandle MultiFab::FillBoundary_nowait(int scomp, int ncomp,
+                                               const Periodicity& period) {
+    assert(scomp + ncomp <= m_ncomp);
+    if (m_fabs.empty()) return comm::HaloHandle{};
+    // FillBoundary exchanges in place: dcomp == scomp.
+    return post(CopierCache::instance().fillBoundary(m_ba, m_dm, m_ngrow, period), *this,
+                scomp, scomp, ncomp, "fillboundary");
+}
+
+comm::HaloHandle MultiFab::FillBoundary_nowait(const PartitionPlan& part, int scomp,
+                                               int ncomp, const Periodicity& period) {
+    assert(part.fabs.size() == m_fabs.size());
+    if (part.overlaps) return FillBoundary_nowait(scomp, ncomp, period);
+    FillBoundary(scomp, ncomp, period);
+    return comm::HaloHandle{};
+}
+
 comm::HaloHandle MultiFab::ParallelCopy_nowait(const MultiFab& src, int scomp,
                                                int dcomp, int ncomp, int dst_ng,
                                                const Periodicity& period) {
     assert(dst_ng <= m_ngrow);
-    if (!comm::asyncHalo() || m_fabs.empty() || src.m_fabs.empty()) {
-        ParallelCopy(src, scomp, dcomp, ncomp, dst_ng, period);
-        return comm::HaloHandle{};
-    }
-    auto impl = std::make_unique<comm::HaloHandle::Impl>();
-    impl->plan = CopierCache::instance().parallelCopy(m_ba, m_dm, src.m_ba,
-                                                      src.m_dm, dst_ng, period);
-    impl->dst = this;
-    impl->dcomp = dcomp;
-    impl->ncomp = ncomp;
-    impl->tag = "parallelcopy";
-    packItems(impl->staged, *impl->plan, src, scomp, ncomp);
-    if (events::active()) {
-        events::publish(HaloEvent{HaloPhase::Posted, impl->tag,
-                                  static_cast<std::int64_t>(impl->plan->items.size()),
-                                  impl->offrankBytes()});
-    }
-    return comm::HaloHandle(std::move(impl));
+    if (m_fabs.empty() || src.m_fabs.empty()) return comm::HaloHandle{};
+    return post(CopierCache::instance().parallelCopy(m_ba, m_dm, src.m_ba, src.m_dm,
+                                                     dst_ng, period),
+                src, scomp, dcomp, ncomp, "parallelcopy");
 }
 
 } // namespace exa

@@ -126,27 +126,23 @@ void fillPatchTwoLevels(MultiFab& dst, const MultiFab& fine_src,
                         int ncomp, int dst_ng) {
     assert(dst_ng <= dst.nGrow());
     // When dst aliases fine_src (MakeNewLevelFromCoarse's no-op self-copy
-    // idiom) posting first would pack pre-interpolation data; keep the
-    // fused order in that case.
-    if (comm::asyncHalo() && &dst != &fine_src) {
-        // Post the same-level overwrite first: the payload (fine_src valid
-        // regions) is packed now, the interpolation loop runs while the
-        // copy is "in flight", and finish() delivers the fine data on top
-        // of the freshly interpolated zones — the same final state, and
-        // accounting, as the fused order below.
-        comm::HaloHandle halo = dst.ParallelCopy_nowait(
-            fine_src, scomp, dcomp, ncomp, dst_ng, fine_geom.periodicity());
+    // idiom) posting first would pack pre-interpolation data, so the copy
+    // runs after the interpolation.
+    if (&dst == &fine_src) {
         interpFromCoarse(dst, crse_src, crse_geom, ratio, scomp, dcomp, ncomp,
                          dst_ng);
-        halo.finish();
-    } else {
-        interpFromCoarse(dst, crse_src, crse_geom, ratio, scomp, dcomp, ncomp,
-                         dst_ng);
-        // Overwrite with same-level data wherever the fine source covers
-        // the destination (valid regions + periodic images).
         dst.ParallelCopy(fine_src, scomp, dcomp, ncomp, dst_ng,
                          fine_geom.periodicity());
+        return;
     }
+    // Post the same-level overwrite first: the payload (fine_src valid
+    // regions) is packed now, the interpolation loop runs while the copy
+    // is "in flight", and finish() delivers the fine data on top of the
+    // freshly interpolated zones (valid regions + periodic images).
+    comm::HaloHandle halo = dst.ParallelCopy_nowait(fine_src, scomp, dcomp, ncomp, dst_ng,
+                                                    fine_geom.periodicity());
+    interpFromCoarse(dst, crse_src, crse_geom, ratio, scomp, dcomp, ncomp, dst_ng);
+    halo.finish();
 }
 
 } // namespace exa

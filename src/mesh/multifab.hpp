@@ -7,12 +7,14 @@
 #include "mesh/fab.hpp"
 #include "mesh/geometry.hpp"
 
+#include <memory>
 #include <vector>
 
 namespace exa {
 
 struct CopyPlan;
 struct CopyItem;
+struct PartitionPlan;
 
 // The central data structure of the framework: fluid state at one level of
 // refinement, distributed over the boxes of a BoxArray (each box owned by
@@ -84,17 +86,23 @@ public:
     // Split-phase forms: post the exchange (stage every source region into
     // pack buffers) and return immediately; the returned handle's
     // finish() delivers the ghosts and publishes the same accounting
-    // events as the fused call. Between post and
-    // finish this MultiFab's ghost zones are unmodified and its valid
-    // zones may be read or overwritten freely — the payload was captured
-    // at post time. When comm::asyncHalo() is off these run the fused
-    // path eagerly and return an already-finished handle.
+    // events as the blocking call. Between post and finish this
+    // MultiFab's valid zones may be read or overwritten freely (the
+    // payload was captured at post time), but the in-flight destination
+    // zones may not be read: under Backend::Debug they hold quiet NaN
+    // until finish().
     comm::HaloHandle FillBoundary_nowait(
         int scomp, int ncomp,
         const Periodicity& period = Periodicity::nonPeriodic());
     comm::HaloHandle FillBoundary_nowait() {
         return FillBoundary_nowait(0, m_ncomp);
     }
+    // The overlap sites' form: posts when `part` (this BoxArray's
+    // interiorPartition) overlaps any fab; when every fab is whole there
+    // is nothing to overlap, so the exchange runs eagerly and the
+    // returned handle is empty.
+    comm::HaloHandle FillBoundary_nowait(const PartitionPlan& part, int scomp, int ncomp,
+                                         const Periodicity& period);
     comm::HaloHandle ParallelCopy_nowait(
         const MultiFab& src, int scomp, int dcomp, int ncomp, int dst_ng = 0,
         const Periodicity& period = Periodicity::nonPeriodic());
@@ -156,6 +164,10 @@ private:
     static std::vector<char> dropDecisions(const CopyPlan& plan);
     void deliverTails(const CopyPlan& plan, const std::vector<char>& dropped, int dcomp,
                       int ncomp, const char* tag);
+    // The post half of both _nowait forms: stage `plan`'s payload from
+    // `src` and return the pending handle.
+    comm::HaloHandle post(std::shared_ptr<const CopyPlan> plan, const MultiFab& src,
+                          int scomp, int dcomp, int ncomp, const char* tag);
 
     BoxArray m_ba;
     DistributionMapping m_dm;

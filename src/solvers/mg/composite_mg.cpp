@@ -21,6 +21,12 @@ bool coarsenableDomain(const Box& b, int min_side) {
            b.length(1) > min_side && b.length(2) > min_side;
 }
 
+// Red-black Gauss-Seidel sweeps per rung visit: before and after the
+// coarse correction of a V-cycle, and on the coarsest rung.
+constexpr int kPreSmooth = 2;
+constexpr int kPostSmooth = 2;
+constexpr int kBottomSmooth = 40;
+
 KernelInfo smoothKernel() {
     return KernelInfo{"mg_smooth", 12.0, 96.0, 40, 1.0};
 }
@@ -210,6 +216,7 @@ void CompositeMg::smoothRung(int r, int sweeps) {
     if (R.cf) R.cf->prepare(m_r[static_cast<std::size_t>(r - 1)].phi);
     MultiFab& phi = R.phi;
     const MultiFab& rhs = R.rhs;
+    const auto part = CopierCache::instance().interiorPartition(R.ba, 1);
     // One half-sweep launch over a list of regions; `region(t)` gives tag
     // t's fab and box. Fabs are disjoint and a half-sweep writes only
     // `color` zones while reading only the other color, so the regions
@@ -230,39 +237,26 @@ void CompositeMg::smoothRung(int r, int sweeps) {
     };
     for (int s = 0; s < sweeps; ++s) {
         for (int color = 0; color < 2; ++color) {
-            if (comm::asyncHalo()) {
-                // Split phase: post the same-level exchange, fill the
-                // coarse-fine ghosts (independent of the in-flight
-                // traffic — they read coarse scratch and fine valid
-                // zones), smooth fab interiors, then deliver, apply the
-                // physical BC, and smooth the shells. The half-sweep
-                // writes only `color` zones and reads only the other
-                // color, so the split cannot change any result.
-                comm::HaloHandle halo =
-                    phi.FillBoundary_nowait(0, 1, g.periodicity());
-                if (R.cf) R.cf->interpGhosts(phi);
-                const auto part =
-                    CopierCache::instance().interiorPartition(R.ba, 1);
-                sweep(phi.size(), color, [&](std::size_t i) {
-                    return std::pair{i, part->fabs[i].interior};
-                });
-                halo.finish();
-                mgApplyDomainBC(phi, g, m_bc);
-                // Shell tag t is box t % kMaxShell of fab t / kMaxShell;
-                // the slots a fab's shell does not use are empty tags.
-                constexpr std::size_t m = FabRegions::kMaxShell;
-                sweep(m * phi.size(), color, [&](std::size_t t) {
-                    const auto& shell = part->fabs[t / m].shell;
-                    return std::pair{t / m, t % m < shell.size() ? shell[t % m] : Box{}};
-                });
-            } else {
-                phi.FillBoundary(0, 1, g.periodicity());
-                if (R.cf) R.cf->interpGhosts(phi);
-                mgApplyDomainBC(phi, g, m_bc);
-                sweep(phi.size(), color, [&](std::size_t i) {
-                    return std::pair{i, phi.box(static_cast<int>(i))};
-                });
-            }
+            // Post the same-level exchange, fill the coarse-fine ghosts
+            // (independent of the in-flight traffic: they read coarse
+            // scratch and fine valid zones), smooth fab interiors, then
+            // deliver, apply the physical BC, and smooth the shells. The
+            // half-sweep writes only `color` zones and reads only the
+            // other color, so the split cannot change any result.
+            comm::HaloHandle halo = phi.FillBoundary_nowait(*part, 0, 1, g.periodicity());
+            if (R.cf) R.cf->interpGhosts(phi);
+            sweep(phi.size(), color, [&](std::size_t i) {
+                return std::pair{i, part->fabs[i].interior};
+            });
+            halo.finish();
+            mgApplyDomainBC(phi, g, m_bc);
+            // Shell tag t is box t % kMaxShell of fab t / kMaxShell; the
+            // slots a fab's shell does not use are empty tags.
+            constexpr std::size_t m = FabRegions::kMaxShell;
+            sweep(m * phi.size(), color, [&](std::size_t t) {
+                const auto& shell = part->fabs[t / m].shell;
+                return std::pair{t / m, t % m < shell.size() ? shell[t % m] : Box{}};
+            });
             ++m_stats.sweeps;
         }
     }
@@ -438,12 +432,12 @@ void CompositeMg::fmgInterp(int r) {
 
 void CompositeMg::vcycle(int r) {
     if (r == 0) {
-        smoothRung(0, m_opt.bottom_smooth);
+        smoothRung(0, kBottomSmooth);
         return;
     }
     Rung& F = m_r[static_cast<std::size_t>(r)];
     Rung& C = m_r[static_cast<std::size_t>(r - 1)];
-    smoothRung(r, m_opt.pre_smooth);
+    smoothRung(r, kPreSmooth);
     fillGhostsRung(r);
     applyResidual(r, F.rhs, F.res);
     restrictIntoCoarse(r, F.phi, C.phi);
@@ -453,7 +447,7 @@ void CompositeMg::vcycle(int r) {
     buildCoarseRhs(r);
     vcycle(r - 1);
     prolongAddCorrection(r);
-    smoothRung(r, m_opt.post_smooth);
+    smoothRung(r, kPostSmooth);
 }
 
 void CompositeMg::fmgBootstrap() {
@@ -465,7 +459,7 @@ void CompositeMg::fmgBootstrap() {
         if (C.amr) MultiFab::Copy(C.rhs, C.rhs0, 0, 0, 1, 0);
         restrictIntoCoarse(r, m_r[static_cast<std::size_t>(r)].rhs, C.rhs);
     }
-    smoothRung(0, m_opt.bottom_smooth);
+    smoothRung(0, kBottomSmooth);
     for (int r = 1; r <= top; ++r) {
         fmgInterp(r);
         vcycle(r);

@@ -19,11 +19,12 @@
 //    zone threshold are laid out on fewer ranks (cost-weighted knapsack
 //    mapping); transfers stage through a MultiFab on the finer rung's
 //    distribution so the rank transition is one cached ParallelCopy plan.
-//  - Split-phase smoother halos. When comm::asyncHalo() is on, every
-//    red-black half-sweep posts its ghost exchange, smooths fab interiors
-//    while the traffic is in flight, then finishes and sweeps the shells
-//    (bit-identical to the fused path: a half-sweep writes one color and
-//    reads only the other).
+//  - Split-phase smoother halos. Every red-black half-sweep posts its
+//    ghost exchange, smooths the interiors of the fabs the rung's
+//    interiorPartition overlaps while the traffic is in flight, then
+//    finishes and sweeps the shells (bit-identical to any other cover of
+//    the valid boxes: a half-sweep writes one color and reads only the
+//    other). A rung whose fabs are all whole exchanges eagerly.
 //
 // Solves are cold by default (initial guess 0, FMG bootstrap, then
 // V-cycles to rtol): the result is a pure function of the rhs, which is
@@ -43,9 +44,6 @@
 namespace exa {
 
 struct CompositeMgOptions {
-    int pre_smooth = 2;
-    int post_smooth = 2;
-    int bottom_smooth = 40;
     int max_vcycles = 60;
     Real rtol = 1.0e-10;    // relative composite-residual target
     bool fmg = true;        // FMG bootstrap before the V-cycle loop
@@ -54,7 +52,8 @@ struct CompositeMgOptions {
     int max_grid_size = 32;
     int nranks = 1;
     // Aggregate a geometric rung onto ceil(zones / agg_zones_per_rank)
-    // ranks when that is fewer than nranks. 0 disables via the flag.
+    // ranks when that is fewer than nranks; values below 1 count as 1.
+    // aggregate_coarse = false is the only way to disable aggregation.
     bool aggregate_coarse = true;
     std::int64_t agg_zones_per_rank = 4096;
 };

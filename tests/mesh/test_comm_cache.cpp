@@ -454,6 +454,9 @@ TEST(CopierCacheTest, InteriorPartitionGeometryAndCaching) {
     ASSERT_EQ(part->fabs.size(), ba.size());
     EXPECT_EQ(part->stencil, 2);
 
+    // 8^3 boxes at stencil 2 have a 4^3 interior: exactly an eighth of
+    // the zones, the smallest interior that still overlaps.
+    EXPECT_TRUE(part->overlaps);
     for (std::size_t i = 0; i < ba.size(); ++i) {
         const Box& vb = ba[i];
         const FabRegions& fr = part->fabs[i];
@@ -475,13 +478,28 @@ TEST(CopierCacheTest, InteriorPartitionGeometryAndCaching) {
     }
 
     // A stencil as wide as the half-width leaves no interior: the whole
-    // valid box is shell.
+    // valid box is shell, and with every fab whole nothing overlaps.
     const auto thin = cache.interiorPartition(ba, 4);
+    EXPECT_FALSE(thin->overlaps);
     for (std::size_t i = 0; i < ba.size(); ++i) {
         EXPECT_FALSE(thin->fabs[i].interior.ok());
         ASSERT_EQ(thin->fabs[i].shell.size(), 1u);
         EXPECT_EQ(thin->fabs[i].shell[0], ba[i]);
     }
+
+    // Just below an eighth: an 8x8x7 box at stencil 2 has a 4x4x3
+    // interior (48 of 448 zones), so it is whole, beside an 8^3 box at
+    // exactly an eighth that still overlaps.
+    const Box at({0, 0, 0}, {7, 7, 7});
+    const Box below({8, 0, 0}, {15, 7, 6});
+    const auto mixed =
+        CopierCache::buildInteriorPartition(BoxArray(std::vector<Box>{at, below}), 2);
+    EXPECT_TRUE(mixed->overlaps);
+    EXPECT_EQ(mixed->fabs[0].interior, grow(at, -2));
+    EXPECT_FALSE(mixed->fabs[1].interior.ok());
+    EXPECT_EQ(mixed->fabs[1].shell, std::vector<Box>{below});
+    EXPECT_FALSE(
+        CopierCache::buildInteriorPartition(BoxArray(std::vector<Box>{below}), 2)->overlaps);
 
     // Caching: same (ba, stencil) is a hit and returns the same plan;
     // a different stencil or a different BoxArray identity misses. The
@@ -512,36 +530,24 @@ TEST(CopierCacheTest, SplitPhaseReportsIdenticalMessages) {
     const Periodicity per(IntVect{nx, nx, nx});
     MultiFab mf = makeFilled(ba, dm, 3, 2);
 
-    std::vector<Msg> fused, split;
-    {
-        comm::ScopedAsyncHalo off(false);
-        fused = recordMessages([&] { mf.FillBoundary(0, mf.nComp(), per); });
-    }
-    {
-        comm::ScopedAsyncHalo on(true);
-        split = recordMessages([&] {
-            comm::HaloHandle h = mf.FillBoundary_nowait(0, mf.nComp(), per);
-            h.finish();
-        });
-    }
+    const std::vector<Msg> fused =
+        recordMessages([&] { mf.FillBoundary(0, mf.nComp(), per); });
+    const std::vector<Msg> split = recordMessages([&] {
+        comm::HaloHandle h = mf.FillBoundary_nowait(0, mf.nComp(), per);
+        h.finish();
+    });
     EXPECT_FALSE(fused.empty());
     // Same messages, same order, same byte counts, same tags: the split
     // path delivers through the identical plan items.
     EXPECT_EQ(fused, split);
 
     MultiFab src = makeFilled(ba, dm, 3, 2);
-    std::vector<Msg> pfused, psplit;
-    {
-        comm::ScopedAsyncHalo off(false);
-        pfused = recordMessages([&] { mf.ParallelCopy(src, 0, 0, 3, 1, per); });
-    }
-    {
-        comm::ScopedAsyncHalo on(true);
-        psplit = recordMessages([&] {
-            comm::HaloHandle h = mf.ParallelCopy_nowait(src, 0, 0, 3, 1, per);
-            h.finish();
-        });
-    }
+    const std::vector<Msg> pfused =
+        recordMessages([&] { mf.ParallelCopy(src, 0, 0, 3, 1, per); });
+    const std::vector<Msg> psplit = recordMessages([&] {
+        comm::HaloHandle h = mf.ParallelCopy_nowait(src, 0, 0, 3, 1, per);
+        h.finish();
+    });
     EXPECT_FALSE(pfused.empty());
     EXPECT_EQ(pfused, psplit);
 }

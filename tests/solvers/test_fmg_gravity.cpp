@@ -9,8 +9,8 @@
 // bit-identity.
 
 #include "castro/castro.hpp"
-#include "comm/halo_handle.hpp"
 #include "comm/ledger.hpp"
+#include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -354,39 +355,40 @@ TEST(CompositeMg, AggregationOnOffBitIdentical) {
 }
 
 TEST(CompositeMg, SplitPhaseHalosBitIdentical) {
-    // Every smoother half-sweep posts its exchange and overlaps interior
-    // zones when asyncHalo is on; the result must match the fused path.
-    std::uint64_t hsplit = 0, hfused = 0;
-    {
-        comm::ScopedAsyncHalo async(true);
+    // Every smoother half-sweep on a rung with interiors posts its
+    // exchange and smooths interiors while it is in flight. Under Debug
+    // the in-flight ghosts read NaN, so the solve matches Serial only if
+    // nothing reads a ghost before finish().
+    auto run = [](Backend be, std::int64_t* split_msgs) {
+        ScopedBackend backend(be);
         Hier h = makeHier(16, true, true);
+        CommLedger ledger;
+        ledger.attach();
         auto r = solveHier(h, MgBC::Dirichlet);
+        ledger.detach();
         EXPECT_TRUE(r.converged);
-        hsplit = hashLevels(h.phi);
-    }
-    {
-        comm::ScopedAsyncHalo async(false);
-        Hier h = makeHier(16, true, true);
-        auto r = solveHier(h, MgBC::Dirichlet);
-        EXPECT_TRUE(r.converged);
-        hfused = hashLevels(h.phi);
-    }
-    EXPECT_EQ(hsplit, hfused);
+        *split_msgs = ledger.splitPhaseMessages();
+        return hashLevels(h.phi);
+    };
+    std::int64_t serial_split = 0, debug_split = 0;
+    const std::uint64_t hserial = run(Backend::Serial, &serial_split);
+    const std::uint64_t hdebug = run(Backend::Debug, &debug_split);
+    EXPECT_GT(serial_split, 0);
+    EXPECT_EQ(serial_split, debug_split);
+    EXPECT_EQ(hserial, hdebug);
 }
 
 TEST(CompositeMg, HalfSweepIsAtMostTwoSmoothLaunches) {
-    // Every red-black half-sweep smooths one rung: one launch over all of
-    // its fabs on the blocking path, one over the interiors and one over
-    // the shells on the split path. Data, messages and bytes match the
-    // Serial backend, which runs one launch per box.
+    // Every red-black half-sweep smooths one rung: one launch over the
+    // interiors and one over the shells. Data, messages and bytes match
+    // the Serial backend, which runs one launch per box.
     struct Run {
         CompositeMgResult res;
         std::uint64_t hash = 0;
         std::int64_t smooth_launches = 0, messages = 0, bytes = 0;
     };
-    auto run = [](Backend be, bool async) {
+    auto run = [](Backend be) {
         ScopedBackend backend(be);
-        comm::ScopedAsyncHalo halo(async);
         Hier h = makeHier(16, true, true);
         DeviceModel dev;
         CommLedger ledger;
@@ -403,25 +405,58 @@ TEST(CompositeMg, HalfSweepIsAtMostTwoSmoothLaunches) {
         out.bytes = ledger.totalBytes();
         return out;
     };
-    for (bool async : {false, true}) {
-        SCOPED_TRACE(async ? "split-phase" : "blocking");
-        const Run gpu = run(Backend::SimGpu, async);
-        const Run ref = run(Backend::Serial, async);
-        ASSERT_TRUE(gpu.res.converged);
-        ASSERT_GT(gpu.res.sweeps, 0);
-        if (async) {
-            EXPECT_LE(gpu.smooth_launches, 2 * gpu.res.sweeps);
-            EXPECT_GT(gpu.smooth_launches, gpu.res.sweeps); // some rungs have interiors
-        } else {
-            EXPECT_EQ(gpu.smooth_launches, gpu.res.sweeps);
+    const Run gpu = run(Backend::SimGpu);
+    const Run ref = run(Backend::Serial);
+    ASSERT_TRUE(gpu.res.converged);
+    ASSERT_GT(gpu.res.sweeps, 0);
+    EXPECT_LE(gpu.smooth_launches, 2 * gpu.res.sweeps);
+    EXPECT_GT(gpu.smooth_launches, gpu.res.sweeps); // some rungs have interiors
+    EXPECT_EQ(ref.smooth_launches, 0); // Serial publishes no launches
+    EXPECT_EQ(gpu.res.sweeps, ref.res.sweeps);
+    EXPECT_EQ(gpu.hash, ref.hash);
+    EXPECT_GT(gpu.messages, 0);
+    EXPECT_EQ(gpu.messages, ref.messages);
+    EXPECT_EQ(gpu.bytes, ref.bytes);
+}
+
+TEST(CompositeMg, WholeOnlyRungsExchangeEagerly) {
+    // 2^3 boxes have no interior, so every fab of every rung is whole:
+    // each half-sweep is one eager exchange (one fab_copy launch, no
+    // split-phase post) and one smooth launch.
+    ScopedBackend backend(Backend::SimGpu);
+    Hier h = makeHier(4, false, true, 4, 2);
+    std::vector<std::string> kernels;
+    CommLedger ledger;
+    ledger.attach();
+    EventSubscription sub([&](const Event& e) {
+        if (const auto* l = std::get_if<LaunchRecord>(&e)) kernels.push_back(l->info.name);
+    });
+    const CompositeMgResult r = solveHier(h, MgBC::Dirichlet);
+    sub.reset();
+    ledger.detach();
+    EXPECT_EQ(ledger.halosPosted(), 0);
+    // Between two smooth launches of one rung visit only the next
+    // half-sweep's ghost fill runs: its exchange (none on the one-box
+    // bottom rung, whose plan is empty) and the domain BC.
+    std::int64_t smooth = 0, exchanges = 0;
+    std::vector<std::string> gap;
+    for (const std::string& k : kernels) {
+        if (k != "mg_smooth") {
+            gap.push_back(k);
+            continue;
         }
-        EXPECT_EQ(ref.smooth_launches, 0); // Serial publishes no launches
-        EXPECT_EQ(gpu.res.sweeps, ref.res.sweeps);
-        EXPECT_EQ(gpu.hash, ref.hash);
-        EXPECT_GT(gpu.messages, 0);
-        EXPECT_EQ(gpu.messages, ref.messages);
-        EXPECT_EQ(gpu.bytes, ref.bytes);
+        const bool fill_only = std::all_of(gap.begin(), gap.end(), [](const std::string& g) {
+            return g == "fab_copy" || g == "mg_bc_fill";
+        });
+        if (++smooth > 1 && fill_only) {
+            const auto copies = std::count(gap.begin(), gap.end(), "fab_copy");
+            EXPECT_LE(copies, 1);
+            exchanges += copies;
+        }
+        gap.clear();
     }
+    EXPECT_EQ(smooth, r.sweeps);
+    EXPECT_GT(exchanges, 0);
 }
 
 TEST(CompositeMg, RepeatSolveIsDeterministic) {
