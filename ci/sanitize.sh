@@ -27,6 +27,15 @@ BUILD="${ROOT}/build-sanitize-${SAN//;/-}"
 # Repeated `ctest -L` flags AND together; one regex is the union.
 LABELS='rebalance|debug-backend|amr|burn|resilience|ensemble|gravity|async-comm|determinism'
 
+# TSan runs OpenMP single-threaded: libgomp is not TSan-instrumented, so
+# its team synchronisation reads as races. Every recorded TSan run used
+# this setting, and each run says so. (The determinism reruns set their
+# own OMP_NUM_THREADS per test.)
+if [[ "${SAN}" == *thread* ]]; then
+    export OMP_NUM_THREADS=1
+    echo "ci/sanitize.sh: ${SAN}: exported OMP_NUM_THREADS=1"
+fi
+
 cmake -B "${BUILD}" -S "${ROOT}" -DEXA_SANITIZE="${SAN}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${BUILD}" -j "$(nproc)"

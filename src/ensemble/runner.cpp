@@ -2,7 +2,6 @@
 
 #include "core/arena.hpp"
 #include "core/executor.hpp"
-#include "mesh/copier_cache.hpp"
 
 #include <algorithm>
 #include <iomanip>
@@ -84,11 +83,6 @@ void EnsembleRunner::stepTenant(int id, WorkStealingQueue& queue, int worker) {
         t.state_bytes = t.scenario->stateBytes();
         if (m_opt.device != nullptr)
             addResident(static_cast<double>(t.state_bytes));
-        // The copier cache is process-wide: size its LRU for the number
-        // of grids that are actually live, or N distinct-grid tenants
-        // thrash each other's plans every step.
-        CopierCache::instance().noteLiveTenants(
-            m_live.fetch_add(1, std::memory_order_acq_rel) + 1);
     }
 
     // Run the tenant for its quantum (<= 0: to completion), keeping its
@@ -115,8 +109,6 @@ void EnsembleRunner::stepTenant(int id, WorkStealingQueue& queue, int worker) {
         // keeps only live simulations on the device.
         if (m_opt.device != nullptr)
             addResident(-static_cast<double>(t.state_bytes));
-        CopierCache::instance().noteLiveTenants(
-            m_live.fetch_sub(1, std::memory_order_acq_rel) - 1);
         m_remaining.fetch_sub(1, std::memory_order_acq_rel);
     } else {
         queue.push(worker, id);

@@ -133,9 +133,6 @@ private:
     EnsembleOptions m_opt;
     std::vector<Tenant> m_tenants;
     std::atomic<int> m_remaining{0};
-    // Initialized-but-unfinished tenants; mirrored into the process-wide
-    // CopierCache so its LRU capacity scales with co-resident tenants.
-    std::atomic<int> m_live{0};
     std::mutex m_resident_mutex;
     double m_resident_bytes = 0.0;
     bool m_ran = false;

@@ -1,7 +1,6 @@
 #include "mesh/box_array.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 namespace exa {
@@ -64,13 +63,8 @@ const BoxArray::HashIndex& BoxArray::index() const {
     return *m_index;
 }
 
-std::uint64_t BoxArray::nextId() {
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
 void BoxArray::mutated() {
-    m_id = nextId();
+    m_id = std::make_shared<const LayoutId>();
     m_index.reset();
 }
 

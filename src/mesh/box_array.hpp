@@ -1,6 +1,7 @@
 #pragma once
 
 #include "core/box.hpp"
+#include "mesh/layout_id.hpp"
 
 #include <cstdint>
 #include <memory>
@@ -22,9 +23,10 @@ namespace exa {
 class BoxArray {
 public:
     BoxArray() = default;
-    explicit BoxArray(const Box& single) : m_boxes{single}, m_id(nextId()) {}
+    explicit BoxArray(const Box& single)
+        : m_boxes{single}, m_id(std::make_shared<const LayoutId>()) {}
     explicit BoxArray(std::vector<Box> boxes)
-        : m_boxes(std::move(boxes)), m_id(nextId()) {}
+        : m_boxes(std::move(boxes)), m_id(std::make_shared<const LayoutId>()) {}
 
     // Chop every box so that no side exceeds max_size zones.
     BoxArray& maxSize(const IntVect& max_size);
@@ -61,10 +63,11 @@ public:
     // Stable identity for communication-metadata caching (CopierCache).
     // Copies share the id; every mutation (maxSize, refine, coarsen, join)
     // assigns a fresh process-unique id. Equal ids therefore imply equal
-    // boxes — never the converse — so id equality is a safe cache key and
-    // a regrid invalidates cached plans simply by minting new ids. A
-    // default-constructed (empty) array has id 0.
-    std::uint64_t id() const { return m_id; }
+    // boxes — never the converse — so id equality is a safe cache key.
+    // Cached plans keyed on an id die with its last copy. A
+    // default-constructed (empty) array has id 0 and no identity.
+    std::uint64_t id() const { return m_id ? m_id->value() : 0; }
+    const LayoutId* identity() const { return m_id.get(); }
 
     bool operator==(const BoxArray& o) const {
         return m_id == o.m_id || m_boxes == o.m_boxes;
@@ -73,11 +76,10 @@ public:
 private:
     struct HashIndex;
     const HashIndex& index() const; // build lazily
-    static std::uint64_t nextId();
-    void mutated(); // new id + drop the spatial index
+    void mutated(); // new identity + drop the spatial index
 
     std::vector<Box> m_boxes;
-    std::uint64_t m_id = 0;
+    std::shared_ptr<const LayoutId> m_id;
     mutable std::shared_ptr<const HashIndex> m_index;
 };
 

@@ -3,23 +3,12 @@
 #include "core/timer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <cstdlib>
 
 namespace exa {
 
 namespace {
-
-// Non-negative integer from the environment; `fallback` when unset or
-// unparsable.
-std::size_t envSize(const char* name, std::size_t fallback) {
-    const char* v = std::getenv(name);
-    if (v == nullptr || *v == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v) return fallback;
-    return static_cast<std::size_t>(n);
-}
 
 std::uint64_t mix64(std::uint64_t x) {
     // splitmix64 finalizer.
@@ -32,6 +21,10 @@ std::uint64_t mix64(std::uint64_t x) {
 IntVect periodVect(const Periodicity& p) {
     return {p.period(0), p.period(1), p.period(2)};
 }
+
+// One counter for BoxArray and DistributionMapping identities, so an id
+// in any key field names exactly one layout.
+std::atomic<std::uint64_t> g_last_layout_id{0};
 
 } // namespace
 
@@ -49,13 +42,17 @@ std::size_t CopierKeyHash::operator()(const CopierKey& k) const {
     return static_cast<std::size_t>(h);
 }
 
-CopierCache::CopierCache()
-    : m_capacity(envSize("EXA_COPIER_CACHE_CAPACITY", 128)),
-      m_per_tenant(envSize("EXA_COPIER_CACHE_PER_TENANT", 32)) {}
+// --- layout identities ----------------------------------------------------
+
+LayoutId::LayoutId() : m_value(++g_last_layout_id) {}
+
+LayoutId::~LayoutId() {
+    if (m_keyed.load(std::memory_order_acquire)) CopierCache::instance().forget(m_value);
+}
 
 CopierCache& CopierCache::instance() {
-    static CopierCache cache;
-    return cache;
+    static CopierCache* const cache = new CopierCache();
+    return *cache;
 }
 
 // --- builders (the cold path) -------------------------------------------
@@ -153,8 +150,7 @@ CopierCache::PlanPtr CopierCache::fillBoundary(const BoxArray& ba,
     key.ng = ng;
     key.period = periodVect(period);
     key.kind = CopierKind::FillBoundary;
-    const bool cacheable = ba.id() != 0 && dm.id() != 0;
-    return getOrBuild(key, cacheable, [&]() {
+    return getOrBuild(key, {ba.identity(), dm.identity()}, [&]() {
         return buildFillBoundary(ba, dm.ranks(), ng, period);
     });
 }
@@ -172,12 +168,13 @@ CopierCache::PlanPtr CopierCache::parallelCopy(const BoxArray& dst_ba,
     key.ng = dst_ng;
     key.period = periodVect(period);
     key.kind = CopierKind::ParallelCopy;
-    const bool cacheable = dst_ba.id() != 0 && src_ba.id() != 0 &&
-                           dst_dm.id() != 0 && src_dm.id() != 0;
-    return getOrBuild(key, cacheable, [&]() {
-        return buildParallelCopy(dst_ba, dst_dm.ranks(), src_ba, src_dm.ranks(),
-                                 dst_ng, period);
-    });
+    return getOrBuild(key,
+                      {dst_ba.identity(), src_ba.identity(), dst_dm.identity(),
+                       src_dm.identity()},
+                      [&]() {
+                          return buildParallelCopy(dst_ba, dst_dm.ranks(), src_ba,
+                                                   src_dm.ranks(), dst_ng, period);
+                      });
 }
 
 CopierCache::PlanPtr CopierCache::averageDown(const BoxArray& crse_ba,
@@ -187,40 +184,39 @@ CopierCache::PlanPtr CopierCache::averageDown(const BoxArray& crse_ba,
     key.src_ba = fine_ba.id();
     key.ng = ratio;
     key.kind = CopierKind::AverageDown;
-    const bool cacheable = crse_ba.id() != 0 && fine_ba.id() != 0;
-    return getOrBuild(key, cacheable, [&]() {
+    return getOrBuild(key, {crse_ba.identity(), fine_ba.identity()}, [&]() {
         return buildAverageDown(crse_ba, fine_ba, ratio);
     });
 }
 
-CopierCache::PlanPtr CopierCache::getOrBuild(const CopierKey& key, bool cacheable,
-                                             const std::function<PlanPtr()>& build) {
+CopierCache::PlanPtr CopierCache::getOrBuild(
+    const CopierKey& key, std::initializer_list<const LayoutId*> layouts,
+    const std::function<PlanPtr()>& build) {
+    const bool cacheable =
+        std::none_of(layouts.begin(), layouts.end(),
+                     [](const LayoutId* id) { return id == nullptr; });
     {
         std::lock_guard<std::mutex> lk(m_mutex);
         if (m_enabled && cacheable) {
-            auto it = m_map.find(key);
-            if (it != m_map.end()) {
+            auto it = m_plans.find(key);
+            if (it != m_plans.end()) {
                 ++m_hits;
-                m_lru.splice(m_lru.begin(), m_lru, it->second);
-                return it->second->plan;
+                return it->second;
             }
         }
         ++m_misses;
     }
     // Build outside the lock: plan construction is the expensive part and
-    // must not serialize against concurrent lookups.
+    // must not serialize against concurrent lookups. The caller holds every
+    // layout in the key, so none of them can die before the insert.
     WallTimer t;
     PlanPtr plan = build();
     const double dt = t.seconds();
     {
         std::lock_guard<std::mutex> lk(m_mutex);
         m_build_seconds += dt;
-        if (m_enabled && cacheable && effectiveCapacityLocked() > 0) {
-            if (m_map.find(key) == m_map.end()) {
-                m_lru.push_front({key, plan});
-                m_map[key] = m_lru.begin();
-                evictToCapacityLocked();
-            }
+        if (m_enabled && cacheable && m_plans.try_emplace(key, plan).second) {
+            for (const LayoutId* id : layouts) id->markKeyed();
         }
     }
     return plan;
@@ -229,7 +225,7 @@ CopierCache::PlanPtr CopierCache::getOrBuild(const CopierKey& key, bool cacheabl
 CopierCache::PartitionPtr CopierCache::interiorPartition(const BoxArray& ba,
                                                          int stencil) {
     const PartitionKey key{ba.id(), stencil};
-    const bool cacheable = ba.id() != 0;
+    const bool cacheable = ba.identity() != nullptr;
     {
         std::lock_guard<std::mutex> lk(m_mutex);
         if (m_enabled && cacheable) {
@@ -244,7 +240,8 @@ CopierCache::PartitionPtr CopierCache::interiorPartition(const BoxArray& ba,
     PartitionPtr part = buildInteriorPartition(ba, stencil);
     if (cacheable) {
         std::lock_guard<std::mutex> lk(m_mutex);
-        if (m_enabled) m_partitions.emplace(key, part);
+        if (m_enabled && m_partitions.try_emplace(key, part).second)
+            ba.identity()->markKeyed();
     }
     return part;
 }
@@ -277,8 +274,7 @@ CopierCache::Stats CopierCache::stats() const {
     Stats s;
     s.hits = m_hits;
     s.misses = m_misses;
-    s.evictions = m_evictions;
-    s.plans = m_map.size();
+    s.plans = m_plans.size();
     s.build_seconds = m_build_seconds;
     s.partition_hits = m_partition_hits;
     s.partition_misses = m_partition_misses;
@@ -288,66 +284,24 @@ CopierCache::Stats CopierCache::stats() const {
 
 void CopierCache::resetStats() {
     std::lock_guard<std::mutex> lk(m_mutex);
-    m_hits = m_misses = m_evictions = 0;
+    m_hits = m_misses = 0;
     m_partition_hits = m_partition_misses = 0;
     m_build_seconds = 0.0;
 }
 
 void CopierCache::clear() {
     std::lock_guard<std::mutex> lk(m_mutex);
-    m_map.clear();
-    m_lru.clear();
+    m_plans.clear();
     m_partitions.clear();
 }
 
-std::size_t CopierCache::effectiveCapacityLocked() const {
-    if (m_capacity == 0) return 0; // explicit off switch
-    if (m_tenants > 0 && m_per_tenant > 0) {
-        return std::max(m_capacity,
-                        static_cast<std::size_t>(m_tenants) * m_per_tenant);
-    }
-    return m_capacity;
-}
-
-void CopierCache::evictToCapacityLocked() {
-    const std::size_t cap = effectiveCapacityLocked();
-    while (m_map.size() > cap) {
-        m_map.erase(m_lru.back().key);
-        m_lru.pop_back();
-        ++m_evictions;
-    }
-}
-
-std::size_t CopierCache::capacity() const {
+void CopierCache::forget(std::uint64_t id) {
     std::lock_guard<std::mutex> lk(m_mutex);
-    return effectiveCapacityLocked();
-}
-
-std::size_t CopierCache::baseCapacity() const {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    return m_capacity;
-}
-
-std::size_t CopierCache::perTenantCapacity() const {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    return m_per_tenant;
-}
-
-void CopierCache::setCapacity(std::size_t n) {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    m_capacity = n;
-    evictToCapacityLocked();
-}
-
-void CopierCache::noteLiveTenants(int n) {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    m_tenants = std::max(0, n);
-    evictToCapacityLocked();
-}
-
-int CopierCache::liveTenants() const {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    return m_tenants;
+    std::erase_if(m_plans, [id](const auto& e) {
+        const CopierKey& k = e.first;
+        return k.dst_ba == id || k.src_ba == id || k.dst_dm == id || k.src_dm == id;
+    });
+    std::erase_if(m_partitions, [id](const auto& e) { return e.first.ba == id; });
 }
 
 void CopierCache::setEnabled(bool enabled) {

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -87,15 +87,19 @@ struct CopierKeyHash {
     std::size_t operator()(const CopierKey& k) const;
 };
 
-// Process-wide LRU-bounded plan cache. Invalidation is by identity: a
-// regrid builds new BoxArrays / DistributionMappings, which carry fresh
-// ids, so stale plans are simply never looked up again and age out of the
-// LRU. Plans are immutable shared_ptrs: a plan stays valid while a caller
-// executes it even if it is concurrently evicted.
+// Process-wide plan cache. Entries live exactly as long as their layouts:
+// every BoxArray / DistributionMapping in a key shares a LayoutId with its
+// copies, and when the last copy of any of them dies the cache forgets the
+// entries keyed on it (a regrid or rebalance mints fresh identities, so
+// its plans are built anew and the old layout's plans go with it). Plans
+// are immutable shared_ptrs: a plan stays valid while a caller executes it
+// even if its layout dies concurrently.
 class CopierCache {
 public:
     using PlanPtr = std::shared_ptr<const CopyPlan>;
 
+    // Never destroyed, so a layout that dies during static destruction can
+    // still forget its entries.
     static CopierCache& instance();
 
     // Memoized plan for MultiFab::FillBoundary on (ba, dm, ng, period).
@@ -138,7 +142,6 @@ public:
     struct Stats {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
         std::size_t plans = 0;       // currently resident
         double build_seconds = 0.0;  // cumulative cold plan-build time
         std::uint64_t partition_hits = 0;
@@ -149,21 +152,9 @@ public:
     void resetStats();
     void clear(); // drop every plan (stats survive)
 
-    // Effective LRU capacity: max(base, live_tenants * per_tenant) — the
-    // cache is process-wide, so N co-resident ensemble tenants with
-    // distinct grids each need their own slice of plan slots or they
-    // evict each other every step. base == 0 disables caching outright
-    // (the explicit off switch) regardless of tenants. Defaults are
-    // overridable via EXA_COPIER_CACHE_CAPACITY (base) and
-    // EXA_COPIER_CACHE_PER_TENANT, read once at process start.
-    std::size_t capacity() const;
-    std::size_t baseCapacity() const;
-    std::size_t perTenantCapacity() const;
-    void setCapacity(std::size_t n);
-    // EnsembleRunner reports its live tenant count here as tenants are
-    // initialized and retired; shrinking evicts down to the new size.
-    void noteLiveTenants(int n);
-    int liveTenants() const;
+    // Drop every plan and partition keyed on layout identity `id`. Called
+    // by ~LayoutId for identities this cache marked.
+    void forget(std::uint64_t id);
 
     // Memoization toggle: when disabled every call rebuilds its plan (the
     // same plan-based execution path, just never cached) — used by tests
@@ -172,16 +163,12 @@ public:
     bool enabled() const;
 
 private:
-    CopierCache(); // reads the EXA_COPIER_CACHE_* environment overrides
-    PlanPtr getOrBuild(const CopierKey& key, bool cacheable,
+    CopierCache() = default;
+    // `layouts` are the key's participants; a null one (a default-built
+    // layout) makes the lookup uncacheable.
+    PlanPtr getOrBuild(const CopierKey& key,
+                       std::initializer_list<const LayoutId*> layouts,
                        const std::function<PlanPtr()>& build);
-    std::size_t effectiveCapacityLocked() const;
-    void evictToCapacityLocked();
-
-    struct Entry {
-        CopierKey key;
-        PlanPtr plan;
-    };
 
     struct PartitionKey {
         std::uint64_t ba = 0;
@@ -196,15 +183,11 @@ private:
     };
 
     mutable std::mutex m_mutex;
-    std::list<Entry> m_lru; // front = most recently used
-    std::unordered_map<CopierKey, std::list<Entry>::iterator, CopierKeyHash> m_map;
+    std::unordered_map<CopierKey, PlanPtr, CopierKeyHash> m_plans;
     std::unordered_map<PartitionKey, PartitionPtr, PartitionKeyHash> m_partitions;
-    std::uint64_t m_hits = 0, m_misses = 0, m_evictions = 0;
+    std::uint64_t m_hits = 0, m_misses = 0;
     std::uint64_t m_partition_hits = 0, m_partition_misses = 0;
     double m_build_seconds = 0.0;
-    std::size_t m_capacity = 128;
-    std::size_t m_per_tenant = 32;
-    int m_tenants = 0;
     bool m_enabled = true;
 };
 

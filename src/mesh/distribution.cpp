@@ -1,20 +1,12 @@
 #include "mesh/distribution.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <numeric>
 #include <queue>
 #include <sstream>
 
 namespace exa {
-
-namespace {
-std::uint64_t nextDmId() {
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-} // namespace
 
 std::uint64_t mortonCode(int x, int y, int z) {
     auto split = [](std::uint64_t v) {
@@ -34,7 +26,7 @@ std::uint64_t mortonCode(int x, int y, int z) {
 
 DistributionMapping::DistributionMapping(const BoxArray& ba, int nranks,
                                          Strategy strategy)
-    : m_nranks(std::max(1, nranks)), m_id(nextDmId()) {
+    : m_nranks(std::max(1, nranks)), m_id(std::make_shared<const LayoutId>()) {
     // Cold-start path: weigh boxes by zone count. Integer zone counts are
     // exact in double, so this is bit-identical to the historical integer
     // accumulation.
@@ -48,13 +40,13 @@ DistributionMapping::DistributionMapping(const BoxArray& ba, int nranks,
 DistributionMapping::DistributionMapping(const BoxArray& ba, int nranks,
                                          const std::vector<double>& cost,
                                          Strategy strategy)
-    : m_nranks(std::max(1, nranks)), m_id(nextDmId()) {
+    : m_nranks(std::max(1, nranks)), m_id(std::make_shared<const LayoutId>()) {
     build(ba, cost, strategy);
 }
 
 DistributionMapping::DistributionMapping(std::vector<int> rank_table, int nranks)
     : m_rank(std::move(rank_table)), m_nranks(std::max(1, nranks)),
-      m_id(nextDmId()) {
+      m_id(std::make_shared<const LayoutId>()) {
     for (const int r : m_rank) {
         assert(r >= 0 && r < m_nranks);
         (void)r;

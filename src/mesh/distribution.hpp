@@ -3,6 +3,7 @@
 #include "mesh/box_array.hpp"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,9 @@ public:
     // Stable identity for communication-metadata caching (CopierCache),
     // mirroring BoxArray::id(): copies share the id, every freshly built
     // mapping gets a new one, so equal ids imply an identical rank table.
-    // A default-constructed mapping has id 0.
-    std::uint64_t id() const { return m_id; }
+    // A default-constructed mapping has id 0 and no identity.
+    std::uint64_t id() const { return m_id ? m_id->value() : 0; }
+    const LayoutId* identity() const { return m_id.get(); }
 
     // Number of boxes owned by each rank.
     std::vector<int> boxesPerRank() const;
@@ -81,7 +83,7 @@ private:
 
     std::vector<int> m_rank;
     int m_nranks = 1;
-    std::uint64_t m_id = 0;
+    std::shared_ptr<const LayoutId> m_id;
 };
 
 // Morton (Z-order) code of a non-negative 3-D index, for SFC ordering.

@@ -237,36 +237,42 @@ TEST_P(AsyncHaloBackends, CastroGuardedStepAsyncMatchesSync) {
 }
 
 TEST_P(AsyncHaloBackends, CastroPpmStepAsyncMatchesSync) {
-    // PPM widens the stencil to 3, giving a different interior partition
-    // (and, on 8^3 boxes, a 2-zone-thick interior: every fab is whole and
-    // the exchange eager) than the PLM tests.
+    // PPM widens the stencil to 3. On 8^3 boxes that leaves a 2^3
+    // interior, below the eighth rule: every fab is whole and level 0
+    // exchanges eagerly. 12^3 boxes leave a 6^3 interior and split the
+    // exchange. Both must match the Serial run bit-for-bit.
     auto net = makeIgnitionSimple();
-    auto run = [&](Backend be) {
-        ScopedBackend backend(be);
-        Box dom({0, 0, 0}, {15, 15, 15});
-        Geometry geom(dom, {0, 0, 0}, {1, 1, 1});
-        AmrInfo info;
-        info.max_grid_size = 8;
-        info.nranks = 2;
-        castro::CastroOptions opt;
-        opt.bc = DomainBC::allOutflow();
-        opt.reconstruction = castro::Reconstruction::PPM;
-        Eos eos{GammaLawEos{1.4}};
-        auto c = std::make_unique<castro::Castro>(
-            geom, info, net, eos, opt, [&](Real x, Real, Real) {
-                castro::Castro::InitialZone z;
-                z.rho = x < 0.5 ? 1.0 : 0.125;
-                z.p = x < 0.5 ? 1.0 : 0.1;
-                z.X = {1.0, 0.0};
-                return z;
-            });
-        c->init();
-        c->step(c->estimateDt());
-        return c;
-    };
-    auto sync_c = run(Backend::Serial);
-    auto async_c = run(GetParam());
-    expectIdentical(sync_c->state(), async_c->state());
+    for (const int mgs : {8, 12}) {
+        SCOPED_TRACE(::testing::Message() << "max_grid_size " << mgs);
+        auto run = [&](Backend be) {
+            ScopedBackend backend(be);
+            Box dom({0, 0, 0}, {23, 23, 23});
+            Geometry geom(dom, {0, 0, 0}, {1, 1, 1});
+            AmrInfo info;
+            info.max_grid_size = mgs;
+            info.nranks = 2;
+            castro::CastroOptions opt;
+            opt.bc = DomainBC::allOutflow();
+            opt.reconstruction = castro::Reconstruction::PPM;
+            Eos eos{GammaLawEos{1.4}};
+            auto c = std::make_unique<castro::Castro>(
+                geom, info, net, eos, opt, [&](Real x, Real, Real) {
+                    castro::Castro::InitialZone z;
+                    z.rho = x < 0.5 ? 1.0 : 0.125;
+                    z.p = x < 0.5 ? 1.0 : 0.1;
+                    z.X = {1.0, 0.0};
+                    return z;
+                });
+            c->init();
+            c->step(c->estimateDt());
+            return c;
+        };
+        auto sync_c = run(Backend::Serial);
+        auto async_c = run(GetParam());
+        EXPECT_EQ(CopierCache::instance().interiorPartition(async_c->boxArray(0), 3)->overlaps,
+                  mgs == 12);
+        expectIdentical(sync_c->state(), async_c->state());
+    }
 }
 
 TEST_P(AsyncHaloBackends, CastroAmrStepAsyncMatchesSync) {

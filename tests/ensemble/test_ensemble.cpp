@@ -632,74 +632,42 @@ TEST(EnsembleRunner, RunIsSingleShot) {
     EXPECT_THROW(runner.run(), std::logic_error);
 }
 
-TEST(TenantAccounting, CopierCacheScalesWithLiveTenants) {
-    // The copier cache is process-wide; without tenant-aware sizing, N
-    // co-resident tenants with distinct grids evict each other's plans
-    // every scheduling round. Save and restore the cache's knobs — other
-    // tests share the singleton.
+TEST(EnsembleRunner, DistinctGridTenantsNeverEvictEachOther) {
+    // The copier cache is process-wide and has no capacity: a plan lives
+    // as long as its layouts. Eight tenants on distinct grids, stepped
+    // concurrently by four workers, therefore take exactly the misses
+    // each takes alone, and every plan dies with its tenant's layouts.
     auto& cache = CopierCache::instance();
-    const std::size_t saved_base = cache.baseCapacity();
-    const int saved_tenants = cache.liveTenants();
-    const Periodicity none;
-
-    // 8 "tenants", one distinct grid each; every FillBoundary plan is one
-    // LRU entry, so a base capacity of 4 cannot hold a round of 8.
-    std::vector<BoxArray> grids;
-    std::vector<DistributionMapping> dms;
-    for (int t = 0; t < 8; ++t) {
-        Box dom({0, 0, 0}, {7, 7, 7 + t});
-        BoxArray ba(dom);
-        ba.maxSize(4);
-        dms.emplace_back(ba, 2);
-        grids.push_back(ba);
-    }
-    auto round = [&] {
-        for (int t = 0; t < 8; ++t) cache.fillBoundary(grids[t], dms[t], 1, none);
+    auto tenant = [](int t) {
+        castro::SedovParams p = tinySedov();
+        p.max_grid_size = t % 2 == 0 ? 8 : 4;
+        p.nranks = 1 + t / 2;
+        return std::make_unique<SedovScenario>(p, RunLimits{0.0, 2, 0.0});
     };
-    auto misses = [&] { return cache.stats().misses; };
-    auto hits = [&] { return cache.stats().hits; };
+    const std::size_t resident0 = cache.stats().plans;
 
-    cache.noteLiveTenants(0);
-    cache.setCapacity(4);
-    cache.clear();
-    EXPECT_EQ(cache.capacity(), 4u);
-    round(); // populate (8 misses, 4 evictions)
-    const auto h0 = hits();
-    round(); // the LRU held only the last 4: every lookup misses again
-    EXPECT_EQ(hits(), h0);
+    std::uint64_t cold = 0;
+    for (int t = 0; t < 8; ++t) {
+        const std::uint64_t m0 = cache.stats().misses;
+        EnsembleRunner solo;
+        solo.add(tenant(t));
+        solo.run();
+        cold += cache.stats().misses - m0;
+    }
+    EXPECT_GT(cold, 0u);
+    EXPECT_EQ(cache.stats().plans, resident0);
 
-    // With the live-tenant count reported, capacity scales to
-    // max(base, tenants * per-tenant) and a full round fits.
-    cache.noteLiveTenants(8);
-    EXPECT_EQ(cache.capacity(),
-              std::max<std::size_t>(4, 8 * cache.perTenantCapacity()));
-    round(); // repopulate
-    const auto m0 = misses();
-    round(); // all hits: no thrash
-    EXPECT_EQ(misses(), m0);
-
-    // Tenants retiring shrinks the cache back down.
-    cache.noteLiveTenants(0);
-    EXPECT_EQ(cache.capacity(), 4u);
-    EXPECT_LE(cache.stats().plans, 4u);
-
-    cache.setCapacity(saved_base);
-    cache.noteLiveTenants(saved_tenants);
-    cache.clear();
-}
-
-TEST(EnsembleRunner, LiveTenantCountReachesCopierCache) {
-    // The runner reports inits and retirements to the process-wide cache.
-    auto& cache = CopierCache::instance();
-    cache.noteLiveTenants(0);
-    EnsembleRunner runner;
-    runner.add(std::make_unique<SedovScenario>(tinySedov(),
-                                               RunLimits{0.0, 1, 0.0}));
-    runner.add(std::make_unique<SedovScenario>(tinySedov(),
-                                               RunLimits{0.0, 2, 0.0}));
-    runner.run();
-    // Every tenant retired: the live count is back to zero.
-    EXPECT_EQ(cache.liveTenants(), 0);
+    const std::uint64_t m0 = cache.stats().misses;
+    {
+        EnsembleOptions opt;
+        opt.workers = 4;
+        EnsembleRunner runner(opt);
+        for (int t = 0; t < 8; ++t) runner.add(tenant(t));
+        runner.run();
+        EXPECT_EQ(cache.stats().misses - m0, cold);
+    }
+    // The runner and its tenants are gone, and so is every plan.
+    EXPECT_EQ(cache.stats().plans, resident0);
 }
 
 TEST(EnsembleRunner, DeviceResidencyTracksLiveTenants) {

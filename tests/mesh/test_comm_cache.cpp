@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 using namespace exa;
@@ -269,32 +271,78 @@ TEST(CopierCacheTest, HitsMissesAndInvalidationByIdentity) {
     EXPECT_GE(s.build_seconds, 0.0);
 }
 
-TEST(CopierCacheTest, LruEvictsBeyondCapacity) {
+TEST(CopierCacheTest, PlansDieWithTheirLayout) {
+    // An entry lives exactly as long as every layout in its key: a
+    // surviving copy keeps it, the death of the last copy of any key
+    // participant drops it, and a new mapping on the same BoxArray (a
+    // rebalance) drops only the old mapping's plans.
     auto& cache = CopierCache::instance();
     cache.clear();
     cache.resetStats();
-    const std::size_t saved_cap = cache.capacity();
-    cache.setCapacity(2);
-
-    BoxArray ba(Box({0, 0, 0}, {15, 15, 15}));
-    ba.maxSize(8);
-    DistributionMapping dm(ba, 2);
     const Periodicity per = Periodicity::nonPeriodic();
+    auto resident = [&] {
+        const auto s = cache.stats();
+        return std::pair{s.plans, s.partitions};
+    };
+    using Counts = std::pair<std::size_t, std::size_t>;
+    {
+        BoxArray crse(Box({0, 0, 0}, {15, 15, 15}));
+        crse.maxSize(8);
+        const DistributionMapping cdm(crse, 2);
+        std::optional<BoxArray> fine(std::in_place, Box({8, 8, 8}, {23, 23, 23}));
+        fine->maxSize(8);
+        std::optional<DistributionMapping> fdm(std::in_place, *fine, 2);
 
-    (void)cache.fillBoundary(ba, dm, 1, per); // A
-    (void)cache.fillBoundary(ba, dm, 2, per); // B
-    (void)cache.fillBoundary(ba, dm, 3, per); // C evicts A (LRU)
-    auto s = cache.stats();
-    EXPECT_EQ(s.plans, 2u);
-    EXPECT_EQ(s.evictions, 1u);
+        (void)cache.fillBoundary(crse, cdm, 1, per);
+        (void)cache.interiorPartition(crse, 1);
+        (void)cache.fillBoundary(*fine, *fdm, 1, per);
+        (void)cache.parallelCopy(*fine, *fdm, crse, cdm, 1, per);
+        (void)cache.averageDown(crse, *fine, 2);
+        (void)cache.interiorPartition(*fine, 1);
+        EXPECT_EQ(resident(), (Counts{4, 2}));
+        EXPECT_EQ(cache.stats().misses, 4u);
+        {
+            // The originals die; their copies keep every entry alive.
+            BoxArray fine_copy = *fine;
+            DistributionMapping fdm_copy = *fdm;
+            fine.reset();
+            fdm.reset();
+            EXPECT_EQ(resident(), (Counts{4, 2}));
+            (void)cache.fillBoundary(fine_copy, fdm_copy, 1, per);
+            (void)cache.parallelCopy(fine_copy, fdm_copy, crse, cdm, 1, per);
+            (void)cache.averageDown(crse, fine_copy, 2);
+            (void)cache.interiorPartition(fine_copy, 1);
+            EXPECT_EQ(cache.stats().hits, 3u);
+            EXPECT_EQ(cache.stats().misses, 4u);
+            EXPECT_EQ(cache.stats().partition_hits, 1u);
 
-    (void)cache.fillBoundary(ba, dm, 3, per); // C hits
-    (void)cache.fillBoundary(ba, dm, 1, per); // A rebuilt: miss
-    s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 4u);
+            // Rebalance: the old mapping's last copy dies with the
+            // assignment, taking its FillBoundary and ParallelCopy plans;
+            // averageDown and the partition key on no mapping and stay.
+            fdm_copy = DistributionMapping(fine_copy, 3);
+            EXPECT_EQ(resident(), (Counts{2, 2}));
+            (void)cache.averageDown(crse, fine_copy, 2);
+            (void)cache.interiorPartition(fine_copy, 1);
+            EXPECT_EQ(cache.stats().hits, 4u);
+            EXPECT_EQ(cache.stats().partition_hits, 2u);
+            (void)cache.fillBoundary(fine_copy, fdm_copy, 1, per);
+            EXPECT_EQ(cache.stats().misses, 5u);
+            EXPECT_EQ(resident(), (Counts{3, 2}));
+        }
+        // The fine BoxArray's last copy is gone: every entry naming it
+        // (FillBoundary, averageDown, partition) goes with it.
+        EXPECT_EQ(resident(), (Counts{1, 1}));
 
-    cache.setCapacity(saved_cap);
+        // A mutation mints a fresh identity: the old one's entries die.
+        crse.maxSize(4);
+        EXPECT_EQ(resident(), (Counts{0, 0}));
+        const DistributionMapping cdm4(crse, 2);
+        (void)cache.fillBoundary(crse, cdm4, 1, per);
+        (void)cache.interiorPartition(crse, 1);
+        EXPECT_EQ(resident(), (Counts{1, 1}));
+    }
+    // Every layout is gone, and nothing outlives its layouts.
+    EXPECT_EQ(resident(), (Counts{0, 0}));
 }
 
 TEST(CopierCacheTest, PlansAreComponentCountIndependent) {

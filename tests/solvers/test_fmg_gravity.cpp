@@ -14,6 +14,7 @@
 #include "core/executor.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
+#include "mesh/copier_cache.hpp"
 #include "microphysics/network.hpp"
 #include "perf/device_model.hpp"
 #include "resilience/adapters.hpp"
@@ -584,6 +585,38 @@ TEST(GravityAmr, BlastAcrossRegridBitIdenticalAcrossBackends) {
     EXPECT_GT(vcycles, 0);
     for (std::size_t i = 1; i < hashes.size(); ++i)
         EXPECT_EQ(hashes[0], hashes[i]) << "run " << i;
+}
+
+TEST(GravityAmr, ResidentPartitionsFollowTheLiveHierarchy) {
+    // Every regrid mints fresh fine layouts and the gravity ladder rebuilds
+    // on them. The partitions of the replaced layouts die with them, so the
+    // resident count stays that of the live hierarchy instead of growing
+    // by one set per regrid interval.
+    auto& cache = CopierCache::instance();
+    cache.clear();
+    {
+        GravityBlast b = makeGravityBlast(); // regrid_interval 2
+        std::vector<std::size_t> resident;
+        for (int interval = 0; interval < 3; ++interval) {
+            for (int i = 0; i < 2; ++i) b.amr->step(b.amr->estimateDt());
+            ASSERT_GT(b.amr->finestLevel(), 0);
+            resident.push_back(cache.stats().partitions);
+        }
+        EXPECT_GT(resident[0], 0u);
+        EXPECT_EQ(resident[1], resident[0]);
+        EXPECT_EQ(resident[2], resident[0]);
+
+        // One more step rebuilds the ladder on the last regrid's layouts.
+        // What stays resident is exactly what a step of the live
+        // hierarchy builds from an empty cache.
+        b.amr->step(b.amr->estimateDt());
+        const std::size_t after_run = cache.stats().partitions;
+        cache.clear();
+        b.amr->regrid_interval = 0;
+        b.amr->step(b.amr->estimateDt());
+        EXPECT_EQ(cache.stats().partitions, after_run);
+    }
+    EXPECT_EQ(cache.stats().partitions, 0u);
 }
 
 TEST(GravityAmr, RankFailureRecoveryBitIdentical) {
