@@ -16,7 +16,6 @@
 #include "bench_util.hpp"
 #include "castro/sedov.hpp"
 #include "core/fault.hpp"
-#include "resilience/adapters.hpp"
 #include "resilience/campaign.hpp"
 
 #include <chrono>
@@ -80,7 +79,7 @@ int main() {
         // No armed fault: Daly runs off the measured staging/step costs
         // and the default 1000-step MTBF prior.
         opt.nranks = nranks;
-        ResilienceSupervisor sup(makeSupervisedDriver(*c), opt);
+        ResilienceSupervisor sup(*c, opt);
         const double t = wallSeconds([&] { sup.runSteps(nsteps); });
         if (async) {
             t_async = t;
@@ -122,12 +121,7 @@ int main() {
 
         const CampaignReport rep = runCampaign(
             [&](int /*run*/) {
-                SupervisedRun r;
-                auto owner = std::make_shared<std::unique_ptr<castro::Castro>>(
-                    blast(net, ncell, nranks));
-                r.owner = owner;
-                r.driver = makeSupervisedDriver(**owner);
-                return r;
+                return std::shared_ptr<Driver>(blast(net, ncell, nranks));
             },
             opt);
 

@@ -189,10 +189,23 @@ void Castro::RemakeLevel(int lev, const BoxArray& ba,
     m_gravity.noteRegrid();
 }
 
-void Castro::remakeForRestore(
-    const std::vector<std::vector<Box>>& level_boxes,
-    const std::function<DistributionMapping(const BoxArray&, int lev)>&
-        dmBuilder) {
+std::vector<const MultiFab*> Castro::levelStates() const {
+    std::vector<const MultiFab*> out;
+    for (int lev = 0; lev <= finestLevel(); ++lev) out.push_back(&m_state[lev]);
+    return out;
+}
+
+std::vector<CheckpointField> Castro::checkpointFields() {
+    std::vector<CheckpointField> out;
+    for (int lev = 0; lev <= finestLevel(); ++lev) {
+        out.push_back(
+            {&m_state[lev], geom(lev), "state_lev" + std::to_string(lev)});
+    }
+    return out;
+}
+
+void Castro::remakeForRestore(const std::vector<std::vector<Box>>& level_boxes,
+                              const DmBuilder& dmBuilder) {
     const int nlev = static_cast<int>(level_boxes.size());
     assert(nlev >= 1 && nlev <= maxLevel() + 1);
     for (int lev = finestLevel(); lev >= nlev; --lev) ClearLevel(lev);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "castro/driver.hpp"
 #include "castro/gravity.hpp"
 #include "castro/hydro.hpp"
 #include "castro/react.hpp"
@@ -57,7 +58,7 @@ struct CastroOptions {
 // exchange is in flight while the interior of every fab its partition
 // overlaps is swept. Finer levels fill a ghost-bearing copy from
 // their own data and the coarser level.
-class Castro : public AmrCore {
+class Castro final : public AmrCore, public Driver {
 public:
     // Initial condition per zone: the functor fills rho, T (or p), velocity
     // and mass fractions X; the driver derives the rest through the EOS.
@@ -97,7 +98,7 @@ public:
     // CFL dt *for level 0*: with subcycling each level contributes its
     // CFL limit times ref_ratio^lev (its substeps shrink by the same
     // factor); without, the finest level binds the whole hierarchy.
-    Real estimateDt() const;
+    Real estimateDt() const override;
 
     // Advance the whole hierarchy by dt (level 0 takes one step of dt;
     // finer levels subcycle); regrids every regrid_interval steps.
@@ -108,35 +109,27 @@ public:
     // re-advanced as 2, 4, ... substeps that still sum to dt and count as
     // one step. Regridding is deferred to after the step is accepted, so
     // a rollback never faces a changed BoxArray.
-    BurnGridStats step(Real dt);
-
-    Real time() const { return m_time; }
-    int stepCount() const { return m_nstep; }
+    BurnGridStats step(Real dt) override;
 
     // --- restore path (resilience) -------------------------------------
-    // Rewind the hierarchy clock to a checkpoint's time and step count
-    // (after the level states have been restored, before finishRestore).
-    // Replaying steps from here is deterministic, so a recovered run is
-    // bit-identical to an uninterrupted one.
-    void resetTime(Real t, int nstep) {
-        m_time = t;
-        m_nstep = nstep;
-    }
+    std::vector<const MultiFab*> levelStates() const override;
+    // One field per level, "state_lev<N>".
+    std::vector<CheckpointField> checkpointFields() override;
     // Rebuild the hierarchy on a checkpoint's per-level grids when a
     // regrid has made the live layouts differ from the checkpoint's:
     // clears extra levels, resets the level count, and defines each
     // level's state (zeroed — the caller fills it from disk) on
     // BoxArray(level_boxes[lev]) with dmBuilder(ba, lev).
-    void remakeForRestore(
-        const std::vector<std::vector<Box>>& level_boxes,
-        const std::function<DistributionMapping(const BoxArray&, int lev)>&
-            dmBuilder);
+    void remakeForRestore(const std::vector<std::vector<Box>>& level_boxes,
+                          const DmBuilder& dmBuilder) override;
     // After every level's state fab holds checkpoint data and resetTime
     // has run: rebuild the per-level companions (old-time state = state at
     // m_time, flux registers redefined — their contents are dead between
     // sync points, so a step boundary needs only fresh ones), sync
     // AmrCore's mappings with the restored states, and rebuild gravity.
-    void finishRestore();
+    // Every gravity type recomputes the acceleration from the density
+    // alone (Poisson solves are cold), so recovery is bit-identical.
+    void finishRestore() override;
 
     int regrid_interval = 4;
     // Subcycle in time (fine levels take ref_ratio substeps of dt/r).
@@ -148,13 +141,14 @@ public:
 
     // Retry accounting for the guarded steps of this run (zeros when the
     // guard is disabled).
-    const RetryStats& retryStats() const { return m_guard.stats(); }
+    const RetryStats& retryStats() const override { return m_guard.stats(); }
 
     // Self-gravity (opt.gravity). step() solves once per coarse step;
     // solveGravity() runs the same solve on the current hierarchy.
     void solveGravity();
     Gravity& gravity() { return m_gravity; }
     const Gravity& gravity() const { return m_gravity; }
+    MgEvent mgTotals() const override { return m_gravity.mgTotals(); }
 
     // Load-balancer access (cost monitor, decision stats). Each level is
     // rebalanced independently after the step (and its cost history is
@@ -262,8 +256,6 @@ private:
     Gravity m_gravity;
     StepGuard m_guard;
     Rebalancer m_rebalancer;
-    Real m_time = 0.0;
-    int m_nstep = 0;
 };
 
 } // namespace exa::castro

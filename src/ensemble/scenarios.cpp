@@ -25,6 +25,32 @@ RunLimits limitsFromConfig(const ScenarioConfig& cfg, int default_steps) {
 
 } // namespace
 
+// --- DriverScenario ------------------------------------------------------
+
+std::int64_t DriverScenario::zones() const {
+    std::int64_t z = 0;
+    for (const MultiFab* s : m_driver->levelStates()) {
+        z += s->boxArray().numPts();
+    }
+    return z;
+}
+
+std::uint64_t DriverScenario::stateBytes() const {
+    std::uint64_t b = 0;
+    for (const CheckpointField& f : m_driver->checkpointFields()) {
+        b += stateBytesOf(*f.mf);
+    }
+    return b;
+}
+
+std::uint32_t DriverScenario::stateCrc() const {
+    std::uint32_t crc = 0;
+    for (const MultiFab* s : m_driver->levelStates()) {
+        crc = ensemble::stateCrc(*s, crc);
+    }
+    return crc;
+}
+
 // --- AmrBlastParams ------------------------------------------------------
 
 std::unique_ptr<castro::Castro>
@@ -79,10 +105,10 @@ AmrBlastParams::build(const ReactionNetwork& net) const {
 
 SedovScenario::SedovScenario(const castro::SedovParams& p,
                              const RunLimits& limits, ReactionNetwork net)
-    : Scenario("sedov", limits), m_params(p), m_net(std::move(net)) {}
+    : DriverScenario("sedov", limits), m_params(p), m_net(std::move(net)) {}
 
 SedovScenario::SedovScenario(const ScenarioConfig& cfg)
-    : Scenario("sedov", limitsFromConfig(cfg, 10)),
+    : DriverScenario("sedov", limitsFromConfig(cfg, 10)),
       m_net(makeNetworkByName(cfg.getString("network", "ignition_simple"))) {
     m_params.ncell = cfg.getInt("ncell", m_params.ncell);
     m_params.max_grid_size = cfg.getInt("max-grid-size", m_params.max_grid_size);
@@ -96,18 +122,9 @@ SedovScenario::SedovScenario(const ScenarioConfig& cfg)
     cfg.requireAllConsumed("sedov");
 }
 
-void SedovScenario::init() { m_castro = m_params.build(m_net); }
-
-std::int64_t SedovScenario::zones() const {
-    return m_castro->state().boxArray().numPts();
-}
-
-std::uint64_t SedovScenario::stateBytes() const {
-    return stateBytesOf(m_castro->state());
-}
-
-std::uint32_t SedovScenario::stateCrc() const {
-    return ensemble::stateCrc(m_castro->state());
+void SedovScenario::init() {
+    m_castro = m_params.build(m_net);
+    m_driver = m_castro.get();
 }
 
 std::string SedovScenario::summary() const {
@@ -123,10 +140,10 @@ std::string SedovScenario::summary() const {
 
 BubbleScenario::BubbleScenario(const maestro::BubbleParams& p,
                                const RunLimits& limits, ReactionNetwork net)
-    : Scenario("bubble", limits), m_params(p), m_net(std::move(net)) {}
+    : DriverScenario("bubble", limits), m_params(p), m_net(std::move(net)) {}
 
 BubbleScenario::BubbleScenario(const ScenarioConfig& cfg)
-    : Scenario("bubble", limitsFromConfig(cfg, 8)),
+    : DriverScenario("bubble", limitsFromConfig(cfg, 8)),
       m_net(makeNetworkByName(cfg.getString("network", "ignition_simple"))) {
     m_params.ncell = cfg.getInt("ncell", m_params.ncell);
     m_params.max_grid_size = cfg.getInt("max-grid-size", m_params.max_grid_size);
@@ -144,21 +161,9 @@ BubbleScenario::BubbleScenario(const ScenarioConfig& cfg)
     cfg.requireAllConsumed("bubble");
 }
 
-void BubbleScenario::init() { m_maestro = m_params.build(m_net); }
-
-std::int64_t BubbleScenario::zones() const {
-    return m_maestro->state().boxArray().numPts();
-}
-
-std::uint64_t BubbleScenario::stateBytes() const {
-    // The projection companions round-trip with the state (see the
-    // resilience checkpointer), so they count toward residency too.
-    return stateBytesOf(m_maestro->state()) + stateBytesOf(m_maestro->phi()) +
-           stateBytesOf(m_maestro->divu());
-}
-
-std::uint32_t BubbleScenario::stateCrc() const {
-    return ensemble::stateCrc(m_maestro->state());
+void BubbleScenario::init() {
+    m_maestro = m_params.build(m_net);
+    m_driver = m_maestro.get();
 }
 
 std::string BubbleScenario::summary() const {
@@ -174,10 +179,10 @@ std::string BubbleScenario::summary() const {
 
 AmrBlastScenario::AmrBlastScenario(const AmrBlastParams& p,
                                    const RunLimits& limits, ReactionNetwork net)
-    : Scenario("amr-blast", limits), m_params(p), m_net(std::move(net)) {}
+    : DriverScenario("amr-blast", limits), m_params(p), m_net(std::move(net)) {}
 
 AmrBlastScenario::AmrBlastScenario(const ScenarioConfig& cfg)
-    : Scenario("amr-blast", limitsFromConfig(cfg, 10)),
+    : DriverScenario("amr-blast", limitsFromConfig(cfg, 10)),
       m_net(makeNetworkByName(cfg.getString("network", "ignition_simple"))) {
     m_params.ncell = cfg.getInt("ncell", m_params.ncell);
     m_params.max_level = cfg.getInt("max-level", m_params.max_level);
@@ -196,27 +201,9 @@ AmrBlastScenario::AmrBlastScenario(const ScenarioConfig& cfg)
     cfg.requireAllConsumed("amr-blast");
 }
 
-void AmrBlastScenario::init() { m_amr = m_params.build(m_net); }
-
-std::int64_t AmrBlastScenario::zones() const {
-    std::int64_t z = 0;
-    for (int lev = 0; lev <= m_amr->finestLevel(); ++lev)
-        z += m_amr->numZones(lev);
-    return z;
-}
-
-std::uint64_t AmrBlastScenario::stateBytes() const {
-    std::uint64_t b = 0;
-    for (int lev = 0; lev <= m_amr->finestLevel(); ++lev)
-        b += stateBytesOf(m_amr->state(lev));
-    return b;
-}
-
-std::uint32_t AmrBlastScenario::stateCrc() const {
-    std::uint32_t crc = 0;
-    for (int lev = 0; lev <= m_amr->finestLevel(); ++lev)
-        crc = ensemble::stateCrc(m_amr->state(lev), crc);
-    return crc;
+void AmrBlastScenario::init() {
+    m_amr = m_params.build(m_net);
+    m_driver = m_amr.get();
 }
 
 std::string AmrBlastScenario::summary() const {
@@ -232,10 +219,10 @@ std::string AmrBlastScenario::summary() const {
 
 WdCollisionScenario::WdCollisionScenario(const castro::WdCollisionParams& p,
                                          const RunLimits& limits)
-    : Scenario("wd-collision", limits), m_params(p) {}
+    : DriverScenario("wd-collision", limits), m_params(p) {}
 
 WdCollisionScenario::WdCollisionScenario(const ScenarioConfig& cfg)
-    : Scenario("wd-collision", limitsFromConfig(cfg, 10)) {
+    : DriverScenario("wd-collision", limitsFromConfig(cfg, 10)) {
     m_params.ncell = cfg.getInt("ncell", m_params.ncell);
     m_params.max_grid_size = cfg.getInt("max-grid-size", m_params.max_grid_size);
     m_params.nranks = cfg.getInt("nranks", m_params.nranks);
@@ -257,7 +244,10 @@ WdCollisionScenario::WdCollisionScenario(const ScenarioConfig& cfg)
     cfg.requireAllConsumed("wd-collision");
 }
 
-void WdCollisionScenario::init() { m_wd = m_params.build(); }
+void WdCollisionScenario::init() {
+    m_wd = m_params.build();
+    m_driver = m_wd.castro.get();
+}
 
 bool WdCollisionScenario::finished() const {
     return Scenario::finished() || ignited();
@@ -265,18 +255,6 @@ bool WdCollisionScenario::finished() const {
 
 bool WdCollisionScenario::ignited() const {
     return m_wd.castro->maxTemperature() >= m_params.ignition_T;
-}
-
-std::int64_t WdCollisionScenario::zones() const {
-    return m_wd.castro->state().boxArray().numPts();
-}
-
-std::uint64_t WdCollisionScenario::stateBytes() const {
-    return stateBytesOf(m_wd.castro->state());
-}
-
-std::uint32_t WdCollisionScenario::stateCrc() const {
-    return ensemble::stateCrc(m_wd.castro->state());
 }
 
 std::string WdCollisionScenario::summary() const {

@@ -34,6 +34,31 @@ struct AmrBlastParams {
     std::unique_ptr<castro::Castro> build(const ReactionNetwork& net) const;
 };
 
+// A scenario served by one exa::Driver: clock, dt, step and accounting
+// all come from the driver, so every built-in scenario shares them.
+// init() builds the driver and points m_driver at it.
+class DriverScenario : public Scenario {
+public:
+    using Scenario::Scenario;
+
+    bool initialized() const override { return m_driver != nullptr; }
+    Real time() const override { return m_driver->time(); }
+    int stepCount() const override { return m_driver->stepCount(); }
+    Real estimateDt() const override { return m_driver->estimateDt(); }
+    using Scenario::advanceOnce;
+    void advanceOnce(Real dt) override { m_driver->step(dt); }
+    // Zones of every level's prognostic state.
+    std::int64_t zones() const override;
+    // Bytes of every checkpoint field (Maestro's projection companions
+    // round-trip with the state, so they count toward residency too).
+    std::uint64_t stateBytes() const override;
+    // CRC over every level's prognostic state, coarse to fine.
+    std::uint32_t stateCrc() const override;
+
+protected:
+    Driver* m_driver = nullptr;
+};
+
 // --- The built-in scenarios ----------------------------------------------
 //
 // Each has a typed-params constructor (programmatic use: the params struct
@@ -43,22 +68,13 @@ struct AmrBlastParams {
 // init() builds the driver, so the EnsembleRunner can attribute the
 // allocations to the owning tenant.
 
-class SedovScenario final : public Scenario {
+class SedovScenario final : public DriverScenario {
 public:
     SedovScenario(const castro::SedovParams& p, const RunLimits& limits,
                   ReactionNetwork net = makeIgnitionSimple());
     explicit SedovScenario(const ScenarioConfig& cfg);
 
     void init() override;
-    bool initialized() const override { return m_castro != nullptr; }
-    Real time() const override { return m_castro->time(); }
-    int stepCount() const override { return m_castro->stepCount(); }
-    Real estimateDt() const override { return m_castro->estimateDt(); }
-    using Scenario::advanceOnce;
-    void advanceOnce(Real dt) override { m_castro->step(dt); }
-    std::int64_t zones() const override;
-    std::uint64_t stateBytes() const override;
-    std::uint32_t stateCrc() const override;
     std::string summary() const override;
 
     castro::Castro& driver() { return *m_castro; }
@@ -70,22 +86,13 @@ private:
     std::unique_ptr<castro::Castro> m_castro;
 };
 
-class BubbleScenario final : public Scenario {
+class BubbleScenario final : public DriverScenario {
 public:
     BubbleScenario(const maestro::BubbleParams& p, const RunLimits& limits,
                    ReactionNetwork net = makeIgnitionSimple());
     explicit BubbleScenario(const ScenarioConfig& cfg);
 
     void init() override;
-    bool initialized() const override { return m_maestro != nullptr; }
-    Real time() const override { return m_maestro->time(); }
-    int stepCount() const override { return m_maestro->stepCount(); }
-    Real estimateDt() const override { return m_maestro->estimateDt(); }
-    using Scenario::advanceOnce;
-    void advanceOnce(Real dt) override { m_maestro->step(dt); }
-    std::int64_t zones() const override;
-    std::uint64_t stateBytes() const override;
-    std::uint32_t stateCrc() const override;
     std::string summary() const override;
 
     maestro::Maestro& driver() { return *m_maestro; }
@@ -97,23 +104,13 @@ private:
     std::unique_ptr<maestro::Maestro> m_maestro;
 };
 
-class AmrBlastScenario final : public Scenario {
+class AmrBlastScenario final : public DriverScenario {
 public:
     AmrBlastScenario(const AmrBlastParams& p, const RunLimits& limits,
                      ReactionNetwork net = makeIgnitionSimple());
     explicit AmrBlastScenario(const ScenarioConfig& cfg);
 
     void init() override;
-    bool initialized() const override { return m_amr != nullptr; }
-    Real time() const override { return m_amr->time(); }
-    int stepCount() const override { return m_amr->stepCount(); }
-    Real estimateDt() const override { return m_amr->estimateDt(); }
-    using Scenario::advanceOnce;
-    void advanceOnce(Real dt) override { m_amr->step(dt); }
-    std::int64_t zones() const override;
-    std::uint64_t stateBytes() const override;
-    // CRC over every level of the hierarchy, coarse to fine.
-    std::uint32_t stateCrc() const override;
     std::string summary() const override;
 
     castro::Castro& driver() { return *m_amr; }
@@ -125,7 +122,7 @@ private:
     std::unique_ptr<castro::Castro> m_amr;
 };
 
-class WdCollisionScenario final : public Scenario {
+class WdCollisionScenario final : public DriverScenario {
 public:
     // The by-name network in p.network is built at init() and owned by
     // the scenario's WdCollision.
@@ -134,17 +131,8 @@ public:
     explicit WdCollisionScenario(const ScenarioConfig& cfg);
 
     void init() override;
-    bool initialized() const override { return m_wd.castro != nullptr; }
-    Real time() const override { return m_wd.castro->time(); }
-    int stepCount() const override { return m_wd.castro->stepCount(); }
-    Real estimateDt() const override { return m_wd.castro->estimateDt(); }
-    using Scenario::advanceOnce;
-    void advanceOnce(Real dt) override { m_wd.castro->step(dt); }
     // Retires on the RunLimits or on ignition (maxT >= p.ignition_T).
     bool finished() const override;
-    std::int64_t zones() const override;
-    std::uint64_t stateBytes() const override;
-    std::uint32_t stateCrc() const override;
     std::string summary() const override;
 
     castro::WdCollision& collision() { return m_wd; }

@@ -21,7 +21,7 @@ Maestro::Maestro(const Geometry& geom, const BoxArray& ba,
       m_base(base),
       m_opt(opt),
       m_layout(net.nspec()),
-      m_state(ba, dm, m_layout.ncomp(), opt.ngrow),
+      m_state(ba, dm, m_layout.ncomp(), kAdvectGhost),
       m_guard(opt.guard),
       m_rebalancer(opt.rebalance) {
     m_state.setVal(0.0);
@@ -132,8 +132,7 @@ void Maestro::advect(Real dt) {
                          1.0 / m_geom.cellSize(2)};
     // One upwind sweep over `region` of fab b (a pure function of m_state,
     // so any disjoint region cover of the valid box matches the fused
-    // sweep bit-for-bit). Reads q at +-2 zones: face upwinding one zone
-    // out, MC slopes one further.
+    // sweep bit-for-bit). Reads q at +-kAdvectGhost zones.
     auto sweep = [&](std::size_t b, const Box& region) {
         auto q = m_state.const_array(static_cast<int>(b));
         auto qn = snew.array(static_cast<int>(b));
@@ -171,7 +170,8 @@ void Maestro::advect(Real dt) {
     // Pack the exchange, copy valid zones and sweep every interior while
     // it is in flight, then deliver ghosts + physical BCs and sweep the
     // boundary shells.
-    const auto part = CopierCache::instance().interiorPartition(m_state.boxArray(), 2);
+    const auto part =
+        CopierCache::instance().interiorPartition(m_state.boxArray(), kAdvectGhost);
     comm::HaloHandle halo =
         m_state.FillBoundary_nowait(*part, 0, nc, m_geom.periodicity());
     MultiFab::Copy(snew, m_state, 0, 0, nc, 0);
@@ -337,9 +337,7 @@ BurnGridStats Maestro::advanceOnce(Real dt) {
     }
     BurnGridStats burn;
     if (m_opt.do_react) burn = react(dt);
-    if (m_opt.proj_interval > 0 && (m_nstep + 1) % m_opt.proj_interval == 0) {
-        project();
-    }
+    project();
     return burn;
 }
 
@@ -352,7 +350,9 @@ void Maestro::maybeRebalance() {
                     m_opt.rebalance.hydro_zone_work *
                         static_cast<double>(ba[f].numPts()));
     }
-    m_rebalancer.step(0, m_nstep, {&m_state, &m_phi, &m_divu});
+    std::vector<MultiFab*> fabs;
+    for (const CheckpointField& f : checkpointFields()) fabs.push_back(f.mf);
+    m_rebalancer.step(0, m_nstep, fabs);
 }
 
 ValidationReport Maestro::validate(const BurnGridStats& burn) const {
@@ -411,8 +411,15 @@ BurnGridStats Maestro::step(Real dt) {
     BurnGridStats burn;
     m_guard.advance(
         dt,
-        [&](StateSnapshot& snap) { snap.capture(m_state); },
-        [&](const StateSnapshot& snap) { snap.restoreTo(0, m_state); },
+        [&](StateSnapshot& snap) {
+            for (const CheckpointField& f : checkpointFields()) snap.capture(*f.mf);
+        },
+        [&](const StateSnapshot& snap) {
+            const std::vector<CheckpointField> fields = checkpointFields();
+            for (std::size_t i = 0; i < fields.size(); ++i) {
+                snap.restoreTo(i, *fields[i].mf);
+            }
+        },
         [&](Real sub_dt, int nsub) {
             burn = BurnGridStats{};
             for (int s = 0; s < nsub; ++s) burn.merge(advanceOnce(sub_dt));
@@ -427,7 +434,7 @@ BurnGridStats Maestro::step(Real dt) {
                 }
                 return !(q(i, j, k, MaestroLayout::QT) > 0.0);
             };
-            const MultiFab& s0 = snap.mf(0);
+            const MultiFab& s0 = snap.mf(0); // checkpointFields()[0]: the state
             for (std::size_t f = 0; f < m_state.size(); ++f) {
                 auto q = m_state.array(static_cast<int>(f));
                 auto s = s0.const_array(static_cast<int>(f));

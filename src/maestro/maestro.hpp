@@ -1,5 +1,6 @@
 #pragma once
 
+#include "castro/driver.hpp"
 #include "castro/react.hpp"
 #include "maestro/base_state.hpp"
 #include "mesh/phys_bc.hpp"
@@ -29,8 +30,6 @@ struct MaestroLayout {
 
 struct MaestroOptions {
     Real cfl = 0.5;
-    int ngrow = 2;
-    int proj_interval = 1; // project every step
     // The burn: MAESTRO burns through the same grid driver as Castro
     // (castro::burnGrid), so every field applies, the batch shape too.
     castro::ReactOptions react;
@@ -48,11 +47,15 @@ struct MaestroOptions {
 // against the hydrostatic base state, nuclear reactions, and an
 // approximate cell-centered projection (multigrid Poisson solve — the
 // globally coupled step whose communication dominates the Fig. 3 weak
-// scaling). The projection runs on its own layout — the domain chopped at
-// the solver's max_grid_size on one rank — not on the state's: phi and
-// divu are copied in, phi is copied back out.
-class Maestro {
+// scaling), every step. The projection runs on its own layout — the domain
+// chopped at the solver's max_grid_size on one rank — not on the state's:
+// phi and divu are copied in, phi is copied back out.
+class Maestro final : public Driver {
 public:
+    // Ghost width of the state: the advection stencil reads +-2 zones
+    // (face upwinding one zone out, MC slopes one further).
+    static constexpr int kAdvectGhost = 2;
+
     Maestro(const Geometry& geom, const BoxArray& ba, const DistributionMapping& dm,
             const ReactionNetwork& net, const Eos& eos, const BaseState& base,
             const MaestroOptions& opt);
@@ -68,31 +71,29 @@ public:
     void initialize(const InitFn& f);
 
     // Advective + buoyancy timestep (no sound speed!).
-    Real estimateDt() const;
+    Real estimateDt() const override;
 
     // One step: advect, buoyancy, react, project. Returns burn stats.
-    // With opt.guard.enabled the step runs under the StepGuard retry loop.
-    BurnGridStats step(Real dt);
+    // With opt.guard.enabled the step runs under the StepGuard retry loop,
+    // whose rollback restores every checkpoint field.
+    BurnGridStats step(Real dt) override;
 
-    Real time() const { return m_time; }
-    int stepCount() const { return m_nstep; }
-
-    // Restore path (resilience): rewind the clock to a checkpoint's time
-    // and step count after the state fabs (state, phi, divu) have been
-    // restored; replay from here is deterministic.
-    void resetTime(Real t, int nstep) {
-        m_time = t;
-        m_nstep = nstep;
+    std::vector<const MultiFab*> levelStates() const override { return {&m_state}; }
+    // "state", "phi" and "divu": phi seeds the next projection solve (warm
+    // start) and divu is its last divergence field, so both belong to the
+    // trajectory. Checkpoint, retry snapshot and rebalance all move these.
+    std::vector<CheckpointField> checkpointFields() override {
+        return {{&m_state, m_geom, "state"},
+                {&m_phi, m_geom, "phi"},
+                {&m_divu, m_geom, "divu"}};
     }
 
-    // Projection companions, exposed for checkpoint/restore: phi seeds the
-    // next projection solve and divu is its last divergence field — both
-    // must round-trip through a checkpoint for bit-identical replay.
+    // The projection companions (see checkpointFields()).
     MultiFab& phi() { return m_phi; }
     MultiFab& divu() { return m_divu; }
 
     // Retry accounting for the guarded steps of this run.
-    const RetryStats& retryStats() const { return m_guard.stats(); }
+    const RetryStats& retryStats() const override { return m_guard.stats(); }
 
     // Load-balancer access (cost monitor, decision stats).
     Rebalancer& rebalancer() { return m_rebalancer; }
@@ -140,8 +141,6 @@ private:
     MultiFab m_mg_phi, m_mg_rhs;
     StepGuard m_guard;
     Rebalancer m_rebalancer;
-    Real m_time = 0.0;
-    int m_nstep = 0;
     int m_last_vcycles = 0;
 };
 

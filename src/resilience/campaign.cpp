@@ -65,8 +65,9 @@ std::string CampaignReport::summary() const {
     return out;
 }
 
-CampaignReport runCampaign(const std::function<SupervisedRun(int)>& makeRun,
-                           const CampaignOptions& opt) {
+CampaignReport runCampaign(
+    const std::function<std::shared_ptr<Driver>(int)>& makeRun,
+    const CampaignOptions& opt) {
     CampaignReport report;
     report.runs.reserve(static_cast<std::size_t>(opt.nseeds));
     for (int run = 0; run < opt.nseeds; ++run) {
@@ -82,11 +83,11 @@ CampaignReport runCampaign(const std::function<SupervisedRun(int)>& makeRun,
         result.run = run;
         const auto t0 = std::chrono::steady_clock::now();
         try {
-            SupervisedRun sr = makeRun(run);
+            const std::shared_ptr<Driver> driver = makeRun(run);
             SupervisorOptions sopt = opt.supervisor;
             sopt.checkpoint.dir = opt.workdir + "/run_" + std::to_string(run);
             sopt.victim_seed ^= perturb;
-            ResilienceSupervisor sup(std::move(sr.driver), sopt);
+            ResilienceSupervisor sup(*driver, sopt);
             try {
                 sup.runSteps(opt.steps);
                 result.survived = true;

@@ -37,14 +37,6 @@ struct CampaignOptions {
     SupervisorOptions supervisor;
 };
 
-// One freshly constructed problem + its driver bundle. `owner` keeps the
-// underlying simulation object(s) alive for the duration of the run; the
-// driver holds references into it.
-struct SupervisedRun {
-    std::shared_ptr<void> owner;
-    SupervisedDriver driver;
-};
-
 struct CampaignRunResult {
     int run = 0;
     bool survived = false;
@@ -69,12 +61,14 @@ struct CampaignReport {
 };
 
 // Run the campaign: for each of opt.nseeds runs, disarm all sites, arm
-// the schedule with the run's perturbed seeds, build a fresh problem via
-// makeRun(run), and drive it opt.steps accepted steps under a
+// the schedule with the run's perturbed seeds, build a fresh driver via
+// makeRun(run) (the pointer keeps whatever the driver references alive
+// for the run), and drive it opt.steps accepted steps under a
 // ResilienceSupervisor. A run survives if runSteps returns; any exception
 // (unrecoverable failure, both slots corrupt, all ranks dead) marks it
 // failed with the message recorded. All sites are disarmed on return.
-CampaignReport runCampaign(const std::function<SupervisedRun(int)>& makeRun,
-                           const CampaignOptions& opt);
+CampaignReport runCampaign(
+    const std::function<std::shared_ptr<Driver>(int)>& makeRun,
+    const CampaignOptions& opt);
 
 } // namespace exa::resilience

@@ -28,8 +28,7 @@
 // while no drain is in flight.
 // MultiFab data is never accessed off the main thread.
 
-#include "mesh/geometry.hpp"
-#include "mesh/multifab.hpp"
+#include "castro/driver.hpp"
 #include "mesh/plotfile.hpp"
 
 #include <condition_variable>
@@ -41,15 +40,6 @@
 #include <vector>
 
 namespace exa::resilience {
-
-// One driver-owned MultiFab to persist. Fabs a driver can rebuild from
-// its fields (e.g. Castro's gravity) are not persisted; the driver's
-// postRestore hook rebuilds them on the restored layout.
-struct CheckpointField {
-    MultiFab* mf = nullptr;
-    Geometry geom;
-    std::string name; // slot subdirectory (e.g. "state", "phi", "state_lev1")
-};
 
 // A field staged into host buffers, with the rank that owned each fab at
 // staging time: recovery restores fabs whose staging-time owner died from

@@ -30,7 +30,7 @@ double seconds_since(const std::chrono::steady_clock::time_point& t0) {
 
 } // namespace
 
-std::string SupervisorReport::summary(const RetryStats* retry) const {
+std::string SupervisorReport::summary(const RetryStats& retry) const {
     std::ostringstream os;
     os << "resilience: steps=" << steps_run << " (replayed " << replay_steps
        << "), ranks failed/recovered=" << ranks_failed << "/" << ranks_recovered
@@ -42,24 +42,14 @@ std::string SupervisorReport::summary(const RetryStats* retry) const {
     os << "recovery: disk bytes=" << recovery_disk_bytes
        << ", wall=" << recovery_seconds << " s (steps wall=" << step_seconds
        << " s)";
-    if (retry != nullptr) {
-        os << "\nstep-guard: guarded=" << retry->steps_guarded
-           << ", retries=" << retry->retries
-           << ", degraded=" << retry->degraded;
-    }
+    os << "\nstep-guard: guarded=" << retry.steps_guarded
+       << ", retries=" << retry.retries << ", degraded=" << retry.degraded;
     return os.str();
 }
 
-ResilienceSupervisor::ResilienceSupervisor(SupervisedDriver driver,
-                                           SupervisorOptions opt)
-    : m_driver(std::move(driver)), m_opt(opt), m_ckpt(opt.checkpoint),
-      m_alive(static_cast<std::size_t>(std::max(1, opt.nranks)), true) {
-    if (!m_driver.estimateDt || !m_driver.step || !m_driver.time ||
-        !m_driver.stepCount || !m_driver.resetTime || !m_driver.fields) {
-        throw std::invalid_argument(
-            "ResilienceSupervisor: incomplete driver callbacks");
-    }
-}
+ResilienceSupervisor::ResilienceSupervisor(Driver& driver, SupervisorOptions opt)
+    : m_driver(driver), m_opt(opt), m_ckpt(opt.checkpoint),
+      m_alive(static_cast<std::size_t>(std::max(1, opt.nranks)), true) {}
 
 int ResilienceSupervisor::ranksAlive() const {
     int n = 0;
@@ -108,25 +98,21 @@ void ResilienceSupervisor::syncCheckpointStats() {
 }
 
 std::string ResilienceSupervisor::summary() const {
-    const RetryStats* retry =
-        m_driver.retryStats ? m_driver.retryStats() : nullptr;
-    std::string s = m_report.summary(retry);
-    if (m_driver.mgStats) {
-        const MgEvent e = m_driver.mgStats();
-        if (e.vcycles > 0 || e.fmg_cycles > 0) {
-            std::ostringstream os;
-            os << "\nmg: fmg=" << e.fmg_cycles << " vcycles=" << e.vcycles
-               << " sweeps=" << e.sweeps << " agg-copies=" << e.agg_copies
-               << " (" << e.agg_bytes << " bytes)";
-            s += os.str();
-        }
+    std::string s = m_report.summary(m_driver.retryStats());
+    const MgEvent e = m_driver.mgTotals();
+    if (e.vcycles > 0 || e.fmg_cycles > 0) {
+        std::ostringstream os;
+        os << "\nmg: fmg=" << e.fmg_cycles << " vcycles=" << e.vcycles
+           << " sweeps=" << e.sweeps << " agg-copies=" << e.agg_copies
+           << " (" << e.agg_bytes << " bytes)";
+        s += os.str();
     }
     return s;
 }
 
 void ResilienceSupervisor::maybeCheckpoint() {
     if (!m_ckpt.due(m_driver.stepCount())) return;
-    const std::vector<CheckpointField> fields = m_driver.fields();
+    const std::vector<CheckpointField> fields = m_driver.checkpointFields();
     m_ckpt.checkpoint(fields, m_driver.time(), m_driver.stepCount());
 }
 
@@ -159,7 +145,7 @@ void ResilienceSupervisor::killRank(int victim) {
     // NaN makes any accidental use of dead data fail validation loudly
     // instead of silently passing stale values through recovery.
     const Real nan = std::numeric_limits<Real>::quiet_NaN();
-    std::vector<CheckpointField> fields = m_driver.fields();
+    std::vector<CheckpointField> fields = m_driver.checkpointFields();
     for (CheckpointField& f : fields) {
         const DistributionMapping& dm = f.mf->distributionMap();
         for (std::size_t i = 0; i < f.mf->size(); ++i) {
@@ -278,7 +264,7 @@ void ResilienceSupervisor::recover() {
         return shrinkMapping(ba);
     };
 
-    std::vector<CheckpointField> fields = m_driver.fields();
+    std::vector<CheckpointField> fields = m_driver.checkpointFields();
     // Live layouts match the snapshot when field names and per-fab boxes
     // agree (single-level drivers always match; AMR diverges when a
     // regrid ran after the checkpoint).
@@ -295,11 +281,6 @@ void ResilienceSupervisor::recover() {
     if (match) {
         shrinkFields(fields);
     } else {
-        if (!m_driver.remakeForRestore) {
-            throw std::runtime_error(
-                "ResilienceSupervisor: live layout differs from checkpoint "
-                "and the driver cannot remake — unrecoverable");
-        }
         std::vector<std::vector<Box>> boxes(snap->fields.size());
         for (std::size_t i = 0; i < snap->fields.size(); ++i) {
             for (const StagedFab& sf : snap->fields[i].level.fabs) {
@@ -307,7 +288,7 @@ void ResilienceSupervisor::recover() {
             }
         }
         m_driver.remakeForRestore(boxes, dmBuilder);
-        fields = m_driver.fields();
+        fields = m_driver.checkpointFields();
     }
 
     std::int64_t disk_bytes = 0;
@@ -355,12 +336,8 @@ void ResilienceSupervisor::recover() {
                 restored_step = other_hdr.step;
             }
             if (!other_match) {
-                if (!m_driver.remakeForRestore) {
-                    throw std::runtime_error("other-slot layout differs and "
-                                             "the driver cannot remake");
-                }
                 m_driver.remakeForRestore(other_boxes, dmBuilder);
-                fields = m_driver.fields();
+                fields = m_driver.checkpointFields();
             }
             disk_bytes = restoreFromSlot(other, fields);
             ++m_report.full_rollbacks;
@@ -373,7 +350,7 @@ void ResilienceSupervisor::recover() {
     }
 
     m_driver.resetTime(restored_time, restored_step);
-    if (m_driver.postRestore) m_driver.postRestore();
+    m_driver.finishRestore();
 
     const int replay = failed_at - restored_step;
     ++m_report.ranks_recovered;

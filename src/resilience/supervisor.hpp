@@ -2,9 +2,8 @@
 
 // The resilience supervisor: closes the loop from fault to recovery.
 //
-// A SupervisedDriver is a callback bundle over one simulation driver
-// (Castro, Maestro — adapters.hpp builds them). The supervisor
-// owns the run loop: before each step it consults the Daly-scheduled
+// The supervisor drives any exa::Driver (Castro, Maestro) and owns the
+// run loop: before each step it consults the Daly-scheduled
 // AsyncCheckpointer; after each step its heartbeat consults the
 // `rank-failure` fault site. When a modeled rank dies the supervisor
 // emulates the loss (the victim's fabs are poisoned — that memory is
@@ -21,47 +20,15 @@
 // supervisor falls back to a full rollback from the *other* slot; if that
 // also fails, or no rank survives, the run is unrecoverable and throws.
 
-#include "core/events.hpp"
+#include "castro/driver.hpp"
 #include "mesh/distribution.hpp"
-#include "mesh/step_guard.hpp"
 #include "resilience/checkpointer.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace exa::resilience {
-
-// Callback bundle over one driver. All callbacks run on the main thread.
-struct SupervisedDriver {
-    std::string name = "driver";
-    std::function<Real()> estimateDt;
-    std::function<void(Real)> step;
-    std::function<Real()> time;
-    std::function<int()> stepCount;
-    // Rewind the driver clock after the state has been restored.
-    std::function<void(Real, int)> resetTime;
-    // The fabs to checkpoint/restore (re-fetched at every checkpoint and
-    // recovery, so AMR adapters return the current hierarchy).
-    std::function<std::vector<CheckpointField>()> fields;
-    // Optional (AMR): rebuild the driver on the checkpoint's grids when a
-    // regrid made live layouts differ; per-field boxes in field order,
-    // mappings built by the supplied builder (the supervisor's shrink
-    // mapping over surviving ranks). Null: layouts never change.
-    std::function<void(
-        const std::vector<std::vector<Box>>&,
-        const std::function<DistributionMapping(const BoxArray&, int)>&)>
-        remakeForRestore;
-    // Optional: driver fixup after all fields hold restored data and
-    // resetTime has run (Castro::finishRestore).
-    std::function<void()> postRestore;
-    // Optional: the driver's StepGuard retry stats, for the report.
-    std::function<const RetryStats*()> retryStats;
-    // Optional: the driver's lifetime multigrid counters (composite
-    // gravity solves), for the report.
-    std::function<MgEvent()> mgStats;
-};
 
 struct SupervisorOptions {
     CheckpointerOptions checkpoint;
@@ -90,14 +57,16 @@ struct SupervisorReport {
     double step_seconds = 0.0;   // total wall time inside driver steps
     int daly_interval_steps = 0; // final interval estimate
 
-    // Human-readable end-of-run report; includes the driver's StepGuard
-    // RetryStats when available.
-    std::string summary(const RetryStats* retry = nullptr) const;
+    // Human-readable end-of-run report, with the driver's StepGuard
+    // RetryStats.
+    std::string summary(const RetryStats& retry) const;
 };
 
 class ResilienceSupervisor {
 public:
-    ResilienceSupervisor(SupervisedDriver driver, SupervisorOptions opt);
+    // Binds a caller-owned driver, which must outlive the supervisor. All
+    // driver calls run on the calling thread.
+    ResilienceSupervisor(Driver& driver, SupervisorOptions opt);
 
     // Advance the driver by `nsteps` accepted steps (replayed steps do not
     // count toward the target — the run ends at the same step count and,
@@ -136,7 +105,7 @@ private:
     void shrinkFields(std::vector<CheckpointField>& fields);
     std::vector<int> aliveList() const;
 
-    SupervisedDriver m_driver;
+    Driver& m_driver;
     SupervisorOptions m_opt;
     AsyncCheckpointer m_ckpt;
     std::vector<bool> m_alive;

@@ -122,7 +122,7 @@ CompositeMg::CompositeMg(std::vector<Geometry> geoms, std::vector<BoxArray> bas,
             if (!R.covers_coarse) {
                 R.cf = std::make_unique<MgCfBoundary>(C.geom, R.geom, R.ba,
                                                       R.dm, C.ba, C.dm,
-                                                      R.ratio, m_bc);
+                                                      R.ratio);
                 if (R.cf->empty()) R.cf.reset();
             }
         }

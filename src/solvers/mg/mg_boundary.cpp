@@ -51,10 +51,8 @@ MgCfBoundary::MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
                            const BoxArray& fine_ba,
                            const DistributionMapping& fine_dm,
                            const BoxArray& crse_ba,
-                           const DistributionMapping& crse_dm, int ratio,
-                           MgBC bc)
+                           const DistributionMapping& crse_dm, int ratio)
     : m_ratio(ratio) {
-    (void)bc;
     for (int d = 0; d < 3; ++d) {
         m_crse_dx[d] = crse_geom.cellSize(d);
         m_fine_dx[d] = fine_geom.cellSize(d);

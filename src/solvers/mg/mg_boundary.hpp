@@ -49,7 +49,7 @@ public:
     MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
                  const BoxArray& fine_ba, const DistributionMapping& fine_dm,
                  const BoxArray& crse_ba, const DistributionMapping& crse_dm,
-                 int ratio, MgBC bc);
+                 int ratio);
 
     // True when the fine BoxArray has no coarse-fine ghost cells (it
     // covers the domain, or every face is physical/periodically covered).

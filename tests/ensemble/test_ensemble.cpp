@@ -76,12 +76,22 @@ castro::WdCollisionParams tinyWd() {
 const Backend kBackends[] = {Backend::Serial, Backend::OpenMP, Backend::SimGpu,
                              Backend::Debug};
 
-// Run `scenario` alone through an N=1 ensemble and return its CRC.
-std::uint32_t runSolo(std::unique_ptr<Scenario> scenario) {
+// What an N=1 ensemble run reports for its one tenant.
+struct Solo {
+    std::uint32_t crc = 0;
+    std::int64_t zones = 0;
+    std::uint64_t state_bytes = 0;
+};
+
+// Run `scenario` alone through an N=1 ensemble; read its CRC from the
+// report and its accounting from the retired scenario.
+Solo runSolo(std::unique_ptr<Scenario> scenario) {
     EnsembleRunner runner;
     const int id = runner.add(std::move(scenario));
     auto report = runner.run();
-    return report.tenants[static_cast<std::size_t>(id)].crc;
+    const Scenario& s = runner.scenario(id);
+    return {report.tenants[static_cast<std::size_t>(id)].crc, s.zones(),
+            s.stateBytes()};
 }
 
 } // namespace
@@ -194,7 +204,9 @@ TEST(Scenario, MaxDtHonorsCapsAndTStop) {
 // The contract: an ensemble of one is byte-for-byte the run a bespoke
 // driver loop produces. The direct side uses the raw driver (params
 // build() + step(estimateDt())), NOT the Scenario wrapper, so the test
-// also pins the wrapper's dt formula to the hand-written one.
+// also pins the wrapper's dt formula to the hand-written one, and its
+// zone and residency accounting to counts taken from the driver's own
+// MultiFabs.
 
 TEST(EnsembleBitIdentity, SedovMatchesDirectDriverOnAllBackends) {
     auto net = makeIgnitionSimple();
@@ -204,11 +216,12 @@ TEST(EnsembleBitIdentity, SedovMatchesDirectDriverOnAllBackends) {
         ScopedBackend guard(b);
         auto direct = p.build(net);
         for (int s = 0; s < 2; ++s) direct->step(direct->estimateDt());
-        const auto want = stateCrc(direct->state());
 
-        const auto got = runSolo(std::make_unique<SedovScenario>(
+        const Solo got = runSolo(std::make_unique<SedovScenario>(
             p, RunLimits{0.0, 2, 0.0}, makeIgnitionSimple()));
-        EXPECT_EQ(got, want);
+        EXPECT_EQ(got.crc, stateCrc(direct->state()));
+        EXPECT_EQ(got.zones, direct->state().boxArray().numPts());
+        EXPECT_EQ(got.state_bytes, stateBytesOf(direct->state()));
     }
 }
 
@@ -220,11 +233,15 @@ TEST(EnsembleBitIdentity, BubbleMatchesDirectDriverOnAllBackends) {
         ScopedBackend guard(b);
         auto direct = p.build(net);
         for (int s = 0; s < 2; ++s) direct->step(direct->estimateDt());
-        const auto want = stateCrc(direct->state());
 
-        const auto got = runSolo(std::make_unique<BubbleScenario>(
+        const Solo got = runSolo(std::make_unique<BubbleScenario>(
             p, RunLimits{0.0, 2, 0.0}, makeIgnitionSimple()));
-        EXPECT_EQ(got, want);
+        EXPECT_EQ(got.crc, stateCrc(direct->state()));
+        EXPECT_EQ(got.zones, direct->state().boxArray().numPts());
+        // The projection companions are resident with the state.
+        EXPECT_EQ(got.state_bytes, stateBytesOf(direct->state()) +
+                                       stateBytesOf(direct->phi()) +
+                                       stateBytesOf(direct->divu()));
     }
 }
 
@@ -236,13 +253,21 @@ TEST(EnsembleBitIdentity, AmrBlastMatchesDirectDriverOnAllBackends) {
         ScopedBackend guard(b);
         auto direct = p.build(net);
         for (int s = 0; s < 2; ++s) direct->step(direct->estimateDt());
-        std::uint32_t want = 0;
-        for (int lev = 0; lev <= direct->finestLevel(); ++lev)
-            want = stateCrc(direct->state(lev), want);
+        ASSERT_GE(direct->finestLevel(), 1);
+        std::uint32_t crc = 0;
+        std::int64_t zones = 0;
+        std::uint64_t bytes = 0;
+        for (int lev = 0; lev <= direct->finestLevel(); ++lev) {
+            crc = stateCrc(direct->state(lev), crc);
+            zones += direct->numZones(lev);
+            bytes += stateBytesOf(direct->state(lev));
+        }
 
-        const auto got = runSolo(std::make_unique<AmrBlastScenario>(
+        const Solo got = runSolo(std::make_unique<AmrBlastScenario>(
             p, RunLimits{0.0, 2, 0.0}, makeIgnitionSimple()));
-        EXPECT_EQ(got, want);
+        EXPECT_EQ(got.crc, crc);
+        EXPECT_EQ(got.zones, zones);
+        EXPECT_EQ(got.state_bytes, bytes);
     }
 }
 
@@ -254,11 +279,13 @@ TEST(EnsembleBitIdentity, WdCollisionMatchesDirectDriverOnAllBackends) {
         auto direct = p.build();
         for (int s = 0; s < 2; ++s)
             direct.castro->step(direct.castro->estimateDt());
-        const auto want = stateCrc(direct.castro->state());
+        const MultiFab& state = direct.castro->state();
 
-        const auto got = runSolo(std::make_unique<WdCollisionScenario>(
+        const Solo got = runSolo(std::make_unique<WdCollisionScenario>(
             p, RunLimits{0.0, 2, 0.0}));
-        EXPECT_EQ(got, want);
+        EXPECT_EQ(got.crc, stateCrc(state));
+        EXPECT_EQ(got.zones, state.boxArray().numPts());
+        EXPECT_EQ(got.state_bytes, stateBytesOf(state));
     }
 }
 
@@ -300,13 +327,16 @@ TEST(EnsembleDeterminism, MixedEnsembleMatchesSoloAndRepeats) {
     // Interleaving tenants changes nothing: each equals its solo run.
     EXPECT_EQ(once.at("sedov#0"),
               runSolo(std::make_unique<SedovScenario>(tinySedov(),
-                                                      RunLimits{0.0, 2, 0.0})));
+                                                      RunLimits{0.0, 2, 0.0}))
+                  .crc);
     EXPECT_EQ(once.at("bubble#1"),
               runSolo(std::make_unique<BubbleScenario>(
-                  tinyBubble(), RunLimits{0.0, 2, 0.0})));
+                          tinyBubble(), RunLimits{0.0, 2, 0.0}))
+                  .crc);
     EXPECT_EQ(once.at("amr-blast#2"),
               runSolo(std::make_unique<AmrBlastScenario>(
-                  tinyAmrBlast(), RunLimits{0.0, 2, 0.0})));
+                          tinyAmrBlast(), RunLimits{0.0, 2, 0.0}))
+                  .crc);
     // The E=1.5 survey point must differ from the E=1 baseline.
     EXPECT_NE(once.at("sedov#0"), once.at("sedov#3"));
 }

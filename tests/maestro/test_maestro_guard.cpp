@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 using namespace exa;
@@ -48,6 +49,25 @@ bool stateIsFinite(const MultiFab& s) {
     return true;
 }
 
+// Valid-region values (all components) in which two MultiFabs on the same
+// layout differ bitwise.
+std::int64_t countDiffs(const MultiFab& a, const MultiFab& b) {
+    std::int64_t n = 0;
+    for (std::size_t f = 0; f < a.size(); ++f) {
+        auto p = a.const_array(static_cast<int>(f));
+        auto q = b.const_array(static_cast<int>(f));
+        const Box& vb = a.box(static_cast<int>(f));
+        for (int c = 0; c < a.nComp(); ++c)
+            for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
+                for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
+                    for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i)
+                        if (std::memcmp(&p(i, j, k, c), &q(i, j, k, c),
+                                        sizeof(Real)) != 0)
+                            ++n;
+    }
+    return n;
+}
+
 } // namespace
 
 TEST(MaestroGuard, CleanGuardedStepIsClean) {
@@ -74,6 +94,31 @@ TEST(MaestroGuard, InjectedBurnFailureRetriesAndConverges) {
     EXPECT_DOUBLE_EQ(gb.m->time(), 1.0e-8);
     EXPECT_TRUE(stateIsFinite(gb.m->state()));
     EXPECT_GT(gb.m->state().min(MaestroLayout::QT), 0.0);
+}
+
+// A rollback must restore everything the step reads. The failed
+// attempt's projection has already overwritten phi, the next solve's warm
+// start, so the retry is the run an unguarded twin makes in two half
+// steps from the same start only if phi and divu roll back with the state.
+TEST(MaestroGuard, RetryReplaysFromTheRolledBackProjection) {
+    fault::disarmAll();
+    GuardedBubble guarded(quietGuard());
+    StepGuardOptions off;
+    off.enabled = false;
+    GuardedBubble twin(off);
+    const Real dt = 1.0e-8;
+    {
+        fault::ScopedFault f(fault::Site::BurnZoneFailure); // first burn fails
+        guarded.m->step(dt);
+    }
+    ASSERT_EQ(guarded.m->retryStats().retries, 1);
+    ASSERT_EQ(guarded.m->retryStats().last_subcycles, 2);
+    twin.m->step(0.5 * dt);
+    twin.m->step(0.5 * dt);
+
+    EXPECT_EQ(countDiffs(guarded.m->state(), twin.m->state()), 0);
+    EXPECT_EQ(countDiffs(guarded.m->phi(), twin.m->phi()), 0);
+    EXPECT_EQ(countDiffs(guarded.m->divu(), twin.m->divu()), 0);
 }
 
 TEST(MaestroGuard, ExhaustedRetriesHardErrorThrows) {

@@ -21,7 +21,6 @@
 #include "core/parallel_for.hpp"
 #include "maestro/maestro.hpp"
 #include "mesh/plotfile.hpp"
-#include "resilience/adapters.hpp"
 #include "resilience/campaign.hpp"
 #include "resilience/checkpointer.hpp"
 #include "resilience/supervisor.hpp"
@@ -364,8 +363,7 @@ TEST_F(ResilienceTest, SedovRankFailureRecoversBitIdentically) {
 
     TmpDir tmp("sedov");
     auto survivor = makeBlast();
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor),
-                             sedovSupervisor(tmp.path, 4));
+    ResilienceSupervisor sup(*survivor, sedovSupervisor(tmp.path, 4));
     {
         // Heartbeat hit 4 = after the 5th step.
         fault::Spec s;
@@ -399,8 +397,7 @@ TEST_F(ResilienceTest, SedovSurvivesRepeatedFailures) {
 
     TmpDir tmp("sedov_multi");
     auto survivor = makeBlast();
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor),
-                             sedovSupervisor(tmp.path, 4));
+    ResilienceSupervisor sup(*survivor, sedovSupervisor(tmp.path, 4));
     {
         // Three kills: heartbeat hits 3, 7, 11 (replayed steps also
         // beat). The window is [start, start+count) strided, so count
@@ -428,7 +425,7 @@ TEST_F(ResilienceTest, CorruptNewestSlotFallsBackToFullRollback) {
     SupervisorOptions opt = sedovSupervisor(tmp.path, 4);
     opt.checkpoint.interval_hint = 2;
     opt.checkpoint.async = false; // deterministic per-fab write ordering
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor), opt);
+    ResilienceSupervisor sup(*survivor, opt);
     {
         // Checkpoints land at steps 0/2/4/... with 8 fabs each; corrupt
         // every fab of the third checkpoint (step 4, newest at the kill),
@@ -458,7 +455,7 @@ TEST_F(ResilienceTest, UnrecoverableWhenEveryCheckpointIsCorrupt) {
     auto survivor = makeBlast();
     SupervisorOptions opt = sedovSupervisor(tmp.path, 4);
     opt.checkpoint.interval_hint = 64; // only the step-0 checkpoint exists
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor), opt);
+    ResilienceSupervisor sup(*survivor, opt);
     // Flip a bit in every fab of every checkpoint write: when the kill
     // arrives, the victim's disk fabs fail CRC, and the only other slot
     // does not exist — recovery has no usable source and must throw
@@ -496,8 +493,7 @@ TEST_P(ResilienceBackends, MaestroRankFailureRecoversBitIdentically) {
     TmpDir tmp(std::string("maestro_") +
                ::testing::UnitTest::GetInstance()->current_test_info()->name());
     auto survivor = p.build(net);
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor),
-                             sedovSupervisor(tmp.path, 4));
+    ResilienceSupervisor sup(*survivor, sedovSupervisor(tmp.path, 4));
     {
         fault::Spec s;
         s.start = 3;
@@ -592,7 +588,7 @@ TEST_P(ResilienceBackends, AmrRankFailureRecoversAcrossRegrid) {
     // live grids that have been regridded since, forcing the
     // remake-on-restore path before replay.
     opt.checkpoint.interval_hint = 6;
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor.amr), opt);
+    ResilienceSupervisor sup(*survivor.amr, opt);
     {
         fault::Spec s;
         s.start = 4;
@@ -633,8 +629,7 @@ TEST_P(ResilienceBackends, PoissonGravityRankFailureRecoversBitIdentically) {
     TmpDir tmp(std::string("poisson_") +
                ::testing::UnitTest::GetInstance()->current_test_info()->name());
     castro::WdCollision survivor = p.build(net);
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor.castro),
-                             sedovSupervisor(tmp.path, 4));
+    ResilienceSupervisor sup(*survivor.castro, sedovSupervisor(tmp.path, 4));
     {
         fault::Spec s;
         s.start = 2;
@@ -679,8 +674,7 @@ TEST_F(ResilienceTest, WdCollisionRankFailureRecoversBitIdentically) {
 
     TmpDir tmp("wd");
     castro::WdCollision survivor = p.build(net);
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor.castro),
-                             sedovSupervisor(tmp.path, 4));
+    ResilienceSupervisor sup(*survivor.castro, sedovSupervisor(tmp.path, 4));
     {
         fault::Spec s;
         s.start = 2;
@@ -704,8 +698,7 @@ TEST_F(ResilienceTest, LedgerCountsCheckpointsAndRecoveries) {
 
     TmpDir tmp("ledger");
     auto survivor = makeBlast();
-    ResilienceSupervisor sup(makeSupervisedDriver(*survivor),
-                             sedovSupervisor(tmp.path, 4));
+    ResilienceSupervisor sup(*survivor, sedovSupervisor(tmp.path, 4));
     {
         fault::Spec s;
         s.start = 3;
@@ -755,14 +748,7 @@ TEST_F(ResilienceTest, CampaignSurvivesMultiFaultSchedule) {
     opt.faults = {kill, halo, flip};
 
     const CampaignReport report = runCampaign(
-        [](int /*run*/) {
-            SupervisedRun r;
-            auto blast = std::make_shared<
-                std::unique_ptr<castro::Castro>>(makeBlast());
-            r.owner = blast;
-            r.driver = makeSupervisedDriver(**blast);
-            return r;
-        },
+        [](int /*run*/) { return std::shared_ptr<Driver>(makeBlast()); },
         opt);
 
     ASSERT_EQ(report.runs.size(), 2u);

@@ -17,7 +17,6 @@
 #include "mesh/copier_cache.hpp"
 #include "microphysics/network.hpp"
 #include "perf/device_model.hpp"
-#include "resilience/adapters.hpp"
 #include "resilience/supervisor.hpp"
 #include "solvers/mg/composite_mg.hpp"
 
@@ -641,8 +640,7 @@ TEST(GravityAmr, RankFailureRecoveryBitIdentical) {
     // gravity ladder is rebuilt for replay.
     opt.checkpoint.interval_hint = 6;
     opt.nranks = 4;
-    resilience::ResilienceSupervisor sup(
-        resilience::makeSupervisedDriver(*survivor.amr), opt);
+    resilience::ResilienceSupervisor sup(*survivor.amr, opt);
     {
         fault::Spec s;
         s.start = 4;
