@@ -88,6 +88,7 @@ int main() {
     opt.warmup_steps = 2;
     opt.min_interval = 4;
     opt.imbalance_trigger = 1.5;
+    opt.hydro_zone_work = 0.0; // work[] already holds each box's whole cost
     Rebalancer reb(opt);
     reb.noteRegrid(0, ba.size());
 

@@ -35,7 +35,6 @@ std::unique_ptr<castro::Castro> blast(const ReactionNetwork& net, int ncell,
     p.max_grid_size = 16;
     p.nranks = nranks;
     p.guard.enabled = true;
-    p.guard.verbose = false;
     return p.build(net);
 }
 

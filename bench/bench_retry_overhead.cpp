@@ -49,7 +49,6 @@ std::unique_ptr<Castro> blast(const ReactionNetwork& net, int ncell, bool guarde
     p.ncell = ncell;
     p.max_grid_size = 16;
     p.guard.enabled = guarded;
-    p.guard.verbose = false;
     return p.build(net);
 }
 
@@ -104,12 +103,10 @@ int main() {
         }
         const auto retried = c->retryStats().retries;
 
-        StepGuardOptions exhausted_opt;
         SedovParams p;
         p.ncell = 32;
         p.max_grid_size = 16;
         p.guard.enabled = true;
-        p.guard.verbose = false;
         p.guard.max_retries = 3;
         p.guard.policy = RetryPolicy::ClampAndWarn;
         auto d = p.build(net);

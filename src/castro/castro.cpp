@@ -19,6 +19,7 @@ Castro::Castro(const Geometry& level0_geom, const AmrInfo& info,
                const ReactionNetwork& net, const Eos& eos,
                const CastroOptions& opt, InitFn init, TagFn tag)
     : AmrCore(level0_geom, info),
+      Driver(opt.guard),
       m_net(net),
       m_eos(eos),
       m_opt(opt),
@@ -26,7 +27,6 @@ Castro::Castro(const Geometry& level0_geom, const AmrInfo& info,
       m_init(std::move(init)),
       m_tag(std::move(tag)),
       m_gravity(opt.gravity),
-      m_guard(opt.guard),
       m_rebalancer(opt.rebalance) {
     if (opt.gravity == GravityType::Monopole && info.max_level > 0) {
         // The monopole is a single-level construct; a hierarchy couples
@@ -433,143 +433,62 @@ void Castro::solveGravity() {
     m_gravity.solve(geoms, states, refRatio());
 }
 
-BurnGridStats Castro::advanceOnce(Real t0, Real dt) {
+BurnGridStats Castro::advance(Real sub_dt, int nsub) {
     BurnGridStats burn;
     CostMonitor* cost =
         m_opt.rebalance.enabled ? &m_rebalancer.monitor() : nullptr;
-    // One solve per coarse step couples every level; the field is reused
-    // by each level advance within the step. It reads only the density,
-    // which the first half-burn leaves alone, so solving before the burn
-    // gives the same field. Re-runs under a StepGuard retry recompute it
-    // from the rolled-back state, so the retry replays bit-identically.
-    solveGravity();
-    timeStep(0, t0, dt, burn, cost);
+    Real t = m_time;
+    for (int s = 0; s < nsub; ++s) {
+        // One solve per coarse step couples every level; the field is
+        // reused by each level advance within the step. It reads only the
+        // density, which the first half-burn leaves alone, so solving
+        // before the burn gives the same field. A retry recomputes it from
+        // the rolled-back state, so the retry replays bit-identically.
+        solveGravity();
+        timeStep(0, t, sub_dt, burn, cost);
+        t += sub_dt;
+    }
     return burn;
 }
 
-BurnGridStats Castro::step(Real dt) {
-    BurnGridStats burn;
-    bool degraded = false;
-    if (!m_guard.options().enabled) {
-        burn = advanceOnce(m_time, dt);
-    } else {
-        // Snapshot every level's state and time bracket (and the register
-        // payloads, after all the states so degrade's snap.mf(lev)
-        // indexing is undisturbed); restore requires the BoxArrays to be
-        // unchanged, which holds because regridding happens only below,
-        // after the guarded step is accepted.
-        m_guard.advance(
-            dt,
-            [&](StateSnapshot& snap) {
-                for (int lev = 0; lev <= finestLevel(); ++lev) {
-                    snap.capture(m_state[lev]);
-                    snap.captureScalar(m_t_old[lev]);
-                    snap.captureScalar(m_t_new[lev]);
-                }
-                for (int lev = 1; lev <= finestLevel(); ++lev) {
-                    if (!m_flux_reg[lev].isDefined()) continue;
-                    for (int d = 0; d < 3; ++d) {
-                        snap.capture(m_flux_reg[lev].mf(d));
-                    }
-                }
-            },
-            [&](const StateSnapshot& snap) {
-                for (int lev = 0; lev <= finestLevel(); ++lev) {
-                    const auto l = static_cast<std::size_t>(lev);
-                    snap.restoreTo(l, m_state[lev]);
-                    m_t_old[lev] = snap.scalar(2 * l);
-                    m_t_new[lev] = snap.scalar(2 * l + 1);
-                }
-                std::size_t mf_idx = static_cast<std::size_t>(finestLevel()) + 1;
-                for (int lev = 1; lev <= finestLevel(); ++lev) {
-                    if (!m_flux_reg[lev].isDefined()) continue;
-                    for (int d = 0; d < 3; ++d) {
-                        snap.restoreTo(mf_idx++, m_flux_reg[lev].mf(d));
-                    }
-                }
-            },
-            [&](Real sub_dt, int nsub) {
-                burn = BurnGridStats{};
-                Real t = m_time;
-                for (int s = 0; s < nsub; ++s) {
-                    burn.merge(advanceOnce(t, sub_dt));
-                    t += sub_dt;
-                }
-            },
-            [&] {
-                ValidationReport rep;
-                for (int lev = 0; lev <= finestLevel(); ++lev) {
-                    // Burn stats are hierarchy-wide; attach them to the
-                    // level-0 report so they are flagged exactly once.
-                    ValidationReport r = validateState(
-                        m_state[lev], m_net.nspec(), m_opt.guard,
-                        lev == 0 ? &burn : nullptr,
-                        "level " + std::to_string(lev));
-                    for (auto& issue : r.issues) {
-                        rep.issues.push_back(std::move(issue));
-                    }
-                }
-                return rep;
-            },
-            [&](const StateSnapshot& snap, bool advance_threw) {
-                // Clamp-and-warn: replace the zones that went bad with
-                // their pre-step values and recompute T. When the advance
-                // itself threw, the engine already restored the snapshot
-                // wholesale.
-                degraded = true;
-                if (!advance_threw) {
-                    for (int lev = 0; lev <= finestLevel(); ++lev) {
-                        repairInvalidZones(m_state[lev],
-                                           snap.mf(static_cast<std::size_t>(lev)),
-                                           m_opt.guard);
-                        enforceConsistency(m_state[lev], m_net, m_eos,
-                                           m_opt.small_dens);
-                    }
-                    // Zone repairs act level-locally; re-average so coarse
-                    // data under fine grids reflects the repaired fine
-                    // state before the run continues.
-                    for (int lev = finestLevel(); lev > 0; --lev) {
-                        averageDown(m_state[lev - 1], m_state[lev], refRatio(),
-                                    0, 0, m_layout.ncomp());
-                        enforceConsistency(m_state[lev - 1], m_net, m_eos,
-                                           m_opt.small_dens);
-                    }
-                }
-            });
+ValidationReport Castro::validate(const BurnGridStats& burn) const {
+    ValidationReport rep;
+    for (int lev = 0; lev <= finestLevel(); ++lev) {
+        // Burn stats are hierarchy-wide; attach them to the level-0 report
+        // so they are flagged exactly once.
+        ValidationReport r =
+            validateState(m_state[lev], m_net.nspec(), m_opt.guard,
+                          lev == 0 ? &burn : nullptr, "level " + std::to_string(lev));
+        for (auto& issue : r.issues) rep.issues.push_back(std::move(issue));
     }
+    return rep;
+}
 
-    // One step, however many substeps it took.
-    m_time += dt;
-    ++m_nstep;
-    // Every accepted step ends at a sync point: the mask-aware hierarchy
-    // sums and the level-0 shortcut must agree to round-off. (A degraded
-    // step re-averaged after repair, so it qualifies too; the check is
-    // debug-build only.)
-    assert(degraded || finestLevel() == 0 || syncPointSumsAgree());
-    (void)degraded;
+void Castro::repair(const StateSnapshot& snap) {
+    for (int lev = 0; lev <= finestLevel(); ++lev) {
+        repairInvalidZones(m_state[lev], snap.mf(static_cast<std::size_t>(lev)));
+        enforceConsistency(m_state[lev], m_net, m_eos, m_opt.small_dens);
+    }
+    for (int lev = finestLevel(); lev > 0; --lev) {
+        averageDown(m_state[lev - 1], m_state[lev], refRatio(), 0, 0,
+                    m_layout.ncomp());
+        enforceConsistency(m_state[lev - 1], m_net, m_eos, m_opt.small_dens);
+    }
+}
+
+void Castro::postStep() {
+    // Every step ends at a sync point (a repaired one re-averaged): the
+    // mask-aware hierarchy sums and the level-0 shortcut must agree to
+    // round-off. The check is debug-build only.
+    assert(finestLevel() == 0 || syncPointSumsAgree());
     if (regrid_interval > 0 && m_nstep % regrid_interval == 0 && maxLevel() > 0) {
         regrid(0);
     }
-    // Re-evaluated after the regrid: rebuilt levels had their cost
-    // history reset (the regrid's zone-count mapping is their cold
-    // start), while stable levels can act on this step's measurements.
-    maybeRebalance();
-    return burn;
-}
-
-void Castro::maybeRebalance() {
+    // Rebalance after the regrid: rebuilt levels had their cost history
+    // reset (the regrid's zone-count mapping is their cold start), while
+    // stable levels can act on this step's measurements.
     if (!m_opt.rebalance.enabled) return;
-    auto& mon = m_rebalancer.monitor();
     for (int lev = 0; lev <= finestLevel(); ++lev) {
-        // Hydro work channel: every zone costs ~hydro_zone_work units per
-        // step regardless of burning, so burn-free boxes keep a realistic
-        // floor under the Work metric.
-        const BoxArray& ba = boxArray(lev);
-        for (std::size_t f = 0; f < ba.size(); ++f) {
-            mon.addWork(lev, static_cast<int>(f),
-                        m_opt.rebalance.hydro_zone_work *
-                            static_cast<double>(ba[f].numPts()));
-        }
         // The old-time state migrates with the state (same layout); the
         // flux register is redefined on the new mapping afterwards — its
         // contents are dead between sync points — and gravity rebuilds on

@@ -100,17 +100,6 @@ public:
     // factor); without, the finest level binds the whole hierarchy.
     Real estimateDt() const override;
 
-    // Advance the whole hierarchy by dt (level 0 takes one step of dt;
-    // finer levels subcycle); regrids every regrid_interval steps.
-    // Returns total burn stats over all levels. With opt.guard.enabled
-    // the whole-hierarchy step runs under the StepGuard retry loop —
-    // snapshots hold every level's state and time levels, so a rollback
-    // rewinds a partially-subcycled hierarchy; an invalid state is
-    // re-advanced as 2, 4, ... substeps that still sum to dt and count as
-    // one step. Regridding is deferred to after the step is accepted, so
-    // a rollback never faces a changed BoxArray.
-    BurnGridStats step(Real dt) override;
-
     // --- restore path (resilience) -------------------------------------
     std::vector<const MultiFab*> levelStates() const override;
     // One field per level, "state_lev<N>".
@@ -139,10 +128,6 @@ public:
     // coarse/fine boundary).
     bool reflux = true;
 
-    // Retry accounting for the guarded steps of this run (zeros when the
-    // guard is disabled).
-    const RetryStats& retryStats() const override { return m_guard.stats(); }
-
     // Self-gravity (opt.gravity). step() solves once per coarse step;
     // solveGravity() runs the same solve on the current hierarchy.
     void solveGravity();
@@ -151,8 +136,8 @@ public:
     MgEvent mgTotals() const override { return m_gravity.mgTotals(); }
 
     // Load-balancer access (cost monitor, decision stats). Each level is
-    // rebalanced independently after the step (and its cost history is
-    // reset whenever a regrid rebuilds the level).
+    // rebalanced independently after the step and its regrid (and its cost
+    // history is reset whenever a regrid rebuilds the level).
     Rebalancer& rebalancer() { return m_rebalancer; }
     const Rebalancer& rebalancer() const { return m_rebalancer; }
 
@@ -190,6 +175,22 @@ public:
     void fillPatch(int lev, MultiFab& dst);
 
 protected:
+    // The step (Driver::step): level 0 takes each substep of sub_dt and
+    // finer levels subcycle under it. The guard's snapshot holds every
+    // level's state, which is all a step reads: the old-time states, the
+    // per-level times and the flux registers are rewritten before any
+    // read, so a rollback rewinds a partially-subcycled hierarchy.
+    BurnGridStats advance(Real sub_dt, int nsub) override;
+    // Every level's state; burn stats are reported once, with level 0.
+    ValidationReport validate(const BurnGridStats& burn) const override;
+    // Replace the zones that went bad with their pre-step values, restore
+    // EOS consistency, and re-average so coarse data under fine grids
+    // reflects the repaired fine state.
+    void repair(const StateSnapshot& snap) override;
+    // Regrid every regrid_interval steps (only after the step is accepted,
+    // so a rollback never faces a changed BoxArray), then rebalance.
+    void postStep() override;
+
     void MakeNewLevelFromScratch(int lev, const BoxArray& ba,
                                  const DistributionMapping& dm) override;
     void MakeNewLevelFromCoarse(int lev, const BoxArray& ba,
@@ -219,9 +220,6 @@ private:
     // for the cost monitor, so halo waits never count as hydro cost.
     void level0Rhs(MultiFab& src, MultiFab& dudt, std::array<MultiFab, 3>* fluxes,
                    CostMonitor* cost);
-    // One unguarded hierarchy advance of size dt starting at t0 (no
-    // hierarchy-time bookkeeping, no regrid).
-    BurnGridStats advanceOnce(Real t0, Real dt);
     void initLevelData(int lev, MultiFab& mf);
     void applyPhysBC(int lev, MultiFab& mf);
     // Fill dst for level lev >= 1 with the coarse source time-interpolated
@@ -232,10 +230,6 @@ private:
     // state (a copy of the current state at m_time) below max_level and,
     // for lev > 0, the flux register against lev-1.
     void resetLevelCompanions(int lev);
-    // End-of-step rebalance hook (after regrid): per level, feed the
-    // hydro work channel, let the Rebalancer decide, and keep AmrCore's
-    // mapping in sync with any migrated state.
-    void maybeRebalance();
 
     const ReactionNetwork& m_net;
     Eos m_eos;
@@ -254,7 +248,6 @@ private:
     std::vector<FluxRegister> m_flux_reg;
     std::vector<std::int64_t> m_advances;
     Gravity m_gravity;
-    StepGuard m_guard;
     Rebalancer m_rebalancer;
 };
 

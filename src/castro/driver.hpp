@@ -4,8 +4,14 @@
 // everything that drives a simulation from outside — the resilience
 // supervisor and campaign harness, the ensemble scenarios — takes it
 // directly. Which MultiFabs make up a driver's state is written down
-// once, in checkpointFields(): checkpoint, restore, residency accounting
-// and the driver's own retry snapshot and rebalance all read it.
+// once, in checkpointFields(): checkpoint, restore, residency accounting,
+// the retry snapshot and the driver's rebalance all read it.
+//
+// The step protocol lives here too, once: step() runs the driver's
+// advance() plainly or under the StepGuard retry loop (snapshotting
+// checkpointFields(), validate(), and repair() when retries run out under
+// ClampAndWarn), then advances the clock and calls postStep(). A driver
+// supplies only those protected hooks.
 
 #include "core/events.hpp"
 #include "mesh/distribution.hpp"
@@ -32,12 +38,17 @@ struct CheckpointField {
 
 class Driver {
 public:
+    explicit Driver(const StepGuardOptions& guard) : m_guard(guard) {}
     virtual ~Driver() = default;
 
     // The driver's own stability limit (CFL or equivalent).
     virtual Real estimateDt() const = 0;
-    // Advance one step of dt (under the StepGuard when it is enabled).
-    virtual BurnGridStats step(Real dt) = 0;
+    // Advance one step of dt and return its burn stats. With the guard
+    // enabled, an invalid result is rolled back and re-advanced as 2, 4,
+    // ... substeps that still sum to dt and count as one step. postStep()
+    // runs after the clock moves, so regrids and rebalances never face a
+    // pending rollback.
+    BurnGridStats step(Real dt);
 
     Real time() const { return m_time; }
     int stepCount() const { return m_nstep; }
@@ -74,13 +85,27 @@ public:
     virtual void finishRestore() {}
 
     // StepGuard retry accounting (zeros when the guard is disabled).
-    virtual const RetryStats& retryStats() const = 0;
+    const RetryStats& retryStats() const { return m_guard.stats(); }
     // Lifetime multigrid counters of the driver's gravity solves.
     virtual MgEvent mgTotals() const { return {}; }
 
 protected:
+    // `nsub` substeps of `sub_dt` from time(), merging their burn stats.
+    virtual BurnGridStats advance(Real sub_dt, int nsub) = 0;
+    // Post-step check of the state (and of the step's burn stats).
+    virtual ValidationReport validate(const BurnGridStats& burn) const = 0;
+    // Retries exhausted under ClampAndWarn: mend the invalid zones of the
+    // final attempt from `snap` (snapshot i is checkpointFields()[i]).
+    // Skipped when the final attempt threw: the state is then the snapshot.
+    virtual void repair(const StateSnapshot& snap) = 0;
+    // After every step, once the clock has moved (regrid, rebalance).
+    virtual void postStep() = 0;
+
     Real m_time = 0.0;
     int m_nstep = 0;
+
+private:
+    StepGuard m_guard;
 };
 
 } // namespace exa

@@ -9,39 +9,35 @@ namespace exa::castro {
 
 namespace {
 
+// The state thresholds: every component must be finite, rho and rho E
+// must exceed these floors, and the species fractions must sum to 1
+// within kSpeciesSumRtol.
+constexpr Real kMinDensity = 0.0;
+constexpr Real kMinEnergy = 0.0;
+constexpr Real kSpeciesSumRtol = 1.0e-6;
+
 // Single fused pass answering "is anything wrong anywhere?". The
 // detailed per-check scans below only run (to locate and describe the
 // offender) when this says no — keeping the armed-but-clean guard cost
 // to one parallel sweep of the state instead of four serial ones.
-bool stateLooksClean(const MultiFab& s, int nspec, const StepGuardOptions& opt) {
+bool stateLooksClean(const MultiFab& s, int nspec) {
     const int nc = s.nComp();
-    const bool check_finite = opt.check_finite;
-    const Real min_density = opt.min_density;
-    const Real min_energy = opt.min_energy;
-    const Real rtol = opt.species_sum_rtol;
     for (std::size_t f = 0; f < s.size(); ++f) {
         auto a = s.const_array(static_cast<int>(f));
         const Real bad =
             ParallelReduceMax(s.box(static_cast<int>(f)), [=](int i, int j, int k) {
-                if (check_finite) {
-                    for (int n = 0; n < nc; ++n) {
-                        if (!std::isfinite(a(i, j, k, n))) return 1.0_rt;
-                    }
+                for (int n = 0; n < nc; ++n) {
+                    if (!std::isfinite(a(i, j, k, n))) return 1.0_rt;
                 }
                 const Real rho = a(i, j, k, StateLayout::URHO);
                 const Real rhoE = a(i, j, k, StateLayout::UEDEN);
-                if ((std::isfinite(rho) && rho <= min_density) ||
-                    (std::isfinite(rhoE) && rhoE <= min_energy)) {
-                    return 1.0_rt;
+                if (rho <= kMinDensity || rhoE <= kMinEnergy) return 1.0_rt;
+                Real xsum = 0.0;
+                for (int n = 0; n < nspec; ++n) {
+                    xsum += a(i, j, k, StateLayout::UFS + n);
                 }
-                if (rho > min_density) {
-                    Real xsum = 0.0;
-                    for (int n = 0; n < nspec; ++n) {
-                        xsum += a(i, j, k, StateLayout::UFS + n);
-                    }
-                    xsum /= rho;
-                    if (!(std::abs(xsum - 1.0) <= rtol)) return 1.0_rt;
-                }
+                xsum /= rho;
+                if (!(std::abs(xsum - 1.0) <= kSpeciesSumRtol)) return 1.0_rt;
                 return 0.0_rt;
             });
         if (bad > 0.0) return false;
@@ -50,11 +46,11 @@ bool stateLooksClean(const MultiFab& s, int nspec, const StepGuardOptions& opt) 
 }
 
 // First zone per fab whose species fractions have drifted off sum == 1 by
-// more than rtol. Zones the consistency enforcement has already floored to
+// more than kSpeciesSumRtol. Zones the consistency enforcement has already floored to
 // tiny densities are skipped: their fractions are meaningless, and the
 // density check owns that failure mode.
-void checkSpeciesSum(const MultiFab& s, int nspec, Real rtol, Real min_density,
-                     ValidationReport& rep, const std::string& label) {
+void checkSpeciesSum(const MultiFab& s, int nspec, ValidationReport& rep,
+                     const std::string& label) {
     for (std::size_t f = 0; f < s.size(); ++f) {
         auto a = s.const_array(static_cast<int>(f));
         const Box& vb = s.box(static_cast<int>(f));
@@ -62,13 +58,13 @@ void checkSpeciesSum(const MultiFab& s, int nspec, Real rtol, Real min_density,
             for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j) {
                 for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
                     const Real rho = a(i, j, k, StateLayout::URHO);
-                    if (!(rho > min_density)) continue;
+                    if (!(rho > kMinDensity)) continue;
                     Real xsum = 0.0;
                     for (int n = 0; n < nspec; ++n) {
                         xsum += a(i, j, k, StateLayout::UFS + n);
                     }
                     xsum /= rho;
-                    if (!(std::abs(xsum - 1.0) <= rtol)) {
+                    if (!(std::abs(xsum - 1.0) <= kSpeciesSumRtol)) {
                         std::ostringstream os;
                         if (!label.empty()) os << label << ", ";
                         os << "fab " << f << ", zone (" << i << "," << j << ","
@@ -90,15 +86,14 @@ ValidationReport validateState(const MultiFab& state, int nspec,
                                const BurnGridStats* burn,
                                const std::string& label) {
     ValidationReport rep;
-    if (!stateLooksClean(state, nspec, opt)) {
+    if (!stateLooksClean(state, nspec)) {
         // Something is wrong somewhere: locate and describe it.
-        if (opt.check_finite) checkFinite(state, rep, label);
-        checkAbove(state, StateLayout::URHO, opt.min_density, "negative-density",
-                   rep, label);
-        checkAbove(state, StateLayout::UEDEN, opt.min_energy, "negative-energy",
-                   rep, label);
-        checkSpeciesSum(state, nspec, opt.species_sum_rtol, opt.min_density, rep,
-                        label);
+        checkFinite(state, rep, label);
+        checkAbove(state, StateLayout::URHO, kMinDensity, "negative-density", rep,
+                   label);
+        checkAbove(state, StateLayout::UEDEN, kMinEnergy, "negative-energy", rep,
+                   label);
+        checkSpeciesSum(state, nspec, rep, label);
     }
     if (burn != nullptr && burn->failures > 0) {
         const double frac =
@@ -118,8 +113,7 @@ ValidationReport validateState(const MultiFab& state, int nspec,
     return rep;
 }
 
-std::int64_t repairInvalidZones(MultiFab& state, const MultiFab& snap,
-                                const StepGuardOptions& opt) {
+std::int64_t repairInvalidZones(MultiFab& state, const MultiFab& snap) {
     std::int64_t repaired = 0;
     const int nc = state.nComp();
     for (std::size_t f = 0; f < state.size(); ++f) {
@@ -135,8 +129,7 @@ std::int64_t repairInvalidZones(MultiFab& state, const MultiFab& snap,
                     }
                     const Real rho = a(i, j, k, StateLayout::URHO);
                     const Real rhoE = a(i, j, k, StateLayout::UEDEN);
-                    bad = bad || !(rho > opt.min_density) ||
-                          !(rhoE > opt.min_energy);
+                    bad = bad || !(rho > kMinDensity) || !(rhoE > kMinEnergy);
                     if (bad) {
                         for (int n = 0; n < nc; ++n) {
                             a(i, j, k, n) = s(i, j, k, n);

@@ -15,14 +15,14 @@ namespace exa::maestro {
 Maestro::Maestro(const Geometry& geom, const BoxArray& ba,
                  const DistributionMapping& dm, const ReactionNetwork& net,
                  const Eos& eos, const BaseState& base, const MaestroOptions& opt)
-    : m_geom(geom),
+    : Driver(opt.guard),
+      m_geom(geom),
       m_net(net),
       m_eos(eos),
       m_base(base),
       m_opt(opt),
       m_layout(net.nspec()),
       m_state(ba, dm, m_layout.ncomp(), kAdvectGhost),
-      m_guard(opt.guard),
       m_rebalancer(opt.rebalance) {
     m_state.setVal(0.0);
     // Warm start: each projection iterates from the previous step's phi,
@@ -317,48 +317,44 @@ Real Maestro::maxAbsDivergence() {
     return mx;
 }
 
-BurnGridStats Maestro::advanceOnce(Real dt) {
-    {
-        WallTimer advect_timer;
-        advect(dt);
-        buoyancy(dt);
-        if (m_opt.rebalance.enabled) {
-            // Zones-proportional attribution of the advection sweep (its
-            // loops are MultiFab-wide).
-            const BoxArray& ba = m_state.boxArray();
-            const double total = static_cast<double>(ba.numPts());
-            const double sec = advect_timer.seconds();
-            auto& mon = m_rebalancer.monitor();
-            for (std::size_t f = 0; f < ba.size() && total > 0; ++f) {
-                mon.addTime(0, static_cast<int>(f),
-                            sec * static_cast<double>(ba[f].numPts()) / total);
+BurnGridStats Maestro::advance(Real dt, int nsub) {
+    BurnGridStats burn;
+    for (int s = 0; s < nsub; ++s) {
+        {
+            WallTimer advect_timer;
+            advect(dt);
+            buoyancy(dt);
+            if (m_opt.rebalance.enabled) {
+                // Zones-proportional attribution of the advection sweep
+                // (its loops are MultiFab-wide).
+                const BoxArray& ba = m_state.boxArray();
+                const double total = static_cast<double>(ba.numPts());
+                const double sec = advect_timer.seconds();
+                auto& mon = m_rebalancer.monitor();
+                for (std::size_t f = 0; f < ba.size() && total > 0; ++f) {
+                    mon.addTime(0, static_cast<int>(f),
+                                sec * static_cast<double>(ba[f].numPts()) / total);
+                }
             }
         }
+        if (m_opt.do_react) burn.merge(react(dt));
+        project();
     }
-    BurnGridStats burn;
-    if (m_opt.do_react) burn = react(dt);
-    project();
     return burn;
 }
 
-void Maestro::maybeRebalance() {
+void Maestro::postStep() {
     if (!m_opt.rebalance.enabled) return;
-    auto& mon = m_rebalancer.monitor();
-    const BoxArray& ba = m_state.boxArray();
-    for (std::size_t f = 0; f < ba.size(); ++f) {
-        mon.addWork(0, static_cast<int>(f),
-                    m_opt.rebalance.hydro_zone_work *
-                        static_cast<double>(ba[f].numPts()));
-    }
     std::vector<MultiFab*> fabs;
     for (const CheckpointField& f : checkpointFields()) fabs.push_back(f.mf);
     m_rebalancer.step(0, m_nstep, fabs);
 }
 
 ValidationReport Maestro::validate(const BurnGridStats& burn) const {
-    const StepGuardOptions& opt = m_opt.guard;
+    // Tolerance on |sum X - 1| per zone.
+    constexpr Real kSpeciesSumRtol = 1.0e-6;
     ValidationReport rep;
-    if (opt.check_finite) checkFinite(m_state, rep, "");
+    checkFinite(m_state, rep, "");
     // Low Mach state: density is derived, so positivity means T > 0.
     checkAbove(m_state, MaestroLayout::QT, 0.0, "negative-temperature", rep, "");
     // Species fractions are stored directly (not rho-weighted).
@@ -373,7 +369,7 @@ ValidationReport Maestro::validate(const BurnGridStats& burn) const {
                     for (int n = 0; n < nspec; ++n) {
                         xsum += q(i, j, k, MaestroLayout::QFS + n);
                     }
-                    if (!(std::abs(xsum - 1.0) <= opt.species_sum_rtol)) {
+                    if (!(std::abs(xsum - 1.0) <= kSpeciesSumRtol)) {
                         std::ostringstream os;
                         os << "fab " << f << ", zone (" << i << "," << j << ","
                            << k << "), sum X = " << xsum;
@@ -388,7 +384,7 @@ ValidationReport Maestro::validate(const BurnGridStats& burn) const {
     if (burn.failures > 0) {
         const double frac =
             burn.zones > 0 ? static_cast<double>(burn.failures) / burn.zones : 1.0;
-        if (frac > opt.burn_failure_tol) {
+        if (frac > m_opt.guard.burn_failure_tol) {
             std::ostringstream os;
             os << burn.failures << " of " << burn.zones << " zones failed to burn";
             const std::string where = burn.describeFailure();
@@ -399,63 +395,29 @@ ValidationReport Maestro::validate(const BurnGridStats& burn) const {
     return rep;
 }
 
-BurnGridStats Maestro::step(Real dt) {
-    if (!m_opt.guard.enabled) {
-        BurnGridStats burn = advanceOnce(dt);
-        m_time += dt;
-        ++m_nstep;
-        maybeRebalance();
-        return burn;
-    }
-
-    BurnGridStats burn;
-    m_guard.advance(
-        dt,
-        [&](StateSnapshot& snap) {
-            for (const CheckpointField& f : checkpointFields()) snap.capture(*f.mf);
-        },
-        [&](const StateSnapshot& snap) {
-            const std::vector<CheckpointField> fields = checkpointFields();
-            for (std::size_t i = 0; i < fields.size(); ++i) {
-                snap.restoreTo(i, *fields[i].mf);
-            }
-        },
-        [&](Real sub_dt, int nsub) {
-            burn = BurnGridStats{};
-            for (int s = 0; s < nsub; ++s) burn.merge(advanceOnce(sub_dt));
-        },
-        [&] { return validate(burn); },
-        [&](const StateSnapshot& snap, bool advance_threw) {
-            if (advance_threw) return; // engine already restored the snapshot
-            // Clamp-and-warn: rewind only the zones that went bad.
-            auto bad = [&](Array4<const Real> q, int i, int j, int k) {
-                for (int n = 0; n < m_layout.ncomp(); ++n) {
-                    if (!std::isfinite(q(i, j, k, n))) return true;
-                }
-                return !(q(i, j, k, MaestroLayout::QT) > 0.0);
-            };
-            const MultiFab& s0 = snap.mf(0); // checkpointFields()[0]: the state
-            for (std::size_t f = 0; f < m_state.size(); ++f) {
-                auto q = m_state.array(static_cast<int>(f));
-                auto s = s0.const_array(static_cast<int>(f));
-                const Box& vb = m_state.box(static_cast<int>(f));
-                for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
-                    for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
-                        for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
-                            if (bad(q, i, j, k)) {
-                                for (int n = 0; n < m_layout.ncomp(); ++n) {
-                                    q(i, j, k, n) = s(i, j, k, n);
-                                }
-                            }
+void Maestro::repair(const StateSnapshot& snap) {
+    // Rewind only the zones that went bad.
+    auto bad = [&](Array4<const Real> q, int i, int j, int k) {
+        for (int n = 0; n < m_layout.ncomp(); ++n) {
+            if (!std::isfinite(q(i, j, k, n))) return true;
+        }
+        return !(q(i, j, k, MaestroLayout::QT) > 0.0);
+    };
+    const MultiFab& s0 = snap.mf(0); // checkpointFields()[0]: the state
+    for (std::size_t f = 0; f < m_state.size(); ++f) {
+        auto q = m_state.array(static_cast<int>(f));
+        auto s = s0.const_array(static_cast<int>(f));
+        const Box& vb = m_state.box(static_cast<int>(f));
+        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
+            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
+                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
+                    if (bad(q, i, j, k)) {
+                        for (int n = 0; n < m_layout.ncomp(); ++n) {
+                            q(i, j, k, n) = s(i, j, k, n);
                         }
-            }
-        });
-
-    m_time += dt;
-    ++m_nstep;
-    // Rebalance only after the step is accepted (never mid-retry).
-    maybeRebalance();
-    return burn;
+                    }
+                }
+    }
 }
 
 Real Maestro::bubbleHeight() const {

@@ -34,9 +34,9 @@ struct MaestroOptions {
     // (castro::burnGrid), so every field applies, the batch shape too.
     castro::ReactOptions react;
     bool do_react = true;
-    // Step retry (StepGuard) around each step; min_density/min_energy do
-    // not apply to the low Mach state (density is EOS-derived) — the
-    // validator checks finiteness, T > 0, species sums, and burn failures.
+    // Step retry (StepGuard) around each step. The density is EOS-derived,
+    // so the validator checks finiteness, T > 0, species sums, and burn
+    // failures.
     StepGuardOptions guard;
     // Cost-driven load balancing (burn-dominated boxes migrate to a
     // cost-weighted mapping). Off by default.
@@ -73,11 +73,6 @@ public:
     // Advective + buoyancy timestep (no sound speed!).
     Real estimateDt() const override;
 
-    // One step: advect, buoyancy, react, project. Returns burn stats.
-    // With opt.guard.enabled the step runs under the StepGuard retry loop,
-    // whose rollback restores every checkpoint field.
-    BurnGridStats step(Real dt) override;
-
     std::vector<const MultiFab*> levelStates() const override { return {&m_state}; }
     // "state", "phi" and "divu": phi seeds the next projection solve (warm
     // start) and divu is its last divergence field, so both belong to the
@@ -91,9 +86,6 @@ public:
     // The projection companions (see checkpointFields()).
     MultiFab& phi() { return m_phi; }
     MultiFab& divu() { return m_divu; }
-
-    // Retry accounting for the guarded steps of this run.
-    const RetryStats& retryStats() const override { return m_guard.stats(); }
 
     // Load-balancer access (cost monitor, decision stats).
     Rebalancer& rebalancer() { return m_rebalancer; }
@@ -112,20 +104,26 @@ public:
 
     void project(); // public for tests
 
+protected:
+    // The step (Driver::step): each substep advects, applies buoyancy,
+    // reacts and projects. The guard's snapshot is checkpointFields(), so
+    // a rollback restores phi and divu with the state.
+    BurnGridStats advance(Real dt, int nsub) override;
+    ValidationReport validate(const BurnGridStats& burn) const override;
+    // Rewind the zones that went non-finite or T <= 0 to their pre-step
+    // values.
+    void repair(const StateSnapshot& snap) override;
+    // Rebalance: m_state, m_phi, and m_divu migrate together.
+    void postStep() override;
+
 private:
     void advect(Real dt);
     void buoyancy(Real dt);
     BurnGridStats react(Real dt);
-    // One unguarded advance of size dt (no time bookkeeping).
-    BurnGridStats advanceOnce(Real dt);
-    ValidationReport validate(const BurnGridStats& burn) const;
     void fillGhosts(MultiFab& s);
     // The physical-boundary half of fillGhosts; the split-phase advect
     // runs it after the halo delivery.
     void applyPhysBC(MultiFab& s);
-    // End-of-step rebalance hook: feed the advect work channel, then let
-    // the Rebalancer decide; m_state, m_phi, and m_divu migrate together.
-    void maybeRebalance();
 
     Geometry m_geom;
     const ReactionNetwork& m_net;
@@ -139,7 +137,6 @@ private:
     // its phi/rhs on the projection layout.
     std::unique_ptr<CompositeMg> m_mg;
     MultiFab m_mg_phi, m_mg_rhs;
-    StepGuard m_guard;
     Rebalancer m_rebalancer;
     int m_last_vcycles = 0;
 };

@@ -62,6 +62,17 @@ void Rebalancer::noteRegrid(int lev, std::size_t nboxes) {
 RebalanceDecision Rebalancer::step(int lev, std::int64_t step_index,
                                    const std::vector<MultiFab*>& fabs) {
     RebalanceDecision d;
+    if (!fabs.empty() && fabs.front()->isDefined()) {
+        // Hydro work floor: every zone costs ~hydro_zone_work units per
+        // step regardless of burning, so burn-free boxes keep a realistic
+        // floor under the Work metric.
+        const BoxArray& ba = fabs.front()->boxArray();
+        for (std::size_t f = 0; f < ba.size(); ++f) {
+            m_monitor.addWork(lev, static_cast<int>(f),
+                              m_opt.hydro_zone_work *
+                                  static_cast<double>(ba[f].numPts()));
+        }
+    }
     m_monitor.commitStep(lev);
     if (!m_opt.enabled) {
         d.reason = "disabled";

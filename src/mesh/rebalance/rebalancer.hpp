@@ -17,9 +17,9 @@
 //   * the candidate mapping's predicted imbalance is at most
 //     `hysteresis` * measured — a mapping must buy a real improvement
 //     before we pay migration traffic for it;
-//   * never while a StepGuard::advance() is on the stack: migrating
-//     between a snapshot and its possible restore would desynchronize
-//     the rollback point. Under Backend::Debug this is diagnosed as a
+//   * never while a StepGuard::advance() is on the calling thread's
+//     stack: migrating between a snapshot and its possible restore would
+//     desynchronize the rollback point. Under Backend::Debug this is diagnosed as a
 //     "rebalance-during-retry" violation; it is skipped on every backend.
 //
 // Under Backend::Debug a performed migration is also verified: every
@@ -45,8 +45,9 @@ struct RebalanceOptions {
     int warmup_steps = 2;           // committed cost samples before first trigger
     DistributionMapping::Strategy strategy = DistributionMapping::Strategy::Knapsack;
     CostMonitorOptions cost;        // metric + EMA smoothing
-    // Model work units per zone of non-burn (hydro/MHD) cost, added by the
-    // drivers each step so burn-free boxes keep a realistic floor.
+    // Model work units per zone of non-burn (hydro/MHD) cost, added to
+    // every box by step() before it commits, so burn-free boxes keep a
+    // realistic floor.
     double hydro_zone_work = 1.0;
     bool verbose = false;           // narrate decisions on stderr
 };
@@ -71,11 +72,12 @@ public:
     CostMonitor& monitor() { return m_monitor; }
     const CostMonitor& monitor() const { return m_monitor; }
 
-    // End-of-step hook: commit the step's cost samples for `lev`, then
-    // evaluate the trigger policy and — if it fires — migrate every fab
-    // in `fabs` (all sharing one BoxArray and DistributionMapping; the
-    // first is the canonical layout) to the cost-weighted mapping. The
-    // fabs' own distributionMap() is the post-call source of truth.
+    // End-of-step hook: add the hydro work floor to every box of `lev`,
+    // commit the step's cost samples, then evaluate the trigger policy
+    // and — if it fires — migrate every fab in `fabs` (all sharing one
+    // BoxArray and DistributionMapping; the first is the canonical layout)
+    // to the cost-weighted mapping. The fabs' own distributionMap() is the
+    // post-call source of truth.
     RebalanceDecision step(int lev, std::int64_t step_index,
                            const std::vector<MultiFab*>& fabs);
 

@@ -1,26 +1,22 @@
 #include "mesh/step_guard.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 namespace exa {
 
 namespace {
-// Depth of nested StepGuard::advance() calls (Castro guards all
-// levels in one scope; the counter tolerates nesting anyway).
-std::atomic<int> g_advance_depth{0};
+// Depth of nested StepGuard::advance() calls on this thread (a driver
+// guards all its levels in one scope; the counter tolerates nesting).
+thread_local int t_advance_depth = 0;
 
 struct AdvanceScope {
-    AdvanceScope() { g_advance_depth.fetch_add(1, std::memory_order_relaxed); }
-    ~AdvanceScope() { g_advance_depth.fetch_sub(1, std::memory_order_relaxed); }
+    AdvanceScope() { ++t_advance_depth; }
+    ~AdvanceScope() { --t_advance_depth; }
 };
 } // namespace
 
-bool StepGuard::advanceActive() {
-    return g_advance_depth.load(std::memory_order_relaxed) > 0;
-}
+bool StepGuard::advanceActive() { return t_advance_depth > 0; }
 
 void ValidationReport::add(std::string check, std::string detail) {
     issues.push_back({std::move(check), std::move(detail)});
@@ -58,8 +54,7 @@ void StateSnapshot::restoreTo(std::size_t i, MultiFab& dst) const {
     MultiFab::Copy(dst, src, 0, 0, src.nComp(), src.nGrow());
 }
 
-StepGuard::Outcome StepGuard::advance(Real dt, const SnapshotFn& snapshot,
-                                      const RestoreFn& restore,
+StepGuard::Outcome StepGuard::advance(Real dt, const std::vector<MultiFab*>& state,
                                       const AdvanceFn& advanceFn,
                                       const ValidateFn& validate,
                                       const DegradeFn& degrade) {
@@ -69,21 +64,18 @@ StepGuard::Outcome StepGuard::advance(Real dt, const SnapshotFn& snapshot,
     m_stats.last_subcycles = 1;
 
     StateSnapshot snap;
-    snapshot(snap);
+    for (const MultiFab* mf : state) snap.capture(*mf);
     m_stats.snapshot_bytes = snap.bytes();
+    auto restore = [&] {
+        for (std::size_t i = 0; i < state.size(); ++i) snap.restoreTo(i, *state[i]);
+    };
 
     bool advance_threw = false;
     int nsub = 1;
     for (int attempt = 0; attempt <= m_opt.max_retries; ++attempt, nsub *= 2) {
         if (attempt > 0) {
-            restore(snap);
+            restore();
             ++m_stats.retries;
-            if (m_opt.verbose) {
-                std::fprintf(stderr,
-                             "[exa-retry] step invalid (%s): retrying as %d "
-                             "substeps of dt/%d\n",
-                             m_stats.last_failure.c_str(), nsub, nsub);
-            }
         }
         ++m_stats.last_attempts;
         m_stats.last_subcycles = nsub;
@@ -107,17 +99,11 @@ StepGuard::Outcome StepGuard::advance(Real dt, const SnapshotFn& snapshot,
     // when that attempt died mid-advance — then only the snapshot is
     // coherent, so restore it before degrading.
     ++m_stats.degraded;
-    if (advance_threw) restore(snap);
+    if (advance_threw) restore();
     if (m_opt.policy == RetryPolicy::HardError) {
         throw StepRetryError("step retries exhausted after " +
                              std::to_string(m_stats.last_attempts) +
                              " attempts: " + m_stats.last_failure);
-    }
-    if (m_opt.verbose) {
-        std::fprintf(stderr,
-                     "[exa-retry] retries exhausted (%s): degrading per "
-                     "clamp-and-warn\n",
-                     m_stats.last_failure.c_str());
     }
     degrade(snap, advance_threw);
     return Outcome::Degraded;

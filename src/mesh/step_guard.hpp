@@ -16,11 +16,13 @@
 //                invalid zones from the snapshot and the run continues,
 //                flagged in RetryStats::degraded)
 //
-// The engine is physics-agnostic: drivers supply snapshot/restore/
-// advance/validate/degrade callbacks so Castro and Maestro
-// share one retry loop. Exceptions thrown by the advance callback (e.g.
-// an injected arena allocation failure) are treated as failed attempts,
-// not crashes: the snapshot restore makes them recoverable.
+// The engine is physics-agnostic: it snapshots and restores the state
+// MultiFabs it is handed (a driver's checkpointFields()) itself, and the
+// caller supplies only the advance, validate and degrade callbacks, so
+// every driver shares one retry loop (exa::Driver::step). Exceptions
+// thrown by the advance callback (e.g. an injected arena allocation
+// failure) are treated as failed attempts, not crashes: the snapshot
+// restore makes them recoverable.
 
 #include "mesh/multifab.hpp"
 
@@ -35,20 +37,17 @@ namespace exa {
 // What to do when every retry of a step produced an invalid state.
 enum class RetryPolicy {
     HardError,    // throw StepRetryError (never continue from garbage)
-    ClampAndWarn, // repair invalid zones from the pre-step state, warn, go on
+    ClampAndWarn, // repair invalid zones from the pre-step state, flag it, go on
 };
 
+// The validators' state thresholds (finiteness, density/energy floors,
+// species-sum tolerance) are constants of the drivers' validate(); the
+// failure that triggered a retry is kept in RetryStats::last_failure.
 struct StepGuardOptions {
-    bool enabled = false; // off: drivers behave exactly as before this layer
+    bool enabled = false; // off: one plain advance per step
     int max_retries = 3;  // dt-halving rounds after the first attempt
     RetryPolicy policy = RetryPolicy::HardError;
-    // Post-step validator thresholds.
-    bool check_finite = true;        // NaN/Inf anywhere in the state
-    Real min_density = 0.0;          // rho <= this fails (Castro-family states)
-    Real min_energy = 0.0;           // rho E <= this fails
-    Real species_sum_rtol = 1.0e-6;  // |sum X - 1| tolerance
-    double burn_failure_tol = 0.0;   // tolerated failing-zone fraction per step
-    bool verbose = true;             // narrate retries/degradations on stderr
+    double burn_failure_tol = 0.0; // tolerated failing-zone fraction per step
 };
 
 struct ValidationIssue {
@@ -98,18 +97,8 @@ public:
     void restoreTo(std::size_t i, MultiFab& dst) const;
     const MultiFab& mf(std::size_t i) const { return m_copies[i]; }
 
-    // Scalar side channel for non-MultiFab rollback state (per-level
-    // times of a subcycled hierarchy). Same index discipline as capture().
-    std::size_t captureScalar(Real v) {
-        m_scalars.push_back(v);
-        return m_scalars.size() - 1;
-    }
-    Real scalar(std::size_t i) const { return m_scalars.at(i); }
-    std::size_t scalarCount() const { return m_scalars.size(); }
-
 private:
     std::vector<MultiFab> m_copies;
-    std::vector<Real> m_scalars;
     std::int64_t m_bytes = 0;
 };
 
@@ -117,31 +106,35 @@ class StepGuard {
 public:
     explicit StepGuard(const StepGuardOptions& opt) : m_opt(opt) {}
 
-    using SnapshotFn = std::function<void(StateSnapshot&)>;
-    using RestoreFn = std::function<void(const StateSnapshot&)>;
     // Advance the state by `nsub` substeps of `sub_dt` each.
     using AdvanceFn = std::function<void(Real sub_dt, int nsub)>;
     using ValidateFn = std::function<ValidationReport()>;
-    // Retries exhausted under ClampAndWarn. `advance_threw`: the final
-    // attempt died in an exception, so the state was restored to the
-    // snapshot before this call; otherwise it holds the final (invalid)
-    // attempt for the driver to repair.
+    // Retries exhausted under ClampAndWarn. Snapshot i is the pre-step
+    // copy of state[i]. `advance_threw`: the final attempt died in an
+    // exception, so the state was restored to the snapshot before this
+    // call; otherwise it holds the final (invalid) attempt for the driver
+    // to repair.
     using DegradeFn = std::function<void(const StateSnapshot&, bool advance_threw)>;
 
     enum class Outcome { Clean, Retried, Degraded };
 
-    // Run one guarded step of total size dt through the retry loop.
-    Outcome advance(Real dt, const SnapshotFn& snapshot, const RestoreFn& restore,
+    // Run one guarded step of total size dt through the retry loop. Every
+    // MultiFab in `state` is captured (valid + ghost zones) before the
+    // first attempt and restored before each retry; their layouts must
+    // not change inside the advance.
+    Outcome advance(Real dt, const std::vector<MultiFab*>& state,
                     const AdvanceFn& advanceFn, const ValidateFn& validate,
                     const DegradeFn& degrade);
 
     const StepGuardOptions& options() const { return m_opt; }
     const RetryStats& stats() const { return m_stats; }
 
-    // True while any StepGuard::advance() is on the call stack (process-
-    // wide). The Rebalancer consults this: migrating state between a
-    // snapshot and its possible restore would desynchronize the rollback
-    // point, so rebalancing mid-retry is forbidden.
+    // True while a StepGuard::advance() is on the calling thread's stack.
+    // The Rebalancer consults this: migrating state between a snapshot
+    // and its possible restore would desynchronize the rollback point, so
+    // rebalancing mid-retry is forbidden. A driver's step runs wholly on
+    // one thread (an ensemble tenant's on its worker), so one tenant's
+    // guarded step never holds back another tenant's rebalance.
     static bool advanceActive();
 
 private:

@@ -7,8 +7,13 @@
 // *ensemble* of fault timings a given fault rate implies, how often does
 // the run survive to completion, how much replay does recovery cost, and
 // what checkpoint overhead was paid for it? Each run arms the schedule's
-// sites with `spec.seed ^= mix(base_seed + run)` so the firing pattern
-// varies per run but the whole campaign is reproducible from base_seed.
+// sites with `spec.seed ^= mix(base_seed + run)` and perturbs the victim
+// seed the same way, so base_seed fixes each site's fire/no-fire decision
+// per hit and the rank each kill takes. It does not fix the rest: unless
+// supervisor.checkpoint.interval_hint pins the interval, the checkpoint
+// steps follow the Daly interval, which is fed by measured staging and
+// step wall times, so checkpoint steps and bytes, replay steps and the
+// extra hits a replay makes can differ between two runs of one campaign.
 
 #include "core/fault.hpp"
 #include "resilience/supervisor.hpp"

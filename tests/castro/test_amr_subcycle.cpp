@@ -535,13 +535,13 @@ TEST(AmrSubcycle, MaskedSumsSeeFineLevelOnlyChanges) {
 
 TEST(AmrSubcycle, GuardRetryOfMidSubcycleFaultReplaysCleanSubstepRun) {
     // A NaN injected into the second fine substep invalidates the guarded
-    // step; the rollback must rewind the partially-subcycled hierarchy —
-    // states AND per-level times — so the dt/2-substep retry reproduces,
-    // bit for bit, a clean run that took two dt/2 steps from the same
-    // initial condition.
+    // step; the rollback restores every level's state of the partially-
+    // subcycled hierarchy (the per-level times, old-time states and flux
+    // registers are rewritten before the retry reads them), so the
+    // dt/2-substep retry reproduces, bit for bit, a clean run that took
+    // two dt/2 steps from the same initial condition.
     auto a = makeBlast(1, /*periodic=*/true, 16, [](CastroOptions& o) {
         o.guard.enabled = true;
-        o.guard.verbose = false;
     });
     auto c = makeBlast(1, /*periodic=*/true);
     a.amr->regrid_interval = 0;

@@ -31,7 +31,6 @@ MultiFab makeMf(int n, int nc, int ng) {
 StepGuardOptions quietGuard() {
     StepGuardOptions g;
     g.enabled = true;
-    g.verbose = false;
     return g;
 }
 
@@ -71,9 +70,7 @@ TEST(StepGuard, CleanStepTakesOneAttempt) {
     MultiFab mf = makeMf(8, 2, 1);
     int advances = 0;
     const auto out = g.advance(
-        1.0, [&](StateSnapshot& s) { s.capture(mf); },
-        [&](const StateSnapshot& s) { s.restoreTo(0, mf); },
-        [&](Real, int) { ++advances; }, [] { return ValidationReport{}; },
+        1.0, {&mf}, [&](Real, int) { ++advances; }, [] { return ValidationReport{}; },
         [](const StateSnapshot&, bool) { FAIL() << "degrade on a clean step"; });
     EXPECT_EQ(out, StepGuard::Outcome::Clean);
     EXPECT_EQ(advances, 1);
@@ -90,8 +87,7 @@ TEST(StepGuard, RetryBacksOffGeometricallyAndRestores) {
     int attempts = 0;
     std::vector<std::pair<Real, int>> calls;
     const auto out = g.advance(
-        1.0, [&](StateSnapshot& s) { s.capture(mf); },
-        [&](const StateSnapshot& s) { s.restoreTo(0, mf); },
+        1.0, {&mf},
         [&](Real sub_dt, int nsub) {
             calls.push_back({sub_dt, nsub});
             mf.plus(1.0, 0, 1); // visible mutation: must be rolled back
@@ -124,8 +120,7 @@ TEST(StepGuard, AdvanceExceptionIsAFailedAttemptNotACrash) {
     MultiFab mf = makeMf(8, 1, 0);
     int attempts = 0;
     const auto out = g.advance(
-        1.0, [&](StateSnapshot& s) { s.capture(mf); },
-        [&](const StateSnapshot& s) { s.restoreTo(0, mf); },
+        1.0, {&mf},
         [&](Real, int) {
             if (++attempts == 1) throw std::bad_alloc{};
         },
@@ -143,8 +138,7 @@ TEST(StepGuard, ExhaustionUnderHardErrorThrows) {
     MultiFab mf = makeMf(8, 1, 0);
     EXPECT_THROW(
         g.advance(
-            1.0, [&](StateSnapshot& s) { s.capture(mf); },
-            [&](const StateSnapshot& s) { s.restoreTo(0, mf); }, [](Real, int) {},
+            1.0, {&mf}, [](Real, int) {},
             [] {
                 ValidationReport r;
                 r.add("synthetic", "always fails");
@@ -164,8 +158,7 @@ TEST(StepGuard, ExhaustionUnderClampAndWarnDegrades) {
     MultiFab mf = makeMf(8, 1, 0);
     bool degraded = false;
     const auto out = g.advance(
-        1.0, [&](StateSnapshot& s) { s.capture(mf); },
-        [&](const StateSnapshot& s) { s.restoreTo(0, mf); }, [](Real, int) {},
+        1.0, {&mf}, [](Real, int) {},
         [] {
             ValidationReport r;
             r.add("synthetic", "always fails");

@@ -15,6 +15,7 @@
 #include "castro/wd_collision.hpp"
 #include "comm/ledger.hpp"
 #include "core/arena.hpp"
+#include "core/parallel_for.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/scenarios.hpp"
 #include "ensemble/work_queue.hpp"
@@ -287,6 +288,80 @@ TEST(EnsembleBitIdentity, WdCollisionMatchesDirectDriverOnAllBackends) {
         EXPECT_EQ(got.zones, state.boxArray().numPts());
         EXPECT_EQ(got.state_bytes, stateBytesOf(state));
     }
+}
+
+// --- The retry snapshot is the scenario's state ---------------------------
+
+namespace {
+
+// A scenario over a driver the test built itself (the registry's amr-blast
+// has no step-guard setting).
+class HeldDriverScenario final : public DriverScenario {
+public:
+    explicit HeldDriverScenario(std::shared_ptr<Driver> d)
+        : DriverScenario("held", RunLimits{0.0, 1, 0.0}), m_held(std::move(d)) {}
+    void init() override { m_driver = m_held.get(); }
+    std::string summary() const override { return "held"; }
+
+private:
+    std::shared_ptr<Driver> m_held;
+};
+
+// amr-blast's initial condition and tagging on a 16^3 base grid with one
+// refined level, under the step guard.
+std::shared_ptr<castro::Castro> guardedAmrBlast(const ReactionNetwork& net) {
+    using namespace castro;
+    const Geometry geom(Box({0, 0, 0}, {15, 15, 15}), {0, 0, 0}, {1, 1, 1});
+    AmrInfo info;
+    info.max_level = 1;
+    info.max_grid_size = 8;
+    info.nranks = 2;
+    CastroOptions opt;
+    opt.guard.enabled = true;
+    auto init = [](Real x, Real y, Real z) {
+        Castro::InitialZone zn;
+        const Real r2 = (x - 0.5) * (x - 0.5) + (y - 0.5) * (y - 0.5) +
+                        (z - 0.5) * (z - 0.5);
+        zn.p = r2 <= 0.125 * 0.125 ? 100.0 : 1.0e-5;
+        zn.X = {1.0, 0.0};
+        return zn;
+    };
+    auto tag = [](int, const Geometry&, const MultiFab& s, MultiFab& tags) {
+        for (std::size_t f = 0; f < tags.size(); ++f) {
+            auto t = tags.array(static_cast<int>(f));
+            auto u = s.const_array(static_cast<int>(f));
+            ParallelFor(tags.box(static_cast<int>(f)), [=](int i, int j, int k) {
+                if (u(i, j, k, StateLayout::UTEMP) > 1.0e-8) t(i, j, k) = 1.0;
+            });
+        }
+    };
+    auto c = std::make_shared<Castro>(geom, info, net, Eos{GammaLawEos{1.4}}, opt,
+                                      init, tag);
+    c->init();
+    return c;
+}
+
+} // namespace
+
+TEST(DriverScenario, GuardSnapshotIsExactlyTheScenarioState) {
+    const ReactionNetwork net = makeIgnitionSimple();
+    auto castro = guardedAmrBlast(net);
+    ASSERT_EQ(castro->finestLevel(), 1);
+    HeldDriverScenario blast(castro);
+    blast.init();
+    blast.advanceOnce();
+    EXPECT_EQ(castro->retryStats().steps_guarded, 1);
+    EXPECT_EQ(static_cast<std::uint64_t>(castro->retryStats().snapshot_bytes),
+              blast.stateBytes());
+
+    maestro::BubbleParams p = tinyBubble();
+    p.guard.enabled = true;
+    BubbleScenario bubble(p, RunLimits{0.0, 1, 0.0}, makeIgnitionSimple());
+    bubble.init();
+    bubble.advanceOnce();
+    EXPECT_EQ(bubble.driver().retryStats().steps_guarded, 1);
+    EXPECT_EQ(static_cast<std::uint64_t>(bubble.driver().retryStats().snapshot_bytes),
+              bubble.stateBytes());
 }
 
 // --- Mixed-ensemble determinism ------------------------------------------

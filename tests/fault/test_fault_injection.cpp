@@ -29,7 +29,6 @@ namespace {
 StepGuardOptions quietGuard() {
     StepGuardOptions g;
     g.enabled = true;
-    g.verbose = false;
     return g;
 }
 

@@ -32,7 +32,6 @@ struct GuardedBubble {
 StepGuardOptions quietGuard() {
     StepGuardOptions g;
     g.enabled = true;
-    g.verbose = false;
     return g;
 }
 

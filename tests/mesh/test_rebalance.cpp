@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -343,6 +344,7 @@ TEST(Rebalancer, UniformCostNeverTriggersAndMappingIsUntouched) {
     opt.enabled = true;
     opt.warmup_steps = 1;
     opt.min_interval = 1;
+    opt.hydro_zone_work = 0.0; // the test feeds each box's whole cost
     Rebalancer reb(opt);
     reb.noteRegrid(0, ba.size());
 
@@ -375,6 +377,7 @@ TEST(Rebalancer, CornerSkewTriggersMigratesAndAccountsInLedger) {
     opt.warmup_steps = 2;
     opt.min_interval = 4;
     opt.imbalance_trigger = 1.5;
+    opt.hydro_zone_work = 0.0; // the test feeds each box's whole cost
     Rebalancer reb(opt);
     reb.noteRegrid(0, ba.size());
 
@@ -436,6 +439,7 @@ TEST(Rebalancer, SkippedDuringStepGuardRetryAndDiagnosedUnderDebug) {
     opt.enabled = true;
     opt.warmup_steps = 0;
     opt.imbalance_trigger = 1.01;
+    opt.hydro_zone_work = 0.0; // the test banks each box's whole cost
     Rebalancer reb(opt);
     reb.noteRegrid(0, ba.size());
     // Bank a skew so the trigger would certainly fire outside the guard:
@@ -447,7 +451,6 @@ TEST(Rebalancer, SkippedDuringStepGuardRetryAndDiagnosedUnderDebug) {
 
     StepGuardOptions gopt;
     gopt.enabled = true;
-    gopt.verbose = false;
     StepGuard guard(gopt);
 
     for (Backend b : {Backend::Serial, Backend::Debug}) {
@@ -456,9 +459,7 @@ TEST(Rebalancer, SkippedDuringStepGuardRetryAndDiagnosedUnderDebug) {
         debug::clearViolations();
         RebalanceDecision inner;
         guard.advance(
-            1.0, [&](StateSnapshot& snap) { snap.capture(state); },
-            [&](const StateSnapshot& snap) { snap.restoreTo(0, state); },
-            [&](Real, int) { inner = reb.step(0, 100, {&state}); },
+            1.0, {&state}, [&](Real, int) { inner = reb.step(0, 100, {&state}); },
             [&] { return ValidationReport{}; },
             [&](const StateSnapshot&, bool) {});
         EXPECT_FALSE(inner.performed);
@@ -476,6 +477,48 @@ TEST(Rebalancer, SkippedDuringStepGuardRetryAndDiagnosedUnderDebug) {
     // Outside the guard the banked skew fires normally.
     const auto d = reb.step(0, 101, {&state});
     EXPECT_TRUE(d.performed) << d.reason;
+}
+
+TEST(Rebalancer, AnotherThreadsGuardedStepDoesNotHoldItBack) {
+    // Two ensemble tenants on two workers: tenant A parks inside a guarded
+    // advance until tenant B's Rebalancer::step has returned. The retry
+    // scope is A's alone, so B must not be skipped as mid-retry.
+    const BoxArray ba = makeChoppedBa(16, 8);
+    const DistributionMapping dm(ba, 4);
+    MultiFab state_a = makeFilled(ba, dm, 1, 0);
+    MultiFab state_b = makeFilled(ba, dm, 1, 0);
+
+    RebalanceOptions opt;
+    opt.enabled = true;
+    opt.warmup_steps = 0;
+    Rebalancer reb_b(opt);
+    reb_b.noteRegrid(0, ba.size());
+
+    StepGuardOptions gopt;
+    gopt.enabled = true;
+    StepGuard guard_a(gopt);
+
+    std::promise<void> a_inside;
+    std::promise<void> b_returned;
+    std::thread tenant_a([&] {
+        guard_a.advance(
+            1.0, {&state_a},
+            [&](Real, int) {
+                a_inside.set_value();
+                b_returned.get_future().wait();
+            },
+            [] { return ValidationReport{}; }, [](const StateSnapshot&, bool) {});
+    });
+    RebalanceDecision d;
+    std::thread tenant_b([&] {
+        a_inside.get_future().wait();
+        d = reb_b.step(0, 0, {&state_b});
+        b_returned.set_value();
+    });
+    tenant_b.join();
+    tenant_a.join();
+    EXPECT_NE(d.reason, "rebalance-during-retry");
+    EXPECT_EQ(guard_a.stats().steps_guarded, 1);
 }
 
 // --- fault injection: migration-payload-corrupt --------------------------
@@ -515,6 +558,7 @@ TEST(RebalanceFault, CorruptMigrationIsCaughtByDebugBackendVerify) {
     opt.enabled = true;
     opt.warmup_steps = 1;
     opt.min_interval = 1;
+    opt.hydro_zone_work = 0.0; // the test feeds each box's whole cost
     Rebalancer reb(opt);
     reb.noteRegrid(0, ba.size());
     const std::vector<double> cost = cornerSkewedCost(ba, 100.0);

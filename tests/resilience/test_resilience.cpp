@@ -61,7 +61,6 @@ struct ResilienceTest : ::testing::Test {
 StepGuardOptions quietGuard() {
     StepGuardOptions g;
     g.enabled = true;
-    g.verbose = false;
     return g;
 }
 

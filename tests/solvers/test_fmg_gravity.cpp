@@ -526,7 +526,6 @@ GravityBlast makeGravityBlast(int ncell = 16) {
     opt.cfl = 0.3;
     opt.gravity = castro::GravityType::Poisson;
     opt.guard.enabled = true;
-    opt.guard.verbose = false;
 
     const Real r_init = 2.0 / ncell;
     const Real e_in =
