@@ -4,9 +4,13 @@
 // Part 1 — clean-path overhead: the supervised step loop pays only the
 // blocking staging copy of each Daly-scheduled checkpoint (the file I/O
 // drains on a background thread). Measured as supervised-vs-plain wall
-// time over the same Sedov trajectory at the Daly interval; target < 5%.
-// A sync (write-through) supervisor is measured alongside to show what
-// the async drain is buying.
+// time over the same Sedov trajectory at the Daly interval, in 5 rounds
+// that alternate which side runs first; target < 5%. One round cannot
+// resolve that target (single runs of the same code read -10 % to
+// +28 %), so the bench prints the median overhead and its quartiles and
+// gives a verdict only when the quartile spread is narrower than 5 %. A
+// sync (write-through) supervisor is measured in every round too, to
+// show what the async drain is buying.
 //
 // Part 2 — recovery cost vs fault rate: seeded rank-failure campaigns at
 // increasing fault probability, reporting survival rate, mean replay
@@ -18,10 +22,12 @@
 #include "core/fault.hpp"
 #include "resilience/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <vector>
 
 using namespace exa;
 using namespace exa::resilience;
@@ -36,6 +42,21 @@ std::unique_ptr<castro::Castro> blast(const ReactionNetwork& net, int ncell,
     p.nranks = nranks;
     p.guard.enabled = true;
     return p.build(net);
+}
+
+// Median and quartiles (linear interpolation between order statistics).
+struct Quartiles {
+    double lo, median, hi;
+};
+Quartiles quartiles(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    auto at = [&](double q) {
+        const double x = q * static_cast<double>(v.size() - 1);
+        const std::size_t i = static_cast<std::size_t>(x);
+        if (i + 1 >= v.size()) return v.back();
+        return v[i] + (x - static_cast<double>(i)) * (v[i + 1] - v[i]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
 }
 
 double wallSeconds(const std::function<void()>& f) {
@@ -61,19 +82,18 @@ int main() {
     // ---- Part 1: clean-path overhead at the Daly interval ----
     fault::disarmAll();
 
-    auto plain = blast(net, ncell, nranks);
-    const double t_plain = wallSeconds([&] {
-        for (int i = 0; i < nsteps; ++i) plain->step(plain->estimateDt());
-    });
-
-    double t_async = 0.0, t_sync = 0.0;
+    auto runPlain = [&] {
+        auto c = blast(net, ncell, nranks);
+        return wallSeconds([&] {
+            for (int i = 0; i < nsteps; ++i) c->step(c->estimateDt());
+        });
+    };
     int daly_interval = 0;
     std::int64_t ckpts_async = 0;
-    for (const bool async : {true, false}) {
+    auto runSupervised = [&](bool async) {
         auto c = blast(net, ncell, nranks);
         SupervisorOptions opt;
-        opt.checkpoint.dir =
-            workdir + (async ? "/clean_async" : "/clean_sync");
+        opt.checkpoint.dir = workdir + (async ? "/clean_async" : "/clean_sync");
         opt.checkpoint.async = async;
         // No armed fault: Daly runs off the measured staging/step costs
         // and the default 1000-step MTBF prior.
@@ -81,25 +101,49 @@ int main() {
         ResilienceSupervisor sup(*c, opt);
         const double t = wallSeconds([&] { sup.runSteps(nsteps); });
         if (async) {
-            t_async = t;
             daly_interval = sup.report().daly_interval_steps;
             ckpts_async = sup.report().checkpoints_written;
-        } else {
-            t_sync = t;
         }
+        return t;
+    };
+
+    // Each round times the plain loop and both supervised loops, the
+    // plain one first in even rounds and last in odd ones; the overheads
+    // are per round, against that round's plain time.
+    const int rounds = 5;
+    std::vector<double> plain_s, async_pct, sync_pct;
+    for (int r = 0; r < rounds; ++r) {
+        double tp = 0.0;
+        if (r % 2 == 0) tp = runPlain();
+        const double ta = runSupervised(true);
+        const double ts = runSupervised(false);
+        if (r % 2 == 1) tp = runPlain();
+        plain_s.push_back(tp);
+        async_pct.push_back(100.0 * (ta / tp - 1.0));
+        sync_pct.push_back(100.0 * (ts / tp - 1.0));
     }
 
-    std::printf("\nclean path: Sedov %d^3, %d ranks, %d steps\n", ncell,
-                nranks, nsteps);
-    std::printf("  %-28s %10.3f s\n", "plain (no supervisor)", t_plain);
-    std::printf("  %-28s %10.3f s  overhead %+5.1f%%  (%lld ckpts, Daly %d)\n",
-                "supervised, async drain", t_async,
-                100.0 * (t_async / t_plain - 1.0),
+    std::printf("\nclean path: Sedov %d^3, %d ranks, %d steps, %d alternating rounds;"
+                " median [quartiles]\n",
+                ncell, nranks, nsteps, rounds);
+    const Quartiles qp = quartiles(plain_s);
+    const Quartiles qa = quartiles(async_pct);
+    const Quartiles qs = quartiles(sync_pct);
+    std::printf("  %-28s %8.3f s  [%.3f, %.3f]\n", "plain (no supervisor)", qp.median,
+                qp.lo, qp.hi);
+    std::printf("  %-28s overhead %+6.1f%%  [%+.1f, %+.1f]  (%lld ckpts, Daly %d)\n",
+                "supervised, async drain", qa.median, qa.lo, qa.hi,
                 static_cast<long long>(ckpts_async), daly_interval);
-    std::printf("  %-28s %10.3f s  overhead %+5.1f%%\n",
-                "supervised, write-through", t_sync,
-                100.0 * (t_sync / t_plain - 1.0));
-    std::printf("  target: async overhead < 5%% at the Daly interval\n");
+    std::printf("  %-28s overhead %+6.1f%%  [%+.1f, %+.1f]\n",
+                "supervised, write-through", qs.median, qs.lo, qs.hi);
+    if (qa.hi - qa.lo < 5.0) {
+        std::printf("  target: async overhead < 5%% at the Daly interval: %s\n",
+                    qa.median < 5.0 ? "met" : "NOT met");
+    } else {
+        std::printf("  target: async overhead < 5%% at the Daly interval: unresolved"
+                    " (quartile spread %.1f%% >= 5%%)\n",
+                    qa.hi - qa.lo);
+    }
 
     // ---- Part 2: recovery cost vs fault rate ----
     std::printf("\nrecovery vs fault rate: %d-seed campaigns, %d steps each\n",

@@ -1,6 +1,7 @@
 #include "castro/castro.hpp"
 
 #include "castro/validate.hpp"
+#include "core/debug.hpp"
 #include "core/parallel_for.hpp"
 #include "core/timer.hpp"
 #include "mesh/copier_cache.hpp"
@@ -479,8 +480,13 @@ void Castro::repair(const StateSnapshot& snap) {
 void Castro::postStep() {
     // Every step ends at a sync point (a repaired one re-averaged): the
     // mask-aware hierarchy sums and the level-0 shortcut must agree to
-    // round-off. The check is debug-build only.
-    assert(finestLevel() == 0 || syncPointSumsAgree());
+    // round-off. Checked under Backend::Debug, in every build type.
+    if (ExecConfig::backend() == Backend::Debug && finestLevel() > 0 &&
+        !syncPointSumsAgree()) {
+        debug::reportViolation("Castro", "sync-point-sums",
+                               "hierarchy and level-0 sums of rho or rho*E disagree "
+                               "after step " + std::to_string(m_nstep));
+    }
     if (regrid_interval > 0 && m_nstep % regrid_interval == 0 && maxLevel() > 0) {
         regrid(0);
     }

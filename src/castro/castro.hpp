@@ -148,8 +148,10 @@ public:
     std::array<Real, 3> totalMomentum() const;
     Real totalEnergy() const;
     // At a sync point (after Reflux + averageDown) the masked hierarchy
-    // sum and the level-0 shortcut sum must agree to round-off; step()
-    // asserts this. False between sync points or after a partial repair.
+    // sum and the level-0 shortcut sum must agree to round-off; every
+    // step checks this under Backend::Debug and reports a
+    // "sync-point-sums" violation. False between sync points or after a
+    // partial repair.
     bool syncPointSumsAgree(Real rtol = 1.0e-11) const;
 
     // Extremes over every level.

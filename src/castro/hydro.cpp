@@ -10,6 +10,9 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace exa::castro {
 
@@ -196,22 +199,21 @@ EXA_FORCE_INLINE void hllcFace(const Real* ql, const Real* qr, int nspec, int di
     }
 }
 
-// One face-flux launch along d over the faces fb: the left state is zone
+// The face-flux zone body along d, writing fx: the left state is zone
 // (i,j,k)-e reconstructed toward its high face, the right state zone
 // (i,j,k) toward its low face. The slopes (or parabola edges) are
 // recomputed here, per face, per zone — the paper's redundant-recompute
-// formulation. The stride is derived once per launch and the zone
-// pointers once per face; the component loop walks them by the primitive
-// fab's nstride.
+// formulation. A per-tag factory of the fused flux launch: the stride is
+// derived once per tag and the zone pointers once per face; the
+// component loop walks them by the primitive fab's nstride.
 template <bool PPM>
-void faceFluxes(const KernelInfo& fk, const Box& fb, Array4<const Real> q,
-                Array4<Real> fx, int d, int nspec) {
+auto faceFluxes(Array4<const Real> q, Array4<Real> fx, int d, int nspec) {
     const std::int64_t s = faceStride(q, d);
     const std::int64_t qn = q.nstride;
     const std::int64_t fn = fx.nstride;
     const int nq = PrimLayout::QFS + nspec;
     const int nf = StateLayout::UFS + nspec;
-    ParallelFor(fk, fb, [=](int i, int j, int k) {
+    return [=](int i, int j, int k) {
         const Real* zr = &q(i, j, k, 0);
         const Real* zl = zr - s;
         Real ql[40], qr[40];
@@ -242,7 +244,7 @@ void faceFluxes(const KernelInfo& fk, const Box& fb, Array4<const Real> q,
         hllcFace(ql, qr, nspec, d, fl);
         Real* out = &fx(i, j, k, 0);
         for (int n = 0; n < nf; ++n) out[n * fn] = fl[n];
-    });
+    };
 }
 
 } // namespace
@@ -274,55 +276,74 @@ void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
     conservedToPrimitive(state.const_array(fab), qfab.array(), primbox, net, eos);
     auto q = qfab.const_array();
 
-    const Box& vb = state.box(fab);
+    // Face-flux scratch, one fab per (region, direction), all defined
+    // before the fused launch so every tag writes its own fab (from the
+    // pool arena — the per-step scratch pattern of the allocator
+    // ablation).
+    const std::size_t nr = regions.size();
+    std::vector<std::array<FArrayBox, 3>> fxfab(nr);
+    for (std::size_t r = 0; r < nr; ++r) {
+        if (!regions[r].ok()) continue;
+        for (int d = 0; d < 3; ++d) {
+            fxfab[r][d].define(surroundingFaces(regions[r], d), nstate);
+        }
+    }
+
+    // One flux launch over every (region, direction) tag, in the order
+    // t = 3 * region + direction.
     KernelInfo fk = fluxKernel(nspec);
     if (ppm) fk.name = "hydro_flux_ppm";
+    auto fluxLaunch = [&](auto use_ppm) {
+        ParallelFor(fk, 3 * nr, 1, [&](std::size_t t) {
+            FArrayBox& fx = fxfab[t / 3][t % 3];
+            return std::pair{fx.box(),
+                             faceFluxes<decltype(use_ppm)::value>(
+                                 q, fx.array(), static_cast<int>(t % 3), nspec)};
+        });
+    };
+    if (ppm) {
+        fluxLaunch(std::true_type{});
+    } else {
+        fluxLaunch(std::false_type{});
+    }
+
+    // Conservative divergence: one launch over the regions.
     const Real dxi = 1.0 / geom.cellSize(0);
     const Real dyi = 1.0 / geom.cellSize(1);
     const Real dzi = 1.0 / geom.cellSize(2);
-    for (const Box& region : regions) {
-        if (!region.ok()) continue;
-        // Per-dimension face fluxes; stored in temporaries (from the pool
-        // arena — the per-step scratch pattern of the allocator ablation).
-        std::array<FArrayBox, 3> fxfab;
-        for (int d = 0; d < 3; ++d) {
-            const Box fb = surroundingFaces(region, d);
-            fxfab[d].define(fb, nstate);
-            if (ppm) {
-                faceFluxes<true>(fk, fb, q, fxfab[d].array(), d, nspec);
-            } else {
-                faceFluxes<false>(fk, fb, q, fxfab[d].array(), d, nspec);
-            }
-        }
-
-        // Conservative divergence.
-        auto du = dudt.array(fab);
-        auto fx = fxfab[0].const_array();
-        auto fy = fxfab[1].const_array();
-        auto fz = fxfab[2].const_array();
-        ParallelFor(updateKernel(nspec), region, nstate,
-                    [=](int i, int j, int k, int n) {
+    auto du = dudt.array(fab);
+    ParallelFor(updateKernel(nspec), nr, nstate, [&](std::size_t r) {
+        auto fx = fxfab[r][0].const_array();
+        auto fy = fxfab[r][1].const_array();
+        auto fz = fxfab[r][2].const_array();
+        return std::pair{regions[r], [=](int i, int j, int k, int n) {
             du(i, j, k, n) = -(fx(i + 1, j, k, n) - fx(i, j, k, n)) * dxi -
                              (fy(i, j + 1, k, n) - fy(i, j, k, n)) * dyi -
                              (fz(i, j, k + 1, n) - fz(i, j, k, n)) * dzi;
-        });
-        // Injection site: a NaN escapes the flux computation into the
-        // update of this fab's first valid zone. Plain host write, after
-        // the launch, so Backend::Debug order replay is unaffected. Fired
-        // only by the region holding the fab's first valid zone, so a
-        // region-split sweep consumes exactly one fault-schedule slot per
-        // fab — the same as the fused sweep.
-        if (region.contains(vb.smallEnd()) &&
-            fault::shouldFire(fault::Site::HydroNanFlux)) {
-            const IntVect lo = vb.smallEnd();
-            dudt.fab(fab).array()(lo.x, lo.y, lo.z, StateLayout::UEDEN) =
-                std::numeric_limits<Real>::quiet_NaN();
-        }
+        }};
+    });
 
-        if (fluxes != nullptr) {
+    // Injection site: a NaN escapes the flux computation into the update
+    // of this fab's first valid zone. Plain host write, after the launch,
+    // so Backend::Debug order replay is unaffected. Fired only when a
+    // region holds the fab's first valid zone, so a region-split sweep
+    // consumes exactly one fault-schedule slot per fab — the same as the
+    // whole-fab sweep.
+    const IntVect lo = state.box(fab).smallEnd();
+    if (std::ranges::any_of(regions, [&](const Box& r) { return r.contains(lo); }) &&
+        fault::shouldFire(fault::Site::HydroNanFlux)) {
+        dudt.fab(fab).array()(lo.x, lo.y, lo.z, StateLayout::UEDEN) =
+            std::numeric_limits<Real>::quiet_NaN();
+    }
+
+    // Register copies stay one per (region, direction): adjacent regions
+    // share faces, so a fused copy would write those faces twice.
+    if (fluxes != nullptr) {
+        for (std::size_t r = 0; r < nr; ++r) {
+            if (!regions[r].ok()) continue;
             for (int d = 0; d < 3; ++d) {
-                const Box fb = surroundingFaces(region, d);
-                (*fluxes)[d].fab(fab).copyFrom(fxfab[d], fb, 0, fb, 0, nstate);
+                const Box& fb = fxfab[r][d].box();
+                (*fluxes)[d].fab(fab).copyFrom(fxfab[r][d], fb, 0, fb, 0, nstate);
             }
         }
     }

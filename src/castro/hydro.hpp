@@ -22,7 +22,8 @@ namespace exa::castro {
 // The sweep does only the work its stencil needs (DESIGN §18): the face
 // kernel derives the dimension stride and the zone pointer once per face
 // (face_kernel.hpp) with HLLC inlined into it, a fab's regions share one
-// primitive pass, and the state carries exactly stencilWidth ghost zones.
+// primitive pass and one launch per kernel, and the state carries
+// exactly stencilWidth ghost zones.
 
 // Derive primitive variables q over `region` from conserved state u
 // (which must be valid there), using the EOS for p and cs.
@@ -73,15 +74,17 @@ void molRhs(const MultiFab& state, MultiFab& dudt, const Geometry& geom,
 
 // Region-restricted RHS: the same kernels, evaluated only over `regions`
 // (disjoint subsets of fab `fab`'s valid box). One primitive pass covers
-// grow(bounding box of regions, stencilWidth(recon)); the flux and update
-// kernels then sweep each region in turn. Sweeping any disjoint cover of
-// the valid box — e.g. a CopierCache interior partition's interior box
-// while a halo exchange is in flight, then the whole boundary shell list
-// after finish() — reproduces the fused molRhs bit-for-bit, because every
-// zone's update is a pure function of the input state. The flux and
-// update kernels stay one launch per region, not fused across regions or
-// fabs (DESIGN.md §20): they are a small share of the modeled device
-// time, and their face-flux scratch is per region.
+// grow(bounding box of regions, stencilWidth(recon)); one flux launch
+// then covers every (region, direction) tag and one update launch every
+// region, so a call makes one launch per kernel whatever the list's
+// length (DESIGN.md §18). Sweeping any disjoint cover of the valid box —
+// e.g. a CopierCache interior partition's interior box while a halo
+// exchange is in flight, then the whole boundary shell list after
+// finish() — reproduces the whole-fab molRhs bit-for-bit, because every
+// zone's update is a pure function of the input state. The launches are
+// fused per fab, not per level: each region's face-flux scratch lives
+// until the fab's update has run, and a level-wide launch would hold
+// every fab's primitive and flux scratch at once.
 void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
                    std::span<const Box> regions, const Geometry& geom,
                    const ReactionNetwork& net, const Eos& eos,

@@ -136,7 +136,9 @@ public:
     // rule: a fab overlaps only when its interior holds at least an
     // eighth of its zones (for a cube, half its width). A thinner
     // interior hides almost no work, while the split still costs a second
-    // sweep pass and one launch set per shell box, so such a fab is whole.
+    // sweep pass and more launches (one more per kernel for Castro hydro,
+    // one launch set per shell box for MAESTRO advection), so such a fab
+    // is whole.
     static PartitionPtr buildInteriorPartition(const BoxArray& ba, int stencil);
 
     struct Stats {

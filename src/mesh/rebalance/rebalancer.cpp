@@ -5,7 +5,6 @@
 #include "core/executor.hpp"
 #include "mesh/step_guard.hpp"
 
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -181,12 +180,6 @@ RebalanceDecision Rebalancer::step(int lev, std::int64_t step_index,
            << d.boxes_moved << " boxes / " << d.bytes_moved
            << " bytes migrated";
         d.reason = os.str();
-    }
-    if (m_opt.verbose) {
-        std::fprintf(stderr, "[exa-rebalance] %s\n  %s\n", d.reason.c_str(),
-                     DistributionMapping::describeBalance(
-                         cost, fabs.front()->distributionMap())
-                         .c_str());
     }
     return d;
 }

@@ -49,7 +49,6 @@ struct RebalanceOptions {
     // every box by step() before it commits, so burn-free boxes keep a
     // realistic floor.
     double hydro_zone_work = 1.0;
-    bool verbose = false;           // narrate decisions on stderr
 };
 
 // What Rebalancer::step decided and did, for logging and tests.

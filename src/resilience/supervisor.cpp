@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -134,10 +133,6 @@ bool ResilienceSupervisor::heartbeat() {
 }
 
 void ResilienceSupervisor::killRank(int victim) {
-    if (m_opt.verbose) {
-        std::fprintf(stderr, "[supervisor] rank %d failed at step %d\n", victim,
-                     m_driver.stepCount());
-    }
     m_alive[static_cast<std::size_t>(victim)] = false;
     ++m_kills;
     ++m_report.ranks_failed;
@@ -301,11 +296,6 @@ void ResilienceSupervisor::recover() {
         // The newest slot lost a fab we need (e.g. a checkpoint-bit-flip
         // landed on it). Full rollback from the other slot: every fab from
         // disk, CRC-verified by readPlotfileLevel.
-        if (m_opt.verbose) {
-            std::fprintf(stderr, "[supervisor] localized restore failed (%s); "
-                                 "rolling back to the other slot\n",
-                         e.what());
-        }
         const std::string base = m_opt.checkpoint.dir;
         const std::string other = snap->dir == base + "/chk_A"
                                       ? base + "/chk_B"
@@ -362,13 +352,6 @@ void ResilienceSupervisor::recover() {
     ev.replay_steps = replay;
     ev.recovery_bytes = disk_bytes;
     events::publish(ev);
-    if (m_opt.verbose) {
-        std::fprintf(stderr,
-                     "[supervisor] recovered: rewound to step %d (replaying %d "
-                     "steps), %lld bytes from disk\n",
-                     restored_step, replay,
-                     static_cast<long long>(disk_bytes));
-    }
 }
 
 } // namespace exa::resilience

@@ -39,7 +39,6 @@ struct SupervisorOptions {
     bool heartbeat = true;
     // Deterministic victim selection seed (hashed with the kill ordinal).
     std::uint64_t victim_seed = 0x5eedULL;
-    bool verbose = false;
 };
 
 struct SupervisorReport {

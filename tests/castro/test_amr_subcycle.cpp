@@ -1,6 +1,7 @@
 #include "castro/castro.hpp"
 #include "castro/hydro.hpp"
 #include "castro/sedov.hpp"
+#include "core/debug.hpp"
 #include "core/fault.hpp"
 #include "core/parallel_for.hpp"
 #include "core/timer.hpp"
@@ -570,4 +571,36 @@ TEST(AmrSubcycle, GuardRetryOfMidSubcycleFaultReplaysCleanSubstepRun) {
             << "level " << lev;
     }
     EXPECT_DOUBLE_EQ(a.amr->time(), c.amr->time());
+}
+
+TEST(AmrSubcycle, GuardedRetriedStepKeepsSyncPointSums) {
+    // Every step of a guarded two-level PPM blast with reflux ends at a
+    // sync point, also the step whose first attempt a HydroNanFlux fault
+    // spoils: its dt/2 retry refluxes through the fused sweep's register
+    // fluxes (level 0's interior + shell list) and averages down again.
+    // Castro::postStep checks the same sums under Backend::Debug, where a
+    // disagreement is a "sync-point-sums" violation.
+    for (const Backend be : {Backend::Serial, Backend::Debug}) {
+        SCOPED_TRACE(static_cast<int>(be));
+        ScopedBackend sb(be);
+        const std::size_t violations = debug::violationCount();
+        auto b = makeBlast(1, /*periodic=*/false, 16, [](CastroOptions& o) {
+            o.guard.enabled = true;
+            o.reconstruction = Reconstruction::PPM;
+        });
+        ASSERT_EQ(b.amr->finestLevel(), 1);
+        ASSERT_TRUE(b.amr->reflux);
+        for (int s = 0; s < 3; ++s) {
+            const Real dt = b.amr->estimateDt();
+            if (s == 1) {
+                fault::ScopedFault f(fault::Site::HydroNanFlux);
+                b.amr->step(dt);
+            } else {
+                b.amr->step(dt);
+            }
+            EXPECT_TRUE(b.amr->syncPointSumsAgree()) << "step " << s;
+        }
+        EXPECT_EQ(b.amr->retryStats().retries, 1);
+        EXPECT_EQ(debug::violationCount(), violations);
+    }
 }

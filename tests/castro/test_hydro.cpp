@@ -1,5 +1,8 @@
 #include "castro/hydro.hpp"
 #include "castro/castro.hpp"
+#include "mesh/copier_cache.hpp"
+#include "mesh/flux_register.hpp"
+#include "perf/device_model.hpp"
 
 #include <gtest/gtest.h>
 
@@ -76,6 +79,46 @@ std::vector<Real> randomField(const Box& b, int ncomp, std::uint32_t seed) {
                 for (int i = b.smallEnd(0); i <= b.bigEnd(0); ++i)
                     a(i, j, k, n) = 0.3 * i - 0.2 * j + 0.1 * k * n + noise(rng);
     return data;
+}
+
+// A smooth gamma-law state varying along all three dimensions in every
+// valid zone of `state`, ghosts filled periodically.
+void fillSmoothState(MultiFab& state, const Geometry& geom, const ReactionNetwork& net,
+                     const Eos& eos) {
+    const Real tau = 2 * constants::pi;
+    const Box& dom = geom.domain();
+    state.setVal(0.0);
+    for (std::size_t f = 0; f < state.size(); ++f) {
+        auto u = state.array(static_cast<int>(f));
+        const Box& vb = state.box(static_cast<int>(f));
+        for (int k = vb.smallEnd(2); k <= vb.bigEnd(2); ++k)
+            for (int j = vb.smallEnd(1); j <= vb.bigEnd(1); ++j)
+                for (int i = vb.smallEnd(0); i <= vb.bigEnd(0); ++i) {
+                    const Real x = (i + 0.5) / dom.length(0);
+                    const Real y = (j + 0.5) / dom.length(1);
+                    const Real z = (k + 0.5) / dom.length(2);
+                    const Real rho = 1.0 + 0.3 * std::sin(tau * x) + 0.1 * std::cos(tau * z);
+                    const std::array<Real, 3> v{0.2 + 0.1 * std::cos(tau * z),
+                                                -0.1 * std::sin(tau * x),
+                                                0.15 * std::cos(tau * y)};
+                    const Real x0 = 0.6 + 0.3 * std::sin(tau * z);
+                    const std::array<Real, 2> X{x0, 1.0 - x0};
+                    EosState es;
+                    es.rho = rho;
+                    es.p = 1.0 + 0.1 * std::cos(tau * y) + 0.05 * std::sin(tau * z);
+                    es.abar = net.abar(X.data());
+                    es.ye = net.ye(X.data());
+                    eos.rhoP(es);
+                    u(i, j, k, StateLayout::URHO) = rho;
+                    for (int d = 0; d < 3; ++d) u(i, j, k, StateLayout::UMX + d) = rho * v[d];
+                    u(i, j, k, StateLayout::UEDEN) =
+                        rho * es.e + 0.5 * rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+                    u(i, j, k, StateLayout::UTEMP) = es.T;
+                    u(i, j, k, StateLayout::UFS) = rho * X[0];
+                    u(i, j, k, StateLayout::UFS + 1) = rho * X[1];
+                }
+    }
+    state.FillBoundary(0, state.nComp(), geom.periodicity());
 }
 
 // Every valid zone of every component, in fab order.
@@ -461,6 +504,118 @@ TEST(MolRhs, SweepsAlongEachDimensionAreTransposesOfEachOther) {
                                 << "dir " << dir << " comp " << comp << " at " << i
                                 << "," << j << "," << k;
                         }
+            }
+        }
+    }
+}
+
+TEST(MolRhs, RegionListIsOneLaunchPerKernel) {
+    // A 16^3 fab split into its interior and 6 shells, swept in one call:
+    // one primitive launch over the grown bounding box, one flux launch
+    // holding a tag per (region, direction) and one update launch over
+    // the regions, whatever the list's length.
+    auto net = makeIgnitionSimple();
+    Eos eos{GammaLawEos{1.4}};
+    const Box dom({0, 0, 0}, {15, 15, 15});
+    const Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
+    const BoxArray ba(dom);
+    const DistributionMapping dm(ba, 1);
+    const int nc = StateLayout(net.nspec()).ncomp();
+
+    for (const Reconstruction recon : {Reconstruction::PLM, Reconstruction::PPM}) {
+        SCOPED_TRACE(static_cast<int>(recon));
+        const int width = stencilWidth(recon);
+        MultiFab state(ba, dm, nc, width);
+        fillSmoothState(state, geom, net, eos);
+        MultiFab dudt(ba, dm, nc, 0);
+
+        const auto part = CopierCache::instance().interiorPartition(ba, width);
+        const FabRegions& fr = part->fabs[0];
+        ASSERT_TRUE(fr.interior.ok());
+        ASSERT_EQ(fr.shell.size(), FabRegions::kMaxShell);
+        std::vector<Box> regions{fr.interior};
+        regions.insert(regions.end(), fr.shell.begin(), fr.shell.end());
+        std::int64_t zones = 0, faces = 0;
+        for (const Box& r : regions) {
+            zones += r.numPts();
+            for (int d = 0; d < 3; ++d) faces += surroundingFaces(r, d).numPts();
+        }
+
+        DeviceModel dev;
+        {
+            ScopedBackend sb(Backend::SimGpu);
+            dev.attach();
+            molRhsRegions(state, dudt, 0, regions, geom, net, eos, nullptr, recon);
+            dev.detach();
+        }
+        const auto& ks = dev.kernelStats();
+        const std::string flux =
+            recon == Reconstruction::PPM ? "hydro_flux_ppm" : "hydro_flux";
+        EXPECT_EQ(dev.numLaunches(), 3);
+        ASSERT_EQ(ks.size(), 3u);
+        EXPECT_EQ(ks.at("hydro_ctoprim").launches, 1);
+        EXPECT_EQ(ks.at("hydro_ctoprim").zones, grow(dom, width).numPts());
+        EXPECT_EQ(ks.at(flux).launches, 1);
+        EXPECT_EQ(ks.at(flux).zones, faces);
+        EXPECT_EQ(ks.at("cons_update").launches, 1);
+        EXPECT_EQ(ks.at("cons_update").zones, zones * nc);
+    }
+}
+
+TEST(MolRhs, FusedRegionListMatchesPerRegionCallsOnEveryBackend) {
+    // One call over each fab's interior + shell list and one call per
+    // region give the same dU/dt and the same register fluxes bit for
+    // bit, on all four backends, for PLM and PPM. Under Debug the fused
+    // flux launch also passes the cross-tag collision check: every
+    // (region, direction) tag writes its own face-flux fab.
+    auto net = makeIgnitionSimple();
+    Eos eos{GammaLawEos{1.4}};
+    const Box dom({0, 0, 0}, {15, 15, 15});
+    const Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
+    BoxArray ba(dom);
+    ba.maxSize(8);
+    const DistributionMapping dm(ba, 2);
+    const int nc = StateLayout(net.nspec()).ncomp();
+
+    for (const Reconstruction recon : {Reconstruction::PLM, Reconstruction::PPM}) {
+        for (const Backend be :
+             {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+            SCOPED_TRACE("backend " + std::to_string(static_cast<int>(be)) + " recon " +
+                         std::to_string(static_cast<int>(recon)));
+            ScopedBackend sb(be);
+            const int width = stencilWidth(recon);
+            MultiFab state(ba, dm, nc, width);
+            fillSmoothState(state, geom, net, eos);
+
+            auto sweep = [&](bool fused) {
+                MultiFab dudt(ba, dm, nc, 0);
+                auto fluxes = makeFluxFabs(ba, dm, nc);
+                for (std::size_t f = 0; f < state.size(); ++f) {
+                    const int fi = static_cast<int>(f);
+                    const Box& vb = state.box(fi);
+                    const Box inner = grow(vb, -width);
+                    std::vector<Box> regions{inner};
+                    for (const Box& b : boxDiff(vb, inner)) regions.push_back(b);
+                    EXPECT_EQ(regions.size(), 1 + FabRegions::kMaxShell);
+                    if (fused) {
+                        molRhsRegions(state, dudt, fi, regions, geom, net, eos, &fluxes,
+                                      recon);
+                    } else {
+                        for (const Box& r : regions) {
+                            molRhsRegions(state, dudt, fi, {&r, 1}, geom, net, eos,
+                                          &fluxes, recon);
+                        }
+                    }
+                }
+                std::vector<std::vector<Real>> out{validState(dudt)};
+                for (const MultiFab& fx : fluxes) out.push_back(validState(fx));
+                return out;
+            };
+            const auto fused = sweep(true);
+            const auto split = sweep(false);
+            EXPECT_EQ(fused[0], split[0]) << "dU/dt";
+            for (int d = 0; d < 3; ++d) {
+                EXPECT_EQ(fused[1 + d], split[1 + d]) << "fluxes along " << d;
             }
         }
     }
