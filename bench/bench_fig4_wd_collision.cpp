@@ -157,7 +157,7 @@ int main() {
 
         // Reactions vs gravity (paper: reactions ~5x the gravity solve
         // after contact): burn kernel compute vs the Poisson multigrid at
-        // production scale. Every burn launch counts: BatchBurner names
+        // production scale. Every burn launch counts: burnBatch names
         // its launches nuclear_burn_batch, so match the prefix.
         {
             StepModel burn_only;

@@ -44,21 +44,6 @@ std::unique_ptr<castro::Castro> blast(const ReactionNetwork& net, int ncell,
     return p.build(net);
 }
 
-// Median and quartiles (linear interpolation between order statistics).
-struct Quartiles {
-    double lo, median, hi;
-};
-Quartiles quartiles(std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    auto at = [&](double q) {
-        const double x = q * static_cast<double>(v.size() - 1);
-        const std::size_t i = static_cast<std::size_t>(x);
-        if (i + 1 >= v.size()) return v.back();
-        return v[i] + (x - static_cast<double>(i)) * (v[i + 1] - v[i]);
-    };
-    return {at(0.25), at(0.5), at(0.75)};
-}
-
 double wallSeconds(const std::function<void()>& f) {
     const auto t0 = std::chrono::steady_clock::now();
     f();
@@ -126,9 +111,9 @@ int main() {
     std::printf("\nclean path: Sedov %d^3, %d ranks, %d steps, %d alternating rounds;"
                 " median [quartiles]\n",
                 ncell, nranks, nsteps, rounds);
-    const Quartiles qp = quartiles(plain_s);
-    const Quartiles qa = quartiles(async_pct);
-    const Quartiles qs = quartiles(sync_pct);
+    const benchutil::Quartiles qp = benchutil::quartiles(plain_s);
+    const benchutil::Quartiles qa = benchutil::quartiles(async_pct);
+    const benchutil::Quartiles qs = benchutil::quartiles(sync_pct);
     std::printf("  %-28s %8.3f s  [%.3f, %.3f]\n", "plain (no supervisor)", qp.median,
                 qp.lo, qp.hi);
     std::printf("  %-28s overhead %+6.1f%%  [%+.1f, %+.1f]  (%lld ckpts, Daly %d)\n",

@@ -10,7 +10,10 @@
 // The CPU rows are *measured* on this host (serial backend) and scaled to
 // a dual-socket server by the documented core count x efficiency factor;
 // the GPU rows come from the measured kernel mix priced by the V100
-// model.
+// model. One host measurement cannot resolve the CPU rows (single runs of
+// the same code read 0.54-1.08 z/us/core for Sedov), so each is the
+// median of 5 rounds that alternate which solver runs first, printed
+// with its quartiles.
 
 #include "bench_util.hpp"
 #include "castro/sedov.hpp"
@@ -18,6 +21,7 @@
 #include "maestro/maestro.hpp"
 
 #include <cstdio>
+#include <vector>
 
 using namespace exa;
 
@@ -96,14 +100,19 @@ int main() {
     // that documented factor so CPU and GPU rows describe the same
     // (production) algorithm.
     const double algorithm_richness = 9.0;
-    const double cpu_core_sedov = measureCpuSedov();
+    const int rounds = 5;
+    std::vector<double> sedov_core, bubble_core;
+    for (int r = 0; r < rounds; ++r) {
+        if (r % 2 == 0) sedov_core.push_back(measureCpuSedov());
+        bubble_core.push_back(measureCpuBubble());
+        if (r % 2 == 1) sedov_core.push_back(measureCpuSedov());
+    }
+    const benchutil::Quartiles q_sedov = benchutil::quartiles(sedov_core);
+    const benchutil::Quartiles q_bubble = benchutil::quartiles(bubble_core);
     const CpuNodeParams cpu = MachineParams::summit().cpu;
-    const double cpu_node_sedov =
-        cpu_core_sedov * cpu.parallelSpeedup() / algorithm_richness;
-
-    const double cpu_core_bubble = measureCpuBubble();
-    const double cpu_node_bubble =
-        cpu_core_bubble * cpu.parallelSpeedup() / algorithm_richness;
+    const double node_factor = cpu.parallelSpeedup() / algorithm_richness;
+    const double cpu_node_sedov = q_sedov.median * node_factor;
+    const double cpu_node_bubble = q_bubble.median * node_factor;
     const double gpu_node_bubble = 20.0 * cpu_node_bubble; // paper's factor
 
     std::printf("\n  %-46s %10s %10s\n", "configuration", "ours", "paper");
@@ -123,8 +132,13 @@ int main() {
     std::printf("\n  Literature context (different algorithms, not directly\n"
                 "  comparable): Cholla 7 z/us (K20X), GAMER 55 z/us (P100),\n"
                 "  K-Athena 100 z/us (V100).\n");
-    std::printf("\n  Host core measured: Sedov %.2f z/us/core, bubble %.3f "
-                "z/us/core\n",
-                cpu_core_sedov, cpu_core_bubble);
+    std::printf("\n  Host core measured, median [quartiles] of %d alternating rounds:\n"
+                "    Sedov  %.3f [%.3f, %.3f] z/us/core\n"
+                "    bubble %.3f [%.3f, %.3f] z/us/core\n"
+                "  GPU-node / CPU-node ratio (Sedov) over the Sedov quartiles:"
+                " [%.1f, %.1f] x\n",
+                rounds, q_sedov.median, q_sedov.lo, q_sedov.hi, q_bubble.median,
+                q_bubble.lo, q_bubble.hi, gpu_node / (q_sedov.hi * node_factor),
+                gpu_node / (q_sedov.lo * node_factor));
     return 0;
 }

@@ -9,6 +9,7 @@
 #include "perf/device_model.hpp"
 #include "perf/scaling.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,6 +32,23 @@ inline std::vector<KernelLaunchSpec> kernelMix(const DeviceModel& dev, int nboxe
         mix.push_back(spec);
     }
     return mix;
+}
+
+// Median and quartiles (linear interpolation between order statistics)
+// of repeated host measurements: single runs on a shared host cannot
+// resolve the differences the benches report.
+struct Quartiles {
+    double lo, median, hi;
+};
+inline Quartiles quartiles(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    auto at = [&](double q) {
+        const double x = q * static_cast<double>(v.size() - 1);
+        const std::size_t i = static_cast<std::size_t>(x);
+        if (i + 1 >= v.size()) return v.back();
+        return v[i] + (x - static_cast<double>(i)) * (v[i + 1] - v[i]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
 }
 
 inline void printHeader(const char* title) {

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 #include <vector>
 
 namespace exa::castro {
@@ -14,11 +13,10 @@ BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
                        const ReactionNetwork& net, const Eos& eos, Real dt,
                        const ReactOptions& opt, CostMonitor* cost, int level,
                        BatchBurnReport* report) {
+    // The gather below fills kMaxStackSpec-wide stack scratch before the
+    // engine runs, so the width check comes first.
+    requireBurnableWidth(net, "burnGrid");
     const int nspec = net.nspec();
-    if (nspec > kMaxStackSpec) {
-        throw std::invalid_argument("burnGrid: network '" + net.name() +
-                                    "' has more species than the gather holds");
-    }
     const int nfabs = static_cast<int>(state.size());
     BurnGridStats stats;
 
@@ -83,9 +81,8 @@ BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
     }
 
     // Burn the gather.
-    BatchBurner burner(net, eos, opt.batch);
-    burner.run(batch, dt, opt.ode);
-    if (report != nullptr) *report = burner.report();
+    const BatchBurnReport rep = burnBatch(net, eos, opt.batch, batch, dt, opt.ode);
+    if (report != nullptr) *report = rep;
 
     // Pass 3: scatter — successful zones write their own (i,j,k) back.
     const KernelInfo scatter_ki =

@@ -43,17 +43,18 @@ struct BurnZoneIO {
 // constant density. Zones below opt.T_min or opt.rho_min are skipped (one
 // step each, state untouched). The rest are loaded in traversal order
 // (fab, then k/j/i) into one flat SoA gather with one launch per fab,
-// burned by BatchBurner under opt.batch, and scattered back with one
+// burned by burnBatch under opt.batch, and scattered back with one
 // launch per fab; a failed zone is not written back. Bookkeeping follows
 // traversal order whatever order the batches burn in: first_failure names
 // the traversal-first failing zone, a failure counts steps + 1 and leaves
-// max_steps alone, a success counts max(steps, 1).
+// max_steps alone, a success counts max(steps, 1). Throws
+// std::invalid_argument for a network wider than kMaxStackSpec.
 //
 // When `cost` is non-null, each fab's integrator steps are credited to the
 // work channel of (level, fab), and the wall time of the call is split
 // across fabs in proportion to those steps.
 //
-// When `report` is non-null it receives what BatchBurner did on this call
+// When `report` is non-null it receives what burnBatch did on this call
 // (gather size, batch count, tail split). The sink is caller-owned, so
 // concurrent burns (ensemble tenants on worker threads) never share it.
 BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,

@@ -201,8 +201,8 @@ PlotfileHeader readPlotfileHeader(const std::string& dir) {
 
     PlotfileHeader out;
     std::string body = content;
-    // v2 headers end with "headercrc <crc>\n" checksumming everything
-    // before that line; verify before trusting any field.
+    // Headers end with "headercrc <crc>\n" checksumming everything before
+    // that line; verify before trusting any field.
     const std::size_t tag = content.rfind("headercrc ");
     if (tag != std::string::npos &&
         (tag == 0 || content[tag - 1] == '\n')) {
@@ -227,17 +227,13 @@ PlotfileHeader readPlotfileHeader(const std::string& dir) {
     std::istringstream hdr(body);
     std::string magic;
     hdr >> magic;
-    if (magic == "ExaStroPlotfile-2") {
-        out.version = 2;
-        if (tag == std::string::npos) {
-            throw std::runtime_error(
-                "readPlotfileHeader: v2 header missing its headercrc line in " +
-                dir + " (truncated write?)");
-        }
-    } else if (magic == "ExaStroPlotfile-1") {
-        out.version = 1;
-    } else {
+    if (magic != "ExaStroPlotfile-2") {
         throw std::runtime_error("readPlotfileHeader: bad magic " + magic);
+    }
+    if (tag == std::string::npos) {
+        throw std::runtime_error(
+            "readPlotfileHeader: v2 header missing its headercrc line in " + dir +
+            " (truncated write?)");
     }
 
     hdr >> out.nlevels >> out.ncomp >> out.time >> out.step;
@@ -251,15 +247,13 @@ PlotfileHeader readPlotfileHeader(const std::string& dir) {
         int nx, ny, nz;
         hdr >> nfabs >> nx >> ny >> nz;
         out.boxes[lev].resize(nfabs);
-        out.fab_bytes[lev].assign(nfabs, -1);
-        out.fab_crc[lev].assign(nfabs, 0);
+        out.fab_bytes[lev].resize(nfabs);
+        out.fab_crc[lev].resize(nfabs);
         for (std::size_t f = 0; f < nfabs; ++f) {
             IntVect lo, hi;
             hdr >> lo.x >> lo.y >> lo.z >> hi.x >> hi.y >> hi.z;
             out.boxes[lev][f] = Box(lo, hi);
-            if (out.version >= 2) {
-                hdr >> out.fab_bytes[lev][f] >> out.fab_crc[lev][f];
-            }
+            hdr >> out.fab_bytes[lev][f] >> out.fab_crc[lev][f];
         }
     }
     if (!hdr) {
@@ -285,7 +279,7 @@ StagedFab readVerifiedFab(const std::string& dir, const PlotfileHeader& h,
     const Box& vb = h.boxes[lev][static_cast<std::size_t>(f)];
     const std::int64_t nbytes =
         vb.numPts() * ncomp * static_cast<std::int64_t>(sizeof(Real));
-    if (h.version >= 2 && h.fab_bytes[lev][static_cast<std::size_t>(f)] != nbytes) {
+    if (h.fab_bytes[lev][static_cast<std::size_t>(f)] != nbytes) {
         std::ostringstream os;
         os << "payload size mismatch (header says "
            << h.fab_bytes[lev][static_cast<std::size_t>(f)]
@@ -303,16 +297,14 @@ StagedFab readVerifiedFab(const std::string& dir, const PlotfileHeader& h,
         os << "short read (" << bin.gcount() << " of " << nbytes << " bytes)";
         throw fabError(os.str());
     }
-    if (h.version >= 2) {
-        const std::uint32_t actual =
-            crc32(out.data.data(), static_cast<std::size_t>(nbytes));
-        if (actual != h.fab_crc[lev][static_cast<std::size_t>(f)]) {
-            std::ostringstream os;
-            os << "checksum mismatch (stored "
-               << h.fab_crc[lev][static_cast<std::size_t>(f)] << ", computed "
-               << actual << ") — corrupted payload";
-            throw fabError(os.str());
-        }
+    const std::uint32_t stored = h.fab_crc[lev][static_cast<std::size_t>(f)];
+    const std::uint32_t actual =
+        crc32(out.data.data(), static_cast<std::size_t>(nbytes));
+    if (actual != stored) {
+        std::ostringstream os;
+        os << "checksum mismatch (stored " << stored << ", computed " << actual
+           << ") — corrupted payload";
+        throw fabError(os.str());
     }
     return out;
 }

@@ -30,8 +30,7 @@ namespace exa {
 //   * every stream operation is checked — a failed write throws instead of
 //     reporting success, and restart verifies sizes and checksums per fab,
 //     naming the fab that failed.
-// Version-1 files (no checksums) are still readable; their payloads are
-// only size-checked.
+// Any other magic (including the unchecksummed version 1) is refused.
 
 // One fab's valid-region payload, copied into a plain host buffer in
 // FArrayBox layout (Fortran order, component-last) — exactly the bytes
@@ -80,18 +79,17 @@ std::int64_t writePlotfile(const std::string& dir, const MultiFab& state,
 
 // Metadata read back from a plotfile/checkpoint header.
 struct PlotfileHeader {
-    int version = 0; // 1 = legacy (no checksums), 2 = current
     int nlevels = 0;
     int ncomp = 0;
     Real time = 0.0;
     int step = 0;
     std::vector<std::string> varnames;
     std::vector<std::vector<Box>> boxes;                 // per level
-    std::vector<std::vector<std::int64_t>> fab_bytes;    // per level (v2)
-    std::vector<std::vector<std::uint32_t>> fab_crc;     // per level (v2)
+    std::vector<std::vector<std::int64_t>> fab_bytes;    // per level
+    std::vector<std::vector<std::uint32_t>> fab_crc;     // per level
 };
 
-// Parse and verify the Header (including its own checksum for v2 files).
+// Parse and verify the Header, including its own checksum.
 PlotfileHeader readPlotfileHeader(const std::string& dir);
 
 // Restart: read level `lev` data into `state`, whose BoxArray must match
@@ -101,7 +99,7 @@ PlotfileHeader readPlotfileHeader(const std::string& dir);
 // complete damage report; `state` is untouched unless every fab is good.
 std::int64_t readPlotfileLevel(const std::string& dir, int lev, MultiFab& state);
 
-// Localized recovery: read a single fab's payload (CRC-verified for v2)
+// Localized recovery: read a single fab's payload (size- and CRC-verified)
 // against an already-parsed header. Throws naming the fab on any failure.
 StagedFab readPlotfileFab(const std::string& dir, const PlotfileHeader& h,
                           int lev, int f);

@@ -9,9 +9,12 @@ namespace exa {
 
 // Stack capacity for per-zone species scratch in the batch kernels (the
 // stiffness estimate, the grid driver's gather and scatter), so they run
-// allocation-free and OpenMP-safely for every network in the suite. The
-// stiffness estimate of a larger network falls back to a serial heap loop.
+// allocation-free and OpenMP-safely for every network in the suite.
 inline constexpr int kMaxStackSpec = 63;
+
+// Throws std::invalid_argument, naming `who` and the network, when `net`
+// has more than kMaxStackSpec species: the burn engine's one width check.
+void requireBurnableWidth(const ReactionNetwork& net, const char* who);
 
 // A flat SoA workspace of gathered reacting zones — the device-resident
 // burn buffer. Zones come from anywhere (the grid driver gathers across
@@ -27,7 +30,7 @@ struct BurnBatch {
     std::vector<Real> T;
     std::vector<Real> X;
 
-    // Outputs (filled by BatchBurner::run).
+    // Outputs (filled by burnBatch).
     std::vector<Real> T_out;
     std::vector<Real> X_out;   // species-major, like X
     std::vector<Real> e_nuc;
@@ -82,7 +85,7 @@ struct BatchBurnOptions {
     double tail_min_stiffness = 2.0;
 };
 
-// What the last run() did, for benches, tests, and the E14 ablation:
+// What one burnBatch call did, for benches, tests, and the E14 ablation:
 // how the gather split between device batches and the host tail.
 struct BatchBurnReport {
     std::int64_t gathered = 0;
@@ -98,39 +101,18 @@ struct BatchBurnReport {
 };
 
 // The batched burn engine: stiffness-estimate, sort, split, and integrate
-// a BurnBatch. Each device batch is one fused launch on the simulated
-// device (named kernel, batch-local work imbalance) whose Newton systems
-// factor through one contiguous BatchedDenseLU slab; the stiff tail runs
-// the per-zone host path. Per-zone arithmetic is
-// identical to burnZone on every backend — processing order only changes
-// *when* a zone is integrated, never its result — so batched output is
-// bit-identical to a zone-by-zone burnZone loop.
-class BatchBurner {
-public:
-    BatchBurner(const ReactionNetwork& net, const Eos& eos,
-                const BatchBurnOptions& opt = BatchBurnOptions{});
-
-    // Burn every zone of the batch over dt, filling the output arrays.
-    // Deterministic (stable stiffness sort, serial batch loop), including
-    // the order fault-injection sites fire in.
-    void run(BurnBatch& b, Real dt, const OdeOptions& ode = OdeOptions{});
-
-    const BatchBurnReport& report() const { return m_report; }
-
-private:
-    const ReactionNetwork& m_net;
-    const Eos& m_eos;
-    BatchBurnOptions m_opt;
-    BatchBurnReport m_report;
-
-    // Reused across run() calls: per-zone stiffness estimates, the sorted
-    // processing order, and the burn scratch.
-    std::vector<double> m_stiffness;
-    std::vector<std::int64_t> m_order;
-    BurnOde m_ode;
-    BurnWorkspace m_ws;
-    BurnResult m_result;
-    BatchedDenseLU m_batched_lu;
-};
+// every zone of `b` over dt, filling its output arrays. Zones integrate
+// one at a time through one BurnWorkspace, the device batches in sorted
+// order and then the stiff host tail; each device batch is priced as one
+// fused launch on the simulated device (named kernel, batch-local work
+// imbalance). Per-zone arithmetic is identical to burnZone on every
+// backend — processing order only changes *when* a zone is integrated,
+// never its result — so batched output is bit-identical to a zone-by-zone
+// burnZone loop. Deterministic (stable stiffness sort, serial zone loop),
+// including the order fault-injection sites fire in. Throws
+// std::invalid_argument for a network wider than kMaxStackSpec.
+BatchBurnReport burnBatch(const ReactionNetwork& net, const Eos& eos,
+                          const BatchBurnOptions& opt, BurnBatch& b, Real dt,
+                          const OdeOptions& ode = OdeOptions{});
 
 } // namespace exa

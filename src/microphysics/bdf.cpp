@@ -34,6 +34,9 @@ std::vector<char> OdeSystem::sparsity() const {
 
 namespace {
 
+// Newton iterations per stage solve before the step is rejected.
+constexpr int kMaxNewton = 8;
+
 // Newton solve for the BDF stage equation  y - gamma*h*f(t,y) = c.
 // Returns true on convergence; updates y in place. All scratch lives in
 // the caller-provided BdfWorkspace.
@@ -52,14 +55,8 @@ bool newtonSolve(OdeSystem& sys, std::vector<Real>& y, const std::vector<Real>& 
         ++stats.jac_evals;
         ws.m = ws.jac; // capacity-reusing copy
         ws.m.scaleAndAddIdentity(1.0, -gamma * h); // M = I - gamma h J
-        bool ok;
-        if (opt.use_sparse) {
-            ok = ws.sparse_lu.factor(ws.m);
-        } else if (ws.batched_lu != nullptr) {
-            ok = ws.batched_lu->factor(ws.batched_slot, ws.m);
-        } else {
-            ok = ws.dense_lu.factor(ws.m);
-        }
+        const bool ok =
+            opt.use_sparse ? ws.sparse_lu.factor(ws.m) : ws.dense_lu.factor(ws.m);
         ++stats.lu_factors;
         ws.lu_ready = ok;
         ws.h_at_factor = h;
@@ -67,13 +64,12 @@ bool newtonSolve(OdeSystem& sys, std::vector<Real>& y, const std::vector<Real>& 
     };
 
     // Reuse the Jacobian/LU from previous steps unless h drifted.
-    if (!ws.lu_ready || !opt.reuse_jacobian ||
-        std::abs(h - ws.h_at_factor) > 0.2 * ws.h_at_factor) {
+    if (!ws.lu_ready || std::abs(h - ws.h_at_factor) > 0.2 * ws.h_at_factor) {
         if (!refactor()) return false;
     }
 
     Real prev_norm = -1.0;
-    for (int it = 0; it < opt.max_newton; ++it) {
+    for (int it = 0; it < kMaxNewton; ++it) {
         ++stats.newton_iters;
         sys.rhs(t, y, f);
         ++stats.rhs_evals;
@@ -83,8 +79,6 @@ bool newtonSolve(OdeSystem& sys, std::vector<Real>& y, const std::vector<Real>& 
         for (auto& v : g) v = -v;
         if (opt.use_sparse) {
             ws.sparse_lu.solve(g);
-        } else if (ws.batched_lu != nullptr) {
-            ws.batched_lu->solve(ws.batched_slot, g);
         } else {
             ws.dense_lu.solve(g);
         }
@@ -93,11 +87,7 @@ bool newtonSolve(OdeSystem& sys, std::vector<Real>& y, const std::vector<Real>& 
         if (dnorm < 0.1 || gnorm < 0.01) return true;
         // Diverging with a stale Jacobian: refresh once and continue.
         if (prev_norm >= 0.0 && dnorm > 2.0 * prev_norm) {
-            if (it < opt.max_newton - 1 && opt.reuse_jacobian) {
-                if (!refactor()) return false;
-            } else {
-                return false;
-            }
+            if (it == kMaxNewton - 1 || !refactor()) return false;
         }
         prev_norm = dnorm;
     }
@@ -143,11 +133,8 @@ OdeStats BdfIntegrator::integrate(OdeSystem& sys, std::vector<Real>& y, Real t0,
     f.resize(n);
     sys.rhs(t0, y, f);
     ++stats.rhs_evals;
-    Real h = opt.h_init;
-    if (h <= 0.0) {
-        const Real fn = wrmsNorm(f, y, opt.rtol, opt.atol);
-        h = std::min(t1 - t0, 0.01 / std::max(fn, 1.0e-8 / (t1 - t0)));
-    }
+    const Real fn = wrmsNorm(f, y, opt.rtol, opt.atol);
+    Real h = std::min(t1 - t0, 0.01 / std::max(fn, 1.0e-8 / (t1 - t0)));
 
     Real t = t0;
     std::vector<Real>& c = ws.c;
@@ -283,7 +270,7 @@ OdeStats RkIntegrator::integrate(OdeSystem& sys, std::vector<Real>& y, Real t0,
         y_new(n);
 
     Real t = t0;
-    Real h = opt.h_init > 0 ? opt.h_init : (t1 - t0) * 1.0e-6;
+    Real h = (t1 - t0) * 1.0e-6;
     while (t < t1 && stats.steps < opt.max_steps) {
         h = std::min(h, t1 - t);
         sys.rhs(t, y, k1);

@@ -7,23 +7,19 @@ namespace exa {
 
 // All heap state of one BDF integration: Newton/Jacobian factorizations
 // plus every scratch vector of the step loop. Callers that integrate many
-// systems of the same size (the per-zone burn loops) hold one of these
+// systems of the same size (the per-zone burn loop) hold one of these
 // and pass it to every integrate() call, so the integrator allocates
 // nothing after the first zone. A workspace is bound to one system
 // *shape*: reuse it only across systems with the same size() and (when
-// use_sparse is set) the same sparsity pattern — exactly the batched-burn
+// use_sparse is set) the same sparsity pattern — exactly the batch-burn
 // case, where every zone integrates the same network.
 struct BdfWorkspace {
-    // Newton matrix machinery. When `batched_lu` is set (the batched burn
-    // engine's contiguous slab), factorizations and solves go through slot
-    // `batched_slot` of it instead of `dense_lu` — bit-identical
-    // arithmetic, batched storage.
+    // Newton matrix machinery: every Newton system factors through
+    // `dense_lu`, or through `sparse_lu` when use_sparse is set.
     DenseMatrix jac;
     DenseMatrix m; // I - gamma h J, rebuilt per refactor
     DenseLU dense_lu;
     SparseLU sparse_lu;
-    BatchedDenseLU* batched_lu = nullptr;
-    int batched_slot = 0;
     bool sparse_analyzed = false; // SparseLU::analyze done for this shape
     // Newton LU-reuse state (reset at every integrate() entry).
     bool lu_ready = false;

@@ -57,61 +57,6 @@ void DenseLU::solve(std::vector<Real>& b) const {
     }
 }
 
-void BatchedDenseLU::resize(int n, int nbatch) {
-    m_n = n;
-    m_batch = nbatch;
-    m_lu.resize(static_cast<std::size_t>(nbatch) * n * n);
-    m_piv.resize(static_cast<std::size_t>(nbatch) * n);
-}
-
-bool BatchedDenseLU::factor(int b, const DenseMatrix& a) {
-    const int n = m_n;
-    assert(a.size() == n && b >= 0 && b < m_batch);
-    Real* lu = m_lu.data() + static_cast<std::size_t>(b) * n * n;
-    int* piv = m_piv.data() + static_cast<std::size_t>(b) * n;
-    for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) lu[i * n + j] = a(i, j);
-    }
-    // Same elimination as DenseLU::factor — keep the two in lockstep.
-    for (int k = 0; k < n; ++k) {
-        int p = k;
-        Real big = std::abs(lu[k * n + k]);
-        for (int i = k + 1; i < n; ++i) {
-            if (std::abs(lu[i * n + k]) > big) {
-                big = std::abs(lu[i * n + k]);
-                p = i;
-            }
-        }
-        if (big == 0.0) return false;
-        piv[k] = p;
-        if (p != k) {
-            for (int j = k; j < n; ++j) std::swap(lu[k * n + j], lu[p * n + j]);
-        }
-        const Real inv = 1.0 / lu[k * n + k];
-        for (int i = k + 1; i < n; ++i) {
-            const Real l = lu[i * n + k] * inv;
-            lu[i * n + k] = l;
-            for (int j = k + 1; j < n; ++j) lu[i * n + j] -= l * lu[k * n + j];
-        }
-    }
-    return true;
-}
-
-void BatchedDenseLU::solve(int b, std::vector<Real>& x) const {
-    const int n = m_n;
-    assert(static_cast<int>(x.size()) == n && b >= 0 && b < m_batch);
-    const Real* lu = m_lu.data() + static_cast<std::size_t>(b) * n * n;
-    const int* piv = m_piv.data() + static_cast<std::size_t>(b) * n;
-    for (int k = 0; k < n; ++k) {
-        std::swap(x[k], x[piv[k]]);
-        for (int i = k + 1; i < n; ++i) x[i] -= lu[i * n + k] * x[k];
-    }
-    for (int i = n - 1; i >= 0; --i) {
-        for (int j = i + 1; j < n; ++j) x[i] -= lu[i * n + j] * x[j];
-        x[i] /= lu[i * n + i];
-    }
-}
-
 void SparseLU::analyze(int n, const std::vector<char>& pattern) {
     assert(static_cast<int>(pattern.size()) == n * n);
     m_n = n;

@@ -49,34 +49,6 @@ private:
     std::vector<int> m_piv;
 };
 
-// A batch of same-sized dense LU factorizations in one contiguous
-// allocation: slot b occupies rows [b*n, (b+1)*n) of a single n x n x B
-// block, the storage layout a batched GPU solver (cuBLAS getrfBatched)
-// factors in lockstep. Arithmetic per slot is identical to DenseLU
-// (partial pivoting, LINPACK trailing-column swaps), so results are
-// bit-identical to the per-zone path — the property the batched burn's
-// bit-identity guarantee rests on.
-class BatchedDenseLU {
-public:
-    // Allocate B slots of n x n storage (values are overwritten by
-    // factor; no zero-fill between reuses).
-    void resize(int n, int nbatch);
-
-    int size() const { return m_n; }
-    int batchCount() const { return m_batch; }
-
-    // Factor `a` into slot b. Returns false on numerical singularity.
-    bool factor(int b, const DenseMatrix& a);
-    // Solve slot b's system in place.
-    void solve(int b, std::vector<Real>& x) const;
-
-private:
-    int m_n = 0;
-    int m_batch = 0;
-    std::vector<Real> m_lu;  // m_batch * m_n * m_n, slot-major
-    std::vector<int> m_piv;  // m_batch * m_n
-};
-
 // Fixed-pattern sparse LU (no pivoting), the paper's future-work
 // optimization implemented: "We know what the sparsity pattern is for
 // each combination of isotopes, and that pattern does not change over

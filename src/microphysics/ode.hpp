@@ -21,16 +21,15 @@ public:
     virtual std::vector<char> sparsity() const;
 };
 
+// Fixed policies, not options: BDF picks its first step from the RHS
+// scale (RK starts at 1e-6 of the interval), and its corrector reuses the
+// Jacobian/LU across steps (VODE-style) with at most eight Newton
+// iterations per stage.
 struct OdeOptions {
     Real rtol = 1.0e-8;
     Real atol = 1.0e-12;
-    Real h_init = 0.0; // 0 = choose automatically
     std::int64_t max_steps = 500000;
     bool use_sparse = false; // fixed-pattern sparse LU instead of dense
-    int max_newton = 8;
-    // Re-evaluate/refactor the Jacobian only when Newton struggles
-    // (VODE-style Jacobian reuse).
-    bool reuse_jacobian = true;
 };
 
 struct OdeStats {

@@ -13,6 +13,14 @@ namespace exa::resilience {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+// Bounds of the Daly interval, in steps.
+constexpr int kMinIntervalSteps = 1;
+constexpr int kMaxIntervalSteps = 64;
+
+} // namespace
+
 int dalyIntervalSteps(double ckpt_seconds, double step_seconds,
                       double mtbf_steps, int min_interval, int max_interval) {
     if (step_seconds <= 0.0 || mtbf_steps <= 0.0) return max_interval;
@@ -48,7 +56,6 @@ double AsyncCheckpointer::mtbfSteps() const {
         const int span = m_last_failure_step - m_first_step_seen;
         if (span > 0) return static_cast<double>(span) / m_failures_seen;
     }
-    if (m_opt.mtbf_hint_steps > 0.0) return m_opt.mtbf_hint_steps;
     // MTBF implied by the armed fault config: the supervisor heartbeat
     // consults the rank-failure site once per step, so a probability spec
     // fails every 1/p steps in expectation.
@@ -66,9 +73,9 @@ int AsyncCheckpointer::intervalSteps() const {
     if (m_opt.interval_hint > 0) return m_opt.interval_hint;
     // Before any measurement, checkpoint eagerly at the minimum interval —
     // the first staging gives the Daly inputs.
-    if (m_step_ema <= 0.0) return m_opt.min_interval;
+    if (m_step_ema <= 0.0) return kMinIntervalSteps;
     return dalyIntervalSteps(m_staging_ema, m_step_ema, mtbfSteps(),
-                             m_opt.min_interval, m_opt.max_interval);
+                             kMinIntervalSteps, kMaxIntervalSteps);
 }
 
 bool AsyncCheckpointer::due(int step) const {

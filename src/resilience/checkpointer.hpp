@@ -67,15 +67,13 @@ struct CheckpointSnapshot {
 int dalyIntervalSteps(double ckpt_seconds, double step_seconds,
                       double mtbf_steps, int min_interval, int max_interval);
 
+// The Daly interval is clamped to [1, 64] steps, and its MTBF before two
+// observed failures is implied by the armed rank-failure fault spec
+// (1/prob), falling back to 1000 steps.
 struct CheckpointerOptions {
     std::string dir;        // parent directory holding the two slots
     bool async = true;      // false: write through on the calling thread
-    int min_interval = 1;   // steps
-    int max_interval = 64;  // steps
     int interval_hint = 0;  // > 0: fixed interval, Daly disabled
-    // > 0: MTBF in steps to seed Daly with; otherwise implied by the armed
-    // rank-failure fault spec (1/prob), falling back to 1000 steps.
-    double mtbf_hint_steps = 0.0;
 };
 
 class AsyncCheckpointer {

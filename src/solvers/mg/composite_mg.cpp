@@ -27,6 +27,27 @@ constexpr int kPreSmooth = 2;
 constexpr int kPostSmooth = 2;
 constexpr int kBottomSmooth = 40;
 
+// 1/dx^2 in each direction: the coefficients of the 7-point Laplacian.
+struct InvSpacing2 {
+    Real x, y, z;
+};
+
+InvSpacing2 invSpacing2(const Geometry& g) {
+    return {1.0 / (g.cellSize(0) * g.cellSize(0)),
+            1.0 / (g.cellSize(1) * g.cellSize(1)),
+            1.0 / (g.cellSize(2) * g.cellSize(2))};
+}
+
+// The 7-point Laplacian of p at (i, j, k). Every operator, residual and
+// FAS right-hand side evaluates it in this one order, so they agree to
+// the bit.
+template <class A>
+inline Real laplacian(const A& p, const InvSpacing2& h, int i, int j, int k) {
+    return h.x * (p(i + 1, j, k) - 2 * p(i, j, k) + p(i - 1, j, k)) +
+           h.y * (p(i, j + 1, k) - 2 * p(i, j, k) + p(i, j - 1, k)) +
+           h.z * (p(i, j, k + 1) - 2 * p(i, j, k) + p(i, j, k - 1));
+}
+
 KernelInfo smoothKernel() {
     return KernelInfo{"mg_smooth", 12.0, 96.0, 40, 1.0};
 }
@@ -207,10 +228,8 @@ void CompositeMg::fillGhostsRung(int r) {
 void CompositeMg::smoothRung(int r, int sweeps) {
     Rung& R = m_r[static_cast<std::size_t>(r)];
     const Geometry& g = R.geom;
-    const Real hx2 = 1.0 / (g.cellSize(0) * g.cellSize(0));
-    const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
-    const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
-    const Real diag = 2.0 * (hx2 + hy2 + hz2);
+    const InvSpacing2 h = invSpacing2(g);
+    const Real diag = 2.0 * (h.x + h.y + h.z);
     // The coarse data under the coarse-fine ghosts is frozen while this
     // rung smooths, so one gather serves every half-sweep.
     if (R.cf) R.cf->prepare(m_r[static_cast<std::size_t>(r - 1)].phi);
@@ -228,9 +247,9 @@ void CompositeMg::smoothRung(int r, int sweeps) {
             auto b = rhs.const_array(static_cast<int>(i));
             return std::pair{box, [=](int ii, int j, int k) {
                 if (((ii + j + k) & 1) != color) return;
-                const Real sum = hx2 * (p(ii + 1, j, k) + p(ii - 1, j, k)) +
-                                 hy2 * (p(ii, j + 1, k) + p(ii, j - 1, k)) +
-                                 hz2 * (p(ii, j, k + 1) + p(ii, j, k - 1));
+                const Real sum = h.x * (p(ii + 1, j, k) + p(ii - 1, j, k)) +
+                                 h.y * (p(ii, j + 1, k) + p(ii, j - 1, k)) +
+                                 h.z * (p(ii, j, k + 1) + p(ii, j, k - 1));
                 p(ii, j, k) = (sum - b(ii, j, k)) / diag;
             }};
         });
@@ -264,17 +283,12 @@ void CompositeMg::smoothRung(int r, int sweeps) {
 
 void CompositeMg::applyOpNoFill(int r, const MultiFab& phi, MultiFab& out) {
     const Geometry& g = m_r[static_cast<std::size_t>(r)].geom;
-    const Real hx2 = 1.0 / (g.cellSize(0) * g.cellSize(0));
-    const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
-    const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
+    const InvSpacing2 h = invSpacing2(g);
     ParallelFor(applyKernel(), phi.size(), 1, [&](std::size_t i) {
         auto p = phi.const_array(static_cast<int>(i));
         auto o = out.array(static_cast<int>(i));
         return std::pair{out.box(static_cast<int>(i)), [=](int ii, int j, int k) {
-            o(ii, j, k) =
-                hx2 * (p(ii + 1, j, k) - 2 * p(ii, j, k) + p(ii - 1, j, k)) +
-                hy2 * (p(ii, j + 1, k) - 2 * p(ii, j, k) + p(ii, j - 1, k)) +
-                hz2 * (p(ii, j, k + 1) - 2 * p(ii, j, k) + p(ii, j, k - 1));
+            o(ii, j, k) = laplacian(p, h, ii, j, k);
         }};
     });
 }
@@ -282,20 +296,14 @@ void CompositeMg::applyOpNoFill(int r, const MultiFab& phi, MultiFab& out) {
 void CompositeMg::applyResidual(int r, const MultiFab& rhs, MultiFab& res) {
     Rung& R = m_r[static_cast<std::size_t>(r)];
     const Geometry& g = R.geom;
-    const Real hx2 = 1.0 / (g.cellSize(0) * g.cellSize(0));
-    const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
-    const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
+    const InvSpacing2 h = invSpacing2(g);
     ParallelFor(KernelInfo{"mg_comp_residual", 12.0, 104.0, 40, 1.0}, res.size(), 1,
                 [&](std::size_t i) {
         auto p = R.phi.const_array(static_cast<int>(i));
         auto b = rhs.const_array(static_cast<int>(i));
         auto o = res.array(static_cast<int>(i));
         return std::pair{res.box(static_cast<int>(i)), [=](int ii, int j, int k) {
-            o(ii, j, k) =
-                b(ii, j, k) -
-                (hx2 * (p(ii + 1, j, k) - 2 * p(ii, j, k) + p(ii - 1, j, k)) +
-                 hy2 * (p(ii, j + 1, k) - 2 * p(ii, j, k) + p(ii, j - 1, k)) +
-                 hz2 * (p(ii, j, k + 1) - 2 * p(ii, j, k) + p(ii, j, k - 1)));
+            o(ii, j, k) = b(ii, j, k) - laplacian(p, h, ii, j, k);
         }};
     });
 }
@@ -331,9 +339,7 @@ void CompositeMg::buildCoarseRhs(int r) {
     MultiFab::Copy(C.rhs, C.rhs0, 0, 0, 1, 0);
     if (F.cf) F.cf->addFluxMismatch(C.rhs, F.phi, C.phi, -1.0);
     const Geometry& g = C.geom;
-    const Real hx2 = 1.0 / (g.cellSize(0) * g.cellSize(0));
-    const Real hy2 = 1.0 / (g.cellSize(1) * g.cellSize(1));
-    const Real hz2 = 1.0 / (g.cellSize(2) * g.cellSize(2));
+    const InvSpacing2 h = invSpacing2(g);
     auto plan = CopierCache::instance().averageDown(C.ba, F.ba, F.ratio);
     ParallelFor(KernelInfo{"mg_fas_rhs", 12.0, 104.0, 40, 1.0}, plan->items.size(), 1,
                 [&](std::size_t t) {
@@ -342,11 +348,7 @@ void CompositeMg::buildCoarseRhs(int r) {
         auto rs = C.res.const_array(item.dst_fab);
         auto o = C.rhs.array(item.dst_fab);
         return std::pair{item.dst_box, [=](int ii, int j, int k) {
-            o(ii, j, k) =
-                hx2 * (p(ii + 1, j, k) - 2 * p(ii, j, k) + p(ii - 1, j, k)) +
-                hy2 * (p(ii, j + 1, k) - 2 * p(ii, j, k) + p(ii, j - 1, k)) +
-                hz2 * (p(ii, j, k + 1) - 2 * p(ii, j, k) + p(ii, j, k - 1)) +
-                rs(ii, j, k);
+            o(ii, j, k) = laplacian(p, h, ii, j, k) + rs(ii, j, k);
         }};
     });
 }

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -282,7 +283,7 @@ const Real kDt = 1.0e-7;
 // --- Bit-identity across backends ---------------------------------------
 //
 // Each test runs both layouts: the reference is the per-zone burnZone loop
-// above, the driver is the BatchBurner gather/scatter.
+// above, the driver is the burnGrid gather/burnBatch/scatter.
 
 class ReactBatchedBackends : public ::testing::TestWithParam<Backend> {};
 
@@ -559,6 +560,25 @@ TEST(ReactBatched, WorkChannelMatchesSerialPerFab) {
         for (std::size_t f = 0; f < cr.size(); ++f) {
             EXPECT_DOUBLE_EQ(cr[f], cb[f]) << "fab " << f;
         }
+    }
+}
+
+TEST(ReactBatched, WiderThanStackScratchThrowsBeforeTheGather) {
+    // 64 reaction-free species: the gather's stack scratch holds 63, so
+    // the driver must refuse the network before it loads a zone.
+    const ReactionNetwork wide("wide64", std::vector<Species>(kMaxStackSpec + 1), {});
+    Eos eos{HelmLiteEos{}};
+    BoxArray ba(Box({0, 0, 0}, {3, 3, 3}));
+    DistributionMapping dm(ba, 1);
+    MultiFab state(ba, dm, StateLayout(wide.nspec()).ncomp(), 0);
+    state.setVal(1.0e9);
+    try {
+        reactState(state, wide, eos, 1.0e-6);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("burnGrid"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("wide64"), std::string::npos) << msg;
     }
 }
 

@@ -156,7 +156,7 @@ TEST(PlotfileIntegrity, FlippedPayloadBitRejectedNamingTheFab) {
     EXPECT_NE(msg.find("fab 2"), std::string::npos) << msg;
     EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
     // Headers (and the other fabs) are still intact.
-    EXPECT_EQ(readPlotfileHeader(dir.path).version, 2);
+    EXPECT_NO_THROW(readPlotfileHeader(dir.path));
 }
 
 TEST(PlotfileIntegrity, InjectedBitFlipCaughtOnRestart) {
@@ -209,6 +209,27 @@ TEST(PlotfileIntegrity, TruncatedHeaderRejected) {
 
     const std::string msg = thrownMessage([&] { readPlotfileHeader(dir.path); });
     EXPECT_NE(msg.find("headercrc"), std::string::npos) << msg;
+}
+
+TEST(PlotfileIntegrity, Version1HeaderRejectedAsBadMagic) {
+    TmpDir dir("hdrv1");
+    Geometry geom(Box({0, 0, 0}, {7, 7, 7}), {0, 0, 0}, {1, 1, 1});
+    MultiFab mf = makeState(8, 1, 1);
+    writePlotfile(dir.path, mf, geom, {"rho"}, 0.0, 0);
+
+    // A version-1 header: the old magic and no headercrc trailer. Version
+    // 1 carried no per-fab sizes or CRCs, so it must not be read at all.
+    std::string hdr = slurp(dir.path + "/Header");
+    const auto tag = hdr.rfind("headercrc ");
+    ASSERT_NE(tag, std::string::npos);
+    hdr = hdr.substr(0, tag);
+    const std::string v2 = "ExaStroPlotfile-2";
+    ASSERT_EQ(hdr.compare(0, v2.size(), v2), 0);
+    hdr.replace(0, v2.size(), "ExaStroPlotfile-1");
+    spit(dir.path + "/Header", hdr);
+
+    const std::string msg = thrownMessage([&] { readPlotfileHeader(dir.path); });
+    EXPECT_NE(msg.find("bad magic"), std::string::npos) << msg;
 }
 
 TEST(PlotfileIntegrity, TruncatedFabPayloadRejected) {

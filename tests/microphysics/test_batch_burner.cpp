@@ -1,9 +1,9 @@
-// The batched burn engine's core guarantees: BatchedDenseLU slots are
-// bit-identical to DenseLU, workspace-reusing burns are bit-identical to
-// the allocating path, BatchBurner output matches per-zone burnZone
-// exactly (sorted or not, hybrid tail or not), the stiffness sort routes
-// the tail as reported, and the network registry resolves every built-in
-// by name (with a helpful error for unknown names).
+// The batched burn engine's core guarantees: workspace-reusing burns are
+// bit-identical to the allocating path, burnBatch output matches per-zone
+// burnZone exactly (sorted or not, hybrid tail or not), the stiffness sort
+// routes the tail as reported, a network wider than the engine's stack
+// scratch is refused, and the network registry resolves every built-in by
+// name (with a helpful error for unknown names).
 #include "microphysics/batch_burner.hpp"
 
 #include "core/executor.hpp"
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 using namespace exa;
@@ -68,37 +69,6 @@ void expectMatchesBurnZone(const ReactionNetwork& net, const Eos& eos,
 
 } // namespace
 
-// --- BatchedDenseLU ------------------------------------------------------
-
-TEST(BatchedDenseLU, SlotsMatchDenseLUBitwise) {
-    auto net = makeAprox13();
-    const int n = net.nspec() + 1;
-    auto X = fuelX(net);
-    std::vector<Real> Y(net.nspec());
-    net.xToY(X.data(), Y.data());
-
-    BatchedDenseLU blu;
-    blu.resize(n, 4);
-    EXPECT_EQ(blu.size(), n);
-    EXPECT_EQ(blu.batchCount(), 4);
-
-    // Four different Newton matrices I - h*J, factored into four slots and
-    // against four independent DenseLU references; solve bit-compare.
-    for (int slot = 0; slot < 4; ++slot) {
-        DenseMatrix J(n);
-        net.jacobian(1.0e7, 2.0e9 + 3.0e8 * slot, Y.data(), 1.0e7, J);
-        J.scaleAndAddIdentity(1.0, -1.0e-8 * (slot + 1));
-        DenseLU ref;
-        ASSERT_TRUE(ref.factor(J));
-        ASSERT_TRUE(blu.factor(slot, J));
-        std::vector<Real> b(n), bb(n);
-        for (int i = 0; i < n; ++i) b[i] = bb[i] = 1.0 + 0.1 * i;
-        ref.solve(b);
-        blu.solve(slot, bb);
-        for (int i = 0; i < n; ++i) EXPECT_EQ(bb[i], b[i]) << "slot " << slot;
-    }
-}
-
 // --- Workspace reuse -----------------------------------------------------
 
 TEST(BurnWorkspaceReuse, BurnZoneIntoMatchesBurnZone) {
@@ -123,34 +93,7 @@ TEST(BurnWorkspaceReuse, BurnZoneIntoMatchesBurnZone) {
     }
 }
 
-TEST(BurnWorkspaceReuse, BatchedLUAttachmentIsBitIdentical) {
-    // The same burn with the Newton solves routed through a BatchedDenseLU
-    // slot instead of the workspace's own DenseLU.
-    auto net = makeIso7();
-    Eos eos{HelmLiteEos{}};
-    auto X = fuelX(net);
-    const Real dt = 1.0e-7;
-
-    BurnOde ode(net, eos, 0.0);
-    BurnWorkspace ws;
-    BurnResult r;
-    BatchedDenseLU blu;
-    blu.resize(net.nspec() + 1, 3);
-    int slot = 0;
-    for (Real T : {6.0e8, 1.2e9, 2.5e9}) {
-        auto ref = burnZone(net, eos, 1.0e7, T, X.data(), dt);
-        ws.bdf.batched_lu = &blu;
-        ws.bdf.batched_slot = slot++;
-        burnZoneInto(ode, 1.0e7, T, X.data(), dt, OdeOptions{}, ws, r);
-        ASSERT_EQ(r.success, ref.success);
-        EXPECT_EQ(r.T, ref.T);
-        EXPECT_EQ(r.stats.steps, ref.stats.steps);
-        for (int s = 0; s < net.nspec(); ++s) EXPECT_EQ(r.X[s], ref.X[s]);
-    }
-    ws.bdf.batched_lu = nullptr;
-}
-
-// --- BatchBurner ---------------------------------------------------------
+// --- burnBatch -----------------------------------------------------------
 
 TEST(BatchBurner, SortedBatchesMatchPerZoneBurnBitwise) {
     auto net = makeIso7();
@@ -160,10 +103,7 @@ TEST(BatchBurner, SortedBatchesMatchPerZoneBurnBitwise) {
 
     BatchBurnOptions opt;
     opt.batch_size = 16;
-    BatchBurner burner(net, eos, opt);
-    burner.run(b, dt);
-
-    const auto& rep = burner.report();
+    const BatchBurnReport rep = burnBatch(net, eos, opt, b, dt);
     EXPECT_EQ(rep.gathered, 48);
     EXPECT_EQ(rep.device_zones, 48);
     EXPECT_EQ(rep.tail_zones, 0);
@@ -193,10 +133,9 @@ TEST(BatchBurner, SortOnOffAndHybridAllAgree) {
     hybrid.tail_factor = 1.0;
     hybrid.tail_min_stiffness = 0.0; // everything past the median tails
 
-    BatchBurner(net, eos, unsorted).run(b0, dt);
-    BatchBurner(net, eos, sorted).run(b1, dt);
-    BatchBurner bh(net, eos, hybrid);
-    bh.run(b2, dt);
+    burnBatch(net, eos, unsorted, b0, dt);
+    burnBatch(net, eos, sorted, b1, dt);
+    const BatchBurnReport rep = burnBatch(net, eos, hybrid, b2, dt);
 
     for (std::int64_t z = 0; z < b0.nzones; ++z) {
         EXPECT_EQ(b0.T_out[z], b1.T_out[z]) << "zone " << z;
@@ -209,7 +148,6 @@ TEST(BatchBurner, SortOnOffAndHybridAllAgree) {
         }
     }
     // And the tail really was routed.
-    const auto& rep = bh.report();
     EXPECT_GT(rep.tail_zones, 0);
     EXPECT_EQ(rep.device_zones + rep.tail_zones, rep.gathered);
     EXPECT_GT(rep.tail_steps, 0);
@@ -232,9 +170,7 @@ TEST(BatchBurner, TailRoutesOnlyTheExtremeZones) {
     }
     BatchBurnOptions opt;
     opt.hybrid_cpu_tail = true;
-    BatchBurner burner(net, eos, opt);
-    burner.run(b, dt);
-    const auto& rep = burner.report();
+    const BatchBurnReport rep = burnBatch(net, eos, opt, b, dt);
     EXPECT_EQ(rep.gathered, 32);
     EXPECT_EQ(rep.tail_zones, 2);
     EXPECT_EQ(rep.device_zones, 30);
@@ -249,24 +185,43 @@ TEST(BatchBurner, EmptyBatchIsANoop) {
     Eos eos{HelmLiteEos{}};
     BurnBatch b;
     b.resize(net.nspec(), 0);
-    BatchBurner burner(net, eos);
-    burner.run(b, 1.0e-6);
-    EXPECT_EQ(burner.report().gathered, 0);
-    EXPECT_EQ(burner.report().batches, 0);
+    const BatchBurnReport rep = burnBatch(net, eos, BatchBurnOptions{}, b, 1.0e-6);
+    EXPECT_EQ(rep.gathered, 0);
+    EXPECT_EQ(rep.batches, 0);
 }
 
 TEST(BatchBurner, SparseSolverPathMatchesPerZone) {
-    // use_sparse bypasses the BatchedDenseLU slab; the batch must still
-    // match the per-zone sparse path exactly.
+    // use_sparse factors through the workspace's SparseLU; the batch must
+    // still match the per-zone sparse path exactly.
     auto net = makeIso7();
     Eos eos{HelmLiteEos{}};
     const Real dt = 1.0e-7;
     auto b = makeBatch(net, 24);
     OdeOptions ode;
     ode.use_sparse = true;
-    BatchBurner burner(net, eos);
-    burner.run(b, dt, ode);
+    burnBatch(net, eos, BatchBurnOptions{}, b, dt, ode);
     expectMatchesBurnZone(net, eos, b, dt, ode);
+}
+
+TEST(BatchBurner, WiderThanStackScratchThrows) {
+    // 64 reaction-free species: one more than the engine's stack scratch.
+    const ReactionNetwork wide("wide64", std::vector<Species>(kMaxStackSpec + 1), {});
+    Eos eos{HelmLiteEos{}};
+    BurnBatch b;
+    b.resize(wide.nspec(), 4);
+    for (std::int64_t z = 0; z < b.nzones; ++z) {
+        b.rho[z] = 1.0e7;
+        b.T[z] = 1.0e9;
+        for (int s = 0; s < wide.nspec(); ++s) b.Xin(s)[z] = 1.0 / wide.nspec();
+    }
+    try {
+        burnBatch(wide, eos, BatchBurnOptions{}, b, 1.0e-6);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("burnBatch"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("wide64"), std::string::npos) << msg;
+    }
 }
 
 // --- Network registry ----------------------------------------------------

@@ -145,8 +145,8 @@ TEST_F(ResilienceTest, DalyIntervalTracksArmedFaultRate) {
     opt.async = false;
     AsyncCheckpointer ckpt(opt);
     for (int i = 0; i < 20; ++i) ckpt.noteStepSeconds(0.01);
-    // Staging EMA is still unmeasured -> eager minimum interval.
-    EXPECT_EQ(ckpt.intervalSteps(), opt.min_interval);
+    // Staging EMA is still unmeasured -> eager minimum interval (1 step).
+    EXPECT_EQ(ckpt.intervalSteps(), 1);
 }
 
 // ---------------------------------------------------------------------
