@@ -132,6 +132,8 @@ double interiorFraction(const BoxArray& ba) {
 // full alpha-beta p2p cost at both endpoints; the solve's network time
 // is the busiest rank's sum.
 struct NetClock {
+    NetClock(const RankLayout& l, const NetworkModel* n) : layout(l), net(n) {}
+
     RankLayout layout;
     const NetworkModel* net = nullptr;
     std::vector<double> rank_time;
@@ -198,7 +200,7 @@ Row runCase(const Config& cfg, const RankLayout& layout,
 
     DeviceModel dev;
     dev.attach();
-    NetClock clock{layout, &netmod, {}, 0, 0};
+    NetClock clock(layout, &netmod);
     clock.attach();
     Row row;
     row.res = mg.solve(phi, rhs);

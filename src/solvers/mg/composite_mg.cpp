@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace exa {
 
@@ -38,14 +39,60 @@ InvSpacing2 invSpacing2(const Geometry& g) {
             1.0 / (g.cellSize(2) * g.cellSize(2))};
 }
 
+// The six face neighbours of one zone.
+struct Neighbours {
+    Real xm, xp, ym, yp, zm, zp;
+};
+
+// How a stencil reads the face neighbours of a zone on the domain
+// boundary. Across a non-periodic face the neighbour is sgn * p(i,j,k)
+// (Dirichlet -1, Neumann +1), the value mgApplyDomainBC would write into
+// that ghost, so no stencil needs a boundary launch first. On an
+// exchange-free rung (its one box is the periodic domain) a periodic
+// face reads the image zone `wrap` zones across the box instead of a
+// ghost. Every other neighbour is p's own zone, valid or ghost.
+struct DomainFaces {
+    int lo[3], hi[3]; // zones whose low / high neighbour is replaced
+    int wrap[3];      // 0: mirror the zone itself; else the image's offset
+    Real s[3];
+
+    template <class A>
+    Neighbours read(const A& p, int i, int j, int k) const {
+        return {i == lo[0] ? s[0] * p(i + wrap[0], j, k) : p(i - 1, j, k),
+                i == hi[0] ? s[0] * p(i - wrap[0], j, k) : p(i + 1, j, k),
+                j == lo[1] ? s[1] * p(i, j + wrap[1], k) : p(i, j - 1, k),
+                j == hi[1] ? s[1] * p(i, j - wrap[1], k) : p(i, j + 1, k),
+                k == lo[2] ? s[2] * p(i, j, k + wrap[2]) : p(i, j, k - 1),
+                k == hi[2] ? s[2] * p(i, j, k - wrap[2]) : p(i, j, k + 1)};
+    }
+};
+
+// Mirror every non-periodic face under a Dirichlet or Neumann BC; with
+// `wrap_periodic`, also read every periodic face's image inline.
+DomainFaces domainFaces(const Geometry& g, MgBC bc, bool wrap_periodic) {
+    DomainFaces f;
+    const Box& dom = g.domain();
+    for (int d = 0; d < 3; ++d) {
+        const bool per = g.isPeriodic(d);
+        const bool inline_face = per ? wrap_periodic : bc != MgBC::Periodic;
+        f.lo[d] = inline_face ? dom.smallEnd(d) : std::numeric_limits<int>::min();
+        f.hi[d] = inline_face ? dom.bigEnd(d) : std::numeric_limits<int>::max();
+        f.wrap[d] = per ? dom.length(d) - 1 : 0;
+        f.s[d] = per || bc == MgBC::Neumann ? 1.0 : -1.0;
+    }
+    return f;
+}
+
 // The 7-point Laplacian of p at (i, j, k). Every operator, residual and
 // FAS right-hand side evaluates it in this one order, so they agree to
 // the bit.
 template <class A>
-inline Real laplacian(const A& p, const InvSpacing2& h, int i, int j, int k) {
-    return h.x * (p(i + 1, j, k) - 2 * p(i, j, k) + p(i - 1, j, k)) +
-           h.y * (p(i, j + 1, k) - 2 * p(i, j, k) + p(i, j - 1, k)) +
-           h.z * (p(i, j, k + 1) - 2 * p(i, j, k) + p(i, j, k - 1));
+inline Real laplacian(const A& p, const DomainFaces& f, const InvSpacing2& h, int i,
+                      int j, int k) {
+    const Neighbours n = f.read(p, i, j, k);
+    const Real c = p(i, j, k);
+    return h.x * (n.xp - 2 * c + n.xm) + h.y * (n.yp - 2 * c + n.ym) +
+           h.z * (n.zp - 2 * c + n.zm);
 }
 
 KernelInfo smoothKernel() {
@@ -147,6 +194,15 @@ CompositeMg::CompositeMg(std::vector<Geometry> geoms, std::vector<BoxArray> bas,
                 if (R.cf->empty()) R.cf.reset();
             }
         }
+        // A one-box rung without a coarse-fine boundary holds the whole
+        // domain. Its half-sweep reads periodic images inline when they
+        // have the other colour, i.e. at even length.
+        R.exchange_free = R.ba.size() == 1 && !R.cf;
+        for (int d = 0; d < 3; ++d) {
+            if (R.geom.isPeriodic(d) && R.geom.domain().length(d) % 2 != 0)
+                R.exchange_free = false;
+        }
+        assert(!R.exchange_free || R.ba[0] == R.geom.domain());
         R.phi.define(R.ba, R.dm, 1, 1);
         R.phi.setVal(0.0);
         R.rhs.define(R.ba, R.dm, 1, 0);
@@ -215,6 +271,12 @@ int CompositeMg::aggregatedRungs() const {
     return n;
 }
 
+int CompositeMg::exchangeFreeRungs() const {
+    int n = 0;
+    for (const Rung& R : m_r) n += R.exchange_free ? 1 : 0;
+    return n;
+}
+
 void CompositeMg::fillGhostsRung(int r) {
     Rung& R = m_r[static_cast<std::size_t>(r)];
     R.phi.FillBoundary(0, 1, R.geom.periodicity());
@@ -222,7 +284,6 @@ void CompositeMg::fillGhostsRung(int r) {
         R.cf->prepare(m_r[static_cast<std::size_t>(r - 1)].phi);
         R.cf->interpGhosts(R.phi);
     }
-    mgApplyDomainBC(R.phi, R.geom, m_bc);
 }
 
 void CompositeMg::smoothRung(int r, int sweeps) {
@@ -230,12 +291,12 @@ void CompositeMg::smoothRung(int r, int sweeps) {
     const Geometry& g = R.geom;
     const InvSpacing2 h = invSpacing2(g);
     const Real diag = 2.0 * (h.x + h.y + h.z);
+    const DomainFaces faces = domainFaces(g, m_bc, R.exchange_free);
     // The coarse data under the coarse-fine ghosts is frozen while this
     // rung smooths, so one gather serves every half-sweep.
     if (R.cf) R.cf->prepare(m_r[static_cast<std::size_t>(r - 1)].phi);
     MultiFab& phi = R.phi;
     const MultiFab& rhs = R.rhs;
-    const auto part = CopierCache::instance().interiorPartition(R.ba, 1);
     // One half-sweep launch over a list of regions; `region(t)` gives tag
     // t's fab and box. Fabs are disjoint and a half-sweep writes only
     // `color` zones while reading only the other color, so the regions
@@ -247,28 +308,37 @@ void CompositeMg::smoothRung(int r, int sweeps) {
             auto b = rhs.const_array(static_cast<int>(i));
             return std::pair{box, [=](int ii, int j, int k) {
                 if (((ii + j + k) & 1) != color) return;
-                const Real sum = h.x * (p(ii + 1, j, k) + p(ii - 1, j, k)) +
-                                 h.y * (p(ii, j + 1, k) + p(ii, j - 1, k)) +
-                                 h.z * (p(ii, j, k + 1) + p(ii, j, k - 1));
+                const Neighbours n = faces.read(p, ii, j, k);
+                const Real sum = h.x * (n.xp + n.xm) + h.y * (n.yp + n.ym) +
+                                 h.z * (n.zp + n.zm);
                 p(ii, j, k) = (sum - b(ii, j, k)) / diag;
             }};
         });
     };
+    if (R.exchange_free) {
+        // The whole rung is one box whose every face neighbour is read
+        // inline: one launch per half-sweep, no exchange to wait for.
+        for (int half = 0; half < 2 * sweeps; ++half) {
+            sweep(1, half % 2, [&](std::size_t) { return std::pair{std::size_t{0}, phi.box(0)}; });
+            ++m_stats.sweeps;
+        }
+        return;
+    }
+    const auto part = CopierCache::instance().interiorPartition(R.ba, 1);
     for (int s = 0; s < sweeps; ++s) {
         for (int color = 0; color < 2; ++color) {
             // Post the same-level exchange, fill the coarse-fine ghosts
             // (independent of the in-flight traffic: they read coarse
             // scratch and fine valid zones), smooth fab interiors, then
-            // deliver, apply the physical BC, and smooth the shells. The
-            // half-sweep writes only `color` zones and reads only the
-            // other color, so the split cannot change any result.
+            // deliver and smooth the shells, which read domain faces
+            // inline. The half-sweep writes only `color` zones and reads
+            // only the other color, so the split cannot change any result.
             comm::HaloHandle halo = phi.FillBoundary_nowait(*part, 0, 1, g.periodicity());
             if (R.cf) R.cf->interpGhosts(phi);
             sweep(phi.size(), color, [&](std::size_t i) {
                 return std::pair{i, part->fabs[i].interior};
             });
             halo.finish();
-            mgApplyDomainBC(phi, g, m_bc);
             // Shell tag t is box t % kMaxShell of fab t / kMaxShell; the
             // slots a fab's shell does not use are empty tags.
             constexpr std::size_t m = FabRegions::kMaxShell;
@@ -284,11 +354,12 @@ void CompositeMg::smoothRung(int r, int sweeps) {
 void CompositeMg::applyOpNoFill(int r, const MultiFab& phi, MultiFab& out) {
     const Geometry& g = m_r[static_cast<std::size_t>(r)].geom;
     const InvSpacing2 h = invSpacing2(g);
+    const DomainFaces faces = domainFaces(g, m_bc, false);
     ParallelFor(applyKernel(), phi.size(), 1, [&](std::size_t i) {
         auto p = phi.const_array(static_cast<int>(i));
         auto o = out.array(static_cast<int>(i));
         return std::pair{out.box(static_cast<int>(i)), [=](int ii, int j, int k) {
-            o(ii, j, k) = laplacian(p, h, ii, j, k);
+            o(ii, j, k) = laplacian(p, faces, h, ii, j, k);
         }};
     });
 }
@@ -297,13 +368,14 @@ void CompositeMg::applyResidual(int r, const MultiFab& rhs, MultiFab& res) {
     Rung& R = m_r[static_cast<std::size_t>(r)];
     const Geometry& g = R.geom;
     const InvSpacing2 h = invSpacing2(g);
+    const DomainFaces faces = domainFaces(g, m_bc, false);
     ParallelFor(KernelInfo{"mg_comp_residual", 12.0, 104.0, 40, 1.0}, res.size(), 1,
                 [&](std::size_t i) {
         auto p = R.phi.const_array(static_cast<int>(i));
         auto b = rhs.const_array(static_cast<int>(i));
         auto o = res.array(static_cast<int>(i));
         return std::pair{res.box(static_cast<int>(i)), [=](int ii, int j, int k) {
-            o(ii, j, k) = b(ii, j, k) - laplacian(p, h, ii, j, k);
+            o(ii, j, k) = b(ii, j, k) - laplacian(p, faces, h, ii, j, k);
         }};
     });
 }
@@ -340,6 +412,7 @@ void CompositeMg::buildCoarseRhs(int r) {
     if (F.cf) F.cf->addFluxMismatch(C.rhs, F.phi, C.phi, -1.0);
     const Geometry& g = C.geom;
     const InvSpacing2 h = invSpacing2(g);
+    const DomainFaces faces = domainFaces(g, m_bc, false);
     auto plan = CopierCache::instance().averageDown(C.ba, F.ba, F.ratio);
     ParallelFor(KernelInfo{"mg_fas_rhs", 12.0, 104.0, 40, 1.0}, plan->items.size(), 1,
                 [&](std::size_t t) {
@@ -348,7 +421,7 @@ void CompositeMg::buildCoarseRhs(int r) {
         auto rs = C.res.const_array(item.dst_fab);
         auto o = C.rhs.array(item.dst_fab);
         return std::pair{item.dst_box, [=](int ii, int j, int k) {
-            o(ii, j, k) = laplacian(p, h, ii, j, k) + rs(ii, j, k);
+            o(ii, j, k) = laplacian(p, faces, h, ii, j, k) + rs(ii, j, k);
         }};
     });
 }

@@ -19,12 +19,20 @@
 //    zone threshold are laid out on fewer ranks (cost-weighted knapsack
 //    mapping); transfers stage through a MultiFab on the finer rung's
 //    distribution so the rank transition is one cached ParallelCopy plan.
-//  - Split-phase smoother halos. Every red-black half-sweep posts its
-//    ghost exchange, smooths the interiors of the fabs the rung's
+//  - Split-phase smoother halos. A red-black half-sweep posts its ghost
+//    exchange, smooths the interiors of the fabs the rung's
 //    interiorPartition overlaps while the traffic is in flight, then
 //    finishes and sweeps the shells (bit-identical to any other cover of
 //    the valid boxes: a half-sweep writes one color and reads only the
-//    other). A rung whose fabs are all whole exchanges eagerly.
+//    other). A rung whose fabs are all whole exchanges eagerly. A rung
+//    whose one box is the domain, even in every periodic direction,
+//    exchanges nothing: its half-sweep is one launch over the box that
+//    reads periodic images (the other colour) inline.
+//
+// No rung stencil reads a domain-face ghost: the smoother, residual and
+// operator read a Dirichlet or Neumann neighbour as -/+ the zone itself,
+// the value a ghost fill would write. Only fillCompositeGhosts fills the
+// physical-boundary ghosts, for the caller's gradient stencil.
 //
 // Solves are cold by default (initial guess 0, FMG bootstrap, then
 // V-cycles to rtol): the result is a pure function of the rhs, which is
@@ -105,6 +113,8 @@ public:
     int numAmrLevels() const { return numRungs() - m_base; }
     // Geometric rungs living on a reduced rank set.
     int aggregatedRungs() const;
+    // Rungs whose half-sweeps run without a ghost exchange.
+    int exchangeFreeRungs() const;
     const CompositeMgStats& stats() const { return m_stats; }
 
 private:
@@ -116,6 +126,7 @@ private:
         bool amr = false; // mirrors an AMR level's own layout
         bool aggregated = false;
         bool covers_coarse = true; // coarsen(ba) covers the rung below
+        bool exchange_free = false; // half-sweeps need no ghost exchange
         MultiFab phi;  // solution approximation (1 ghost zone)
         MultiFab rhs;  // cycle rhs (FAS deferred correction below the top)
         MultiFab rhs0; // user rhs (AMR rungs below the top only)

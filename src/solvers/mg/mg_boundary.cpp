@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace exa {
 
@@ -174,6 +175,27 @@ MgCfBoundary::MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
             }
         }
     }
+
+    // 4. Colour the flux items by longest path over their conflicts (see
+    // FluxItem), so one launch per colour sums every coarse cell in the
+    // order one launch per item did.
+    int ncolors = 0;
+    for (std::size_t a = 0; a < m_flux.size(); ++a) {
+        FluxItem& item = m_flux[a];
+        for (std::size_t b = 0; b < a; ++b) {
+            if (m_flux[b].crse_fab == item.crse_fab &&
+                m_flux[b].crse_cells.intersects(item.crse_cells))
+                item.color = std::max(item.color, m_flux[b].color + 1);
+        }
+        ncolors = std::max(ncolors, item.color + 1);
+    }
+    m_color_order.resize(m_flux.size());
+    std::iota(m_color_order.begin(), m_color_order.end(), std::size_t{0});
+    std::stable_sort(m_color_order.begin(), m_color_order.end(),
+                     [&](std::size_t a, std::size_t b) { return m_flux[a].color < m_flux[b].color; });
+    m_color_begin.assign(static_cast<std::size_t>(ncolors) + 1, m_flux.size());
+    for (std::size_t t = m_flux.size(); t-- > 0;)
+        m_color_begin[static_cast<std::size_t>(m_flux[m_color_order[t]].color)] = t;
 }
 
 void MgCfBoundary::prepare(const MultiFab& crse) {
@@ -288,55 +310,55 @@ void MgCfBoundary::interpGhosts(MultiFab& fine) const {
     });
 }
 
-// Stays one launch per item: items of neighbouring pieces accumulate
-// (dA += ...) into the same uncovered coarse cells, so they may not share
-// a launch.
 void MgCfBoundary::addFluxMismatch(MultiFab& dst, const MultiFab& fine,
                                    const MultiFab& crse, Real sign) const {
     const int r = m_ratio;
     const Real inv_r2 = 1.0_rt / (static_cast<Real>(r) * r);
-    for (const FluxItem& item : m_flux) {
-        auto dA = dst.array(item.crse_fab);
-        auto cA = crse.const_array(item.crse_fab);
-        auto fA = fine.const_array(item.fine_fab);
-        const int d = item.dim;
-        const int t1 = (d + 1) % 3;
-        const int t2 = (d + 2) % 3;
-        const int gn = item.gn;
-        // The covered coarse neighbor (and the first fine interior cell)
-        // sit toward the fine region: +d of the layer on side 0, -d on
-        // side 1.
-        const int dir = item.side == 0 ? 1 : -1;
-        const IntVect e = IntVect::basis(d);
-        const IntVect sh = item.sh;
-        const Box ghosts = item.ghosts;
-        const Real inv_hf = 1.0_rt / m_fine_dx[d];
-        const Real inv_hc = 1.0_rt / m_crse_dx[d];
+    for (std::size_t c = 0; c + 1 < m_color_begin.size(); ++c) {
+        const std::size_t first = m_color_begin[c];
         ParallelFor(KernelInfo{"mg_flux_corr", 20.0, 64.0, 40, 1.0},
-                    item.crse_cells, [=](int i, int j, int k) {
-            // Fine-frame parent of this uncovered coarse cell.
-            const IntVect o{i + sh.x, j + sh.y, k + sh.z};
-            Real acc = 0.0;
-            for (int a = 0; a < r; ++a) {
-                for (int b = 0; b < r; ++b) {
-                    IntVect g;
-                    g[d] = gn;
-                    g[t1] = o[t1] * r + a;
-                    g[t2] = o[t2] * r + b;
-                    if (!ghosts.contains(g)) continue;
-                    IntVect f1 = g;
-                    f1[d] += dir;
-                    // Per-face share: (Gf_face - Gc); summing the r^2
-                    // faces of one coarse face recovers avg(Gf) - Gc even
-                    // when the faces are split across pieces/fabs.
-                    acc += (fA(f1.x, f1.y, f1.z) - fA(g.x, g.y, g.z)) *
-                               inv_hf -
-                           (cA(i + dir * e.x, j + dir * e.y, k + dir * e.z) -
-                            cA(i, j, k)) *
-                               inv_hc;
+                    m_color_begin[c + 1] - first, 1, [&](std::size_t t) {
+            const FluxItem& item = m_flux[m_color_order[first + t]];
+            auto dA = dst.array(item.crse_fab);
+            auto cA = crse.const_array(item.crse_fab);
+            auto fA = fine.const_array(item.fine_fab);
+            const int d = item.dim;
+            const int t1 = (d + 1) % 3;
+            const int t2 = (d + 2) % 3;
+            const int gn = item.gn;
+            // The covered coarse neighbor (and the first fine interior
+            // cell) sit toward the fine region: +d of the layer on side 0,
+            // -d on side 1.
+            const int dir = item.side == 0 ? 1 : -1;
+            const IntVect e = IntVect::basis(d);
+            const IntVect sh = item.sh;
+            const Box ghosts = item.ghosts;
+            const Real inv_hf = 1.0_rt / m_fine_dx[d];
+            const Real inv_hc = 1.0_rt / m_crse_dx[d];
+            return std::pair{item.crse_cells, [=](int i, int j, int k) {
+                // Fine-frame parent of this uncovered coarse cell.
+                const IntVect o{i + sh.x, j + sh.y, k + sh.z};
+                Real acc = 0.0;
+                for (int a = 0; a < r; ++a) {
+                    for (int b = 0; b < r; ++b) {
+                        IntVect g;
+                        g[d] = gn;
+                        g[t1] = o[t1] * r + a;
+                        g[t2] = o[t2] * r + b;
+                        if (!ghosts.contains(g)) continue;
+                        IntVect f1 = g;
+                        f1[d] += dir;
+                        // Per-face share: (Gf_face - Gc); summing the r^2
+                        // faces of one coarse face recovers avg(Gf) - Gc
+                        // even when the faces are split across pieces/fabs.
+                        acc += (fA(f1.x, f1.y, f1.z) - fA(g.x, g.y, g.z)) * inv_hf -
+                               (cA(i + dir * e.x, j + dir * e.y, k + dir * e.z) -
+                                cA(i, j, k)) *
+                                   inv_hc;
+                    }
                 }
-            }
-            dA(i, j, k) += sign * acc * inv_r2 * inv_hc;
+                dA(i, j, k) += sign * acc * inv_r2 * inv_hc;
+            }};
         });
     }
 }

@@ -40,8 +40,8 @@ enum class MgBC {
 
 // Physical-boundary ghost fill (Dirichlet: phi_g = -phi_i, Neumann:
 // phi_g = +phi_i, Periodic: nothing — FillBoundary wrapped already).
-// Every rung smoother, residual and the post-solve ghost fill
-// (CompositeMg::fillCompositeGhosts) goes through it.
+// Only the post-solve ghost fill (CompositeMg::fillCompositeGhosts) runs
+// it: the rung stencils read the same values inline at domain faces.
 void mgApplyDomainBC(MultiFab& phi, const Geometry& geom, MgBC bc);
 
 class MgCfBoundary {
@@ -73,10 +73,32 @@ public:
     // turns `rhs - A_c(phi_c)` into the composite residual (and builds
     // the FAS deferred-correction coarse rhs). `crse` needs filled
     // ghosts; `fine` needs freshly interpolated coarse-fine ghosts.
+    // One launch per flux colour.
     void addFluxMismatch(MultiFab& dst, const MultiFab& fine,
                          const MultiFab& crse, Real sign) const;
 
     std::size_t numGhostCells() const { return m_nghost_cells; }
+
+    // Flux-mismatch work for one (piece, coarse fab) pair. Items of
+    // neighbouring pieces add into the same coarse cells, so each item
+    // carries a colour: one more than the highest colour of any earlier
+    // item (in construction order) that writes a cell it writes. Items of
+    // one colour write disjoint cells, and each cell still takes its
+    // contributions in construction order.
+    struct FluxItem {
+        int crse_fab = 0;
+        int fine_fab = 0;
+        int dim = 0;
+        int side = 0;
+        Box crse_cells; // uncovered coarse cells, in the coarse fab frame
+        IntVect sh;     // fine-frame parent index = crse index + sh
+        int gn = 0;     // fine-frame normal coordinate of the ghost layer
+        Box ghosts;     // the piece box (clips tangential children)
+        int color = 0;
+    };
+    // The items in construction order, each coarse cell's summation order.
+    const std::vector<FluxItem>& fluxItems() const { return m_flux; }
+    int numFluxColors() const { return static_cast<int>(m_color_begin.size()) - 1; }
 
 private:
     // One rectangular patch of coarse-fine ghost cells: a piece of the
@@ -107,18 +129,6 @@ private:
         int src_rank = 0;
         int dst_rank = 0;
     };
-    // Flux-mismatch work for one (piece, coarse fab) pair.
-    struct FluxItem {
-        int crse_fab = 0;
-        int fine_fab = 0;
-        int dim = 0;
-        int side = 0;
-        Box crse_cells; // uncovered coarse cells, in the coarse fab frame
-        IntVect sh;     // fine-frame parent index = crse index + sh
-        int gn = 0;     // fine-frame normal coordinate of the ghost layer
-        Box ghosts;     // the piece box (clips tangential children)
-    };
-
     int m_ratio = 2;
     Real m_crse_dx[3] = {1.0, 1.0, 1.0};
     Real m_fine_dx[3] = {1.0, 1.0, 1.0};
@@ -128,6 +138,10 @@ private:
     std::vector<GatherSpec> m_gather;
     std::vector<GatherItem> m_gather_items;
     std::vector<FluxItem> m_flux;
+    // Item indices by colour, stable: colour c is m_color_order over
+    // [m_color_begin[c], m_color_begin[c + 1]).
+    std::vector<std::size_t> m_color_order;
+    std::vector<std::size_t> m_color_begin{0};
     std::size_t m_nghost_cells = 0;
 };
 

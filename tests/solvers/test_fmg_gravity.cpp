@@ -2,14 +2,16 @@
 // manufactured-solution convergence on uniform and refined hierarchies,
 // bounded cycle counts at tight rtol, V-cycle contraction and the
 // warm-started single-level Neumann solve of the MAESTRO projection,
-// bit-identity across backends / aggregation on-off / split-phase halos,
-// and the coarse-aggregation counters. The Castro integration half at the
-// bottom exercises GravityType::Poisson on the AMR driver end to end:
-// amr-blast with gravity across a regrid, and rank-failure recovery
-// bit-identity.
+// bit-identity across backends / aggregation on-off / split-phase halos /
+// exchange-free one-box rungs, the coloured flux correction against its
+// per-item form, and the coarse-aggregation counters. The Castro
+// integration half at the bottom exercises GravityType::Poisson on the
+// AMR driver end to end: amr-blast with gravity across a regrid, and
+// rank-failure recovery bit-identity.
 
 #include "castro/castro.hpp"
 #include "comm/ledger.hpp"
+#include "core/debug.hpp"
 #include "core/events.hpp"
 #include "core/executor.hpp"
 #include "core/fault.hpp"
@@ -46,11 +48,10 @@ struct Hier {
 };
 
 // One- or two-level hierarchy on the unit cube with a product-of-sines
-// manufactured solution. Two-level: the central half of the domain is
-// refined by 2 (a genuine partial-coverage level with coarse-fine faces
-// on all six sides).
-Hier makeHier(int n, bool refined, bool dirichlet, int nranks = 4,
-              int max_grid = 8) {
+// manufactured solution. Two-level: the coarse boxes `refined` are
+// refined by 2.
+Hier makeHierOn(int n, const std::vector<Box>& refined, bool dirichlet, int nranks,
+                int max_grid) {
     Hier h;
     const Box dom({0, 0, 0}, {n - 1, n - 1, n - 1});
     const IntVect per = dirichlet ? IntVect{0, 0, 0} : IntVect{1, 1, 1};
@@ -60,11 +61,9 @@ Hier makeHier(int n, bool refined, bool dirichlet, int nranks = 4,
     ba0.maxSize(max_grid);
     h.bas.push_back(ba0);
     h.dms.emplace_back(ba0, nranks);
-    if (refined) {
-        const Box fine = refine(Box({n / 4, n / 4, n / 4},
-                                    {3 * n / 4 - 1, 3 * n / 4 - 1,
-                                     3 * n / 4 - 1}),
-                                2);
+    if (!refined.empty()) {
+        std::vector<Box> fine;
+        for (const Box& b : refined) fine.push_back(refine(b, 2));
         h.geoms.push_back(h.geoms[0].refined(2));
         BoxArray ba1(fine);
         ba1.maxSize(max_grid);
@@ -92,6 +91,15 @@ Hier makeHier(int n, bool refined, bool dirichlet, int nranks = 4,
         }
     }
     return h;
+}
+
+// makeHierOn with the central half of the domain refined (a genuine
+// partial-coverage level with coarse-fine faces on all six sides).
+Hier makeHier(int n, bool refined, bool dirichlet, int nranks = 4, int max_grid = 8) {
+    std::vector<Box> fine;
+    if (refined)
+        fine.push_back(Box({n / 4, n / 4, n / 4}, {3 * n / 4 - 1, 3 * n / 4 - 1, 3 * n / 4 - 1}));
+    return makeHierOn(n, fine, dirichlet, nranks, max_grid);
 }
 
 CompositeMgResult solveHier(Hier& h, MgBC bc, CompositeMgOptions opt = {}) {
@@ -171,6 +179,57 @@ std::uint64_t hashLevels(const std::vector<MultiFab>& mfs) {
     std::uint64_t h = 1469598103934665603ULL;
     for (const MultiFab& mf : mfs) hashMfInto(h, mf);
     return h;
+}
+
+std::uint64_t hashMf(const MultiFab& mf) {
+    std::uint64_t h = 1469598103934665603ULL;
+    hashMfInto(h, mf);
+    return h;
+}
+
+// MgCfBoundary::addFluxMismatch as one launch per item, in construction
+// order: the reference its one-launch-per-colour form must match to the
+// bit.
+void fluxMismatchPerItem(const MgCfBoundary& cf, MultiFab& dst, const MultiFab& fine,
+                         const MultiFab& crse, const Geometry& cgeom,
+                         const Geometry& fgeom, Real sign) {
+    const int r = 2;
+    const Real inv_r2 = 1.0 / (static_cast<Real>(r) * r);
+    for (const MgCfBoundary::FluxItem& item : cf.fluxItems()) {
+        auto dA = dst.array(item.crse_fab);
+        auto cA = crse.const_array(item.crse_fab);
+        auto fA = fine.const_array(item.fine_fab);
+        const int d = item.dim;
+        const int t1 = (d + 1) % 3;
+        const int t2 = (d + 2) % 3;
+        const int gn = item.gn;
+        const int dir = item.side == 0 ? 1 : -1;
+        const IntVect e = IntVect::basis(d);
+        const IntVect sh = item.sh;
+        const Box ghosts = item.ghosts;
+        const Real inv_hf = 1.0 / fgeom.cellSize(d);
+        const Real inv_hc = 1.0 / cgeom.cellSize(d);
+        ParallelFor(KernelInfo{"flux_corr_reference", 20.0, 64.0, 40, 1.0}, item.crse_cells,
+                    [=](int i, int j, int k) {
+            const IntVect o{i + sh.x, j + sh.y, k + sh.z};
+            Real acc = 0.0;
+            for (int a = 0; a < r; ++a) {
+                for (int b = 0; b < r; ++b) {
+                    IntVect g;
+                    g[d] = gn;
+                    g[t1] = o[t1] * r + a;
+                    g[t2] = o[t2] * r + b;
+                    if (!ghosts.contains(g)) continue;
+                    IntVect f1 = g;
+                    f1[d] += dir;
+                    acc += (fA(f1.x, f1.y, f1.z) - fA(g.x, g.y, g.z)) * inv_hf -
+                           (cA(i + dir * e.x, j + dir * e.y, k + dir * e.z) - cA(i, j, k)) *
+                               inv_hc;
+                }
+            }
+            dA(i, j, k) += sign * acc * inv_r2 * inv_hc;
+        });
+    }
 }
 
 } // namespace
@@ -473,6 +532,141 @@ TEST(CompositeMg, RepeatSolveIsDeterministic) {
     EXPECT_TRUE(r1.converged);
     EXPECT_EQ(r1.vcycles, r2.vcycles);
     EXPECT_EQ(h1, h2);
+}
+
+TEST(CompositeMg, SolveLaunchesNoDomainBoundaryFill) {
+    // The rung stencils read Dirichlet and Neumann neighbours inline, so a
+    // solve launches no boundary fill. fillCompositeGhosts still fills the
+    // physical ghosts for the caller's gradient: one launch for level 0;
+    // the refined level touches no domain face.
+    for (MgBC bc : {MgBC::Dirichlet, MgBC::Neumann}) {
+        ScopedBackend backend(Backend::SimGpu);
+        Hier h = makeHier(16, true, true);
+        CompositeMgOptions opt;
+        opt.nranks = h.dms[0].numRanks();
+        CompositeMg mg(h.geoms, h.bas, h.dms, 2, bc, opt);
+        std::vector<MultiFab*> phi{&h.phi[0], &h.phi[1]};
+        std::vector<const MultiFab*> rhs{&h.rhs[0], &h.rhs[1]};
+        DeviceModel dev;
+        dev.attach();
+        const CompositeMgResult r = mg.solve(phi, rhs);
+        const auto& ks = dev.kernelStats();
+        EXPECT_TRUE(r.converged);
+        EXPECT_EQ(ks.count("mg_bc_fill"), 0u);
+        EXPECT_EQ(ks.count("mg_smooth"), 1u);
+        mg.fillCompositeGhosts(phi);
+        dev.detach();
+        ASSERT_EQ(ks.count("mg_bc_fill"), 1u);
+        EXPECT_EQ(ks.at("mg_bc_fill").launches, 1);
+    }
+}
+
+TEST(CompositeMg, FluxCorrectionIsOneLaunchPerColour) {
+    // An L of refined blocks: the coarse cells in its inner corner take
+    // flux corrections through two fine faces, so the items writing them
+    // need two colours. One launch per colour must give the bits of one
+    // launch per item, in its summation order, on every backend, and
+    // Debug must find no two tags of a launch writing one cell.
+    const std::vector<Box> ell{Box({4, 4, 4}, {7, 7, 7}), Box({8, 4, 4}, {11, 7, 7}),
+                               Box({4, 8, 4}, {7, 11, 7})};
+    Hier h = makeHierOn(16, ell, true, 4, 4);
+    // Data without the manufactured solution's symmetries, so the two
+    // contributions to an inner-corner cell differ and their order shows.
+    for (MultiFab& phi : h.phi) {
+        for (std::size_t q = 0; q < phi.size(); ++q) {
+            auto a = phi.array(static_cast<int>(q));
+            ParallelFor(phi.box(static_cast<int>(q)), [=](int i, int j, int k) {
+                a(i, j, k) = std::sin(1.3 * i + 2.9 * j * j + 0.7 * k * k * k);
+            });
+        }
+    }
+    const MgCfBoundary cf(h.geoms[0], h.geoms[1], h.bas[1], h.dms[1], h.bas[0], h.dms[0], 2);
+    ASSERT_GT(cf.numFluxColors(), 1);
+    EXPECT_LT(static_cast<std::size_t>(cf.numFluxColors()), cf.fluxItems().size());
+    h.phi[0].FillBoundary(0, 1, h.geoms[0].periodicity());
+    h.phi[1].FillBoundary(0, 1, h.geoms[1].periodicity());
+    {
+        MgCfBoundary fill(h.geoms[0], h.geoms[1], h.bas[1], h.dms[1], h.bas[0], h.dms[0], 2);
+        fill.prepare(h.phi[0]);
+        fill.interpGhosts(h.phi[1]);
+    }
+    auto fresh = [&] {
+        MultiFab dst(h.bas[0], h.dms[0], 1, 0);
+        MultiFab::Copy(dst, h.rhs[0], 0, 0, 1, 0);
+        return dst;
+    };
+    MultiFab ref = fresh();
+    fluxMismatchPerItem(cf, ref, h.phi[1], h.phi[0], h.geoms[0], h.geoms[1], -1.0);
+    const std::uint64_t href = hashMf(ref);
+    EXPECT_NE(href, hashMf(fresh()));
+
+    debug::ScopedViolationTrap trap;
+    debug::clearViolations();
+    debug::resetCheckCounts();
+    const int saved_checks = debug::limits().checks_per_kernel;
+    debug::limits().checks_per_kernel = 0; // check every colour's launch
+    for (Backend be : {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+        ScopedBackend backend(be);
+        MultiFab dst = fresh();
+        DeviceModel dev;
+        dev.attach();
+        cf.addFluxMismatch(dst, h.phi[1], h.phi[0], -1.0);
+        dev.detach();
+        EXPECT_EQ(hashMf(dst), href) << "backend " << static_cast<int>(be);
+        if (be == Backend::SimGpu) {
+            const auto& ks = dev.kernelStats();
+            const auto it = ks.find("mg_flux_corr");
+            EXPECT_EQ(it == ks.end() ? 0 : it->second.launches, cf.numFluxColors());
+        }
+    }
+    debug::limits().checks_per_kernel = saved_checks;
+    for (const auto& v : debug::violations())
+        ADD_FAILURE() << v.source << ": " << v.kind << " " << v.detail;
+    debug::clearViolations();
+}
+
+TEST(CompositeMg, ExchangeFreeRungsMatchSplitPhaseBits) {
+    // By default the geometric rungs aggregate onto one box, and a one-box
+    // rung even in every periodic direction sweeps without exchanges.
+    // Chopped into 2^3 boxes, the same rungs take the split-phase path;
+    // the bits must agree. A 12^3 periodic domain bottoms out at 3^3,
+    // whose periodic image has the sweeping colour, so that rung keeps
+    // the split-phase path.
+    struct Case {
+        int n;
+        MgBC bc;
+        int min_level_side;
+        int exchange_free; // rungs, with aggregation on
+    };
+    const Case cases[] = {{16, MgBC::Dirichlet, 4, 2},
+                          {16, MgBC::Neumann, 4, 2},
+                          {16, MgBC::Periodic, 4, 2},
+                          {12, MgBC::Periodic, 2, 1}};
+    for (Backend be : {Backend::Serial, Backend::OpenMP}) {
+        ScopedBackend backend(be);
+        for (const Case& c : cases) {
+            auto run = [&](bool one_box) {
+                Hier h = makeHier(c.n, true, c.bc != MgBC::Periodic);
+                CompositeMgOptions opt;
+                opt.nranks = h.dms[0].numRanks();
+                opt.min_level_side = c.min_level_side;
+                if (!one_box) {
+                    opt.aggregate_coarse = false;
+                    opt.max_grid_size = 2;
+                }
+                CompositeMg mg(h.geoms, h.bas, h.dms, 2, c.bc, opt);
+                EXPECT_EQ(mg.exchangeFreeRungs(), one_box ? c.exchange_free : 0);
+                std::vector<MultiFab*> phi{&h.phi[0], &h.phi[1]};
+                std::vector<const MultiFab*> rhs{&h.rhs[0], &h.rhs[1]};
+                const CompositeMgResult r = mg.solve(phi, rhs);
+                EXPECT_TRUE(r.converged);
+                return std::pair{hashLevels(h.phi), r.sweeps};
+            };
+            EXPECT_EQ(run(true), run(false))
+                << "n " << c.n << " bc " << static_cast<int>(c.bc) << " backend "
+                << static_cast<int>(be);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
