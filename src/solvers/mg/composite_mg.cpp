@@ -22,11 +22,11 @@ bool coarsenableDomain(const Box& b, int min_side) {
            b.length(1) > min_side && b.length(2) > min_side;
 }
 
-// Red-black Gauss-Seidel sweeps per rung visit: before and after the
-// coarse correction of a V-cycle, and on the coarsest rung.
+// Red-black Gauss-Seidel sweeps per rung visit before and after the
+// coarse correction of a V-cycle (CompositeMg::kBottomSmooth on the
+// coarsest rung).
 constexpr int kPreSmooth = 2;
 constexpr int kPostSmooth = 2;
-constexpr int kBottomSmooth = 40;
 
 // 1/dx^2 in each direction: the coefficients of the 7-point Laplacian.
 struct InvSpacing2 {
@@ -65,6 +65,11 @@ struct DomainFaces {
                 k == lo[2] ? s[2] * p(i, j, k + wrap[2]) : p(i, j, k - 1),
                 k == hi[2] ? s[2] * p(i, j, k - wrap[2]) : p(i, j, k + 1)};
     }
+
+    // True when no face of the domain is read from a ghost zone.
+    bool allInline() const {
+        return std::none_of(lo, lo + 3, [](int l) { return l == std::numeric_limits<int>::min(); });
+    }
 };
 
 // Mirror every non-periodic face under a Dirichlet or Neumann BC; with
@@ -95,8 +100,26 @@ inline Real laplacian(const A& p, const DomainFaces& f, const InvSpacing2& h, in
            h.z * (n.zp - 2 * c + n.zm);
 }
 
+// The red-black Gauss-Seidel value of zone (i, j, k): what a half-sweep
+// writes there. The half-sweep launch and the bottom replay both call it,
+// so they agree to the bit.
+template <class P, class B>
+inline Real gsValue(const P& p, const B& b, const DomainFaces& f, const InvSpacing2& h,
+                    Real diag, int i, int j, int k) {
+    const Neighbours n = f.read(p, i, j, k);
+    const Real sum = h.x * (n.xp + n.xm) + h.y * (n.yp + n.ym) + h.z * (n.zp + n.zm);
+    return (sum - b(i, j, k)) / diag;
+}
+
 KernelInfo smoothKernel() {
     return KernelInfo{"mg_smooth", 12.0, 96.0, 40, 1.0};
+}
+// A replayed bottom visit of `half_sweeps` half-sweeps over `zones` zones:
+// every work item updates about half the zones per half-sweep and reads
+// the rung's phi and rhs once; its private copy of phi needs registers.
+KernelInfo bottomKernel(int half_sweeps, std::int64_t zones) {
+    return KernelInfo{"mg_bottom", half_sweeps * static_cast<double>((zones + 1) / 2) * 12.0,
+                      16.0 * static_cast<double>(zones) + 8.0, 64, 1.0};
 }
 KernelInfo applyKernel() {
     return KernelInfo{"mg_residual", 10.0, 80.0, 40, 1.0};
@@ -279,7 +302,10 @@ int CompositeMg::exchangeFreeRungs() const {
 
 void CompositeMg::fillGhostsRung(int r) {
     Rung& R = m_r[static_cast<std::size_t>(r)];
-    R.phi.FillBoundary(0, 1, R.geom.periodicity());
+    // An exchange-free rung's own stencils read its periodic images
+    // inline, so only a finer rung's coarse-fine boundary needs its ghosts.
+    const bool finer_reads = r + 1 < numRungs() && m_r[static_cast<std::size_t>(r + 1)].cf;
+    if (!R.exchange_free || finer_reads) R.phi.FillBoundary(0, 1, R.geom.periodicity());
     if (R.cf) {
         R.cf->prepare(m_r[static_cast<std::size_t>(r - 1)].phi);
         R.cf->interpGhosts(R.phi);
@@ -308,13 +334,47 @@ void CompositeMg::smoothRung(int r, int sweeps) {
             auto b = rhs.const_array(static_cast<int>(i));
             return std::pair{box, [=](int ii, int j, int k) {
                 if (((ii + j + k) & 1) != color) return;
-                const Neighbours n = faces.read(p, ii, j, k);
-                const Real sum = h.x * (n.xp + n.xm) + h.y * (n.yp + n.ym) +
-                                 h.z * (n.zp + n.zm);
-                p(ii, j, k) = (sum - b(ii, j, k)) / diag;
+                p(ii, j, k) = gsValue(p, b, faces, h, diag, ii, j, k);
             }};
         });
     };
+    if (r == 0 && R.exchange_free && R.ba[0].numPts() <= kReplayMaxZones &&
+        faces.allInline()) {
+        // The whole visit in one launch. Each work item copies the rung
+        // into private scratch and replays every half-sweep on it in
+        // colour order. A half-sweep writes one colour and reads only the
+        // other (or, across a Dirichlet or Neumann face, the zone itself),
+        // so the serial in-place replay computes each zone exactly as the
+        // half-sweep launches would. The item then writes its own zone to
+        // rung 0's res, which is dead here: prolongAddCorrection's LinComb,
+        // fmgBootstrap's vcycle(1) and compositeResidualNorm each write it
+        // before they read it.
+        const Box box = phi.box(0);
+        const int half_sweeps = 2 * sweeps;
+        auto p = phi.const_array(0);
+        auto b = rhs.const_array(0);
+        auto out = R.res.array(0);
+        const Dim3 lo = box.loDim3();
+        const Dim3 hi = box.hiDim3();
+        ParallelFor(bottomKernel(half_sweeps, box.numPts()), box, [=](int i, int j, int k) {
+            Real scratch[kReplayMaxZones];
+            const Array4<Real> q(scratch, box, 1);
+            for (int kk = lo.z; kk <= hi.z; ++kk)
+                for (int jj = lo.y; jj <= hi.y; ++jj)
+                    for (int ii = lo.x; ii <= hi.x; ++ii) q(ii, jj, kk) = p(ii, jj, kk);
+            // Half-sweep `half` updates the zones with (i + j + k) % 2 == half % 2.
+            for (int half = 0; half < half_sweeps; ++half)
+                for (int kk = lo.z; kk <= hi.z; ++kk)
+                    for (int jj = lo.y; jj <= hi.y; ++jj)
+                        for (int ii = lo.x + ((lo.x + jj + kk + half) & 1); ii <= hi.x; ii += 2)
+                            q(ii, jj, kk) = gsValue(q, b, faces, h, diag, ii, jj, kk);
+            out(i, j, k) = q(i, j, k);
+        });
+        MultiFab::Copy(phi, R.res, 0, 0, 1, 0);
+        m_stats.sweeps += half_sweeps;
+        ++m_stats.bottom_replays;
+        return;
+    }
     if (R.exchange_free) {
         // The whole rung is one box whose every face neighbour is read
         // inline: one launch per half-sweep, no exchange to wait for.
@@ -352,9 +412,10 @@ void CompositeMg::smoothRung(int r, int sweeps) {
 }
 
 void CompositeMg::applyOpNoFill(int r, const MultiFab& phi, MultiFab& out) {
-    const Geometry& g = m_r[static_cast<std::size_t>(r)].geom;
+    const Rung& R = m_r[static_cast<std::size_t>(r)];
+    const Geometry& g = R.geom;
     const InvSpacing2 h = invSpacing2(g);
-    const DomainFaces faces = domainFaces(g, m_bc, false);
+    const DomainFaces faces = domainFaces(g, m_bc, R.exchange_free);
     ParallelFor(applyKernel(), phi.size(), 1, [&](std::size_t i) {
         auto p = phi.const_array(static_cast<int>(i));
         auto o = out.array(static_cast<int>(i));
@@ -368,7 +429,7 @@ void CompositeMg::applyResidual(int r, const MultiFab& rhs, MultiFab& res) {
     Rung& R = m_r[static_cast<std::size_t>(r)];
     const Geometry& g = R.geom;
     const InvSpacing2 h = invSpacing2(g);
-    const DomainFaces faces = domainFaces(g, m_bc, false);
+    const DomainFaces faces = domainFaces(g, m_bc, R.exchange_free);
     ParallelFor(KernelInfo{"mg_comp_residual", 12.0, 104.0, 40, 1.0}, res.size(), 1,
                 [&](std::size_t i) {
         auto p = R.phi.const_array(static_cast<int>(i));
@@ -412,7 +473,7 @@ void CompositeMg::buildCoarseRhs(int r) {
     if (F.cf) F.cf->addFluxMismatch(C.rhs, F.phi, C.phi, -1.0);
     const Geometry& g = C.geom;
     const InvSpacing2 h = invSpacing2(g);
-    const DomainFaces faces = domainFaces(g, m_bc, false);
+    const DomainFaces faces = domainFaces(g, m_bc, C.exchange_free);
     auto plan = CopierCache::instance().averageDown(C.ba, F.ba, F.ratio);
     ParallelFor(KernelInfo{"mg_fas_rhs", 12.0, 104.0, 40, 1.0}, plan->items.size(), 1,
                 [&](std::size_t t) {
@@ -703,6 +764,7 @@ CompositeMgResult CompositeMg::solve(const std::vector<MultiFab*>& phi,
     result.all_vcycles = static_cast<int>(m_stats.vcycles - before.vcycles);
     result.fmg_cycles = static_cast<int>(m_stats.fmg_cycles - before.fmg_cycles);
     result.sweeps = m_stats.sweeps - before.sweeps;
+    result.bottom_replays = m_stats.bottom_replays - before.bottom_replays;
     result.agg_copies = m_stats.agg_copies - before.agg_copies;
     result.agg_bytes = m_stats.agg_bytes - before.agg_bytes;
     result.final_resnorm = res;

@@ -27,7 +27,10 @@
 //    other). A rung whose fabs are all whole exchanges eagerly. A rung
 //    whose one box is the domain, even in every periodic direction,
 //    exchanges nothing: its half-sweep is one launch over the box that
-//    reads periodic images (the other colour) inline.
+//    reads periodic images (the other colour) inline. When that rung is
+//    the bottom and holds at most kReplayMaxZones zones, a whole visit
+//    is one launch: every work item replays all the visit's half-sweeps
+//    on a private copy of the rung and keeps its own zone.
 //
 // No rung stencil reads a domain-face ghost: the smoother, residual and
 // operator read a Dirichlet or Neumann neighbour as -/+ the zone itself,
@@ -70,7 +73,8 @@ struct CompositeMgResult {
     int vcycles = 0;     // outer V-cycles (after any FMG bootstrap)
     int all_vcycles = 0; // including the per-stage cycles inside FMG
     int fmg_cycles = 0;
-    std::int64_t sweeps = 0;
+    std::int64_t sweeps = 0;         // red-black half-sweeps, every rung
+    std::int64_t bottom_replays = 0; // bottom visits run as one mg_bottom launch
     std::int64_t agg_copies = 0; // staged coarse-aggregation ParallelCopies
     std::int64_t agg_bytes = 0;  // their off-rank payload
     Real initial_resnorm = 0.0;
@@ -83,12 +87,19 @@ struct CompositeMgStats {
     std::int64_t vcycles = 0;
     std::int64_t fmg_cycles = 0;
     std::int64_t sweeps = 0;
+    std::int64_t bottom_replays = 0;
     std::int64_t agg_copies = 0;
     std::int64_t agg_bytes = 0;
 };
 
 class CompositeMg {
 public:
+    // Red-black sweeps per visit to the coarsest rung.
+    static constexpr int kBottomSmooth = 40;
+    // The largest bottom rung, in zones, whose visit replays in one
+    // launch: the size of each work item's private copy of the rung.
+    static constexpr int kReplayMaxZones = 64;
+
     // geoms/bas/dms describe the AMR hierarchy, index 0 = coarsest AMR
     // level (Castro ordering); ref_ratio is the uniform fine/coarse
     // ratio between consecutive AMR levels. Layouts are captured by value:
@@ -145,9 +156,10 @@ private:
 
     void fillGhostsRung(int r);
     void smoothRung(int r, int sweeps);
-    // out = Laplacian(phi) on rung r; ghosts of phi must be current.
+    // out = Laplacian(phi) on rung r; ghosts of phi must be current
+    // (an exchange-free rung reads its periodic images inline).
     void applyOpNoFill(int r, const MultiFab& phi, MultiFab& out);
-    // res = rhs - Laplacian(phi) on rung r; ghosts must be current.
+    // res = rhs - Laplacian(phi) on rung r; ghosts must be current, as above.
     void applyResidual(int r, const MultiFab& rhs, MultiFab& res);
     // Average rung r's `fine` down into rung r-1's `crse` (covered cells
     // only), staging through the aggregation fab when rung r-1 lives on a

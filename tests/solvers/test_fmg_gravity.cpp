@@ -3,8 +3,9 @@
 // bounded cycle counts at tight rtol, V-cycle contraction and the
 // warm-started single-level Neumann solve of the MAESTRO projection,
 // bit-identity across backends / aggregation on-off / split-phase halos /
-// exchange-free one-box rungs, the coloured flux correction against its
-// per-item form, and the coarse-aggregation counters. The Castro
+// exchange-free one-box rungs / the replayed bottom, launch counts per
+// half-sweep and per bottom visit, the coloured flux correction against
+// its per-item form, and the coarse-aggregation counters. The Castro
 // integration half at the bottom exercises GravityType::Poisson on the
 // AMR driver end to end: amr-blast with gravity across a regrid, and
 // rank-failure recovery bit-identity.
@@ -437,14 +438,30 @@ TEST(CompositeMg, SplitPhaseHalosBitIdentical) {
     EXPECT_EQ(hserial, hdebug);
 }
 
+namespace {
+
+// Red-black half-sweeps of a solve that are not inside a replayed
+// bottom visit.
+std::int64_t loopSweeps(const CompositeMgResult& r) {
+    return r.sweeps - r.bottom_replays * 2 * CompositeMg::kBottomSmooth;
+}
+
+std::int64_t kernelLaunches(const DeviceModel& dev, const char* name) {
+    const auto it = dev.kernelStats().find(name);
+    return it == dev.kernelStats().end() ? 0 : it->second.launches;
+}
+
+} // namespace
+
 TEST(CompositeMg, HalfSweepIsAtMostTwoSmoothLaunches) {
-    // Every red-black half-sweep smooths one rung: one launch over the
-    // interiors and one over the shells. Data, messages and bytes match
-    // the Serial backend, which runs one launch per box.
+    // Every red-black half-sweep above the bottom smooths one rung: one
+    // launch over the interiors and one over the shells. Every visit to
+    // the one-box 2^3 bottom is one mg_bottom launch. Data, messages and
+    // bytes match the Serial backend, which runs one launch per box.
     struct Run {
         CompositeMgResult res;
         std::uint64_t hash = 0;
-        std::int64_t smooth_launches = 0, messages = 0, bytes = 0;
+        std::int64_t smooth_launches = 0, bottom_launches = 0, messages = 0, bytes = 0;
     };
     auto run = [](Backend be) {
         ScopedBackend backend(be);
@@ -458,8 +475,8 @@ TEST(CompositeMg, HalfSweepIsAtMostTwoSmoothLaunches) {
         dev.detach();
         ledger.detach();
         out.hash = hashLevels(h.phi);
-        const auto it = dev.kernelStats().find("mg_smooth");
-        out.smooth_launches = it == dev.kernelStats().end() ? 0 : it->second.launches;
+        out.smooth_launches = kernelLaunches(dev, "mg_smooth");
+        out.bottom_launches = kernelLaunches(dev, "mg_bottom");
         out.messages = ledger.totalMessages();
         out.bytes = ledger.totalBytes();
         return out;
@@ -467,11 +484,14 @@ TEST(CompositeMg, HalfSweepIsAtMostTwoSmoothLaunches) {
     const Run gpu = run(Backend::SimGpu);
     const Run ref = run(Backend::Serial);
     ASSERT_TRUE(gpu.res.converged);
-    ASSERT_GT(gpu.res.sweeps, 0);
-    EXPECT_LE(gpu.smooth_launches, 2 * gpu.res.sweeps);
-    EXPECT_GT(gpu.smooth_launches, gpu.res.sweeps); // some rungs have interiors
+    ASSERT_GT(gpu.res.bottom_replays, 0);
+    ASSERT_GT(loopSweeps(gpu.res), 0);
+    EXPECT_LE(gpu.smooth_launches, 2 * loopSweeps(gpu.res));
+    EXPECT_GT(gpu.smooth_launches, loopSweeps(gpu.res)); // some rungs have interiors
+    EXPECT_EQ(gpu.bottom_launches, gpu.res.bottom_replays);
     EXPECT_EQ(ref.smooth_launches, 0); // Serial publishes no launches
     EXPECT_EQ(gpu.res.sweeps, ref.res.sweeps);
+    EXPECT_EQ(gpu.res.bottom_replays, ref.res.bottom_replays);
     EXPECT_EQ(gpu.hash, ref.hash);
     EXPECT_GT(gpu.messages, 0);
     EXPECT_EQ(gpu.messages, ref.messages);
@@ -495,8 +515,8 @@ TEST(CompositeMg, WholeOnlyRungsExchangeEagerly) {
     ledger.detach();
     EXPECT_EQ(ledger.halosPosted(), 0);
     // Between two smooth launches of one rung visit only the next
-    // half-sweep's ghost fill runs: its exchange (none on the one-box
-    // bottom rung, whose plan is empty) and the domain BC.
+    // half-sweep's ghost fill runs: its exchange and the domain BC. The
+    // one-box bottom rung's visits are one mg_bottom launch each.
     std::int64_t smooth = 0, exchanges = 0;
     std::vector<std::string> gap;
     for (const std::string& k : kernels) {
@@ -514,8 +534,159 @@ TEST(CompositeMg, WholeOnlyRungsExchangeEagerly) {
         }
         gap.clear();
     }
-    EXPECT_EQ(smooth, r.sweeps);
+    EXPECT_EQ(smooth, loopSweeps(r));
+    EXPECT_GT(r.bottom_replays, 0);
+    EXPECT_EQ(std::count(kernels.begin(), kernels.end(), "mg_bottom"), r.bottom_replays);
     EXPECT_GT(exchanges, 0);
+}
+
+TEST(CompositeMg, BottomVisitIsOneLaunch) {
+    // Each visit to the one-box 2^3 bottom is one mg_bottom launch over
+    // its 8 zones, then one copy of the result into phi; no mg_smooth
+    // launch touches the bottom. FMG visits it once, then once per
+    // V-cycle, its own stages' included. The sweeps and bits are the
+    // Serial run's, and the device model charges a visit at least the
+    // time one thread needs for a work item's replay.
+    struct Launch {
+        std::string name;
+        std::int64_t zones;
+    };
+    auto run = [](Backend be, std::vector<Launch>& launches, DeviceModel& dev) {
+        ScopedBackend backend(be);
+        Hier h = makeHier(16, true, true);
+        dev.attach();
+        EventSubscription sub([&](const Event& e) {
+            if (const auto* l = std::get_if<LaunchRecord>(&e))
+                launches.push_back({l->info.name, l->zones});
+        });
+        const CompositeMgResult r = solveHier(h, MgBC::Dirichlet);
+        sub.reset();
+        dev.detach();
+        return std::pair{r, hashLevels(h.phi)};
+    };
+    std::vector<Launch> launches, serial_launches;
+    DeviceModel dev, serial_dev;
+    const auto [gpu, gpu_hash] = run(Backend::SimGpu, launches, dev);
+    const auto [ref, ref_hash] = run(Backend::Serial, serial_launches, serial_dev);
+    ASSERT_TRUE(gpu.converged);
+    EXPECT_EQ(gpu.fmg_cycles, 1);
+    EXPECT_EQ(gpu.bottom_replays, 1 + gpu.all_vcycles);
+    std::int64_t bottoms = 0;
+    for (std::size_t t = 0; t < launches.size(); ++t) {
+        if (launches[t].name == "mg_smooth") {
+            EXPECT_GT(launches[t].zones, 8);
+        }
+        if (launches[t].name != "mg_bottom") continue;
+        ++bottoms;
+        EXPECT_EQ(launches[t].zones, 8);
+        ASSERT_LT(t + 1, launches.size());
+        EXPECT_EQ(launches[t + 1].name, "fab_copy");
+        EXPECT_EQ(launches[t + 1].zones, 8);
+    }
+    EXPECT_EQ(bottoms, gpu.bottom_replays);
+    const DeviceModel::KernelStats& ks = dev.kernelStats().at("mg_bottom");
+    EXPECT_EQ(ks.launches, gpu.bottom_replays);
+    EXPECT_GT(ks.seconds / static_cast<double>(ks.launches),
+              ks.info.flops_per_zone / dev.params().single_thread_flops);
+    EXPECT_TRUE(serial_launches.empty()); // Serial publishes no launches
+    EXPECT_EQ(gpu.sweeps, ref.sweeps);
+    EXPECT_EQ(gpu.bottom_replays, ref.bottom_replays);
+    EXPECT_EQ(gpu_hash, ref_hash);
+}
+
+TEST(CompositeMg, ReplayedBottomMatchesSplitPhaseBits) {
+    // With min_level_side 2 a 4^3 level 0 has one rung below it, 2^3.
+    // Aggregated onto one box, each visit to it replays its half-sweeps
+    // in one launch; chopped into 1^3 boxes (restriction needs the finer
+    // rung's boxes coarsenable, which level 0's own layout keeps), it
+    // sweeps with exchanges. The bits must agree on every backend, with
+    // Debug checking every launch. A 12^3 ladder stopped at side 6
+    // bottoms out at 6^3, above kReplayMaxZones: its one-box bottom keeps
+    // one launch per half-sweep.
+    struct Case {
+        int n;
+        MgBC bc;
+        int min_level_side;
+        int chop; // max_grid_size of the split-path run
+        bool replayed;
+    };
+    const Case cases[] = {{4, MgBC::Dirichlet, 2, 1, true},
+                          {4, MgBC::Neumann, 2, 1, true},
+                          {4, MgBC::Periodic, 2, 1, true},
+                          {12, MgBC::Dirichlet, 6, 4, false}};
+    debug::ScopedViolationTrap trap;
+    debug::clearViolations();
+    debug::resetCheckCounts();
+    const int saved_checks = debug::limits().checks_per_kernel;
+    debug::limits().checks_per_kernel = 0; // check every launch
+    for (Backend be : {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+        ScopedBackend backend(be);
+        for (const Case& c : cases) {
+            auto run = [&](bool one_box) {
+                Hier h = makeHier(c.n, true, c.bc != MgBC::Periodic);
+                CompositeMgOptions opt;
+                opt.nranks = h.dms[0].numRanks();
+                opt.min_level_side = c.min_level_side;
+                if (!one_box) {
+                    opt.aggregate_coarse = false;
+                    opt.max_grid_size = c.chop;
+                }
+                CompositeMg mg(h.geoms, h.bas, h.dms, 2, c.bc, opt);
+                std::vector<MultiFab*> phi{&h.phi[0], &h.phi[1]};
+                std::vector<const MultiFab*> rhs{&h.rhs[0], &h.rhs[1]};
+                const CompositeMgResult r = mg.solve(phi, rhs);
+                EXPECT_TRUE(r.converged);
+                EXPECT_EQ(r.bottom_replays > 0, one_box && c.replayed);
+                return std::pair{hashLevels(h.phi), r.sweeps};
+            };
+            EXPECT_EQ(run(true), run(false))
+                << "n " << c.n << " bc " << static_cast<int>(c.bc) << " backend "
+                << static_cast<int>(be);
+        }
+    }
+    debug::limits().checks_per_kernel = saved_checks;
+    for (const auto& v : debug::violations())
+        ADD_FAILURE() << v.source << ": " << v.kind << " " << v.detail;
+    debug::clearViolations();
+}
+
+TEST(CompositeMg, ExchangeFreeRungFillsGhostsOnlyForAFinerBoundary) {
+    // An exchange-free rung's residual, operator and FAS rhs read its
+    // periodic images inline, so its ghosts are filled only when a finer
+    // rung's coarse-fine boundary reads them. Filling a one-box periodic
+    // n^3 rung is one fab_copy launch over its (n+2)^3 - n^3 ghosts.
+    auto copies = [](bool refined) {
+        ScopedBackend backend(Backend::SimGpu);
+        Hier h = makeHier(16, refined, false, /*nranks=*/1, /*max_grid=*/16);
+        CompositeMgOptions opt;
+        opt.nranks = 1;
+        CompositeMg mg(h.geoms, h.bas, h.dms, 2, MgBC::Periodic, opt);
+        EXPECT_EQ(mg.exchangeFreeRungs(), 4); // 16^3, 8^3, 4^3, 2^3
+        std::vector<MultiFab*> phi;
+        std::vector<const MultiFab*> rhs;
+        for (std::size_t lev = 0; lev < h.phi.size(); ++lev) {
+            phi.push_back(&h.phi[lev]);
+            rhs.push_back(&h.rhs[lev]);
+        }
+        std::vector<std::int64_t> zones;
+        EventSubscription sub([&](const Event& e) {
+            const auto* l = std::get_if<LaunchRecord>(&e);
+            if (l && std::string(l->info.name) == "fab_copy") zones.push_back(l->zones);
+        });
+        EXPECT_TRUE(mg.solve(phi, rhs).converged);
+        return zones;
+    };
+    auto fills = [](const std::vector<std::int64_t>& zones, int n) {
+        const std::int64_t ghosts = std::int64_t{n + 2} * (n + 2) * (n + 2) - n * n * n;
+        return std::count(zones.begin(), zones.end(), ghosts);
+    };
+    const std::vector<std::int64_t> one_level = copies(false);
+    for (int n : {16, 8, 4, 2}) EXPECT_EQ(fills(one_level, n), 0) << "one level, rung " << n;
+    // The refined level's boundary reads level 0's ghosts; the geometric
+    // rungs below level 0 still fill nothing.
+    const std::vector<std::int64_t> two_levels = copies(true);
+    EXPECT_GT(fills(two_levels, 16), 0);
+    for (int n : {8, 4, 2}) EXPECT_EQ(fills(two_levels, n), 0) << "two levels, rung " << n;
 }
 
 TEST(CompositeMg, RepeatSolveIsDeterministic) {
