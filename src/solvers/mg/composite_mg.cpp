@@ -65,11 +65,6 @@ struct DomainFaces {
                 k == lo[2] ? s[2] * p(i, j, k + wrap[2]) : p(i, j, k - 1),
                 k == hi[2] ? s[2] * p(i, j, k - wrap[2]) : p(i, j, k + 1)};
     }
-
-    // True when no face of the domain is read from a ghost zone.
-    bool allInline() const {
-        return std::none_of(lo, lo + 3, [](int l) { return l == std::numeric_limits<int>::min(); });
-    }
 };
 
 // Mirror every non-periodic face under a Dirichlet or Neumann BC; with
@@ -114,12 +109,12 @@ inline Real gsValue(const P& p, const B& b, const DomainFaces& f, const InvSpaci
 KernelInfo smoothKernel() {
     return KernelInfo{"mg_smooth", 12.0, 96.0, 40, 1.0};
 }
-// A replayed bottom visit of `half_sweeps` half-sweeps over `zones` zones:
-// every work item updates about half the zones per half-sweep and reads
-// the rung's phi and rhs once; its private copy of phi needs registers.
+// A replayed bottom visit: one work item runs `half_sweeps` half-sweeps
+// over the rung's `zones` zones, about half of them each, and reads phi
+// and rhs and writes phi once.
 KernelInfo bottomKernel(int half_sweeps, std::int64_t zones) {
     return KernelInfo{"mg_bottom", half_sweeps * static_cast<double>((zones + 1) / 2) * 12.0,
-                      16.0 * static_cast<double>(zones) + 8.0, 64, 1.0};
+                      24.0 * static_cast<double>(zones), 64, 1.0};
 }
 KernelInfo applyKernel() {
     return KernelInfo{"mg_residual", 10.0, 80.0, 40, 1.0};
@@ -338,39 +333,28 @@ void CompositeMg::smoothRung(int r, int sweeps) {
             }};
         });
     };
-    if (r == 0 && R.exchange_free && R.ba[0].numPts() <= kReplayMaxZones &&
-        faces.allInline()) {
-        // The whole visit in one launch. Each work item copies the rung
-        // into private scratch and replays every half-sweep on it in
-        // colour order. A half-sweep writes one colour and reads only the
-        // other (or, across a Dirichlet or Neumann face, the zone itself),
-        // so the serial in-place replay computes each zone exactly as the
-        // half-sweep launches would. The item then writes its own zone to
-        // rung 0's res, which is dead here: prolongAddCorrection's LinComb,
-        // fmgBootstrap's vcycle(1) and compositeResidualNorm each write it
-        // before they read it.
+    if (r == 0 && R.exchange_free && R.ba[0].numPts() <= kReplayMaxZones) {
+        // The whole visit in one launch of one work item, which replays
+        // every half-sweep on phi in place, in colour order. A half-sweep
+        // writes one colour and reads only the other (or, across a
+        // Dirichlet or Neumann face, the zone itself), so the serial
+        // replay computes each zone exactly as the half-sweep launches
+        // would.
         const Box box = phi.box(0);
         const int half_sweeps = 2 * sweeps;
-        auto p = phi.const_array(0);
+        auto p = phi.array(0);
         auto b = rhs.const_array(0);
-        auto out = R.res.array(0);
         const Dim3 lo = box.loDim3();
         const Dim3 hi = box.hiDim3();
-        ParallelFor(bottomKernel(half_sweeps, box.numPts()), box, [=](int i, int j, int k) {
-            Real scratch[kReplayMaxZones];
-            const Array4<Real> q(scratch, box, 1);
-            for (int kk = lo.z; kk <= hi.z; ++kk)
-                for (int jj = lo.y; jj <= hi.y; ++jj)
-                    for (int ii = lo.x; ii <= hi.x; ++ii) q(ii, jj, kk) = p(ii, jj, kk);
+        ParallelFor(bottomKernel(half_sweeps, box.numPts()), Box(box.smallEnd(), box.smallEnd()),
+                    [=](int, int, int) {
             // Half-sweep `half` updates the zones with (i + j + k) % 2 == half % 2.
             for (int half = 0; half < half_sweeps; ++half)
-                for (int kk = lo.z; kk <= hi.z; ++kk)
-                    for (int jj = lo.y; jj <= hi.y; ++jj)
-                        for (int ii = lo.x + ((lo.x + jj + kk + half) & 1); ii <= hi.x; ii += 2)
-                            q(ii, jj, kk) = gsValue(q, b, faces, h, diag, ii, jj, kk);
-            out(i, j, k) = q(i, j, k);
+                for (int k = lo.z; k <= hi.z; ++k)
+                    for (int j = lo.y; j <= hi.y; ++j)
+                        for (int i = lo.x + ((lo.x + j + k + half) & 1); i <= hi.x; i += 2)
+                            p(i, j, k) = gsValue(p, b, faces, h, diag, i, j, k);
         });
-        MultiFab::Copy(phi, R.res, 0, 0, 1, 0);
         m_stats.sweeps += half_sweeps;
         ++m_stats.bottom_replays;
         return;

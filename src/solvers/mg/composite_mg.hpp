@@ -29,8 +29,8 @@
 //    exchanges nothing: its half-sweep is one launch over the box that
 //    reads periodic images (the other colour) inline. When that rung is
 //    the bottom and holds at most kReplayMaxZones zones, a whole visit
-//    is one launch: every work item replays all the visit's half-sweeps
-//    on a private copy of the rung and keeps its own zone.
+//    is one launch of one work item that replays all the visit's
+//    half-sweeps in place.
 //
 // No rung stencil reads a domain-face ghost: the smoother, residual and
 // operator read a Dirichlet or Neumann neighbour as -/+ the zone itself,
@@ -97,8 +97,9 @@ public:
     // Red-black sweeps per visit to the coarsest rung.
     static constexpr int kBottomSmooth = 40;
     // The largest bottom rung, in zones, whose visit replays in one
-    // launch: the size of each work item's private copy of the rung.
-    static constexpr int kReplayMaxZones = 64;
+    // launch: the 2^3 bottom, the only one priced and timed against one
+    // launch per half-sweep.
+    static constexpr int kReplayMaxZones = 8;
 
     // geoms/bas/dms describe the AMR hierarchy, index 0 = coarsest AMR
     // level (Castro ordering); ref_ratio is the uniform fine/coarse

@@ -541,12 +541,12 @@ TEST(CompositeMg, WholeOnlyRungsExchangeEagerly) {
 }
 
 TEST(CompositeMg, BottomVisitIsOneLaunch) {
-    // Each visit to the one-box 2^3 bottom is one mg_bottom launch over
-    // its 8 zones, then one copy of the result into phi; no mg_smooth
-    // launch touches the bottom. FMG visits it once, then once per
-    // V-cycle, its own stages' included. The sweeps and bits are the
-    // Serial run's, and the device model charges a visit at least the
-    // time one thread needs for a work item's replay.
+    // Each visit to the one-box 2^3 bottom is one mg_bottom launch of one
+    // work item that replays the visit in place, with no copy after it;
+    // no mg_smooth launch touches the bottom. FMG visits it once, then
+    // once per V-cycle, its own stages' included. The sweeps and bits are
+    // the Serial run's, and the device model charges a visit at least the
+    // time one thread needs for the replay.
     struct Launch {
         std::string name;
         std::int64_t zones;
@@ -578,10 +578,13 @@ TEST(CompositeMg, BottomVisitIsOneLaunch) {
         }
         if (launches[t].name != "mg_bottom") continue;
         ++bottoms;
-        EXPECT_EQ(launches[t].zones, 8);
+        EXPECT_EQ(launches[t].zones, 1);
+        // The visit leaves its result in phi, with no copy: a V-cycle's
+        // visit is followed by the prolongation's mf_lincomb, the FMG
+        // bootstrap's by the staging copy up to rung 1.
         ASSERT_LT(t + 1, launches.size());
-        EXPECT_EQ(launches[t + 1].name, "fab_copy");
-        EXPECT_EQ(launches[t + 1].zones, 8);
+        EXPECT_EQ(launches[t + 1].name, bottoms == 1 ? "fab_copy" : "mf_lincomb")
+            << "after bottom visit " << bottoms;
     }
     EXPECT_EQ(bottoms, gpu.bottom_replays);
     const DeviceModel::KernelStats& ks = dev.kernelStats().at("mg_bottom");
@@ -600,9 +603,9 @@ TEST(CompositeMg, ReplayedBottomMatchesSplitPhaseBits) {
     // in one launch; chopped into 1^3 boxes (restriction needs the finer
     // rung's boxes coarsenable, which level 0's own layout keeps), it
     // sweeps with exchanges. The bits must agree on every backend, with
-    // Debug checking every launch. A 12^3 ladder stopped at side 6
-    // bottoms out at 6^3, above kReplayMaxZones: its one-box bottom keeps
-    // one launch per half-sweep.
+    // Debug checking every launch. Bottoms above kReplayMaxZones keep one
+    // launch per half-sweep: a 12^3 ladder bottoms out at 3^3 (Dirichlet,
+    // 27 zones), or at 6^3 when stopped at side 6.
     struct Case {
         int n;
         MgBC bc;
@@ -613,6 +616,7 @@ TEST(CompositeMg, ReplayedBottomMatchesSplitPhaseBits) {
     const Case cases[] = {{4, MgBC::Dirichlet, 2, 1, true},
                           {4, MgBC::Neumann, 2, 1, true},
                           {4, MgBC::Periodic, 2, 1, true},
+                          {12, MgBC::Dirichlet, 2, 2, false},
                           {12, MgBC::Dirichlet, 6, 4, false}};
     debug::ScopedViolationTrap trap;
     debug::clearViolations();
