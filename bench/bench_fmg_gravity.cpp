@@ -19,11 +19,13 @@
 //
 //   T = t_kernels*f + max(0, T_net - hidden)
 //
-// with hidden = min(T_net, t_smooth*f * interior_fraction): each
-// red-black half-sweep posts its exchange and smooths fab interiors
-// while the traffic is in flight, so up to the interior share of the
-// smoother's kernel time can cover the network time (an aggregate
-// treatment of per-half-sweep overlap).
+// with hidden = min(T_net, t_overlap*f): each red-black half-sweep posts
+// its exchange and smooths fab interiors while the traffic is in flight,
+// so the modeled time of exactly those mg_smooth launches (the ones that
+// run between a HaloEvent Posted and its Finished) can cover the network
+// time. Eager exchanges finish before their launch, and one-box rungs and
+// the replayed bottom (mg_bottom) post none, so none of them count (an
+// aggregate treatment of per-half-sweep overlap).
 //
 // The levers move different terms. The FMG bootstrap cuts *cycles*
 // (kernel and network time together): one full-multigrid pass lands
@@ -40,7 +42,6 @@
 #include "comm/network.hpp"
 #include "core/events.hpp"
 #include "core/parallel_for.hpp"
-#include "mesh/copier_cache.hpp"
 #include "solvers/mg/composite_mg.hpp"
 
 #include <algorithm>
@@ -49,6 +50,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace exa;
@@ -114,19 +116,31 @@ double busiestRankShare(const DistributionMapping& dm) {
     return static_cast<double>(mx) / static_cast<double>(ranks.size());
 }
 
-// Interior share of the finest level's zones at stencil width 1: the
-// fraction of each half-sweep that can run while its exchange is in
-// flight.
-double interiorFraction(const BoxArray& ba) {
-    const auto part = CopierCache::instance().interiorPartition(ba, 1);
-    double interior = 0.0, total = 0.0;
-    for (std::size_t i = 0; i < part->fabs.size(); ++i) {
-        total += static_cast<double>(ba[static_cast<int>(i)].numPts());
-        if (part->fabs[i].interior.ok())
-            interior += static_cast<double>(part->fabs[i].interior.numPts());
+// Modeled time of the mg_smooth launches that run while a split-phase
+// exchange is in flight: the only kernel time that can cover the solve's
+// network time.
+struct OverlapClock {
+    explicit OverlapClock(const DeviceModel* d) : dev(d) {}
+
+    const DeviceModel* dev = nullptr;
+    int in_flight = 0;
+    double seconds = 0.0;
+    EventSubscription halos, launches;
+
+    void attach() {
+        halos = events::subscribe<HaloEvent>([this](const HaloEvent& e) {
+            in_flight += e.phase == HaloPhase::Posted ? 1 : -1;
+        });
+        launches = events::subscribe<LaunchRecord>([this](const LaunchRecord& r) {
+            if (in_flight > 0 && std::string_view(r.info.name) == "mg_smooth")
+                seconds += dev->launchTime(r);
+        });
     }
-    return total > 0.0 ? interior / total : 0.0;
-}
+    void detach() {
+        halos.reset();
+        launches.reset();
+    }
+};
 
 // Per-rank serialized network clock: every recorded message pays its
 // full alpha-beta p2p cost at both endpoints; the solve's network time
@@ -166,7 +180,7 @@ struct NetClock {
 
 struct Row {
     CompositeMgResult res;
-    double t_kernel = 0.0, t_smooth = 0.0, t_net = 0.0, hidden = 0.0;
+    double t_kernel = 0.0, t_net = 0.0, hidden = 0.0;
     std::int64_t msgs = 0;
     std::map<std::string, DeviceModel::KernelStats> kernels;
     double total() const {
@@ -202,17 +216,17 @@ Row runCase(const Config& cfg, const RankLayout& layout,
     dev.attach();
     NetClock clock(layout, &netmod);
     clock.attach();
+    OverlapClock overlap(&dev);
+    overlap.attach();
     Row row;
     row.res = mg.solve(phi, rhs);
     const double f = busiestRankShare(h.dms[0]);
     row.t_kernel = dev.elapsedSeconds() * f;
-    const auto& ks = dev.kernelStats();
-    if (auto it = ks.find("mg_smooth"); it != ks.end())
-        row.t_smooth = it->second.seconds * f;
-    row.kernels = ks;
+    row.kernels = dev.kernelStats();
     row.t_net = clock.time();
     row.msgs = clock.msgs;
-    row.hidden = std::min(row.t_net, row.t_smooth * interiorFraction(h.bas[1]));
+    row.hidden = std::min(row.t_net, overlap.seconds * f);
+    overlap.detach();
     clock.detach();
     dev.detach();
     return row;
@@ -292,7 +306,7 @@ int main() {
     std::printf("\nModeled V100 + EDR fabric; "
                 "total = kernel*f + max(0, net - hidden),\n"
                 "f = busiest rank's box share, hidden = min(net, "
-                "smoother-interior kernel time)\n");
+                "mg_smooth time with an exchange in flight)\n");
 
     // Latency regime: small boxes spread over many ranks — the ladder's
     // coarse rungs are pure injection-latency chatter, the regime coarse

@@ -264,7 +264,7 @@ Real Castro::estimateDt() const {
 }
 
 void Castro::level0Rhs(MultiFab& src, MultiFab& dudt,
-                       std::array<MultiFab, 3>* fluxes, CostMonitor* cost) {
+                       std::array<MultiFab, 3>* fluxes) {
     const Geometry& g = geom(0);
     // Post the exchange, sweep each fab's interior (which never reads
     // ghost zones at this stencil width) while it is in flight, then
@@ -278,10 +278,8 @@ void Castro::level0Rhs(MultiFab& src, MultiFab& dudt,
         src.boxArray(), stencilWidth(m_opt.reconstruction));
     comm::HaloHandle halo = src.FillBoundary_nowait(*part, 0, src.nComp(), g.periodicity());
     auto rhs = [&](std::size_t f, std::span<const Box> regions) {
-        const int fi = static_cast<int>(f);
-        CostMonitor::ScopedFabTimer t(cost, 0, fi);
-        molRhsRegions(src, dudt, fi, regions, g, m_net, m_eos, fluxes,
-                      m_opt.reconstruction);
+        molRhsRegions(src, dudt, static_cast<int>(f), regions, g, m_net, m_eos,
+                      fluxes, m_opt.reconstruction);
     };
     for (std::size_t f = 0; f < src.size(); ++f) {
         if (part->fabs[f].interior.ok()) rhs(f, {&part->fabs[f].interior, 1});
@@ -339,20 +337,18 @@ void Castro::advanceLevel(int lev, Real time, Real dt, BurnGridStats& burn,
         MultiFab sborder;
         if (lev > 0) sborder.define(s.boxArray(), s.distributionMap(), nc, s.nGrow());
 
-        // One RHS sweep of `src` with ghosts at `at` (the per-fab compute
-        // is timed for the cost monitor; the fill's halo waits are comm,
-        // not hydro cost), then bank this stage's fluxes in the
-        // registers. Both SSP-RK2 stages enter the update with weight 1/2,
-        // so each stage's flux carries w = 0.5 of its level's dt: negative
-        // on the coarse side, positive (area-averaged) on the fine side.
+        // One RHS sweep of `src` with ghosts at `at`, then bank this
+        // stage's fluxes in the registers. Both SSP-RK2 stages enter the
+        // update with weight 1/2, so each stage's flux carries w = 0.5 of
+        // its level's dt: negative on the coarse side, positive
+        // (area-averaged) on the fine side.
         auto sweep = [&](MultiFab& src, Real at, Real w) {
             if (lev == 0) {
-                level0Rhs(src, dudt, fluxp, cost);
+                level0Rhs(src, dudt, fluxp);
             } else {
                 fillPatchAtTime(lev, at, src, sborder);
                 for (std::size_t f = 0; f < s.size(); ++f) {
                     const int fi = static_cast<int>(f);
-                    CostMonitor::ScopedFabTimer t(cost, lev, fi);
                     molRhsRegions(sborder, dudt, fi, {&s.box(fi), 1}, geom(lev),
                                   m_net, m_eos, fluxp, m_opt.reconstruction);
                 }

@@ -218,10 +218,8 @@ private:
     // in place and sweep every fab. The exchange is in flight while the
     // interior of each fab large enough to pay for the split
     // (CopierCache::buildInteriorPartition) is swept; the boundary shells
-    // follow after delivery and physical BCs. Each molRhsRegions call is timed per fab
-    // for the cost monitor, so halo waits never count as hydro cost.
-    void level0Rhs(MultiFab& src, MultiFab& dudt, std::array<MultiFab, 3>* fluxes,
-                   CostMonitor* cost);
+    // follow after delivery and physical BCs.
+    void level0Rhs(MultiFab& src, MultiFab& dudt, std::array<MultiFab, 3>* fluxes);
     void initLevelData(int lev, MultiFab& mf);
     void applyPhysBC(int lev, MultiFab& mf);
     // Fill dst for level lev >= 1 with the coarse source time-interpolated

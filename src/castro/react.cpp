@@ -4,7 +4,6 @@
 #include "core/parallel_for.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
 namespace exa::castro {
@@ -19,8 +18,6 @@ BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
     const int nspec = net.nspec();
     const int nfabs = static_cast<int>(state.size());
     BurnGridStats stats;
-
-    const auto t_begin = std::chrono::steady_clock::now();
 
     // Pass 1 (host): load every zone in traversal order (fab, then k/j/i)
     // and apply the skip rule, so gather index order == traversal order
@@ -143,20 +140,8 @@ BurnGridStats burnGrid(MultiFab& state, const BurnZoneIO& io,
     }
 
     if (cost != nullptr) {
-        // The batch burns all fabs in one fused pass, so there is no
-        // per-fab timer scope; credit each fab's work channel with its
-        // measured steps and split the measured wall time in proportion.
-        const double wall =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t_begin)
-                .count();
         for (int f = 0; f < nfabs; ++f) {
             cost->addWork(level, f, static_cast<double>(fab_steps[f]));
-            if (stats.total_steps > 0) {
-                cost->addTime(level, f,
-                              wall * static_cast<double>(fab_steps[f]) /
-                                  static_cast<double>(stats.total_steps));
-            }
         }
     }
     return stats;

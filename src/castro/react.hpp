@@ -50,9 +50,8 @@ struct BurnZoneIO {
 // max_steps alone, a success counts max(steps, 1). Throws
 // std::invalid_argument for a network wider than kMaxStackSpec.
 //
-// When `cost` is non-null, each fab's integrator steps are credited to the
-// work channel of (level, fab), and the wall time of the call is split
-// across fabs in proportion to those steps.
+// When `cost` is non-null, each fab's integrator steps are credited to
+// (level, fab) of the monitor.
 //
 // When `report` is non-null it receives what burnBatch did on this call
 // (gather size, batch count, tail split). The sink is caller-owned, so

@@ -126,10 +126,6 @@ WdCollision WdCollisionParams::build(const ReactionNetwork& net) const {
     // distribution the stiffness sort and hybrid tail are built for
     // (EXPERIMENTS.md E14).
     opt.react.batch.hybrid_cpu_tail = true;
-    // Burn cost dominates and is well modeled by integrator steps, but
-    // the EOS/gravity side is not; the Hybrid metric (work blended with
-    // measured wall time) balances best on this workload (E9 calibration).
-    opt.rebalance.cost.metric = CostMetric::Hybrid;
 
     const Real xc = 0.5 * p.separation_in_diameters * (2.0 * out.profile.radius);
     const WdProfile& prof = out.profile;

@@ -320,23 +320,8 @@ Real Maestro::maxAbsDivergence() {
 BurnGridStats Maestro::advance(Real dt, int nsub) {
     BurnGridStats burn;
     for (int s = 0; s < nsub; ++s) {
-        {
-            WallTimer advect_timer;
-            advect(dt);
-            buoyancy(dt);
-            if (m_opt.rebalance.enabled) {
-                // Zones-proportional attribution of the advection sweep
-                // (its loops are MultiFab-wide).
-                const BoxArray& ba = m_state.boxArray();
-                const double total = static_cast<double>(ba.numPts());
-                const double sec = advect_timer.seconds();
-                auto& mon = m_rebalancer.monitor();
-                for (std::size_t f = 0; f < ba.size() && total > 0; ++f) {
-                    mon.addTime(0, static_cast<int>(f),
-                                sec * static_cast<double>(ba[f].numPts()) / total);
-                }
-            }
-        }
+        advect(dt);
+        buoyancy(dt);
         if (m_opt.do_react) burn.merge(react(dt));
         project();
     }

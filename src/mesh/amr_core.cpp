@@ -20,7 +20,7 @@ void AmrCore::initBaseLevel() {
     BoxArray ba(m_geom[0].domain());
     ba.maxSize(m_info.max_grid_size);
     m_ba[0] = ba;
-    m_dm[0] = DistributionMapping(ba, m_info.nranks, m_info.strategy);
+    m_dm[0] = DistributionMapping(ba, m_info.nranks);
     m_finest_level = 0;
     MakeNewLevelFromScratch(0, m_ba[0], m_dm[0]);
 }
@@ -146,7 +146,7 @@ void AmrCore::regrid(int lbase) {
         if (fine.empty()) break;
         const int flev = lev + 1;
         new_finest = flev;
-        DistributionMapping dm(fine, m_info.nranks, m_info.strategy);
+        DistributionMapping dm(fine, m_info.nranks);
         if (flev > m_finest_level) {
             m_ba[flev] = fine;
             m_dm[flev] = dm;

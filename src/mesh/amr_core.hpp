@@ -20,8 +20,7 @@ struct AmrInfo {
     // whole domain), so the zone outside every coarse/fine face exists on
     // the parent — refluxing corrects it, ghost interpolation reads it.
     int n_proper = 1;
-    int nranks = 1;           // simulated ranks for distribution mappings
-    DistributionMapping::Strategy strategy = DistributionMapping::Strategy::Sfc;
+    int nranks = 1;           // simulated ranks for (Sfc) distribution mappings
 };
 
 // The AMR driver skeleton, mirroring amrex::AmrCore: owns the geometry,

@@ -1,7 +1,5 @@
 #include "mesh/rebalance/cost_monitor.hpp"
 
-#include "core/timer.hpp"
-
 #include <algorithm>
 #include <numeric>
 
@@ -22,51 +20,28 @@ const CostMonitor::Level* CostMonitor::levelIfPresent(int lev) const {
 void CostMonitor::resetLevel(int lev, std::size_t nboxes) {
     Level& L = level(lev);
     L.work.assign(nboxes, 0.0);
-    L.time.assign(nboxes, 0.0);
-    L.ema_work.assign(nboxes, 0.0);
-    L.ema_time.assign(nboxes, 0.0);
+    L.ema.assign(nboxes, 0.0);
     L.committed = 0;
 }
 
-namespace {
-void addInto(std::vector<double>& v, int fab, double amount) {
-    if (fab < 0) return;
-    if (fab >= static_cast<int>(v.size())) v.resize(fab + 1, 0.0);
-    v[fab] += amount;
-}
-} // namespace
-
 void CostMonitor::addWork(int lev, int fab, double units) {
-    if (lev < 0) return;
-    addInto(level(lev).work, fab, units);
-}
-
-void CostMonitor::addTime(int lev, int fab, double seconds) {
-    if (lev < 0) return;
-    addInto(level(lev).time, fab, seconds);
+    if (lev < 0 || fab < 0) return;
+    std::vector<double>& work = level(lev).work;
+    if (fab >= static_cast<int>(work.size())) work.resize(fab + 1, 0.0);
+    work[fab] += units;
 }
 
 void CostMonitor::commitStep(int lev) {
     if (lev < 0) return;
     Level& L = level(lev);
-    const std::size_t n = std::max(L.work.size(), L.time.size());
-    L.work.resize(n, 0.0);
-    L.time.resize(n, 0.0);
-    L.ema_work.resize(n, 0.0);
-    L.ema_time.resize(n, 0.0);
-    const double a = std::clamp(m_opt.ema_alpha, 0.0, 1.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (L.committed == 0) {
-            // First sample: seed the EMA rather than blending with zero,
-            // so warm-up steps are not under-weighted.
-            L.ema_work[i] = L.work[i];
-            L.ema_time[i] = L.time[i];
-        } else {
-            L.ema_work[i] = a * L.work[i] + (1.0 - a) * L.ema_work[i];
-            L.ema_time[i] = a * L.time[i] + (1.0 - a) * L.ema_time[i];
-        }
+    L.ema.resize(L.work.size(), 0.0);
+    for (std::size_t i = 0; i < L.work.size(); ++i) {
+        // The first sample seeds the EMA rather than blending with zero,
+        // so warm-up steps are not under-weighted.
+        L.ema[i] = L.committed == 0
+                       ? L.work[i]
+                       : kEmaAlpha * L.work[i] + (1.0 - kEmaAlpha) * L.ema[i];
         L.work[i] = 0.0;
-        L.time[i] = 0.0;
     }
     ++L.committed;
 }
@@ -79,50 +54,15 @@ int CostMonitor::committedSteps(int lev) const {
 std::vector<double> CostMonitor::costs(int lev) const {
     const Level* L = levelIfPresent(lev);
     if (L == nullptr || L->committed == 0) return {};
-    const std::size_t n = L->ema_work.size();
-
-    auto meanOf = [](const std::vector<double>& v) {
-        return v.empty() ? 0.0
-                         : std::accumulate(v.begin(), v.end(), 0.0) / v.size();
-    };
-
-    std::vector<double> cost(n, 0.0);
-    switch (m_opt.metric) {
-        case CostMetric::Work:
-            cost = L->ema_work;
-            break;
-        case CostMetric::Time:
-            cost = L->ema_time;
-            break;
-        case CostMetric::Hybrid: {
-            // Mean-normalize each channel so seconds and work units blend
-            // scale-free; a channel with no samples contributes nothing.
-            const double mw = meanOf(L->ema_work);
-            const double mt = meanOf(L->ema_time);
-            for (std::size_t i = 0; i < n; ++i) {
-                double c = 0.0;
-                if (mw > 0) c += L->ema_work[i] / mw;
-                if (mt > 0) c += L->ema_time[i] / mt;
-                cost[i] = c;
-            }
-            break;
-        }
-    }
+    std::vector<double> cost = L->ema;
     // Positive floor: an idle box still occupies memory and halo traffic
     // on its rank, and zero weights degenerate the knapsack ordering.
-    const double mean = meanOf(cost);
+    const double mean =
+        cost.empty() ? 0.0
+                     : std::accumulate(cost.begin(), cost.end(), 0.0) / cost.size();
     const double floor = mean > 0 ? 1.0e-6 * mean : 1.0;
     for (double& c : cost) c = std::max(c, floor);
     return cost;
-}
-
-CostMonitor::ScopedFabTimer::ScopedFabTimer(CostMonitor* mon, int lev, int fab)
-    : m_mon(mon), m_lev(lev), m_fab(fab) {}
-
-CostMonitor::ScopedFabTimer::~ScopedFabTimer() {
-    if (m_mon != nullptr) {
-        m_mon->addTime(m_lev, m_fab, m_timer.seconds());
-    }
 }
 
 } // namespace exa

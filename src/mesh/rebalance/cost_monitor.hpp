@@ -1,51 +1,32 @@
 #pragma once
 
-// Per-box, per-level runtime cost accounting for the load balancer.
+// Per-box, per-level modeled cost for the load balancer.
 //
 // The paper's WD-collision problem concentrates VODE burn work in a thin
 // reacting interface: a handful of boxes cost 10-100x the rest, and a
 // zone-count DistributionMapping leaves most ranks idle. The CostMonitor
-// measures where the time actually goes, one number per box per step,
-// from two channels:
+// records where the work goes, one number per box per step, in model
+// units fed by the fab loops themselves: burn integrator steps per box
+// (the per-zone `zone_steps` BurnGridStats already counts) plus the
+// Rebalancer's zones-proportional hydro floor. The units are exactly
+// reproducible across runs, hosts and backends, so the mapping a run
+// migrates to never depends on the clock, and uniform work never
+// triggers a rebalance.
 //
-//   * work  — model-based weights fed by the fab loops themselves: burn
-//     integrator steps per box (the per-zone `zone_steps` BurnGridStats
-//     already counts) plus a zones-proportional hydro baseline. Exactly
-//     reproducible across runs and backends, so it is the default metric:
-//     uniform work must never trigger a rebalance, and wall-clock noise
-//     would break that.
-//   * time  — wall seconds from scoped timers around the same fab loops
-//     (TimerRegistry-style), for runs where the model is wrong (e.g. EOS
-//     cost cliffs). Noisy but honest.
-//
-// Each step's sums are folded into an exponential moving average so one
-// slow step (a page fault, a retried burn) does not thrash the mapping.
-
-#include "core/timer.hpp"
+// Each step's sums are folded into an exponential moving average with
+// weight kEmaAlpha on the newest step, so one costly step (a retried
+// burn) does not thrash the mapping.
 
 #include <cstddef>
 #include <vector>
 
 namespace exa {
 
-enum class CostMetric {
-    Work,   // model units only (deterministic, the default)
-    Time,   // measured wall seconds only
-    Hybrid, // mean-normalized blend of both channels
-};
-
-struct CostMonitorOptions {
-    // EMA weight of the newest step: ema = alpha*current + (1-alpha)*ema.
-    double ema_alpha = 0.7;
-    CostMetric metric = CostMetric::Work;
-};
-
 class CostMonitor {
 public:
-    CostMonitor() = default;
-    explicit CostMonitor(const CostMonitorOptions& opt) : m_opt(opt) {}
-
-    const CostMonitorOptions& options() const { return m_opt; }
+    // EMA weight of the newest step: ema = kEmaAlpha*current +
+    // (1-kEmaAlpha)*ema.
+    static constexpr double kEmaAlpha = 0.7;
 
     // Forget level `lev` and size its accumulators for `nboxes` boxes
     // (called at level creation and after every regrid: costs measured on
@@ -56,36 +37,20 @@ public:
     // indices grow the accumulators, so feeding before the first
     // resetLevel is harmless.
     void addWork(int lev, int fab, double units);
-    void addTime(int lev, int fab, double seconds);
 
     // Fold the current step's sums into the EMA and start a new step.
     void commitStep(int lev);
     int committedSteps(int lev) const;
 
-    // The smoothed per-box cost for the configured metric; empty until
-    // the first commit, and all-positive (a floor of one work unit per
-    // box keeps empty boxes from degenerating the knapsack).
+    // The smoothed per-box cost; empty until the first commit, and
+    // all-positive (a floor of one work unit per box keeps empty boxes
+    // from degenerating the knapsack).
     std::vector<double> costs(int lev) const;
-
-    // Scoped wall timer crediting one fab: construct at loop-body entry,
-    // the destructor calls addTime. No-op when monitor is null.
-    class ScopedFabTimer {
-    public:
-        ScopedFabTimer(CostMonitor* mon, int lev, int fab);
-        ~ScopedFabTimer();
-        ScopedFabTimer(const ScopedFabTimer&) = delete;
-        ScopedFabTimer& operator=(const ScopedFabTimer&) = delete;
-
-    private:
-        CostMonitor* m_mon;
-        int m_lev, m_fab;
-        WallTimer m_timer;
-    };
 
 private:
     struct Level {
-        std::vector<double> work, time;         // current step sums
-        std::vector<double> ema_work, ema_time; // smoothed history
+        std::vector<double> work; // current step sums
+        std::vector<double> ema;  // smoothed history
         int committed = 0;
     };
 
@@ -93,7 +58,6 @@ private:
     const Level* levelIfPresent(int lev) const;
 
     std::vector<Level> m_levels;
-    CostMonitorOptions m_opt;
 };
 
 } // namespace exa

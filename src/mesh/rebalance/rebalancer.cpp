@@ -64,7 +64,7 @@ RebalanceDecision Rebalancer::step(int lev, std::int64_t step_index,
     if (!fabs.empty() && fabs.front()->isDefined()) {
         // Hydro work floor: every zone costs ~hydro_zone_work units per
         // step regardless of burning, so burn-free boxes keep a realistic
-        // floor under the Work metric.
+        // floor.
         const BoxArray& ba = fabs.front()->boxArray();
         for (std::size_t f = 0; f < ba.size(); ++f) {
             m_monitor.addWork(lev, static_cast<int>(f),
@@ -124,9 +124,10 @@ RebalanceDecision Rebalancer::step(int lev, std::int64_t step_index,
         return d;
     }
 
-    const DistributionMapping candidate(ba, dm.numRanks(), cost, m_opt.strategy);
+    const DistributionMapping candidate(ba, dm.numRanks(), cost,
+                                        DistributionMapping::Strategy::Knapsack);
     d.predicted_imbalance = DistributionMapping::imbalance(cost, candidate);
-    if (d.predicted_imbalance > d.measured_imbalance * m_opt.hysteresis) {
+    if (d.predicted_imbalance > d.measured_imbalance * kHysteresis) {
         d.reason = "hysteresis: candidate buys too little";
         return d;
     }

@@ -2,12 +2,14 @@
 
 // Cost-driven dynamic load balancing.
 //
-// The Rebalancer closes the loop the CostMonitor opens: once the
-// measured per-rank imbalance of a level crosses a threshold, it builds a
-// cost-weighted DistributionMapping (knapsack by default) and migrates
-// every registered MultiFab to it in place via MultiFab::Redistribute —
-// cached ParallelCopy plans, CommLedger-accounted migration traffic, a
-// fresh mapping id so stale plans lapse.
+// The Rebalancer closes the loop the CostMonitor opens: once the modeled
+// per-rank imbalance of a level crosses a threshold, it builds a
+// cost-weighted knapsack DistributionMapping and migrates every
+// registered MultiFab to it in place via MultiFab::Redistribute — cached
+// ParallelCopy plans, CommLedger-accounted migration traffic, a fresh
+// mapping id so stale plans lapse. The cost is the monitor's modeled
+// work and the strategy is fixed, so every mapping a run migrates to is a
+// pure function of its inputs.
 //
 // Trigger policy (all must hold):
 //   * enabled, and the level has at least `warmup_steps` committed cost
@@ -15,7 +17,7 @@
 //   * at least `min_interval` steps since this level last rebalanced;
 //   * measured max/mean cost imbalance >= imbalance_trigger;
 //   * the candidate mapping's predicted imbalance is at most
-//     `hysteresis` * measured — a mapping must buy a real improvement
+//     kHysteresis * measured — a mapping must buy a real improvement
 //     before we pay migration traffic for it;
 //   * never while a StepGuard::advance() is on the calling thread's
 //     stack: migrating between a snapshot and its possible restore would
@@ -40,11 +42,8 @@ namespace exa {
 struct RebalanceOptions {
     bool enabled = false;
     double imbalance_trigger = 1.5; // measured max/mean that arms a rebalance
-    double hysteresis = 0.9;        // predicted must beat measured by this factor
     int min_interval = 4;           // steps between rebalances of one level
     int warmup_steps = 2;           // committed cost samples before first trigger
-    DistributionMapping::Strategy strategy = DistributionMapping::Strategy::Knapsack;
-    CostMonitorOptions cost;        // metric + EMA smoothing
     // Model work units per zone of non-burn (hydro/MHD) cost, added to
     // every box by step() before it commits, so burn-free boxes keep a
     // realistic floor.
@@ -63,9 +62,12 @@ struct RebalanceDecision {
 
 class Rebalancer {
 public:
+    // A candidate's predicted imbalance must be at most kHysteresis times
+    // the measured one.
+    static constexpr double kHysteresis = 0.9;
+
     Rebalancer() = default;
-    explicit Rebalancer(const RebalanceOptions& opt)
-        : m_opt(opt), m_monitor(opt.cost) {}
+    explicit Rebalancer(const RebalanceOptions& opt) : m_opt(opt) {}
 
     const RebalanceOptions& options() const { return m_opt; }
     CostMonitor& monitor() { return m_monitor; }

@@ -155,11 +155,11 @@ DistributionMapping ResilienceSupervisor::shrinkMapping(const BoxArray& ba) cons
     for (std::size_t i = 0; i < ba.size(); ++i) {
         cost[i] = static_cast<double>(ba[i].numPts());
     }
-    // Build a cost-weighted mapping over n_alive packed slots, then remap
-    // each slot onto a surviving rank id — the strategy builders only know
+    // Build a knapsack mapping over n_alive packed slots, then remap each
+    // slot onto a surviving rank id — the strategy builders only know
     // contiguous rank ranges, the health mask does not.
     DistributionMapping packed(ba, static_cast<int>(alive.size()), cost,
-                               m_opt.strategy);
+                               DistributionMapping::Strategy::Knapsack);
     std::vector<int> table(ba.size());
     for (std::size_t i = 0; i < ba.size(); ++i) {
         table[i] = alive[static_cast<std::size_t>(packed[i])];

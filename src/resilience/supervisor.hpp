@@ -8,7 +8,7 @@
 // `rank-failure` fault site. When a modeled rank dies the supervisor
 // emulates the loss (the victim's fabs are poisoned — that memory is
 // gone), shrinks the cost-weighted DistributionMapping onto the surviving
-// ranks (ULFM-shrink style, reusing the SFC/knapsack builders +
+// ranks (ULFM-shrink style, reusing the knapsack builder +
 // MultiFab::Redistribute), restores checkpoint data — fabs whose
 // staging-time owner died come from the on-disk slot (per-fab CRC
 // verified), everything else from the retained in-memory staged copy —
@@ -33,8 +33,6 @@ namespace exa::resilience {
 struct SupervisorOptions {
     CheckpointerOptions checkpoint;
     int nranks = 1;
-    DistributionMapping::Strategy strategy =
-        DistributionMapping::Strategy::Knapsack;
     // Consult the rank-failure site after every step and recover.
     bool heartbeat = true;
     // Deterministic victim selection seed (hashed with the kill ordinal).

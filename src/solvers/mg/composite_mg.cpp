@@ -132,20 +132,62 @@ CompositeMg::CompositeMg(std::vector<Geometry> geoms, std::vector<BoxArray> bas,
     m_domain_volume = static_cast<Real>(geoms[0].domain().numPts()) *
                       geoms[0].cellVolume();
 
-    // Geometric ladder below AMR level 0, by full coarsening.
-    std::vector<Geometry> below;
-    {
-        Geometry g = geoms[0];
-        while (coarsenableDomain(g.domain(), m_opt.min_level_side)) {
-            g = g.coarsened(2);
-            below.push_back(g);
+    // Geometric ladder below AMR level 0, by full coarsening, finest rung
+    // first so each rung's layout can look at the finer one's. Restriction
+    // by 2 averages two fine zones per coarse zone along each axis, so the
+    // ladder ends above any rung with a box that does not coarsen by 2
+    // (balanced chops split an even side into odd boxes: 10 at 8 is 5+5).
+    struct GeometricRung {
+        Geometry geom;
+        BoxArray ba;
+        DistributionMapping dm;
+        bool aggregated = false;
+    };
+    std::vector<GeometricRung> below;
+    for (Geometry g = geoms[0];
+         coarsenableDomain(g.domain(), m_opt.min_level_side);) {
+        const BoxArray& fine = below.empty() ? bas[0] : below.back().ba;
+        if (!std::all_of(fine.boxes().begin(), fine.boxes().end(),
+                         [](const Box& b) { return b.coarsenable(2); })) {
+            break;
         }
+        g = g.coarsened(2);
+        GeometricRung R{g, BoxArray(g.domain()), {}, false};
+        const std::int64_t zones = g.domain().numPts();
+        const std::int64_t per =
+            std::max<std::int64_t>(1, m_opt.agg_zones_per_rank);
+        const int n_agg = static_cast<int>(std::clamp<std::int64_t>(
+            (zones + per - 1) / per, 1, m_opt.nranks));
+        R.aggregated = m_opt.aggregate_coarse && n_agg < m_opt.nranks;
+        if (R.aggregated && n_agg == 1) {
+            R.dm = DistributionMapping(R.ba, 1);
+        } else if (R.aggregated) {
+            R.ba.maxSize(m_opt.max_grid_size);
+            std::vector<double> cost;
+            cost.reserve(R.ba.size());
+            for (const Box& b : R.ba.boxes())
+                cost.push_back(static_cast<double>(b.numPts()));
+            R.dm = DistributionMapping(R.ba, n_agg, cost,
+                                       DistributionMapping::Strategy::Knapsack);
+        } else {
+            R.ba.maxSize(m_opt.max_grid_size);
+            R.dm = DistributionMapping(R.ba, m_opt.nranks);
+        }
+        below.push_back(std::move(R));
     }
     m_base = static_cast<int>(below.size());
     const int namr = static_cast<int>(geoms.size());
     const int nrungs = m_base + namr;
     m_r.resize(static_cast<std::size_t>(nrungs));
 
+    for (int r = 0; r < m_base; ++r) {
+        Rung& R = m_r[static_cast<std::size_t>(r)];
+        GeometricRung& G = below[static_cast<std::size_t>(m_base - 1 - r)];
+        R.geom = G.geom;
+        R.ba = std::move(G.ba);
+        R.dm = std::move(G.dm);
+        R.aggregated = G.aggregated;
+    }
     // AMR rungs keep the hierarchy's own layouts (never relayouted, so
     // level data moves in and out without any redistribution).
     for (int lev = 0; lev < namr; ++lev) {
@@ -155,46 +197,6 @@ CompositeMg::CompositeMg(std::vector<Geometry> geoms, std::vector<BoxArray> bas,
         R.dm = dms[static_cast<std::size_t>(lev)];
         R.ratio = (lev == 0) ? 2 : ref_ratio;
         R.amr = true;
-    }
-    // Geometric rungs, finest first so the aggregation decision can look
-    // at the finer rung's layout (staging needs its boxes coarsenable).
-    for (int r = m_base - 1; r >= 0; --r) {
-        Rung& R = m_r[static_cast<std::size_t>(r)];
-        const Rung& F = m_r[static_cast<std::size_t>(r + 1)];
-        R.geom = below[static_cast<std::size_t>(m_base - 1 - r)];
-        R.ratio = 2;
-        const std::int64_t zones = R.geom.domain().numPts();
-        const std::int64_t per =
-            std::max<std::int64_t>(1, m_opt.agg_zones_per_rank);
-        const int n_agg = static_cast<int>(std::clamp<std::int64_t>(
-            (zones + per - 1) / per, 1, m_opt.nranks));
-        bool agg = m_opt.aggregate_coarse && n_agg < m_opt.nranks;
-        if (agg) {
-            for (const Box& b : F.ba.boxes()) {
-                if (!b.coarsenable(2)) { agg = false; break; }
-            }
-        }
-        if (agg) {
-            BoxArray ba(R.geom.domain());
-            if (n_agg > 1) ba.maxSize(m_opt.max_grid_size);
-            R.ba = ba;
-            if (n_agg == 1) {
-                R.dm = DistributionMapping(ba, 1);
-            } else {
-                std::vector<double> cost;
-                cost.reserve(ba.size());
-                for (const Box& b : ba.boxes())
-                    cost.push_back(static_cast<double>(b.numPts()));
-                R.dm = DistributionMapping(ba, n_agg, cost,
-                                           DistributionMapping::Strategy::Knapsack);
-            }
-            R.aggregated = true;
-        } else {
-            BoxArray ba(R.geom.domain());
-            ba.maxSize(m_opt.max_grid_size);
-            R.ba = ba;
-            R.dm = DistributionMapping(ba, m_opt.nranks);
-        }
     }
 
     // Coverage, coarse-fine boundaries, and work fabs.

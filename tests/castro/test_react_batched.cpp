@@ -539,12 +539,10 @@ TEST(ReactBatched, WorkChannelMatchesSerialPerFab) {
     // equal the per-zone reference's.
     const auto& net = testNet();
     Eos eos{HelmLiteEos{}};
-    CostMonitorOptions co;
-    co.metric = CostMetric::Work;
     for (Layout layout : kLayouts) {
         SCOPED_TRACE(layoutName(layout));
         Workload w(net, layout);
-        CostMonitor mon_r(co), mon_b(co);
+        CostMonitor mon_r, mon_b;
 
         auto reference = w.copy();
         auto batched = w.copy();
@@ -595,7 +593,6 @@ TEST(ReactBatched, WdCollisionDriverEnablesBatchedHybridBurn) {
     const auto& opt = wd.castro->options();
     EXPECT_TRUE(opt.react.batch.sort_by_stiffness);
     EXPECT_TRUE(opt.react.batch.hybrid_cpu_tail);
-    EXPECT_EQ(opt.rebalance.cost.metric, CostMetric::Hybrid);
 }
 
 TEST(ReactBatched, WdCollisionNetworkSelectableByName) {

@@ -654,6 +654,53 @@ TEST(CompositeMg, ReplayedBottomMatchesSplitPhaseBits) {
     debug::clearViolations();
 }
 
+TEST(CompositeMg, OddBoxRungsEndTheLadder) {
+    // Balanced chops split an even side into odd boxes (10 at 8 is 5+5,
+    // 6 at 4 is 3+3), and restriction by 2 cannot average such a box: it
+    // would read past the fine fab. The ladder ends above the first rung
+    // with one, so these hierarchies solve to rtol, to the same bits on
+    // every backend: a 10^3 level 0 chopped at 8 keeps no geometric rung,
+    // and a refined 12^3 hierarchy whose 6^3 rung is chopped at 4 bottoms
+    // out there instead of at 3^3.
+    struct Case {
+        int n;
+        bool refined;
+        MgBC bc;
+        int rung_chop; // max_grid_size of the geometric rungs
+        int rungs;
+    };
+    const Case cases[] = {{10, false, MgBC::Dirichlet, 32, 1},
+                          {10, false, MgBC::Periodic, 32, 1},
+                          {12, true, MgBC::Dirichlet, 4, 3}};
+    for (const Case& c : cases) {
+        std::vector<std::uint64_t> hashes;
+        for (Backend be :
+             {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+            ScopedBackend backend(be);
+            Hier h = makeHier(c.n, c.refined, c.bc == MgBC::Dirichlet);
+            CompositeMgOptions opt;
+            opt.nranks = h.dms[0].numRanks();
+            opt.min_level_side = 2;
+            opt.aggregate_coarse = false;
+            opt.max_grid_size = c.rung_chop;
+            CompositeMg mg(h.geoms, h.bas, h.dms, 2, c.bc, opt);
+            EXPECT_EQ(mg.numRungs(), c.rungs) << "n " << c.n;
+            std::vector<MultiFab*> phi;
+            std::vector<const MultiFab*> rhs;
+            for (std::size_t lev = 0; lev < h.phi.size(); ++lev) {
+                phi.push_back(&h.phi[lev]);
+                rhs.push_back(&h.rhs[lev]);
+            }
+            const CompositeMgResult r = mg.solve(phi, rhs);
+            EXPECT_TRUE(r.converged) << "n " << c.n << " backend " << static_cast<int>(be);
+            EXPECT_LE(r.final_resnorm, opt.rtol * r.initial_resnorm);
+            hashes.push_back(hashLevels(h.phi));
+        }
+        for (std::size_t i = 1; i < hashes.size(); ++i)
+            EXPECT_EQ(hashes[0], hashes[i]) << "n " << c.n << " backend " << i;
+    }
+}
+
 TEST(CompositeMg, ExchangeFreeRungFillsGhostsOnlyForAFinerBoundary) {
     // An exchange-free rung's residual, operator and FAS rhs read its
     // periodic images inline, so its ghosts are filled only when a finer
