@@ -336,15 +336,16 @@ void molRhsRegions(const MultiFab& state, MultiFab& dudt, int fab,
             std::numeric_limits<Real>::quiet_NaN();
     }
 
-    // Register copies stay one per (region, direction): adjacent regions
-    // share faces, so a fused copy would write those faces twice.
+    // Register copies: one launch per region over its three directions,
+    // which write three different MultiFabs. Adjacent regions share faces,
+    // so the regions stay one launch each, in list order.
     if (fluxes != nullptr) {
         for (std::size_t r = 0; r < nr; ++r) {
             if (!regions[r].ok()) continue;
-            for (int d = 0; d < 3; ++d) {
+            ParallelFor(FArrayBox::copyKernel(), 3, nstate, [&](std::size_t d) {
                 const Box& fb = fxfab[r][d].box();
-                (*fluxes)[d].fab(fab).copyFrom(fxfab[r][d], fb, 0, fb, 0, nstate);
-            }
+                return std::pair{fb, (*fluxes)[d].fab(fab).copyBody(fxfab[r][d], fb, 0, fb, 0)};
+            });
         }
     }
 }
@@ -390,49 +391,47 @@ void enforceConsistency(MultiFab& state, const ReactionNetwork& net, const Eos& 
     checkKernelSpeciesLimit(nspec);
     const ReactionNetwork* netp = &net;
     const Eos* eosp = &eos;
-    for (std::size_t f = 0; f < state.size(); ++f) {
+    // One launch over every fab; each tag writes only its own fab.
+    ParallelFor(KernelInfo{"enforce_consistency", 120.0, 100.0, 72, 1.0}, state.size(), 1,
+                [&](std::size_t f) {
         auto u = state.array(static_cast<int>(f));
-        ParallelFor(KernelInfo{"enforce_consistency", 120.0, 100.0, 72, 1.0},
-                    state.box(static_cast<int>(f)), [=](int i, int j, int k) {
-                        Real rho = u(i, j, k, StateLayout::URHO);
-                        if (rho < small_dens) {
-                            rho = small_dens;
-                            u(i, j, k, StateLayout::URHO) = rho;
-                        }
-                        // Renormalize species.
-                        Real X[32];
-                        Real xsum = 0.0;
-                        for (int n = 0; n < nspec; ++n) {
-                            X[n] = std::clamp(
-                                u(i, j, k, StateLayout::UFS + n) / rho, Real(0),
-                                Real(1));
-                            xsum += X[n];
-                        }
-                        if (xsum <= 0.0) {
-                            X[0] = 1.0;
-                            xsum = 1.0;
-                        }
-                        for (int n = 0; n < nspec; ++n) {
-                            X[n] /= xsum;
-                            u(i, j, k, StateLayout::UFS + n) = rho * X[n];
-                        }
-                        // Temperature from the EOS.
-                        const Real rinv = 1.0 / rho;
-                        const Real vx = u(i, j, k, StateLayout::UMX) * rinv;
-                        const Real vy = u(i, j, k, StateLayout::UMX + 1) * rinv;
-                        const Real vz = u(i, j, k, StateLayout::UMX + 2) * rinv;
-                        const Real ke = 0.5 * (vx * vx + vy * vy + vz * vz);
-                        EosState s;
-                        s.rho = rho;
-                        s.e = std::max(
-                            u(i, j, k, StateLayout::UEDEN) * rinv - ke,
-                            Real(1.0e-30));
-                        s.abar = netp->abar(X);
-                        s.ye = netp->ye(X);
-                        eosp->rhoE(s);
-                        u(i, j, k, StateLayout::UTEMP) = s.T;
-                    });
-    }
+        return std::pair{state.box(static_cast<int>(f)), [=](int i, int j, int k) {
+            Real rho = u(i, j, k, StateLayout::URHO);
+            if (rho < small_dens) {
+                rho = small_dens;
+                u(i, j, k, StateLayout::URHO) = rho;
+            }
+            // Renormalize species.
+            Real X[32];
+            Real xsum = 0.0;
+            for (int n = 0; n < nspec; ++n) {
+                X[n] = std::clamp(u(i, j, k, StateLayout::UFS + n) / rho, Real(0),
+                                  Real(1));
+                xsum += X[n];
+            }
+            if (xsum <= 0.0) {
+                X[0] = 1.0;
+                xsum = 1.0;
+            }
+            for (int n = 0; n < nspec; ++n) {
+                X[n] /= xsum;
+                u(i, j, k, StateLayout::UFS + n) = rho * X[n];
+            }
+            // Temperature from the EOS.
+            const Real rinv = 1.0 / rho;
+            const Real vx = u(i, j, k, StateLayout::UMX) * rinv;
+            const Real vy = u(i, j, k, StateLayout::UMX + 1) * rinv;
+            const Real vz = u(i, j, k, StateLayout::UMX + 2) * rinv;
+            const Real ke = 0.5 * (vx * vx + vy * vy + vz * vz);
+            EosState s;
+            s.rho = rho;
+            s.e = std::max(u(i, j, k, StateLayout::UEDEN) * rinv - ke, Real(1.0e-30));
+            s.abar = netp->abar(X);
+            s.ye = netp->ye(X);
+            eosp->rhoE(s);
+            u(i, j, k, StateLayout::UTEMP) = s.T;
+        }};
+    });
 }
 
 } // namespace exa::castro

@@ -58,6 +58,19 @@ void resetCheckCounts() {
     checkCounts().clear();
 }
 
+ScopedCheckEveryLaunch::ScopedCheckEveryLaunch() {
+    std::lock_guard<std::mutex> lk(g_mutex);
+    m_saved_limit = limits().checks_per_kernel;
+    m_saved_counts = checkCounts();
+    limits().checks_per_kernel = 0;
+}
+
+ScopedCheckEveryLaunch::~ScopedCheckEveryLaunch() {
+    std::lock_guard<std::mutex> lk(g_mutex);
+    limits().checks_per_kernel = m_saved_limit;
+    checkCounts() = std::move(m_saved_counts);
+}
+
 void reportViolation(const std::string& source, const std::string& kind,
                      const std::string& detail) {
     {

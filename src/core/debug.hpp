@@ -34,6 +34,7 @@
 #include "core/executor.hpp"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +93,21 @@ Limits& limits();
 
 // Forget which kernels have used up their per-name check quota.
 void resetCheckCounts();
+
+// RAII: check every launch in a scope (checks_per_kernel = 0), then
+// restore the limit and the per-name counts, so the scope leaves the
+// checking of the process's later launches as it found it.
+class ScopedCheckEveryLaunch {
+public:
+    ScopedCheckEveryLaunch();
+    ~ScopedCheckEveryLaunch();
+    ScopedCheckEveryLaunch(const ScopedCheckEveryLaunch&) = delete;
+    ScopedCheckEveryLaunch& operator=(const ScopedCheckEveryLaunch&) = delete;
+
+private:
+    int m_saved_limit;
+    std::map<std::string, int> m_saved_counts;
+};
 
 // Snapshot/compare engine for one checked launch. Non-template so the
 // heavy machinery stays out of line; driven by run_checked() below.

@@ -38,7 +38,8 @@ std::size_t CopierKeyHash::operator()(const CopierKey& k) const {
     h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.period.x)) |
                    (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.period.y))
                     << 32)));
-    h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.period.z)));
+    h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.period.z)) |
+                   (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.ratio)) << 32)));
     return static_cast<std::size_t>(h);
 }
 
@@ -138,7 +139,56 @@ CopierCache::PlanPtr CopierCache::buildAverageDown(const BoxArray& crse_ba,
     return plan;
 }
 
+CopierCache::GatherPtr CopierCache::buildInterpGather(const BoxArray& fine_ba,
+                                                     const BoxArray& crse_ba, int ratio,
+                                                     int dst_ng,
+                                                     const Periodicity& crse_period) {
+    std::vector<Box> boxes;
+    boxes.reserve(fine_ba.size());
+    for (const Box& b : fine_ba.boxes()) {
+        boxes.push_back(coarsen(grow(b, dst_ng), ratio).grow(1)); // + slope stencil
+    }
+    auto plan = std::make_shared<GatherPlan>();
+    plan->add(boxes, crse_ba, crse_period);
+    return plan;
+}
+
 // --- memoized front ends -------------------------------------------------
+
+template <typename Map, typename Build>
+typename Map::mapped_type CopierCache::lookup(Map& map, const typename Map::key_type& key,
+                                              std::initializer_list<const LayoutId*> layouts,
+                                              std::uint64_t& hits, std::uint64_t& misses,
+                                              bool timed, Build&& build) {
+    const bool cacheable =
+        std::none_of(layouts.begin(), layouts.end(),
+                     [](const LayoutId* id) { return id == nullptr; });
+    {
+        std::lock_guard<std::mutex> lk(m_mutex);
+        if (m_enabled && cacheable) {
+            auto it = map.find(key);
+            if (it != map.end()) {
+                ++hits;
+                return it->second;
+            }
+        }
+        ++misses;
+    }
+    // Build outside the lock: plan construction is the expensive part and
+    // must not serialize against concurrent lookups. The caller holds every
+    // layout in the key, so none of them can die before the insert.
+    WallTimer t;
+    typename Map::mapped_type entry = build();
+    const double dt = t.seconds();
+    {
+        std::lock_guard<std::mutex> lk(m_mutex);
+        if (timed) m_build_seconds += dt;
+        if (m_enabled && cacheable && map.try_emplace(key, entry).second) {
+            for (const LayoutId* id : layouts) id->markKeyed();
+        }
+    }
+    return entry;
+}
 
 CopierCache::PlanPtr CopierCache::fillBoundary(const BoxArray& ba,
                                                const DistributionMapping& dm, int ng,
@@ -150,9 +200,8 @@ CopierCache::PlanPtr CopierCache::fillBoundary(const BoxArray& ba,
     key.ng = ng;
     key.period = periodVect(period);
     key.kind = CopierKind::FillBoundary;
-    return getOrBuild(key, {ba.identity(), dm.identity()}, [&]() {
-        return buildFillBoundary(ba, dm.ranks(), ng, period);
-    });
+    return lookup(m_plans, key, {ba.identity(), dm.identity()}, m_hits, m_misses, true,
+                  [&] { return buildFillBoundary(ba, dm.ranks(), ng, period); });
 }
 
 CopierCache::PlanPtr CopierCache::parallelCopy(const BoxArray& dst_ba,
@@ -168,13 +217,13 @@ CopierCache::PlanPtr CopierCache::parallelCopy(const BoxArray& dst_ba,
     key.ng = dst_ng;
     key.period = periodVect(period);
     key.kind = CopierKind::ParallelCopy;
-    return getOrBuild(key,
-                      {dst_ba.identity(), src_ba.identity(), dst_dm.identity(),
-                       src_dm.identity()},
-                      [&]() {
-                          return buildParallelCopy(dst_ba, dst_dm.ranks(), src_ba,
-                                                   src_dm.ranks(), dst_ng, period);
-                      });
+    return lookup(m_plans, key,
+                  {dst_ba.identity(), src_ba.identity(), dst_dm.identity(),
+                   src_dm.identity()},
+                  m_hits, m_misses, true, [&] {
+                      return buildParallelCopy(dst_ba, dst_dm.ranks(), src_ba,
+                                               src_dm.ranks(), dst_ng, period);
+                  });
 }
 
 CopierCache::PlanPtr CopierCache::averageDown(const BoxArray& crse_ba,
@@ -182,68 +231,34 @@ CopierCache::PlanPtr CopierCache::averageDown(const BoxArray& crse_ba,
     CopierKey key;
     key.dst_ba = crse_ba.id();
     key.src_ba = fine_ba.id();
-    key.ng = ratio;
+    key.ratio = ratio;
     key.kind = CopierKind::AverageDown;
-    return getOrBuild(key, {crse_ba.identity(), fine_ba.identity()}, [&]() {
-        return buildAverageDown(crse_ba, fine_ba, ratio);
-    });
+    return lookup(m_plans, key, {crse_ba.identity(), fine_ba.identity()}, m_hits,
+                  m_misses, true, [&] { return buildAverageDown(crse_ba, fine_ba, ratio); });
 }
 
-CopierCache::PlanPtr CopierCache::getOrBuild(
-    const CopierKey& key, std::initializer_list<const LayoutId*> layouts,
-    const std::function<PlanPtr()>& build) {
-    const bool cacheable =
-        std::none_of(layouts.begin(), layouts.end(),
-                     [](const LayoutId* id) { return id == nullptr; });
-    {
-        std::lock_guard<std::mutex> lk(m_mutex);
-        if (m_enabled && cacheable) {
-            auto it = m_plans.find(key);
-            if (it != m_plans.end()) {
-                ++m_hits;
-                return it->second;
-            }
-        }
-        ++m_misses;
-    }
-    // Build outside the lock: plan construction is the expensive part and
-    // must not serialize against concurrent lookups. The caller holds every
-    // layout in the key, so none of them can die before the insert.
-    WallTimer t;
-    PlanPtr plan = build();
-    const double dt = t.seconds();
-    {
-        std::lock_guard<std::mutex> lk(m_mutex);
-        m_build_seconds += dt;
-        if (m_enabled && cacheable && m_plans.try_emplace(key, plan).second) {
-            for (const LayoutId* id : layouts) id->markKeyed();
-        }
-    }
-    return plan;
+CopierCache::GatherPtr CopierCache::interpGather(const BoxArray& fine_ba,
+                                                 const BoxArray& crse_ba, int ratio,
+                                                 int dst_ng,
+                                                 const Periodicity& crse_period) {
+    CopierKey key;
+    key.dst_ba = fine_ba.id();
+    key.src_ba = crse_ba.id();
+    key.ng = dst_ng;
+    key.ratio = ratio;
+    key.period = periodVect(crse_period);
+    key.kind = CopierKind::InterpGather;
+    return lookup(m_gathers, key, {fine_ba.identity(), crse_ba.identity()}, m_gather_hits,
+                  m_gather_misses, false, [&] {
+                      return buildInterpGather(fine_ba, crse_ba, ratio, dst_ng, crse_period);
+                  });
 }
 
 CopierCache::PartitionPtr CopierCache::interiorPartition(const BoxArray& ba,
                                                          int stencil) {
-    const PartitionKey key{ba.id(), stencil};
-    const bool cacheable = ba.identity() != nullptr;
-    {
-        std::lock_guard<std::mutex> lk(m_mutex);
-        if (m_enabled && cacheable) {
-            auto it = m_partitions.find(key);
-            if (it != m_partitions.end()) {
-                ++m_partition_hits;
-                return it->second;
-            }
-        }
-        ++m_partition_misses;
-    }
-    PartitionPtr part = buildInteriorPartition(ba, stencil);
-    if (cacheable) {
-        std::lock_guard<std::mutex> lk(m_mutex);
-        if (m_enabled && m_partitions.try_emplace(key, part).second)
-            ba.identity()->markKeyed();
-    }
-    return part;
+    return lookup(m_partitions, PartitionKey{ba.id(), stencil}, {ba.identity()},
+                  m_partition_hits, m_partition_misses, false,
+                  [&] { return buildInteriorPartition(ba, stencil); });
 }
 
 CopierCache::PartitionPtr CopierCache::buildInteriorPartition(const BoxArray& ba,
@@ -279,6 +294,9 @@ CopierCache::Stats CopierCache::stats() const {
     s.partition_hits = m_partition_hits;
     s.partition_misses = m_partition_misses;
     s.partitions = m_partitions.size();
+    s.gather_hits = m_gather_hits;
+    s.gather_misses = m_gather_misses;
+    s.gathers = m_gathers.size();
     return s;
 }
 
@@ -286,6 +304,7 @@ void CopierCache::resetStats() {
     std::lock_guard<std::mutex> lk(m_mutex);
     m_hits = m_misses = 0;
     m_partition_hits = m_partition_misses = 0;
+    m_gather_hits = m_gather_misses = 0;
     m_build_seconds = 0.0;
 }
 
@@ -293,14 +312,17 @@ void CopierCache::clear() {
     std::lock_guard<std::mutex> lk(m_mutex);
     m_plans.clear();
     m_partitions.clear();
+    m_gathers.clear();
 }
 
 void CopierCache::forget(std::uint64_t id) {
     std::lock_guard<std::mutex> lk(m_mutex);
-    std::erase_if(m_plans, [id](const auto& e) {
+    auto keyed = [id](const auto& e) {
         const CopierKey& k = e.first;
         return k.dst_ba == id || k.src_ba == id || k.dst_dm == id || k.src_dm == id;
-    });
+    };
+    std::erase_if(m_plans, keyed);
+    std::erase_if(m_gathers, keyed);
     std::erase_if(m_partitions, [id](const auto& e) { return e.first.ba == id; });
 }
 

@@ -2,6 +2,7 @@
 
 #include "mesh/box_array.hpp"
 #include "mesh/distribution.hpp"
+#include "mesh/gather_plan.hpp"
 #include "mesh/geometry.hpp"
 
 #include <cstdint>
@@ -70,14 +71,20 @@ struct PartitionPlan {
     std::vector<FabRegions> fabs;
 };
 
-enum class CopierKind : int { FillBoundary = 0, ParallelCopy = 1, AverageDown = 2 };
+enum class CopierKind : int {
+    FillBoundary = 0,
+    ParallelCopy = 1,
+    AverageDown = 2,
+    InterpGather = 3,
+};
 
 struct CopierKey {
     std::uint64_t dst_ba = 0;
     std::uint64_t src_ba = 0;
     std::uint64_t dst_dm = 0;
     std::uint64_t src_dm = 0;
-    int ng = 0; // ghost width (coarsening ratio for AverageDown)
+    int ng = 0;    // ghost width
+    int ratio = 0; // coarsening ratio (AverageDown, InterpGather)
     IntVect period{0, 0, 0};
     CopierKind kind = CopierKind::FillBoundary;
     bool operator==(const CopierKey&) const = default;
@@ -125,6 +132,19 @@ public:
     static PlanPtr buildAverageDown(const BoxArray& crse_ba, const BoxArray& fine_ba,
                                     int ratio);
 
+    using GatherPtr = std::shared_ptr<const GatherPlan>;
+
+    // Memoized coarse gather of fillPatchTwoLevels' interpolation: one
+    // scratch per fine fab, coarsen(grow(fine_ba[i], dst_ng), ratio)
+    // grown by the one-zone slope stencil, gathering crse_ba's valid data
+    // with its periodic images. Cached in its own table with its own
+    // counters (gather_* in Stats), like the partitions below.
+    GatherPtr interpGather(const BoxArray& fine_ba, const BoxArray& crse_ba, int ratio,
+                           int dst_ng, const Periodicity& crse_period);
+    static GatherPtr buildInterpGather(const BoxArray& fine_ba, const BoxArray& crse_ba,
+                                       int ratio, int dst_ng,
+                                       const Periodicity& crse_period);
+
     using PartitionPtr = std::shared_ptr<const PartitionPlan>;
 
     // Memoized interior/boundary partition of every fab of `ba` at the
@@ -149,13 +169,16 @@ public:
         std::uint64_t partition_hits = 0;
         std::uint64_t partition_misses = 0;
         std::size_t partitions = 0;  // currently resident partition plans
+        std::uint64_t gather_hits = 0;
+        std::uint64_t gather_misses = 0;
+        std::size_t gathers = 0;     // currently resident gather plans
     };
     Stats stats() const;
     void resetStats();
     void clear(); // drop every plan (stats survive)
 
-    // Drop every plan and partition keyed on layout identity `id`. Called
-    // by ~LayoutId for identities this cache marked.
+    // Drop every plan, gather and partition keyed on layout identity
+    // `id`. Called by ~LayoutId for identities this cache marked.
     void forget(std::uint64_t id);
 
     // Memoization toggle: when disabled every call rebuilds its plan (the
@@ -166,11 +189,15 @@ public:
 
 private:
     CopierCache() = default;
-    // `layouts` are the key's participants; a null one (a default-built
-    // layout) makes the lookup uncacheable.
-    PlanPtr getOrBuild(const CopierKey& key,
-                       std::initializer_list<const LayoutId*> layouts,
-                       const std::function<PlanPtr()>& build);
+    // The lookup shared by the three tables. `layouts` are the key's
+    // participants; a null one (a default-built layout) makes the lookup
+    // uncacheable. A hit returns the resident entry; a miss builds outside
+    // the lock (timed into m_build_seconds when `timed`) and inserts.
+    template <typename Map, typename Build>
+    typename Map::mapped_type lookup(Map& map, const typename Map::key_type& key,
+                                     std::initializer_list<const LayoutId*> layouts,
+                                     std::uint64_t& hits, std::uint64_t& misses,
+                                     bool timed, Build&& build);
 
     struct PartitionKey {
         std::uint64_t ba = 0;
@@ -187,8 +214,10 @@ private:
     mutable std::mutex m_mutex;
     std::unordered_map<CopierKey, PlanPtr, CopierKeyHash> m_plans;
     std::unordered_map<PartitionKey, PartitionPtr, PartitionKeyHash> m_partitions;
+    std::unordered_map<CopierKey, GatherPtr, CopierKeyHash> m_gathers;
     std::uint64_t m_hits = 0, m_misses = 0;
     std::uint64_t m_partition_hits = 0, m_partition_misses = 0;
+    std::uint64_t m_gather_hits = 0, m_gather_misses = 0;
     double m_build_seconds = 0.0;
     bool m_enabled = true;
 };

@@ -1,9 +1,12 @@
 #pragma once
 
+#include "mesh/gather_plan.hpp"
 #include "mesh/geometry.hpp"
 #include "mesh/multifab.hpp"
 
 #include <array>
+#include <cstdint>
+#include <vector>
 
 namespace exa {
 
@@ -72,7 +75,7 @@ public:
     // fine box, plus on the high side). Zones covered by the fine level
     // are skipped; zones beyond a periodic domain edge wrap; zones beyond
     // a non-periodic edge are dropped (the domain boundary owns them).
-    void Reflux(MultiFab& crse, const Geometry& crse_geom) const;
+    void Reflux(MultiFab& crse, const Geometry& crse_geom);
 
     // Register payload for dimension d (snapshot capture, diagnostics).
     MultiFab& mf(int d) { return m_reg[d]; }
@@ -84,10 +87,33 @@ public:
     Real absSum() const;
 
 private:
+    // One += of Reflux: the coarse zones `zones` of coarse fab `crse_fab`
+    // outside face plane `face` (along `dim`) of register fab `reg_fab`.
+    struct RefluxItem {
+        int dim = 0;
+        int reg_fab = 0;
+        int crse_fab = 0;
+        int face = 0;
+        Real sign = 1.0; // -1 on the low side of the fine box, +1 on the high
+        Box zones;
+    };
+    void buildReflux(const BoxArray& crse_ba, const Geometry& crse_geom);
+
     BoxArray m_cba;                // coarsened fine boxes (zone space)
     std::array<MultiFab, 3> m_reg; // face-box fabs, one per fine box
     int m_ratio = 0;
     int m_ncomp = 0;
+    // CrseAdd's gather (source slot d reads crse_flux[d]) and the coarse
+    // flux layouts it was built for.
+    GatherPlan m_crse_gather;
+    std::array<std::uint64_t, 3> m_crse_flux_ids{};
+    // Reflux's items in list order, their colours, and the coarse layout
+    // (BoxArray id, domain, periodicity) they were built for.
+    std::vector<RefluxItem> m_reflux;
+    LaunchColors m_reflux_colors;
+    std::uint64_t m_reflux_ba = 0;
+    Box m_reflux_domain;
+    IntVect m_reflux_period{0, 0, 0};
 };
 
 // Face-flux scratch for one level: per dimension, a MultiFab whose fab i

@@ -8,20 +8,6 @@
 
 namespace exa {
 
-namespace {
-// Minmod-limited central slope of crse component n along dimension d.
-EXA_FORCE_INLINE Real limited_slope(Array4<const Real> c, int i, int j, int k, int n,
-                                    int d) {
-    const IntVect e = IntVect::basis(d);
-    const Real sl = c(i, j, k, n) - c(i - e.x, j - e.y, k - e.z, n);
-    const Real sr = c(i + e.x, j + e.y, k + e.z, n) - c(i, j, k, n);
-    if (sl * sr <= 0.0) return 0.0;
-    const Real sc = 0.5 * (sl + sr);
-    const Real mag = std::min({std::abs(sc), 2.0 * std::abs(sl), 2.0 * std::abs(sr)});
-    return sc > 0 ? mag : -mag;
-}
-} // namespace
-
 void pcInterp(Array4<Real> fine, Array4<const Real> crse, const Box& fine_region,
               int ratio, int scomp, int dcomp, int ncomp) {
     ParallelFor(KernelInfo::streaming("interp_pc", 16.0), fine_region, ncomp,
@@ -33,23 +19,8 @@ void pcInterp(Array4<Real> fine, Array4<const Real> crse, const Box& fine_region
 
 void conslinInterp(Array4<Real> fine, Array4<const Real> crse, const Box& fine_region,
                    int ratio, int scomp, int dcomp, int ncomp) {
-    const Real r = static_cast<Real>(ratio);
-    // 7-point coarse stencil read + 1 fine write per zone.
-    ParallelFor(KernelInfo::streaming("interp_conslin", 64.0), fine_region,
-                ncomp, [=](int i, int j, int k, int n) {
-        const int ic = coarsen_index(i, ratio);
-        const int jc = coarsen_index(j, ratio);
-        const int kc = coarsen_index(k, ratio);
-        // Offset of the fine center from the coarse center, in coarse-zone
-        // units; symmetric over the children of one coarse zone.
-        const Real ox = (i - ic * ratio + 0.5_rt) / r - 0.5_rt;
-        const Real oy = (j - jc * ratio + 0.5_rt) / r - 0.5_rt;
-        const Real oz = (k - kc * ratio + 0.5_rt) / r - 0.5_rt;
-        fine(i, j, k, dcomp + n) = crse(ic, jc, kc, scomp + n) +
-                                   ox * limited_slope(crse, ic, jc, kc, scomp + n, 0) +
-                                   oy * limited_slope(crse, ic, jc, kc, scomp + n, 1) +
-                                   oz * limited_slope(crse, ic, jc, kc, scomp + n, 2);
-    });
+    ParallelFor(conslinKernel(), fine_region, ncomp,
+                conslinBody(fine, crse, ratio, scomp, dcomp));
 }
 
 void averageDown(MultiFab& crse, const MultiFab& fine, int ratio, int scomp,
@@ -82,40 +53,22 @@ void averageDown(MultiFab& crse, const MultiFab& fine, int ratio, int scomp,
 namespace {
 
 // Step 1 of fillPatchTwoLevels: interpolate everywhere from the coarse
-// level. We build a scratch coarse fab around each destination region so
-// the slope stencil has data, filled by copies from the coarse level.
-//
-// Stays one launch per copy: crse_src's BoxArray may overlap itself, so
-// the regions gathered into ctmp may overlap and resolve by gather
-// order, which one launch cannot keep.
+// level. The cached gather plan copies the coarse valid data (with its
+// periodic images) under and around every destination region into one
+// scratch per fab, so the slope stencil has data; then one launch
+// interpolates into every fab.
 void interpFromCoarse(MultiFab& dst, const MultiFab& crse_src,
                       const Geometry& crse_geom, int ratio, int scomp, int dcomp,
                       int ncomp, int dst_ng) {
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-        const Box fdst = grow(dst.box(static_cast<int>(i)), dst_ng);
-        Box cbox = coarsen(fdst, ratio);
-        cbox.grow(1); // slope stencil
-        FArrayBox ctmp(cbox, ncomp);
-        ctmp.setVal(0.0);
-        // Gather coarse valid data (with periodic images of the valid
-        // regions) into ctmp. Ghost zones of the source are not used: they
-        // may be stale, and their periodic images could overwrite correct
-        // valid data.
-        const auto shifts = crse_geom.periodicity().shifts();
-        for (const IntVect& s : shifts) {
-            // src_box = crse_ba[j] & shift(cbox, -s) equals the legacy
-            // shift(cbox & image, -s), and the hashed query returns
-            // ascending j, so the gather order (and hence any overlap
-            // resolution) is unchanged.
-            for (const auto& [j, src_box] :
-                 crse_src.boxArray().intersections(shift(cbox, -s))) {
-                ctmp.copyFrom(crse_src.fab(j), src_box, scomp, shift(src_box, s), 0,
-                              ncomp);
-            }
-        }
-        conslinInterp(dst.array(static_cast<int>(i)), ctmp.const_array(), fdst, ratio,
-                      0, dcomp, ncomp);
-    }
+    const auto plan = CopierCache::instance().interpGather(
+        dst.boxArray(), crse_src.boxArray(), ratio, dst_ng, crse_geom.periodicity());
+    std::vector<FArrayBox> ctmp;
+    plan->run(crse_src, scomp, ncomp, ctmp);
+    ParallelFor(conslinKernel(), dst.size(), ncomp, [&](std::size_t i) {
+        const int fi = static_cast<int>(i);
+        return std::pair{grow(dst.box(fi), dst_ng),
+                         conslinBody(dst.array(fi), ctmp[i].const_array(), ratio, 0, dcomp)};
+    });
 }
 
 } // namespace

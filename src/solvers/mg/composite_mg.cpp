@@ -238,6 +238,19 @@ CompositeMg::CompositeMg(std::vector<Geometry> geoms, std::vector<BoxArray> bas,
             R.rhs0.setVal(0.0);
         }
     }
+    // Gather plans of the transfers up from a rung that is not aggregated.
+    for (int r = 1; r < nrungs; ++r) {
+        Rung& F = m_r[static_cast<std::size_t>(r)];
+        const Rung& C = m_r[static_cast<std::size_t>(r - 1)];
+        if (C.aggregated) continue;
+        std::vector<Box> under, ringed;
+        for (const Box& b : F.ba.boxes()) {
+            under.push_back(coarsen(b, F.ratio));
+            ringed.push_back(grow(under.back(), 1));
+        }
+        F.prolong_gather.add(under, C.ba, C.geom.periodicity());
+        F.fmg_gather.add(ringed, C.ba, C.geom.periodicity());
+    }
     // Staging fabs live on the aggregated rung but use the finer rung's
     // box shapes (coarsened) and distribution, so restriction is fab-local
     // and the rank transition is a single cached ParallelCopy.
@@ -473,83 +486,56 @@ void CompositeMg::buildCoarseRhs(int r) {
     });
 }
 
-namespace {
-
-// Gather `src`'s valid data (periodic images included) under cbox into a
-// zero-initialized scratch fab — the non-staged coarse read used by
-// prolongation and the FMG interpolant. Matches what a ParallelCopy with
-// dst_ng ghosts delivers into a staging fab, so the aggregated and
-// non-aggregated paths see bit-identical coarse values.
-FArrayBox gatherValid(const MultiFab& src, const BoxArray& ba,
-                      const Geometry& geom, const Box& cbox) {
-    FArrayBox ctmp(cbox, 1);
-    ctmp.setVal(0.0);
-    for (const IntVect& s : geom.periodicity().shifts()) {
-        for (const auto& [ci, isect] : ba.intersections(shift(cbox, -s))) {
-            ctmp.copyFrom(src.fab(ci), isect, 0, shift(isect, s), 0, 1);
-        }
-    }
-    return ctmp;
-}
-
-} // namespace
-
 void CompositeMg::prolongAddCorrection(int r) {
     Rung& F = m_r[static_cast<std::size_t>(r)];
     Rung& C = m_r[static_cast<std::size_t>(r - 1)];
     // FAS correction relative to the restricted fine solution.
     MultiFab::LinComb(C.res, 1.0, C.phi, -1.0, C.sav, 0, 1);
     const int ratio = F.ratio;
+    // The coarse correction under each fine fab: the staging fab of an
+    // aggregated rung, else the rung's gather (zero-filled scratch with
+    // the valid data copied in, as a ParallelCopy with ghosts delivers it
+    // into a staging fab, so both paths see bit-identical values).
+    std::vector<FArrayBox> gathered;
     if (C.aggregated) {
         C.stage.ParallelCopy(C.res, 0, 0, 1, 1, C.geom.periodicity());
         ++m_stats.agg_copies;
         m_stats.agg_bytes += C.stage_prolong_bytes;
     } else {
-        // Gather every fab's coarse correction first (one launch per
-        // gather copy, since periodic images may overlap), then add them
-        // all in one launch.
-        for (std::size_t i = 0; i < F.phi.size(); ++i) {
-            m_prolong_src.push_back(gatherValid(
-                C.res, C.ba, C.geom, coarsen(F.phi.box(static_cast<int>(i)), ratio)));
-        }
+        F.prolong_gather.run(C.res, 0, 1, gathered);
     }
     ParallelFor(KernelInfo::streaming("mg_prolong_add", 24.0), F.phi.size(), 1,
                 [&](std::size_t i) {
         auto f = F.phi.array(static_cast<int>(i));
         auto c = C.aggregated ? C.stage.const_array(static_cast<int>(i))
-                              : m_prolong_src[i].const_array();
+                              : gathered[i].const_array();
         return std::pair{F.phi.box(static_cast<int>(i)), [=](int ii, int j, int k) {
             f(ii, j, k) += c(coarsen_index(ii, ratio), coarsen_index(j, ratio),
                              coarsen_index(k, ratio));
         }};
     });
-    m_prolong_src.clear();
 }
 
 void CompositeMg::fmgInterp(int r) {
     Rung& F = m_r[static_cast<std::size_t>(r)];
     Rung& C = m_r[static_cast<std::size_t>(r - 1)];
     const int ratio = F.ratio;
+    std::vector<FArrayBox> gathered;
     if (C.aggregated) {
         // dst_ng = 1 also fills the stage's in-domain ghosts, which the
         // conservative-linear stencil reads for its slopes.
         C.stage.ParallelCopy(C.phi, 0, 0, 1, 1, C.geom.periodicity());
         ++m_stats.agg_copies;
         m_stats.agg_bytes += C.stage_prolong_bytes;
+    } else {
+        F.fmg_gather.run(C.phi, 0, 1, gathered);
     }
-    for (std::size_t i = 0; i < F.phi.size(); ++i) {
-        const Box& fb = F.phi.box(static_cast<int>(i));
-        if (C.aggregated) {
-            conslinInterp(F.phi.array(static_cast<int>(i)),
-                          C.stage.const_array(static_cast<int>(i)), fb, ratio,
-                          0, 0, 1);
-        } else {
-            const FArrayBox ctmp = gatherValid(C.phi, C.ba, C.geom,
-                                               grow(coarsen(fb, ratio), 1));
-            conslinInterp(F.phi.array(static_cast<int>(i)),
-                          ctmp.const_array(), fb, ratio, 0, 0, 1);
-        }
-    }
+    // One launch over every fine fab.
+    ParallelFor(conslinKernel(), F.phi.size(), 1, [&](std::size_t i) {
+        const int fi = static_cast<int>(i);
+        auto c = C.aggregated ? C.stage.const_array(fi) : gathered[i].const_array();
+        return std::pair{F.phi.box(fi), conslinBody(F.phi.array(fi), c, ratio, 0, 0)};
+    });
 }
 
 void CompositeMg::vcycle(int r) {

@@ -150,6 +150,12 @@ private:
         std::int64_t stage_restrict_bytes = 0;
         std::int64_t stage_prolong_bytes = 0;
         std::unique_ptr<MgCfBoundary> cf; // interface to the rung below
+        // Gathers of the rung below's valid data under each fab, when that
+        // rung is not aggregated (an aggregated one stages through its
+        // `stage` instead): the prolongation reads coarsen(box), the FMG
+        // interpolant also its one-zone slope ring.
+        GatherPlan prolong_gather;
+        GatherPlan fmg_gather;
         // Valid region not covered by the finer rung (per fab), for
         // masked means and the composite residual norm.
         std::vector<std::vector<Box>> uncovered;
@@ -185,10 +191,6 @@ private:
     Real m_domain_volume = 1.0;
     std::vector<Rung> m_r;
     CompositeMgStats m_stats;
-    // Gathered coarse corrections of a non-aggregated prolongation, one
-    // per fine fab, kept so the fused launch finds them all alive and a
-    // V-cycle allocates no vector.
-    std::vector<FArrayBox> m_prolong_src;
 };
 
 } // namespace exa

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace exa {
 
@@ -116,34 +115,31 @@ MgCfBoundary::MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
 
     // 2. One coarse gather per fine fab that has pieces: parents of every
     // ghost cell plus a one-cell ring for the tangential slope stencil.
+    // The coarse rung's boxes are disjoint, and so are the periodic images
+    // of its domain, so the gather is one colour.
     std::vector<int> fab_gather(static_cast<std::size_t>(nfine), -1);
+    std::vector<Box> cboxes;
+    std::vector<int> cbox_rank;
     for (const Piece& piece : m_pieces) {
-        if (fab_gather[static_cast<std::size_t>(piece.fab)] >= 0) continue;
-        GatherSpec gs;
-        gs.fine_fab = piece.fab;
-        gs.cbox =
-            coarsen(grow(fine_ba[static_cast<std::size_t>(piece.fab)], 1), ratio)
-                .grow(1);
-        gs.vals.define(gs.cbox, 1);
-        gs.mask.define(gs.cbox, 1);
-        gs.mask.setVal(0.0);
-        for (const IntVect& s : crse_shifts) {
-            for (const auto& [cj, isect] :
-                 crse_ba.intersections(shift(gs.cbox, -s))) {
-                GatherItem item;
-                item.spec = static_cast<int>(m_gather.size());
-                item.crse_fab = cj;
-                item.src = isect;
-                item.dst = shift(isect, s);
-                item.src_rank = crse_dm[static_cast<std::size_t>(cj)];
-                item.dst_rank = fine_dm[static_cast<std::size_t>(piece.fab)];
-                gs.mask.setVal(1.0, item.dst, 0, 1);
-                m_gather_items.push_back(item);
-            }
-        }
-        fab_gather[static_cast<std::size_t>(piece.fab)] =
-            static_cast<int>(m_gather.size());
-        m_gather.push_back(std::move(gs));
+        int& g = fab_gather[static_cast<std::size_t>(piece.fab)];
+        if (g >= 0) continue;
+        g = static_cast<int>(cboxes.size());
+        cboxes.push_back(
+            coarsen(grow(fine_ba[static_cast<std::size_t>(piece.fab)], 1), ratio).grow(1));
+        cbox_rank.push_back(fine_dm[static_cast<std::size_t>(piece.fab)]);
+    }
+    m_gather.add(cboxes, crse_ba, crse_geom.periodicity());
+    m_vals.resize(cboxes.size());
+    m_mask.resize(cboxes.size());
+    for (std::size_t g = 0; g < cboxes.size(); ++g) {
+        m_vals[g].define(cboxes[g], 1);
+        m_mask[g].define(cboxes[g], 1);
+        m_mask[g].setVal(0.0);
+    }
+    for (const GatherPlan::Item& item : m_gather.items()) {
+        m_mask[static_cast<std::size_t>(item.scratch)].setVal(1.0, item.dst_box, 0, 1);
+        m_gather_ranks.push_back({crse_dm[static_cast<std::size_t>(item.src_fab)],
+                                  cbox_rank[static_cast<std::size_t>(item.scratch)]});
     }
     m_piece_gather.reserve(m_pieces.size());
     m_tilde.reserve(m_pieces.size());
@@ -176,49 +172,25 @@ MgCfBoundary::MgCfBoundary(const Geometry& crse_geom, const Geometry& fine_geom,
         }
     }
 
-    // 4. Colour the flux items by longest path over their conflicts (see
-    // FluxItem), so one launch per colour sums every coarse cell in the
-    // order one launch per item did.
-    int ncolors = 0;
-    for (std::size_t a = 0; a < m_flux.size(); ++a) {
-        FluxItem& item = m_flux[a];
-        for (std::size_t b = 0; b < a; ++b) {
-            if (m_flux[b].crse_fab == item.crse_fab &&
-                m_flux[b].crse_cells.intersects(item.crse_cells))
-                item.color = std::max(item.color, m_flux[b].color + 1);
-        }
-        ncolors = std::max(ncolors, item.color + 1);
-    }
-    m_color_order.resize(m_flux.size());
-    std::iota(m_color_order.begin(), m_color_order.end(), std::size_t{0});
-    std::stable_sort(m_color_order.begin(), m_color_order.end(),
-                     [&](std::size_t a, std::size_t b) { return m_flux[a].color < m_flux[b].color; });
-    m_color_begin.assign(static_cast<std::size_t>(ncolors) + 1, m_flux.size());
-    for (std::size_t t = m_flux.size(); t-- > 0;)
-        m_color_begin[static_cast<std::size_t>(m_flux[m_color_order[t]].color)] = t;
+    // 4. Colour the flux items by their coarse cells (see FluxItem), so
+    // one launch per colour sums every coarse cell in the order one launch
+    // per item did.
+    for (const FluxItem& item : m_flux) m_flux_colors.add(item.crse_fab, item.crse_cells);
 }
 
 void MgCfBoundary::prepare(const MultiFab& crse) {
-    // Zero every gather fab, then copy every coarse region in, one launch
-    // each. The regions of one gather are disjoint: the coarse rung's
-    // boxes are, and so are the periodic images of its domain.
-    ParallelFor(FArrayBox::setValKernel(), m_gather.size(), 1, [&](std::size_t g) {
-        auto a = m_gather[g].vals.array();
-        return std::pair{m_gather[g].cbox, [=](int i, int j, int k) { a(i, j, k) = 0.0; }};
-    });
-    ParallelFor(FArrayBox::copyKernel(), m_gather_items.size(), 1, [&](std::size_t t) {
-        const GatherItem& item = m_gather_items[t];
-        return std::pair{item.dst,
-                         m_gather[static_cast<std::size_t>(item.spec)].vals.copyBody(
-                             crse.fab(item.crse_fab), item.src, 0, item.dst, 0)};
-    });
+    // Zero every gather fab, then copy every coarse region in: one launch
+    // each (the gather is one colour).
+    m_gather.run(crse, 0, 1, m_vals);
     if (events::active()) {
-        for (const GatherItem& item : m_gather_items) {
-            if (item.src_rank == item.dst_rank) continue;
+        for (std::size_t t = 0; t < m_gather_ranks.size(); ++t) {
+            const ItemRanks& ranks = m_gather_ranks[t];
+            if (ranks.src == ranks.dst) continue;
             MessageRecord r;
-            r.src_rank = item.src_rank;
-            r.dst_rank = item.dst_rank;
-            r.bytes = item.src.numPts() * static_cast<std::int64_t>(sizeof(Real));
+            r.src_rank = ranks.src;
+            r.dst_rank = ranks.dst;
+            r.bytes = m_gather.items()[t].src_box.numPts() *
+                      static_cast<std::int64_t>(sizeof(Real));
             r.tag = "mg-cfb";
             events::publish(r);
         }
@@ -230,10 +202,9 @@ void MgCfBoundary::prepare(const MultiFab& crse) {
     ParallelFor(KernelInfo{"mg_cf_tangent", 18.0, 72.0, 40, 1.0}, m_pieces.size(), 1,
                 [&](std::size_t pi) {
         const Piece& piece = m_pieces[pi];
-        const GatherSpec& gs =
-            m_gather[static_cast<std::size_t>(m_piece_gather[pi])];
-        auto v = gs.vals.const_array();
-        auto mk = gs.mask.const_array();
+        const std::size_t g = static_cast<std::size_t>(m_piece_gather[pi]);
+        auto v = m_vals[g].const_array();
+        auto mk = m_mask[g].const_array();
         auto tl = m_tilde[pi].array();
         const int t1 = (piece.dim + 1) % 3;
         const int t2 = (piece.dim + 2) % 3;
@@ -314,53 +285,50 @@ void MgCfBoundary::addFluxMismatch(MultiFab& dst, const MultiFab& fine,
                                    const MultiFab& crse, Real sign) const {
     const int r = m_ratio;
     const Real inv_r2 = 1.0_rt / (static_cast<Real>(r) * r);
-    for (std::size_t c = 0; c + 1 < m_color_begin.size(); ++c) {
-        const std::size_t first = m_color_begin[c];
-        ParallelFor(KernelInfo{"mg_flux_corr", 20.0, 64.0, 40, 1.0},
-                    m_color_begin[c + 1] - first, 1, [&](std::size_t t) {
-            const FluxItem& item = m_flux[m_color_order[first + t]];
-            auto dA = dst.array(item.crse_fab);
-            auto cA = crse.const_array(item.crse_fab);
-            auto fA = fine.const_array(item.fine_fab);
-            const int d = item.dim;
-            const int t1 = (d + 1) % 3;
-            const int t2 = (d + 2) % 3;
-            const int gn = item.gn;
-            // The covered coarse neighbor (and the first fine interior
-            // cell) sit toward the fine region: +d of the layer on side 0,
-            // -d on side 1.
-            const int dir = item.side == 0 ? 1 : -1;
-            const IntVect e = IntVect::basis(d);
-            const IntVect sh = item.sh;
-            const Box ghosts = item.ghosts;
-            const Real inv_hf = 1.0_rt / m_fine_dx[d];
-            const Real inv_hc = 1.0_rt / m_crse_dx[d];
-            return std::pair{item.crse_cells, [=](int i, int j, int k) {
-                // Fine-frame parent of this uncovered coarse cell.
-                const IntVect o{i + sh.x, j + sh.y, k + sh.z};
-                Real acc = 0.0;
-                for (int a = 0; a < r; ++a) {
-                    for (int b = 0; b < r; ++b) {
-                        IntVect g;
-                        g[d] = gn;
-                        g[t1] = o[t1] * r + a;
-                        g[t2] = o[t2] * r + b;
-                        if (!ghosts.contains(g)) continue;
-                        IntVect f1 = g;
-                        f1[d] += dir;
-                        // Per-face share: (Gf_face - Gc); summing the r^2
-                        // faces of one coarse face recovers avg(Gf) - Gc
-                        // even when the faces are split across pieces/fabs.
-                        acc += (fA(f1.x, f1.y, f1.z) - fA(g.x, g.y, g.z)) * inv_hf -
-                               (cA(i + dir * e.x, j + dir * e.y, k + dir * e.z) -
-                                cA(i, j, k)) *
-                                   inv_hc;
-                    }
+    ParallelFor(KernelInfo{"mg_flux_corr", 20.0, 64.0, 40, 1.0}, m_flux_colors, 1,
+                [&](std::size_t t) {
+        const FluxItem& item = m_flux[t];
+        auto dA = dst.array(item.crse_fab);
+        auto cA = crse.const_array(item.crse_fab);
+        auto fA = fine.const_array(item.fine_fab);
+        const int d = item.dim;
+        const int t1 = (d + 1) % 3;
+        const int t2 = (d + 2) % 3;
+        const int gn = item.gn;
+        // The covered coarse neighbor (and the first fine interior
+        // cell) sit toward the fine region: +d of the layer on side 0,
+        // -d on side 1.
+        const int dir = item.side == 0 ? 1 : -1;
+        const IntVect e = IntVect::basis(d);
+        const IntVect sh = item.sh;
+        const Box ghosts = item.ghosts;
+        const Real inv_hf = 1.0_rt / m_fine_dx[d];
+        const Real inv_hc = 1.0_rt / m_crse_dx[d];
+        return std::pair{item.crse_cells, [=](int i, int j, int k) {
+            // Fine-frame parent of this uncovered coarse cell.
+            const IntVect o{i + sh.x, j + sh.y, k + sh.z};
+            Real acc = 0.0;
+            for (int a = 0; a < r; ++a) {
+                for (int b = 0; b < r; ++b) {
+                    IntVect g;
+                    g[d] = gn;
+                    g[t1] = o[t1] * r + a;
+                    g[t2] = o[t2] * r + b;
+                    if (!ghosts.contains(g)) continue;
+                    IntVect f1 = g;
+                    f1[d] += dir;
+                    // Per-face share: (Gf_face - Gc); summing the r^2
+                    // faces of one coarse face recovers avg(Gf) - Gc
+                    // even when the faces are split across pieces/fabs.
+                    acc += (fA(f1.x, f1.y, f1.z) - fA(g.x, g.y, g.z)) * inv_hf -
+                           (cA(i + dir * e.x, j + dir * e.y, k + dir * e.z) -
+                            cA(i, j, k)) *
+                               inv_hc;
                 }
-                dA(i, j, k) += sign * acc * inv_r2 * inv_hc;
-            }};
-        });
-    }
+            }
+            dA(i, j, k) += sign * acc * inv_r2 * inv_hc;
+        }};
+    });
 }
 
 } // namespace exa

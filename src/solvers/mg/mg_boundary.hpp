@@ -24,6 +24,7 @@
 // prepare() re-reads coarse data, so it must run whenever the coarse
 // solution has changed since the last smoothing pass on the fine rung.
 
+#include "mesh/gather_plan.hpp"
 #include "mesh/multifab.hpp"
 
 #include <memory>
@@ -80,11 +81,10 @@ public:
     std::size_t numGhostCells() const { return m_nghost_cells; }
 
     // Flux-mismatch work for one (piece, coarse fab) pair. Items of
-    // neighbouring pieces add into the same coarse cells, so each item
-    // carries a colour: one more than the highest colour of any earlier
-    // item (in construction order) that writes a cell it writes. Items of
-    // one colour write disjoint cells, and each cell still takes its
-    // contributions in construction order.
+    // neighbouring pieces add into the same coarse cells, so the items are
+    // coloured in construction order (LaunchColors): items of one colour
+    // write disjoint cells, and each cell still takes its contributions in
+    // construction order.
     struct FluxItem {
         int crse_fab = 0;
         int fine_fab = 0;
@@ -94,11 +94,10 @@ public:
         IntVect sh;     // fine-frame parent index = crse index + sh
         int gn = 0;     // fine-frame normal coordinate of the ghost layer
         Box ghosts;     // the piece box (clips tangential children)
-        int color = 0;
     };
     // The items in construction order, each coarse cell's summation order.
     const std::vector<FluxItem>& fluxItems() const { return m_flux; }
-    int numFluxColors() const { return static_cast<int>(m_color_begin.size()) - 1; }
+    int numFluxColors() const { return m_flux_colors.numColors(); }
 
 private:
     // One rectangular patch of coarse-fine ghost cells: a piece of the
@@ -111,37 +110,25 @@ private:
         bool quad = false; // quadratic normal stencil (fine box >= 2 deep)
         Box box;
     };
-    // Gathered coarse source for one fine fab: every coarse valid region
-    // (with periodic images) intersecting cbox.
-    struct GatherSpec {
-        int fine_fab = 0;
-        Box cbox;
-        FArrayBox vals; // gathered coarse values over cbox
-        FArrayBox mask; // 1 where vals holds coarse valid data (set once)
-    };
-    // One coarse region of one gather, flat across gathers so that every
-    // gather copy shares one launch.
-    struct GatherItem {
-        int spec = 0; // index into m_gather
-        int crse_fab = 0;
-        Box src;  // in the coarse fab's frame
-        Box dst;  // shifted into the fine fab's (coarsened) frame
-        int src_rank = 0;
-        int dst_rank = 0;
+    // Ranks of one gather item, for its mg-cfb MessageRecord.
+    struct ItemRanks {
+        int src = 0;
+        int dst = 0;
     };
     int m_ratio = 2;
     Real m_crse_dx[3] = {1.0, 1.0, 1.0};
     Real m_fine_dx[3] = {1.0, 1.0, 1.0};
     std::vector<Piece> m_pieces;
-    std::vector<int> m_piece_gather;   // piece -> index into m_gather
+    std::vector<int> m_piece_gather;   // piece -> gather scratch index
     std::vector<FArrayBox> m_tilde;    // per piece, over piece.box
-    std::vector<GatherSpec> m_gather;
-    std::vector<GatherItem> m_gather_items;
+    // One coarse gather per fine fab that has pieces: every coarse valid
+    // region (with periodic images) under grow(coarsen(fab), 1).
+    GatherPlan m_gather;
+    std::vector<ItemRanks> m_gather_ranks; // per gather item
+    std::vector<FArrayBox> m_vals;         // gathered coarse values
+    std::vector<FArrayBox> m_mask; // 1 where m_vals holds coarse valid data (set once)
     std::vector<FluxItem> m_flux;
-    // Item indices by colour, stable: colour c is m_color_order over
-    // [m_color_begin[c], m_color_begin[c + 1]).
-    std::vector<std::size_t> m_color_order;
-    std::vector<std::size_t> m_color_begin{0};
+    LaunchColors m_flux_colors;
     std::size_t m_nghost_cells = 0;
 };
 

@@ -1,3 +1,4 @@
+#include "../support/check_every_launch.hpp"
 #include "castro/hydro.hpp"
 #include "castro/castro.hpp"
 #include "mesh/copier_cache.hpp"
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 using namespace exa;
@@ -617,6 +619,102 @@ TEST(MolRhs, FusedRegionListMatchesPerRegionCallsOnEveryBackend) {
             for (int d = 0; d < 3; ++d) {
                 EXPECT_EQ(fused[1 + d], split[1 + d]) << "fluxes along " << d;
             }
+        }
+    }
+}
+
+TEST(MolRhs, RegisterCopiesAreOneLaunchPerRegion) {
+    // With the fluxes out-param, each region's three face-flux fabs reach
+    // the register MultiFabs in one fab_copy launch: one per region, not
+    // one per (region, direction). Bits are pinned against per-region
+    // calls by FusedRegionListMatchesPerRegionCallsOnEveryBackend.
+    auto net = makeIgnitionSimple();
+    Eos eos{GammaLawEos{1.4}};
+    const Box dom({0, 0, 0}, {15, 15, 15});
+    const Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
+    const BoxArray ba(dom);
+    const DistributionMapping dm(ba, 1);
+    const int nc = StateLayout(net.nspec()).ncomp();
+    const int width = stencilWidth(Reconstruction::PLM);
+    MultiFab state(ba, dm, nc, width);
+    fillSmoothState(state, geom, net, eos);
+    MultiFab dudt(ba, dm, nc, 0);
+    auto fluxes = makeFluxFabs(ba, dm, nc);
+    const Box inner = grow(dom, -width);
+    std::vector<Box> regions{inner};
+    for (const Box& b : boxDiff(dom, inner)) regions.push_back(b);
+    std::int64_t faces = 0;
+    for (const Box& r : regions)
+        for (int d = 0; d < 3; ++d) faces += surroundingFaces(r, d).numPts();
+
+    DeviceModel dev;
+    {
+        ScopedBackend sb(Backend::SimGpu);
+        dev.attach();
+        molRhsRegions(state, dudt, 0, regions, geom, net, eos, &fluxes);
+        dev.detach();
+    }
+    const auto& ks = dev.kernelStats();
+    EXPECT_EQ(dev.numLaunches(), 3 + static_cast<std::int64_t>(regions.size()));
+    ASSERT_EQ(ks.count("fab_copy"), 1u);
+    EXPECT_EQ(ks.at("fab_copy").launches, static_cast<std::int64_t>(regions.size()));
+    EXPECT_EQ(ks.at("fab_copy").zones, faces * nc);
+}
+
+TEST(EnforceConsistency, OneLaunchMatchesPerFabCallsOnEveryBackend) {
+    // One launch over every fab gives the bits of one call per fab (each
+    // fab alone in a MultiFab) on all four backends, with density floors
+    // and species renormalization engaged; Debug checks every launch.
+    auto net = makeIgnitionSimple();
+    Eos eos{GammaLawEos{1.4}};
+    const Box dom({0, 0, 0}, {15, 15, 15});
+    const Geometry geom(dom, {0, 0, 0}, {1, 1, 1}, IntVect{1, 1, 1});
+    BoxArray ba(dom);
+    ba.maxSize(8);
+    const DistributionMapping dm(ba, 2);
+    const int nc = StateLayout(net.nspec()).ncomp();
+    const Real small_dens = 0.8;
+    auto fresh = [&] {
+        MultiFab state(ba, dm, nc, 1);
+        fillSmoothState(state, geom, net, eos);
+        for (std::size_t f = 0; f < state.size(); ++f) {
+            auto u = state.array(static_cast<int>(f));
+            const Box& vb = state.box(static_cast<int>(f));
+            u(vb.smallEnd(0), vb.smallEnd(1), vb.smallEnd(2), StateLayout::UFS) *= -1.0;
+            u(vb.bigEnd(0), vb.bigEnd(1), vb.bigEnd(2), StateLayout::UFS + 1) *= 1.7;
+        }
+        return state;
+    };
+    std::vector<Real> ref;
+    {
+        ScopedBackend sb(Backend::Serial);
+        MultiFab state = fresh();
+        for (std::size_t f = 0; f < state.size(); ++f) {
+            const int fi = static_cast<int>(f);
+            const BoxArray one(state.box(fi));
+            MultiFab alone(one, DistributionMapping(one, 1), nc, 0);
+            alone.fab(0).copyFrom(state.fab(fi), state.box(fi), 0, state.box(fi), 0, nc);
+            enforceConsistency(alone, net, eos, small_dens);
+            state.fab(fi).copyFrom(alone.fab(0), state.box(fi), 0, state.box(fi), 0, nc);
+        }
+        ref = validState(state);
+    }
+    MultiFab untouched = fresh();
+    ASSERT_NE(validState(untouched), ref);
+    CheckEveryLaunch check;
+    for (const Backend be :
+         {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+        SCOPED_TRACE("backend " + std::to_string(static_cast<int>(be)));
+        ScopedBackend sb(be);
+        MultiFab state = fresh();
+        DeviceModel dev;
+        dev.attach();
+        enforceConsistency(state, net, eos, small_dens);
+        dev.detach();
+        EXPECT_EQ(validState(state), ref);
+        if (be == Backend::SimGpu) {
+            EXPECT_EQ(dev.numLaunches(), 1);
+            EXPECT_EQ(dev.kernelStats().at("enforce_consistency").zones, dom.numPts());
         }
     }
 }

@@ -10,6 +10,7 @@
 // AMR driver end to end: amr-blast with gravity across a regrid, and
 // rank-failure recovery bit-identity.
 
+#include "../support/check_every_launch.hpp"
 #include "castro/castro.hpp"
 #include "comm/ledger.hpp"
 #include "core/debug.hpp"
@@ -31,6 +32,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <unistd.h>
@@ -845,6 +847,62 @@ TEST(CompositeMg, FluxCorrectionIsOneLaunchPerColour) {
     for (const auto& v : debug::violations())
         ADD_FAILURE() << v.source << ": " << v.kind << " " << v.detail;
     debug::clearViolations();
+}
+
+TEST(CompositeMg, GatheredTransfersAreOneLaunchSetPerCall) {
+    // With aggregation off, every rung reads the rung below through its
+    // gather plans. Each prolongation is then mf_lincomb, fab_setval, one
+    // fab_copy (MG rungs do not overlap, so one colour) and
+    // mg_prolong_add; each FMG interpolation is fab_setval, fab_copy and
+    // one interp_conslin, for 8^3 or 4^3 boxes alike. The bits equal the
+    // aggregated solve's, whose geometric rungs stage through a
+    // ParallelCopy instead, on every backend; Debug checks every launch.
+    auto solve = [](Backend be, bool aggregate, int max_grid,
+                    std::vector<std::string>* kernels) {
+        ScopedBackend backend(be);
+        Hier h = makeHier(16, true, true, 4, max_grid);
+        CompositeMgOptions opt;
+        opt.aggregate_coarse = aggregate;
+        opt.nranks = h.dms[0].numRanks();
+        CompositeMg mg(h.geoms, h.bas, h.dms, 2, MgBC::Dirichlet, opt);
+        EXPECT_EQ(mg.aggregatedRungs() > 0, aggregate);
+        std::vector<MultiFab*> phi{&h.phi[0], &h.phi[1]};
+        std::vector<const MultiFab*> rhs{&h.rhs[0], &h.rhs[1]};
+        EventSubscription sub([&](const Event& e) {
+            if (const auto* l = std::get_if<LaunchRecord>(&e); l && kernels)
+                kernels->push_back(l->info.name);
+        });
+        const CompositeMgResult r = mg.solve(phi, rhs);
+        sub.reset();
+        EXPECT_TRUE(r.converged);
+        return std::tuple{hashLevels(h.phi), r.fmg_cycles * (mg.numRungs() - 1)};
+    };
+    const std::uint64_t href = std::get<0>(solve(Backend::Serial, true, 8, nullptr));
+    CheckEveryLaunch check;
+    for (Backend be : {Backend::Serial, Backend::OpenMP, Backend::SimGpu, Backend::Debug}) {
+        EXPECT_EQ(std::get<0>(solve(be, false, 8, nullptr)), href)
+            << "backend " << static_cast<int>(be);
+    }
+    for (const int max_grid : {8, 4}) {
+        SCOPED_TRACE("max_grid " + std::to_string(max_grid));
+        std::vector<std::string> k;
+        const auto [hash, fmg_interps] = solve(Backend::SimGpu, false, max_grid, &k);
+        std::int64_t prolongs = 0, interps = 0;
+        for (std::size_t t = 3; t < k.size(); ++t) {
+            if (k[t] == "mg_prolong_add") {
+                ++prolongs;
+                EXPECT_EQ(k[t - 1], "fab_copy");
+                EXPECT_EQ(k[t - 2], "fab_setval");
+                EXPECT_EQ(k[t - 3], "mf_lincomb");
+            } else if (k[t] == "interp_conslin") {
+                ++interps;
+                EXPECT_EQ(k[t - 1], "fab_copy");
+                EXPECT_EQ(k[t - 2], "fab_setval");
+            }
+        }
+        EXPECT_GT(prolongs, 0);
+        EXPECT_EQ(interps, fmg_interps);
+    }
 }
 
 TEST(CompositeMg, ExchangeFreeRungsMatchSplitPhaseBits) {
