@@ -46,8 +46,6 @@ void FluxRegister::clear() {
     m_cba = BoxArray{};
     m_ratio = 0;
     m_ncomp = 0;
-    m_crse_gather = GatherPlan{};
-    m_crse_flux_ids = {};
     m_reflux.clear();
     m_reflux_colors = LaunchColors{};
     m_reflux_ba = 0;
@@ -59,23 +57,17 @@ void FluxRegister::setVal(Real v) {
 
 void FluxRegister::CrseAdd(const std::array<MultiFab, 3>& crse_flux, Real scale) {
     assert(isDefined());
-    const std::array<std::uint64_t, 3> ids{crse_flux[0].boxArray().id(),
-                                           crse_flux[1].boxArray().id(),
-                                           crse_flux[2].boxArray().id()};
-    if (ids != m_crse_flux_ids) {
-        // Gather the coarse fluxes covering every register fab with
-        // overwrite semantics: adjacent coarse boxes both carry their
-        // shared face (with identical values), so add-per-overlap would
-        // double-count it. Scratch d * nfab + i holds register fab i of
-        // direction d.
-        m_crse_gather = GatherPlan{};
-        for (int d = 0; d < 3; ++d)
-            m_crse_gather.add(m_reg[d].boxArray().boxes(), crse_flux[d].boxArray());
-        m_crse_flux_ids = ids;
-    }
+    // Gather the coarse fluxes covering every register fab with overwrite
+    // semantics: adjacent coarse boxes both carry their shared face (with
+    // identical values), so add-per-overlap would double-count it. Scratch
+    // d * nfab + i holds register fab i of direction d. The plan is built
+    // per call: callers make fresh flux fabs (new layout ids) every advance.
+    GatherPlan gather;
+    for (int d = 0; d < 3; ++d)
+        gather.add(m_reg[d].boxArray().boxes(), crse_flux[d].boxArray());
     std::vector<FArrayBox> tmp;
     const MultiFab* const src[] = {&crse_flux[0], &crse_flux[1], &crse_flux[2]};
-    m_crse_gather.run(src, 0, m_ncomp, tmp);
+    gather.run(src, 0, m_ncomp, tmp);
     const std::size_t nfab = m_cba.size();
     ParallelFor(FArrayBox::saxpyKernel(), tmp.size(), m_ncomp, [&](std::size_t t) {
         MultiFab& reg = m_reg[t / nfab];

@@ -103,10 +103,6 @@ private:
     std::array<MultiFab, 3> m_reg; // face-box fabs, one per fine box
     int m_ratio = 0;
     int m_ncomp = 0;
-    // CrseAdd's gather (source slot d reads crse_flux[d]) and the coarse
-    // flux layouts it was built for.
-    GatherPlan m_crse_gather;
-    std::array<std::uint64_t, 3> m_crse_flux_ids{};
     // Reflux's items in list order, their colours, and the coarse layout
     // (BoxArray id, domain, periodicity) they were built for.
     std::vector<RefluxItem> m_reflux;
