@@ -222,11 +222,13 @@ void LaunchCheck::beginFootprint() {
 
 void LaunchCheck::footprintScan(std::int64_t item) {
     // An item changes a few bytes of one block, but a fused launch's
-    // blocks span every fab it touches: skip unchanged chunks with memcmp
-    // and compare single bytes only inside a chunk that changed.
+    // blocks span every fab it touches: skip a block the item left alone
+    // with one memcmp, skip unchanged chunks of the others, and compare
+    // single bytes only inside a chunk that changed.
     constexpr std::size_t kChunk = 256;
     for (auto& fp : m_footprints) {
         const auto& s = m_snaps[fp.snap];
+        if (std::memcmp(s.ptr, fp.shadow.data(), s.bytes) == 0) continue;
         for (std::size_t c = 0; c < s.bytes; c += kChunk) {
             const std::size_t end = std::min(c + kChunk, s.bytes);
             if (std::memcmp(s.ptr + c, fp.shadow.data() + c, end - c) == 0) continue;
